@@ -24,6 +24,7 @@ chain automatic.
 
 import math
 from collections import namedtuple
+from itertools import chain, islice
 
 import numpy as np
 
@@ -239,10 +240,14 @@ def stationary(p, tail_tol=1e-12, max_states=2_000_000):
             "unstable tail: lambda=%g >= mu=%g" % (p.lam_tail, p.mu_tail))
 
     head_end = q_ru if finite else p.horizon + 1
-    logf = [0.0]
-    for q in range(q_rl, head_end):
-        logf.append(logf[-1] + math.log(p.arrival(q)) - math.log(p.service(q + 1)))
-    logf = np.array(logf)
+    # logf[k] = (logf[k-1] + log lambda(q_rl+k-1)) - log mu(q_rl+k), added in
+    # that order as a running sum over the two logs interleaved
+    k = head_end - q_rl
+    mus = islice(chain(p.mu, (p.mu_tail,)), q_rl + 1, head_end + 1)
+    logf = np.zeros(2 * k + 1)
+    logf[1::2] = np.fromiter(map(math.log, islice(p.lam, q_rl, head_end)), float, k)
+    logf[2::2] = -np.fromiter(map(math.log, mus), float, k)
+    logf = np.cumsum(logf, out=logf)[::2].copy()
 
     if finite:
         q_max = head_end
@@ -265,12 +270,13 @@ def stationary(p, tail_tol=1e-12, max_states=2_000_000):
         extra = max(0, int(math.ceil(extra)))
         q_max = head_end + extra
         if q_max - q_rl + 1 > max_states:
-            achieved = math.exp(
-                logf[-1] + (max_states - (head_end - q_rl) - 1) * log_rho
-                + math.log(rho / (1.0 - rho)) - log_total)
+            # in log space: with the head alone over the cap, exp overflows
+            log_achieved = (logf[-1] + (max_states - (head_end - q_rl) - 1) * log_rho
+                            + math.log(rho / (1.0 - rho)) - log_total)
             raise ValueError(
-                "tail ratio %g needs %d states for tol %g (cap %d, achieved %g)"
-                % (rho, q_max - q_rl + 1, tail_tol, max_states, achieved))
+                "tail ratio %g needs %d states for tol %g (cap %d, achieved "
+                "tail mass 10^%.3g)" % (rho, q_max - q_rl + 1, tail_tol,
+                                         max_states, log_achieved / math.log(10)))
         logf_all = np.concatenate(
             [logf, logf[-1] + log_rho * np.arange(1, extra + 1)])
         w = np.exp(logf_all - m)
@@ -293,6 +299,20 @@ def pi_at(sr, q):
     return float(sr.pi[-1] * sr.tail_ratio ** (q - sr.q_max))
 
 
+def _rate_values(fn, rates):
+    """fn at every per-state rate, evaluated once per distinct rate.
+
+    Rate 0 contributes 0 by definition, whatever the function's domain,
+    and so does every rate when fn is None (utility out of play).  Rules
+    are piecewise constant, so the distinct rates are read off run starts.
+    """
+    starts = rates[np.append(True, rates[1:] != rates[:-1])]
+    distinct = sorted(set(starts.tolist()))
+    vals = np.array([0.0 if (fn is None or r == 0.0) else evaluate(fn, r)
+                     for r in distinct])
+    return vals[np.searchsorted(distinct, rates)]
+
+
 def metrics(p, sr, c, u):
     """Performance triple and delay for a policy under cost c and utility u.
 
@@ -303,20 +323,14 @@ def metrics(p, sr, c, u):
     means every service rate used is a sample).
     """
     qs = np.arange(sr.q_lo, sr.q_max + 1)
-    lam_q = np.array([p.arrival(int(q)) for q in qs])
-    mu_q = np.array([p.service(int(q)) for q in qs])
+    head = min(sr.q_max, p.horizon) + 1 - sr.q_lo    # states read from the rules
+    lam_q = np.full(qs.shape[0], p.lam_tail)
+    mu_q = np.full(qs.shape[0], p.mu_tail)
+    lam_q[:head] = p.lam[sr.q_lo:sr.q_lo + head]
+    mu_q[:head] = p.mu[sr.q_lo:sr.q_lo + head]
 
-    # rate 0 contributes 0 by definition, whatever the function's domain;
-    # u may be None when utility is out of play
-    cache_c = {}
-    cache_u = {}
-    for r in set(mu_q.tolist()):
-        cache_c[r] = 0.0 if r == 0.0 else evaluate(c, r)
-    for r in set(lam_q.tolist()):
-        cache_u[r] = 0.0 if (u is None or r == 0.0) else evaluate(u, r)
-
-    c_q = np.array([cache_c[r] for r in mu_q.tolist()])
-    u_q = np.array([cache_u[r] for r in lam_q.tolist()])
+    c_q = _rate_values(c, mu_q)
+    u_q = _rate_values(u, lam_q)
 
     qbar = float(np.dot(qs, sr.pi))
     cbar = float(np.dot(c_q, sr.pi))

@@ -12,7 +12,7 @@ Conventions shared by all subcommands:
 * CSV artifacts open with a provenance comment ``# qtl <version> <hash>``
   (hash of the invocation parameters) and then a header row.
 * Exit 2 with an error JSON on malformed input, 1 on domain errors, 0 on
-  success.  QTL_THREADS caps trace/sweep concurrency.
+  success.
 """
 
 import functools
@@ -130,17 +130,7 @@ def _emit_csv(header, rows, prov, out):
         click.echo(text, nl=False)
 
 
-def _workers():
-    raw = os.environ.get("QTL_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise SchemaError("QTL_THREADS must be an integer, got %r" % raw)
-
-
-def _threads_note(failures, kind):
+def _failures_note(failures, kind):
     if failures:
         click.echo("%d %s point(s) failed" % (len(failures), kind), err=True)
         for f in failures:
@@ -280,14 +270,14 @@ def trace(cost, utility, service_actions, arrival_actions, beta1_grid,
         raise SchemaError("need --beta1-grid or --beta1-log")
     b2 = _beta_grid(beta2_grid, beta2_log, [0.0])
     lp = _problem(cost, utility, service_actions, arrival_actions, state_cap)
-    points, failures = trace_tradeoff(lp, b1, b2, tol, workers=_workers())
+    points, failures = trace_tradeoff(lp, b1, b2, tol)
     prov = _provenance({"cmd": "trace", "cost": cost, "utility": utility,
                         "service": service_actions, "arrival": arrival_actions,
                         "beta1": b1, "beta2": b2, "cap": state_cap, "tol": tol})
     _emit_csv(["beta1", "beta2", "c_c", "u_c", "q_star"],
               [(p.beta1, p.beta2, p.c_c, p.u_c, p.q_star) for p in points],
               prov, out)
-    _threads_note(failures, "trace")
+    _failures_note(failures, "trace")
 
 
 _FAMILY_REGIMES = {"LC1": "inv-sqrt", "LC2-1": "log", "LC2-2": "inv"}
@@ -399,7 +389,7 @@ def sweep_cmd(family, params, cost, utility, c_ref, u_grid, dyadic, out):
     _emit_csv(["U", "V", "qbar", "ubar", "cbar"],
               [(s.U, s.V, s.qbar, s.ubar, s.cbar) for s in samples],
               prov, out)
-    _threads_note(failures, "sweep")
+    _failures_note(failures, "sweep")
 
 
 @main.command()

@@ -18,9 +18,10 @@ Policy evaluation solves the (N+2)-unknown linear system
     (lam_q + mu_q)/r_u h(q) - lam_q/r_u h(q+1) - mu_q/r_u h(q-1) + g = cost(q)
     h(0) = 0
 
-directly (sparse LU).  A singular system means the chain under the
-evaluated policy has more than one recurrent class; that is reported, not
-papered over.
+directly (sparse LU on a matrix assembled column-wise in numpy, whose
+arrays and solution are bit-identical to a per-state COO build converted
+to CSC).  A singular system means the chain under the evaluated policy
+has more than one recurrent class; that is reported, not papered over.
 
 Improvement tie-breaking: smallest service rate, largest arrival rate
 among the minimizers.  Deterministic by construction.
@@ -28,10 +29,9 @@ among the minimizers.  Deterministic by construction.
 
 import math
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spsolve
 
 from .birth_death import Policy, exact_metrics, is_admissible
@@ -111,35 +111,43 @@ def _value_table(fn, actions):
     return out
 
 
+def _poisson_matrix(lam, mu, r_u):
+    """CSC matrix of the evaluation system: states 0..n-1, then the gain.
+
+    Column j < n holds, in row order, -lam(j-1)/r_u if lam(j-1) > 0, the
+    diagonal (lam(j) + mu(j))/r_u even when it is 0, -mu(j+1)/r_u if
+    mu(j+1) > 0 and, in column 0 only, the row h(0) = 0; column n is 1 in
+    rows 0..n-1.
+    """
+    n = lam.shape[0]
+    if lam[-1] > 0.0 or mu[0] > 0.0:
+        raise ValueError("evaluation needs lambda(%d) = 0 and mu(0) = 0" % (n - 1))
+    up = np.append(False, lam[:-1] > 0.0)      # column j holds row j-1
+    down = np.append(mu[1:] > 0.0, False)      # column j holds row j+1
+    counts = np.append(1 + up.astype(np.int32) + down, n)
+    counts[0] += 1
+    indptr = np.append(0, np.cumsum(counts)).astype(np.int32)
+    diag = indptr[:n] + up
+    rows = np.arange(n, dtype=np.int32)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    for at, row, val in ((diag, rows, (lam + mu) / r_u),
+                         (diag[up] - 1, rows[up] - 1, -lam[:-1][up[1:]] / r_u),
+                         (diag[down] + 1, rows[down] + 1, -mu[1:][down[:-1]] / r_u),
+                         (indptr[1] - 1, n, 1.0),
+                         (slice(indptr[n], None), rows, 1.0)):
+        indices[at] = row
+        data[at] = val
+    return csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))
+
+
 def _evaluate_policy(lam, mu, stage, r_u):
-    n = lam.shape[0]          # states 0..n-1
-    rows, cols, vals = [], [], []
-    for q in range(n):
-        rows.append(q)
-        cols.append(q)
-        vals.append((lam[q] + mu[q]) / r_u)
-        if lam[q] > 0.0:
-            rows.append(q)
-            cols.append(q + 1)
-            vals.append(-lam[q] / r_u)
-        if mu[q] > 0.0:
-            rows.append(q)
-            cols.append(q - 1)
-            vals.append(-mu[q] / r_u)
-        rows.append(q)
-        cols.append(n)
-        vals.append(1.0)
-    rows.append(n)
-    cols.append(0)
-    vals.append(1.0)
-    a = csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
-    b = np.append(stage, 0.0)
-    x = spsolve(a.tocsc(), b)
+    x = spsolve(_poisson_matrix(lam, mu, r_u), np.append(stage, 0.0))
     if not np.all(np.isfinite(x)):
         raise ValueError(
             "policy evaluation is singular: the chain under this policy "
             "has more than one recurrent class")
-    return x[:n], x[n]
+    return x[:-1], x[-1]
 
 
 def solve(lp, tol=1e-9):
@@ -253,7 +261,7 @@ def _mark_dominated(points):
     return out
 
 
-def trace_tradeoff(base, beta1_grid, beta2_grid, tol=1e-9, workers=1):
+def trace_tradeoff(base, beta1_grid, beta2_grid, tol=1e-9):
     """Sweep the multiplier grid (Cartesian product) and collect the curve.
 
     Each grid point is solved independently; its policy is re-evaluated
@@ -268,33 +276,19 @@ def trace_tradeoff(base, beta1_grid, beta2_grid, tol=1e-9, workers=1):
         raise ValueError("multiplier grids must be non-empty")
     if min(b1) < 0 or min(b2) < 0:
         raise ValueError("multipliers must be non-negative")
-    pairs = [(x, y) for x in b1 for y in b2]
 
-    def run(pair):
-        beta1, beta2 = pair
-        res = solve(base.with_multipliers(beta1, beta2), tol)
-        m = exact_metrics(res.policy, base.cost_fn, base.utility_fn)
-        return TradeoffPoint(
-            beta1=beta1, beta2=beta2, c_c=m.cbar, u_c=m.ubar,
-            q_star=m.qbar, policy=res.policy, dominated=False)
-
-    results = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run, pair) for pair in pairs]
-            for pair, fut in zip(pairs, futures):
-                try:
-                    results.append(fut.result())
-                except ValueError as exc:
-                    results.append(TraceFailure(pair[0], pair[1], str(exc)))
-    else:
-        for pair in pairs:
+    points = []
+    failures = []
+    for beta1 in b1:
+        for beta2 in b2:
             try:
-                results.append(run(pair))
+                res = solve(base.with_multipliers(beta1, beta2), tol)
+                m = exact_metrics(res.policy, base.cost_fn, base.utility_fn)
             except ValueError as exc:
-                results.append(TraceFailure(pair[0], pair[1], str(exc)))
-
-    points = [r for r in results if isinstance(r, TradeoffPoint)]
-    failures = [r for r in results if isinstance(r, TraceFailure)]
+                failures.append(TraceFailure(beta1, beta2, str(exc)))
+                continue
+            points.append(TradeoffPoint(
+                beta1=beta1, beta2=beta2, c_c=m.cbar, u_c=m.ubar,
+                q_star=m.qbar, policy=res.policy, dominated=False))
     points.sort(key=lambda p: p.c_c)
     return _mark_dominated(points), failures

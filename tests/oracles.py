@@ -3,7 +3,9 @@
 The library computes stationary distributions with a detailed-balance
 recursion and float arithmetic; everything here goes another way: dense
 global-balance least squares, exact rational arithmetic for the closed
-forms, and 60-digit arithmetic for threshold indices.  Nothing in this
+forms, and 60-digit arithmetic for threshold indices.  The per-state
+loops below are the library's earlier implementations, kept as references
+that its vectorized code must reproduce bit for bit.  Nothing in this
 module imports the package.
 """
 
@@ -12,6 +14,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from scipy.sparse import csr_matrix
 
 
 def dense_stationary(lam_of, mu_of, n):
@@ -35,6 +38,100 @@ def dense_stationary(lam_of, mu_of, n):
     b[n + 1] = 1.0
     pi, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
     return pi
+
+
+def coo_poisson_matrix(lam, mu, r_u):
+    """Policy-evaluation matrix built entry by entry, COO -> CSR -> CSC.
+
+    Row q < n: (lam_q + mu_q)/r_u h(q) - lam_q/r_u h(q+1) - mu_q/r_u h(q-1)
+    + g; row n: h(0) = 0.  Duplicates are summed by the conversion.
+    """
+    n = lam.shape[0]
+    rows, cols, vals = [], [], []
+    for q in range(n):
+        rows.append(q)
+        cols.append(q)
+        vals.append((lam[q] + mu[q]) / r_u)
+        if lam[q] > 0.0:
+            rows.append(q)
+            cols.append(q + 1)
+            vals.append(-lam[q] / r_u)
+        if mu[q] > 0.0:
+            rows.append(q)
+            cols.append(q - 1)
+            vals.append(-mu[q] / r_u)
+        rows.append(q)
+        cols.append(n)
+        vals.append(1.0)
+    rows.append(n)
+    cols.append(0)
+    vals.append(1.0)
+    return csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsc()
+
+
+def loop_stationary(p, tail_tol=1e-12):
+    """Stationary vector of a stable policy by a per-state log recursion.
+
+    ``p`` offers arrival(q), service(q), horizon, lam_tail and mu_tail.
+    Returns (pi, q_lo, q_max, tail_mass, tail_ratio) for the window
+    [q_lo, q_max]; the geometric tail beyond it is summed in closed form.
+    """
+    q_lo = max(q for q in range(p.horizon + 1) if p.service(q) == 0.0)
+    q_hi = next((q for q in range(p.horizon + 1) if p.arrival(q) == 0.0), None)
+    if q_hi is None and p.lam_tail == 0.0:
+        q_hi = p.horizon + 1
+    head_end = p.horizon + 1 if q_hi is None else q_hi
+    logf = [0.0]
+    for q in range(q_lo, head_end):
+        logf.append(logf[-1] + math.log(p.arrival(q)) - math.log(p.service(q + 1)))
+    logf = np.array(logf)
+    if q_hi is not None:
+        w = np.exp(logf - logf.max())
+        return w / np.sum(w), q_lo, head_end, 0.0, 0.0
+    rho = p.lam_tail / p.mu_tail
+    log_rho = math.log(rho)
+    m = logf.max()
+    head_sum = np.sum(np.exp(logf - m))
+    tail_sum = math.exp(logf[-1] - m) * rho / (1.0 - rho)
+    log_total = m + math.log(head_sum + tail_sum)
+    target = math.log(tail_tol) + math.log((1.0 - rho) / rho) + log_total
+    extra = max(0, int(math.ceil((target - logf[-1]) / log_rho)))
+    logf_all = np.concatenate(
+        [logf, logf[-1] + log_rho * np.arange(1, extra + 1)])
+    w = np.exp(logf_all - m)
+    tail_w = w[-1] * rho / (1.0 - rho)
+    total = np.sum(w) + tail_w
+    return w / total, q_lo, head_end + extra, tail_w / total, rho
+
+
+def loop_metrics(p, window, c, u):
+    """(qbar, cbar, ubar, dbar, mean_arrival, mean_service) from per-state rates.
+
+    ``window`` is loop_stationary's result; ``c`` and ``u`` are plain
+    callables, rate 0 maps to 0, and so does every rate when ``u`` is None.
+    """
+    pi, q_lo, q_max, tail_mass, rho = window
+    qs = np.arange(q_lo, q_max + 1)
+    lam_q = np.array([p.arrival(int(q)) for q in qs])
+    mu_q = np.array([p.service(int(q)) for q in qs])
+    c_q = np.array([0.0 if r == 0.0 else c(r) for r in mu_q.tolist()])
+    u_q = np.array([0.0 if (u is None or r == 0.0) else u(r)
+                    for r in lam_q.tolist()])
+    qbar = float(np.dot(qs, pi))
+    cbar = float(np.dot(c_q, pi))
+    ubar = float(np.dot(u_q, pi))
+    mean_arr = float(np.dot(lam_q, pi))
+    mean_srv = float(np.dot(mu_q, pi))
+    if tail_mass > 0.0:
+        pi_top = float(pi[-1])
+        qbar += pi_top * (q_max * rho / (1.0 - rho) + rho / (1.0 - rho) ** 2)
+        cbar += c(p.mu_tail) * tail_mass
+        if u is not None:
+            ubar += u(p.lam_tail) * tail_mass
+        mean_arr += p.lam_tail * tail_mass
+        mean_srv += p.mu_tail * tail_mass
+    dbar = qbar / mean_arr if mean_arr > 0 else math.inf
+    return qbar, cbar, ubar, dbar, mean_arr, mean_srv
 
 
 def exact_chain_stats(lam, mu, lam_tail, mu_tail, cost=None, util=None):

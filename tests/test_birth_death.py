@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+import qtl.birth_death as birth_death
 from qtl import (
     Policy,
     check_admissible,
@@ -16,6 +18,7 @@ from qtl import (
     feasibility,
     is_admissible,
     is_stable,
+    mc1_policy,
     metrics,
     pi_at,
     policy_from_json,
@@ -25,7 +28,9 @@ from qtl import (
     qlength_upper_bound,
     recurrent_window,
     stationary,
+    sweep,
 )
+from qtl.scaling import SweepFailure
 
 CSQ = power_function(2.0)
 IDENT = power_function(1.0, role="utility")
@@ -148,6 +153,63 @@ def test_stationary_cap_reported():
     with pytest.raises(ValueError) as err:
         stationary(p, max_states=10_000)
     assert "cap" in str(err.value)
+
+
+def test_head_over_cap_is_value_error(monkeypatch):
+    # the head alone needs more states than the cap; the error message's
+    # achieved tail mass must not overflow into an OverflowError
+    build = functools.partial(mc1_policy, 0.5, K=0.5)
+    with pytest.raises(ValueError, match="cap 1000"):
+        stationary(build(2.0 ** -20), max_states=1000)
+    monkeypatch.setattr(birth_death, "stationary",
+                        functools.partial(stationary, max_states=1000))
+    samples, failures = sweep(build, [2.0 ** -20], CSQ, 0.25)
+    assert samples == []
+    assert len(failures) == 1 and isinstance(failures[0], SweepFailure)
+    assert failures[0].U == 2.0 ** -20 and "cap 1000" in failures[0].error
+
+
+def _loop_cases():
+    """(kind, policy) pairs covering each way the stationary window ends."""
+    rng = np.random.default_rng(20)
+    cases = []
+    for transient in (False, True):
+        for _ in range(3):
+            cases.append(("finite", random_policy(rng, transient, finite=True)))
+            cases.append(("geometric", random_policy(rng, transient)))
+    # arrivals never vanish in the rules but the tail is 0: the window
+    # ends at horizon + 1, where mu_tail enters the recursion
+    cases.append(("horizon+1", Policy([0.6, 0.5, 0.5, 0.3], [0.0, 0.4, 0.2, 0.7],
+                                      0.0, 0.9)))
+    cases.append(("horizon+1", Policy([0.3, 0.8, 0.8, 0.8, 0.2],
+                                      [0.0, 0.0, 0.0, 0.5, 0.6], 0.0, 0.35)))
+    cases.append(("geometric", policy_from_pieces([(0, 400, 0.45)], 0.3,
+                                                  [(1, 400, 0.5)], 0.9)))
+    return cases
+
+
+LOOP_CASES = _loop_cases()
+
+
+@pytest.mark.parametrize("kind,p", LOOP_CASES,
+                         ids=["%s-%d" % (k, i) for i, (k, _) in enumerate(LOOP_CASES)])
+def test_stationary_metrics_match_loop(kind, p):
+    sr = stationary(p)
+    ref = oracles.loop_stationary(p)
+    if kind == "finite":
+        assert sr.q_max <= p.horizon
+    elif kind == "horizon+1":
+        assert sr.q_max == p.horizon + 1 and sr.tail_mass == 0.0
+    else:
+        assert sr.tail_mass > 0.0
+    assert np.array_equal(sr.pi, ref[0])
+    assert (sr.q_lo, sr.q_max, sr.tail_mass, sr.tail_ratio) == ref[1:]
+    for u in (None, IDENT):
+        got = metrics(p, sr, CSQ, u)
+        want = oracles.loop_metrics(
+            p, ref, functools.partial(evaluate, CSQ),
+            None if u is None else functools.partial(evaluate, u))
+        assert tuple(got) == want
 
 
 def test_mm1_metrics_closed_forms():

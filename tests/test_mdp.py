@@ -1,7 +1,10 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
+import oracles
 import qtl.mdp as mdp
 from qtl import (
     LagrangianProblem,
@@ -24,6 +27,59 @@ IDENT = power_function(1.0, role="utility")
 
 def problem(beta1, cap=500):
     return LagrangianProblem(beta1, 0.0, S, [0.4], CDISC, None, state_cap=cap)
+
+
+def random_chain(rng, window):
+    """Rates on 0..n-1 with one recurrent class [q_rl, q_ru].
+
+    Service is zero at q_rl and at random states below it, arrivals are
+    zero at q_ru and at random states above it; rate scales differ so
+    some stretches have lambda > mu.  ``window`` picks the class: "wide",
+    a single absorbing interior state ("point", a zero diagonal) or the
+    last state ("last", which then has zero service).
+    """
+    n = int(rng.integers(12, 300))
+    if window == "wide":
+        q_rl = int(rng.integers(0, n // 3))
+        q_ru = int(rng.integers(max(q_rl, 2 * n // 3), n))
+    else:
+        q_rl = q_ru = n - 1 if window == "last" else int(rng.integers(1, n - 1))
+    lam = rng.uniform(0.05, 1.0, n) * rng.choice([0.3, 1.0, 3.0], n)
+    mu = rng.uniform(0.05, 1.0, n) * rng.choice([0.3, 1.0, 3.0], n)
+    mu[:q_rl + 1] *= rng.random(q_rl + 1) < 0.5
+    mu[0] = mu[q_rl] = 0.0
+    lam[q_ru:] *= rng.random(n - q_ru) < 0.5
+    lam[q_ru] = lam[-1] = 0.0
+    stage = rng.uniform(0.0, 5.0, n)
+    return lam, mu, stage, float(lam.max() + mu.max())
+
+
+@pytest.mark.parametrize("window", ["wide", "point", "last"])
+@pytest.mark.parametrize("seed", range(4))
+def test_poisson_matrix_matches_coo_build(seed, window):
+    rng = np.random.default_rng(seed)
+    lam, mu, stage, r_u = random_chain(rng, window)
+    assert np.any(lam > mu) and np.any(lam < mu)
+    want = oracles.coo_poisson_matrix(lam, mu, r_u)
+    got = mdp._poisson_matrix(lam, mu, r_u)
+    assert got.format == "csc"
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    assert got.indices.dtype == want.indices.dtype
+    h, g = mdp._evaluate_policy(lam, mu, stage, r_u)
+    x = spsolve(want, np.append(stage, 0.0))
+    assert np.array_equal(h, x[:-1]) and g == x[-1]
+
+
+def test_evaluate_policy_refusals():
+    lam = np.array([0.5, 0.5, 0.0, 0.5, 0.0])
+    mu = np.array([0.0, 0.5, 0.5, 0.0, 0.5])
+    # lam(2) = 0 and mu(3) = 0 split the chain into two closed classes
+    with pytest.warns(MatrixRankWarning), pytest.raises(ValueError, match="singular"):
+        mdp._evaluate_policy(lam, mu, np.ones(5), 1.0)
+    lam[-1] = 0.5
+    with pytest.raises(ValueError):
+        mdp._evaluate_policy(lam, mu, np.ones(5), 1.0)
 
 
 def test_problem_validation():
@@ -152,15 +208,6 @@ def test_trace_sweep_monotone():
     # sorted output is by achieved cost
     ccs = [p.c_c for p in pts]
     assert ccs == sorted(ccs)
-
-
-def test_trace_workers_agree():
-    grid = [0.0, 5.0, 25.0]
-    base = problem(0.0, cap=200)
-    seq, _ = trace_tradeoff(base, grid, [0.0], workers=1)
-    par, _ = trace_tradeoff(base, grid, [0.0], workers=3)
-    assert [(p.beta1, p.c_c, p.q_star) for p in seq] == \
-        [(p.beta1, p.c_c, p.q_star) for p in par]
 
 
 def test_trace_records_failures(monkeypatch):
