@@ -1,7 +1,10 @@
 """State-dependent M/M/1 policies and exact stationary analytics.
 
 A policy is the pair of queue-length-indexed rate rules (lambda(q), mu(q))
-with mu(0) = 0, each eventually constant beyond a horizon q_h.  Admissible
+with mu(0) = 0, each eventually constant beyond a horizon q_h.  A rule is
+stored as runs of constant rate over 0..q_h, the same form as the
+``pieces`` of the policy JSON, plus the tail rate; other modules read the
+rules only through Policy's methods, never per state.  Admissible
 policies additionally have mu non-decreasing and lambda non-increasing, and
 a stable one has lambda < mu at the constant tail (or a finite recurrent
 window because arrivals shut off).
@@ -22,9 +25,11 @@ probability zero, which makes the queue-length offset of the relabeled
 chain automatic.
 """
 
+import bisect
+import functools
 import math
+import numbers
 from collections import namedtuple
-from itertools import chain, islice
 
 import numpy as np
 
@@ -40,51 +45,104 @@ Metrics = namedtuple(
 
 
 class Policy(object):
-    """Arrival/service rate rules with a constant tail.
+    """Arrival/service rate rules stored as runs of constant rate.
 
-    ``lam`` and ``mu`` are per-state rates for q = 0 .. q_h; beyond the
-    horizon the rules take the tail values.  Rate bounds default to the
-    largest rates the policy uses.
+    ``lam`` and ``mu`` list (start, rate) runs: a run holds its rate up to
+    the next start, the last one up to the horizon q_h, and beyond it the
+    rule takes its tail value.  Starts begin at 0 and increase within the
+    horizon; neighbouring runs of equal rate are merged.  Rate bounds
+    default to the largest rates the policy uses.
     """
 
-    def __init__(self, lam, mu, lam_tail, mu_tail, ra_max=None, r_max=None,
-                 ra_min=0.0, r_min=0.0, meta=None):
-        lam = [float(x) for x in lam]
-        mu = [float(x) for x in mu]
-        if len(lam) != len(mu):
-            raise ValueError("lambda and mu rules must share a horizon")
-        if not lam:
-            raise ValueError("empty rate rules")
-        if mu[0] != 0.0:
-            raise ValueError("mu(0) must be 0")
-        if min(lam) < 0 or min(mu) < 0 or lam_tail < 0 or mu_tail < 0:
-            raise ValueError("rates are non-negative")
-        self.lam = lam
-        self.mu = mu
+    def __init__(self, lam, mu, lam_tail, mu_tail, horizon, ra_max=None,
+                 r_max=None, meta=None):
+        self.horizon = int(horizon)
         self.lam_tail = float(lam_tail)
         self.mu_tail = float(mu_tail)
-        self.horizon = len(lam) - 1
-        self.ra_max = float(ra_max) if ra_max is not None else max(max(lam), lam_tail)
-        self.r_max = float(r_max) if r_max is not None else max(max(mu), mu_tail)
-        self.ra_min = float(ra_min)
-        self.r_min = float(r_min)
+        self._runs = {"lam": _merged_runs(lam, self.horizon, self.lam_tail),
+                      "mu": _merged_runs(mu, self.horizon, self.mu_tail)}
+        lam_rates, mu_rates = self._runs["lam"][1], self._runs["mu"][1]
+        if mu_rates[0] != 0.0:
+            raise ValueError("mu(0) must be 0")
+        if min(lam_rates + mu_rates) < 0:
+            raise ValueError("rates are non-negative")
+        self.ra_max = float(ra_max) if ra_max is not None else max(lam_rates)
+        self.r_max = float(r_max) if r_max is not None else max(mu_rates)
         self.meta = dict(meta) if meta else {}
 
+    def runs(self, rule):
+        """(starts, rates) of the "lam" or "mu" rule, read-only, with the
+        tail as a last run from horizon + 1 on."""
+        return self._runs[rule]
+
+    def per_state(self, rule, lo, hi, fn=None):
+        """Rate of the "lam" or "mu" rule at each state lo..hi-1 as an array,
+        or ``fn`` of it, with ``fn`` called once per run."""
+        starts, rates = self._runs[rule]
+        counts = np.diff(np.append(np.clip(starts, lo, hi), hi))
+        rates = [r for r, n in zip(rates, counts) if n > 0]
+        vals = rates if fn is None else [fn(r) for r in rates]
+        return np.repeat(np.array(vals, dtype=float), counts[counts > 0])
+
     def arrival(self, q):
-        return self.lam[q] if q <= self.horizon else self.lam_tail
+        starts, rates = self._runs["lam"]
+        return rates[bisect.bisect_right(starts, q) - 1]
 
     def service(self, q):
-        return self.mu[q] if q <= self.horizon else self.mu_tail
+        starts, rates = self._runs["mu"]
+        return rates[bisect.bisect_right(starts, q) - 1]
 
     def __eq__(self, other):
         if not isinstance(other, Policy):
             return NotImplemented
-        return (self.lam == other.lam and self.mu == other.mu
-                and self.lam_tail == other.lam_tail and self.mu_tail == other.mu_tail)
+        return self.horizon == other.horizon and self._runs == other._runs
 
     def __repr__(self):
         return "Policy(horizon=%d, lam_tail=%g, mu_tail=%g)" % (
             self.horizon, self.lam_tail, self.mu_tail)
+
+
+def _merged_runs(runs, horizon, tail):
+    runs = [(int(s), float(r)) for s, r in runs]
+    starts = [s for s, _ in runs]
+    if starts[:1] != [0] or starts != sorted(set(starts)) or starts[-1] > horizon:
+        raise ValueError("runs must start at q=0 and increase within the horizon")
+    kept = [run for k, run in enumerate(runs) if k == 0 or run[1] != runs[k - 1][1]]
+    return [s for s, _ in kept] + [horizon + 1], [r for _, r in kept] + [tail]
+
+
+def _checked_pieces(pieces):
+    if not isinstance(pieces, (list, tuple)):
+        raise ValueError("pieces must be a list of [q_lo, q_hi, rate]")
+    out = []
+    for piece in pieces:
+        if not isinstance(piece, (list, tuple)) or len(piece) != 3:
+            raise ValueError("a piece is [q_lo, q_hi, rate], got %r" % (piece,))
+        q0, q1, rate = piece
+        if any(isinstance(b, bool) or not isinstance(b, numbers.Integral)
+               for b in (q0, q1)):
+            raise ValueError("piece bounds must be integers, got %r" % (piece,))
+        if q0 < 0 or q1 < q0:
+            raise ValueError("bad piece range [%s, %s]" % (q0, q1))
+        if not isinstance(rate, (numbers.Real, str)):
+            raise ValueError("piece rate must be a number, got %r" % (piece,))
+        out.append((int(q0), int(q1), float(rate)))
+    return sorted(out)
+
+
+def _pieces_to_runs(pieces, top, fill):
+    # (start, rate) runs over 0..top of sorted pieces, the gaps at the fill rate
+    runs, q = [], 0
+    for q0, q1, rate in pieces:
+        if q0 < q:
+            raise ValueError("overlapping pieces at q=%d" % q0)
+        if q0 > q:
+            runs.append((q, fill))
+        runs.append((q0, rate))
+        q = q1 + 1
+    if q <= top:
+        runs.append((q, fill))
+    return runs
 
 
 def policy_from_pieces(lam_pieces, lam_tail, mu_pieces, mu_tail,
@@ -92,57 +150,36 @@ def policy_from_pieces(lam_pieces, lam_tail, mu_pieces, mu_tail,
     """Build a Policy from inclusive [q_lo, q_hi, rate] pieces.
 
     States not covered by a piece take the tail value (mu(0) defaults to
-    0).  Overlapping pieces are an error rather than last-wins, so policy
-    files stay unambiguous.
+    0), and the horizon is the largest q_hi.  Bounds must be integers.
+    Overlapping pieces are an error rather than last-wins, so policy files
+    stay unambiguous.
     """
-    top = 0
-    for q0, q1, _ in list(lam_pieces) + list(mu_pieces):
-        if q0 < 0 or q1 < q0:
-            raise ValueError("bad piece range [%s, %s]" % (q0, q1))
-        top = max(top, q1)
-    lam = [None] * (top + 1)
-    mu = [None] * (top + 1)
-    for arr, pieces in ((lam, lam_pieces), (mu, mu_pieces)):
-        for q0, q1, rate in pieces:
-            for q in range(int(q0), int(q1) + 1):
-                if arr[q] is not None:
-                    raise ValueError("overlapping pieces at q=%d" % q)
-                arr[q] = float(rate)
-    lam = [lam_tail if x is None else x for x in lam]
-    filled = []
-    for q, x in enumerate(mu):
-        if x is None:
-            filled.append(0.0 if q == 0 else mu_tail)
-        else:
-            filled.append(x)
-    mu = filled
-    if mu[0] != 0.0:
-        raise ValueError("mu(0) must be 0")
-    return Policy(lam, mu, lam_tail, mu_tail, ra_max=ra_max, r_max=r_max, meta=meta)
+    lam_pieces = _checked_pieces(lam_pieces)
+    mu_pieces = _checked_pieces(mu_pieces)
+    top = max([q1 for _, q1, _ in lam_pieces + mu_pieces], default=0)
+    if not mu_pieces or mu_pieces[0][0] > 0:
+        mu_pieces.insert(0, (0, 0, 0.0))
+    return Policy(_pieces_to_runs(lam_pieces, top, lam_tail),
+                  _pieces_to_runs(mu_pieces, top, mu_tail), lam_tail, mu_tail, top,
+                  ra_max=ra_max, r_max=r_max, meta=meta)
 
 
 def constant_policy(lam, mu, ra_max=None, r_max=None):
     """M/M/1 with fixed rates; mu applies from q = 1 on."""
-    return Policy([lam], [0.0], lam, mu, ra_max=ra_max, r_max=r_max)
+    return Policy([(0, lam)], [(0, 0.0)], lam, mu, 0, ra_max=ra_max, r_max=r_max)
 
 
 def policy_to_json(p):
-    def pieces_of(arr, tail):
-        pieces = []
-        q = 0
-        while q < len(arr):
-            r = q
-            while r + 1 < len(arr) and arr[r + 1] == arr[q]:
-                r += 1
-            pieces.append([q, r, arr[q]])
-            q = r + 1
-        return {"pieces": pieces, "tail": tail}
+    def pieces_of(rule):
+        starts, rates = p.runs(rule)
+        return {"pieces": [[a, b - 1, r] for a, b, r in zip(starts, starts[1:], rates)],
+                "tail": rates[-1]}
 
     out = {
-        "lambda": pieces_of(p.lam, p.lam_tail),
-        "mu": pieces_of(p.mu, p.mu_tail),
-        "bounds": {"r_a_min": p.ra_min, "r_a_max": p.ra_max,
-                   "r_min": p.r_min, "r_max": p.r_max},
+        "lambda": pieces_of("lam"),
+        "mu": pieces_of("mu"),
+        "bounds": {"r_a_min": 0.0, "r_a_max": p.ra_max,
+                   "r_min": 0.0, "r_max": p.r_max},
     }
     if p.meta:
         out["meta"] = dict(p.meta)
@@ -153,27 +190,34 @@ def policy_from_json(d):
     try:
         lam = d["lambda"]
         mu = d["mu"]
-    except (KeyError, TypeError):
-        raise ValueError("policy JSON needs 'lambda' and 'mu' objects")
-    bounds = d.get("bounds", {})
-    return policy_from_pieces(
-        lam.get("pieces", []), lam["tail"], mu.get("pieces", []), mu["tail"],
-        ra_max=bounds.get("r_a_max"), r_max=bounds.get("r_max"),
-        meta=d.get("meta"))
+        lam_pieces, lam_tail = lam.get("pieces", []), float(lam["tail"])
+        mu_pieces, mu_tail = mu.get("pieces", []), float(mu["tail"])
+        bounds = d.get("bounds", {})
+        ra_max, r_max = (None if b is None else float(b)
+                         for b in (bounds.get("r_a_max"), bounds.get("r_max")))
+        meta = dict(d.get("meta") or {})
+    except (KeyError, TypeError, AttributeError, ValueError):
+        raise ValueError("policy JSON needs 'lambda' and 'mu' objects with a numeric "
+                         "'tail', numeric bounds and an object 'meta'")
+    return policy_from_pieces(lam_pieces, lam_tail, mu_pieces, mu_tail,
+                              ra_max=ra_max, r_max=r_max, meta=meta)
 
 
 def check_admissible(p):
-    """Raise unless mu is non-decreasing, lambda non-increasing, bounds hold."""
-    if p.mu[0] != 0.0:
-        raise ValueError("mu(0) must be 0")
-    seq_mu = p.mu + [p.mu_tail]
-    seq_lam = p.lam + [p.lam_tail]
-    for i in range(1, len(seq_mu)):
-        if seq_mu[i] < seq_mu[i - 1]:
-            raise ValueError("service rates decrease at q=%d" % i)
-        if seq_lam[i] > seq_lam[i - 1]:
-            raise ValueError("arrival rates increase at q=%d" % i)
-    if max(seq_lam) > p.ra_max + 1e-12 or max(seq_mu) > p.r_max + 1e-12:
+    """Raise unless mu is non-decreasing, lambda non-increasing, bounds hold.
+
+    Rates change only where a run starts, so only run starts are checked.
+    """
+    mu_starts, mu = p.runs("mu")
+    lam_starts, lam = p.runs("lam")
+    bad = [(q, 0, "service rates decrease at q=%d")
+           for q, a, b in zip(mu_starts[1:], mu, mu[1:]) if b < a]
+    bad += [(q, 1, "arrival rates increase at q=%d")
+            for q, a, b in zip(lam_starts[1:], lam, lam[1:]) if b > a]
+    if bad:
+        q, _, msg = min(bad)
+        raise ValueError(msg % q)
+    if max(lam) > p.ra_max + 1e-12 or max(mu) > p.r_max + 1e-12:
         raise ValueError("rates exceed declared bounds")
 
 
@@ -191,20 +235,11 @@ def recurrent_window(p):
     q_ru is math.inf when arrivals never shut off; q_rl is math.inf in the
     degenerate no-service case.
     """
-    if p.mu_tail == 0.0:
-        q_rl = math.inf
-    else:
-        q_rl = 0
-        for q in range(p.horizon + 1):
-            if p.mu[q] == 0.0:
-                q_rl = q
-    q_ru = math.inf
-    for q in range(p.horizon + 1):
-        if p.lam[q] == 0.0:
-            q_ru = q
-            break
-    if math.isinf(q_ru) and p.lam_tail == 0.0:
-        q_ru = p.horizon + 1
+    mu_starts, mu = p.runs("mu")
+    lam_starts, lam = p.runs("lam")
+    last = max(i for i, r in enumerate(mu) if r == 0.0)
+    q_rl = math.inf if last == len(mu) - 1 else mu_starts[last + 1] - 1
+    q_ru = next((q for q, r in zip(lam_starts, lam) if r == 0.0), math.inf)
     return q_rl, q_ru
 
 
@@ -240,13 +275,15 @@ def stationary(p, tail_tol=1e-12, max_states=2_000_000):
             "unstable tail: lambda=%g >= mu=%g" % (p.lam_tail, p.mu_tail))
 
     head_end = q_ru if finite else p.horizon + 1
+    if head_end - q_rl + 1 > max_states:
+        raise ValueError("the window from q=%d to q=%d needs %d states (cap %d)"
+                         % (q_rl, head_end, head_end - q_rl + 1, max_states))
     # logf[k] = (logf[k-1] + log lambda(q_rl+k-1)) - log mu(q_rl+k), added in
     # that order as a running sum over the two logs interleaved
     k = head_end - q_rl
-    mus = islice(chain(p.mu, (p.mu_tail,)), q_rl + 1, head_end + 1)
     logf = np.zeros(2 * k + 1)
-    logf[1::2] = np.fromiter(map(math.log, islice(p.lam, q_rl, head_end)), float, k)
-    logf[2::2] = -np.fromiter(map(math.log, mus), float, k)
+    logf[1::2] = p.per_state("lam", q_rl, head_end, math.log)
+    logf[2::2] = -p.per_state("mu", q_rl + 1, head_end + 1, math.log)
     logf = np.cumsum(logf, out=logf)[::2].copy()
 
     if finite:
@@ -270,7 +307,7 @@ def stationary(p, tail_tol=1e-12, max_states=2_000_000):
         extra = max(0, int(math.ceil(extra)))
         q_max = head_end + extra
         if q_max - q_rl + 1 > max_states:
-            # in log space: with the head alone over the cap, exp overflows
+            # in log space, where a far-off achieved mass cannot underflow
             log_achieved = (logf[-1] + (max_states - (head_end - q_rl) - 1) * log_rho
                             + math.log(rho / (1.0 - rho)) - log_total)
             raise ValueError(
@@ -299,18 +336,11 @@ def pi_at(sr, q):
     return float(sr.pi[-1] * sr.tail_ratio ** (q - sr.q_max))
 
 
-def _rate_values(fn, rates):
-    """fn at every per-state rate, evaluated once per distinct rate.
-
-    Rate 0 contributes 0 by definition, whatever the function's domain,
-    and so does every rate when fn is None (utility out of play).  Rules
-    are piecewise constant, so the distinct rates are read off run starts.
-    """
-    starts = rates[np.append(True, rates[1:] != rates[:-1])]
-    distinct = sorted(set(starts.tolist()))
-    vals = np.array([0.0 if (fn is None or r == 0.0) else evaluate(fn, r)
-                     for r in distinct])
-    return vals[np.searchsorted(distinct, rates)]
+def rate_value(fn, r):
+    """fn at rate r, where rate 0 contributes 0 by definition, whatever the
+    function's domain, and so does every rate when fn is None (utility out
+    of play)."""
+    return 0.0 if (fn is None or r == 0.0) else evaluate(fn, r)
 
 
 def metrics(p, sr, c, u):
@@ -322,15 +352,12 @@ def metrics(p, sr, c, u):
     be evaluable under the respective function (for a discrete cost that
     means every service rate used is a sample).
     """
-    qs = np.arange(sr.q_lo, sr.q_max + 1)
-    head = min(sr.q_max, p.horizon) + 1 - sr.q_lo    # states read from the rules
-    lam_q = np.full(qs.shape[0], p.lam_tail)
-    mu_q = np.full(qs.shape[0], p.mu_tail)
-    lam_q[:head] = p.lam[sr.q_lo:sr.q_lo + head]
-    mu_q[:head] = p.mu[sr.q_lo:sr.q_lo + head]
-
-    c_q = _rate_values(c, mu_q)
-    u_q = _rate_values(u, lam_q)
+    lo, hi = sr.q_lo, sr.q_max + 1
+    qs = np.arange(lo, hi)
+    lam_q = p.per_state("lam", lo, hi)
+    mu_q = p.per_state("mu", lo, hi)
+    c_q = p.per_state("mu", lo, hi, functools.partial(rate_value, c))
+    u_q = p.per_state("lam", lo, hi, functools.partial(rate_value, u))
 
     qbar = float(np.dot(qs, sr.pi))
     cbar = float(np.dot(c_q, sr.pi))
@@ -381,11 +408,13 @@ def qlength_upper_bound(p):
 
         Qbar <= q_eps (eps + r_a_max)/eps + (r_max + r_a_max)/(2 eps).
 
-    Every state up to one past the horizon is scanned and the smallest
-    bound returned.
+    The smallest bound over the states 1 .. q_h + 1 is returned.  Within a
+    run of both rules the bound grows with q, so only the first state of
+    each run is tried.
     """
     best = math.inf
-    for q in range(1, p.horizon + 2):
+    firsts = set(p.runs("lam")[0]) | set(p.runs("mu")[0]) | {1}
+    for q in firsts - {0}:
         eps = p.service(q) - p.arrival(q)
         if eps > 0:
             val = q * (eps + p.ra_max) / eps + (p.r_max + p.ra_max) / (2.0 * eps)

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spsolve
 
-from .birth_death import Policy, exact_metrics, is_admissible
+from .birth_death import Policy, exact_metrics, is_admissible, rate_value
 
 MAX_ITERATIONS = 500
 
@@ -101,16 +101,6 @@ def uniform_actions(r_max, n=201):
     return [r_max * i / (n - 1) for i in range(n)]
 
 
-def _value_table(fn, actions):
-    # rate 0 contributes 0 by definition; skips domain trouble when the
-    # function's domain starts above 0
-    from .rate_functions import evaluate
-    out = np.empty(len(actions))
-    for i, a in enumerate(actions):
-        out[i] = 0.0 if (a == 0.0 or fn is None) else evaluate(fn, a)
-    return out
-
-
 def _poisson_matrix(lam, mu, r_u):
     """CSC matrix of the evaluation system: states 0..n-1, then the gain.
 
@@ -162,8 +152,8 @@ def solve(lp, tol=1e-9):
     n = lp.state_cap + 1      # states 0..state_cap
     srv = np.asarray(lp.service_actions)
     arr = np.asarray(lp.arrival_actions)
-    c_vals = _value_table(lp.cost_fn, lp.service_actions)
-    u_vals = _value_table(lp.utility_fn, lp.arrival_actions)
+    c_vals = np.array([rate_value(lp.cost_fn, a) for a in lp.service_actions])
+    u_vals = np.array([rate_value(lp.utility_fn, a) for a in lp.arrival_actions])
     srv_cost = lp.beta1 * c_vals          # beta1 c(mu), per action
     arr_cost = -lp.beta2 * u_vals         # -beta2 u(lam), per action
     # with arrivals already off at the cap, zero service there would absorb
@@ -235,8 +225,11 @@ def solve(lp, tol=1e-9):
         raise ValueError(
             "policy iteration did not converge in %d iterations" % MAX_ITERATIONS)
 
+    # the states where a rate changes start the policy's runs
+    lam_at, mu_at = (np.flatnonzero(np.diff(x, prepend=-1.0)) for x in (lam, mu))
     policy = Policy(
-        list(lam), list(mu), 0.0, float(mu[-1]),
+        zip(lam_at.tolist(), lam[lam_at].tolist()), zip(mu_at.tolist(), mu[mu_at].tolist()),
+        0.0, float(mu[-1]), lp.state_cap,
         ra_max=float(arr[-1]), r_max=float(srv[-1]),
         meta={"source": "policy-iteration", "beta1": lp.beta1,
               "beta2": lp.beta2, "state_cap": lp.state_cap})

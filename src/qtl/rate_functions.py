@@ -25,6 +25,7 @@ and the curvature constant a1 where those are defined.
 """
 
 import bisect
+import numbers
 from collections import namedtuple
 
 CORNER_TOL = 1e-9
@@ -324,6 +325,9 @@ def function_from_spec(spec, role):
         if "exponent" not in spec:
             raise ValueError("power kind needs 'exponent'")
         dom = spec.get("domain", [0.0, 1.0])
+        if not (isinstance(dom, list) and len(dom) == 2 and all(
+                isinstance(x, numbers.Real) and not isinstance(x, bool) for x in dom)):
+            raise ValueError("power 'domain' must be a list of two numbers")
         return power_function(spec["exponent"], (dom[0], dom[1]), role)
     if kind not in ("piecewise", "discrete"):
         raise ValueError("unknown function kind %r" % (kind,))

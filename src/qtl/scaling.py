@@ -136,12 +136,20 @@ def classify_regime(samples, tag=None):
     return ScalingFit(best, best_coeffs, residuals[best], verdict, residuals)
 
 
+def _running_total(parts):
+    # the values one by one in state order, as a running total adds them
+    values = np.concatenate([np.zeros(0)] + parts)
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
 def _service_mass_outside(p, sr, low, high):
-    total = 0.0
-    for i, q in enumerate(range(sr.q_lo, sr.q_max + 1)):
-        r = p.service(q)
-        if r < low - 1e-12 or r > high + 1e-12:
-            total += float(sr.pi[i])
+    starts, rates = p.runs("mu")
+    parts = []
+    for first, end, r in zip(starts, starts[1:] + [math.inf], rates):
+        lo, hi = max(first, sr.q_lo), min(end, sr.q_max + 1)
+        if lo < hi and (r < low - 1e-12 or r > high + 1e-12):
+            parts.append(sr.pi[lo - sr.q_lo:hi - sr.q_lo])
+    total = _running_total(parts)
     if sr.tail_mass > 0.0:
         r = p.mu_tail
         if r < low - 1e-12 or r > high + 1e-12:
@@ -150,19 +158,16 @@ def _service_mass_outside(p, sr, low, high):
 
 
 def _mass_below(sr, q_star):
-    total = 0.0
-    for i, q in enumerate(range(sr.q_lo, sr.q_max + 1)):
-        if q >= q_star:
-            break
-        total += float(sr.pi[i])
-    return total
+    return _running_total([sr.pi[:max(q_star - sr.q_lo, 0)]])
 
 
 def _first_service_at_least(p, threshold, strict=False):
-    for q in range(1, p.horizon + 2):
-        r = p.service(q)
+    # the first state 1 .. q_h + 1 whose run serves at the threshold or more;
+    # mu(0) = 0 meets it only when every rate does, and then q = 1 does too
+    starts, rates = p.runs("mu")
+    for first, r in zip(starts, rates):
         if (r > threshold) if strict else (r >= threshold):
-            return q
+            return max(first, 1)
     return None
 
 
@@ -213,8 +218,7 @@ def audit_lower_bound(p, tag, c, u, c_ref):
             "rate-mass", lhs, v / (a1 * eps_v * eps_v),
             "eps_V = %g = (2/sqrt(a1)) sqrt(V)" % eps_v))
         lam0 = p.arrival(0)
-        constant_arrival = (
-            all(x == lam0 for x in p.lam) and p.lam_tail == lam0)
+        constant_arrival = all(x == lam0 for x in p.runs("lam")[1])
         if not constant_arrival:
             checks.append(_skip("boundary-mass", "needs constant arrivals"))
         elif eps_v >= anchor:
@@ -276,7 +280,7 @@ def audit_lower_bound(p, tag, c, u, c_ref):
     if u is None:
         checks.append(_skip("pi-zero", "no utility function supplied"))
     else:
-        mu_top = max(max(p.mu), p.mu_tail)
+        mu_top = max(p.runs("mu")[1])
         if mu_top <= 0:
             checks.append(_skip("pi-zero", "policy never serves"))
         elif mu_top > u.hi + 1e-9:

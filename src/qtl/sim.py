@@ -5,7 +5,8 @@ as a continuous-time chain with exponential holding times at total rate
 lambda(q) + mu(q), and Qbar, Cbar, Ubar are time integrals over the
 post-warmup window.  Replications use RNG streams spawned from one seed,
 so results are reproducible bit for bit and replication order cannot
-matter.
+matter.  The event loop walks the policy's runs of constant rate, which
+it enters and leaves one state at a time, so it never looks a rate up.
 """
 
 import math
@@ -13,7 +14,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .rate_functions import evaluate
+from .birth_death import is_stable, rate_value
 
 SimConfig = namedtuple("SimConfig", ["horizon", "replications", "seed", "warmup_fraction"])
 SimConfig.__new__.__defaults__ = (10000.0, 10, 0, 0.1)
@@ -24,27 +25,37 @@ SimEstimate = namedtuple(
      "ubar", "ubar_halfwidth", "replications"])
 
 
-def _replicate(p, cfg, rng, c_of, u_of):
+def _runs(p, c, u):
+    """(first, last, lambda, lambda + mu, c(mu), u(lambda)) per run of both rules."""
+    starts = sorted(set(p.runs("lam")[0]) | set(p.runs("mu")[0]))
+    rates = [(p.arrival(q), p.service(q)) for q in starts]
+    return [(q, end - 1, lam, lam + mu, rate_value(c, mu), rate_value(u, lam))
+            for q, end, (lam, mu) in zip(starts, starts[1:] + [math.inf], rates)]
+
+
+def _replicate(runs, cfg, rng):
     warmup_end = cfg.warmup_fraction * cfg.horizon
     span = cfg.horizon - warmup_end
     q = 0
     t = 0.0
     acc_q = acc_c = acc_u = 0.0
+    i = 0
+    first, last, lam, total, c_q, u_q = runs[0]
     while t < cfg.horizon:
-        lam = p.arrival(q)
-        mu = p.service(q)
-        total = lam + mu
         if total <= 0.0:
             raise ValueError("absorbing state q=%d: no arrivals, no service" % q)
         t_next = t + rng.exponential(1.0 / total)
         seg = min(t_next, cfg.horizon) - max(t, warmup_end)
         if seg > 0.0:
             acc_q += q * seg
-            acc_c += c_of(mu) * seg
-            acc_u += u_of(lam) * seg
+            acc_c += c_q * seg
+            acc_u += u_q * seg
         if t_next >= cfg.horizon:
             break
         q = q + 1 if rng.random() < lam / total else q - 1
+        if not first <= q <= last:
+            i += 1 if q > last else -1
+            first, last, lam, total, c_q, u_q = runs[i]
         t = t_next
     return acc_q / span, acc_c / span, acc_u / span
 
@@ -54,7 +65,8 @@ def simulate(p, cfg, c, u=None):
 
     The first warmup fraction of each replication's horizon is discarded.
     A single replication yields infinite half-widths (no spread estimate),
-    which the structure reports rather than hiding.
+    which the structure reports rather than hiding.  An unstable policy
+    has no long-run averages to estimate and is refused.
     """
     if cfg.horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -63,23 +75,13 @@ def simulate(p, cfg, c, u=None):
     if not (0.0 <= cfg.warmup_fraction < 1.0):
         raise ValueError("warmup_fraction must be in [0, 1)")
 
-    cache_c = {}
-    cache_u = {}
+    if not is_stable(p):
+        raise ValueError("unstable policy: no stationary averages to estimate")
 
-    def c_of(r):
-        if r not in cache_c:
-            cache_c[r] = 0.0 if r == 0.0 else evaluate(c, r)
-        return cache_c[r]
-
-    def u_of(r):
-        if r not in cache_u:
-            cache_u[r] = 0.0 if (u is None or r == 0.0) else evaluate(u, r)
-        return cache_u[r]
-
+    runs = _runs(p, c, u)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
-    reps = np.array([
-        _replicate(p, cfg, np.random.default_rng(s), c_of, u_of)
-        for s in streams])
+    reps = np.array([_replicate(runs, cfg, np.random.default_rng(s))
+                     for s in streams])
 
     means = reps.mean(axis=0)
     if cfg.replications == 1:

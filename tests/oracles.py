@@ -5,8 +5,9 @@ recursion and float arithmetic; everything here goes another way: dense
 global-balance least squares, exact rational arithmetic for the closed
 forms, and 60-digit arithmetic for threshold indices.  The per-state
 loops below are the library's earlier implementations, kept as references
-that its vectorized code must reproduce bit for bit.  Nothing in this
-module imports the package.
+that its vectorized and run-based code must reproduce bit for bit; they
+read a policy only through arrival(q), service(q), its horizon, tails and
+rate bounds.  Nothing in this module imports the package.
 """
 
 import math
@@ -132,6 +133,131 @@ def loop_metrics(p, window, c, u):
         mean_srv += p.mu_tail * tail_mass
     dbar = qbar / mean_arr if mean_arr > 0 else math.inf
     return qbar, cbar, ubar, dbar, mean_arr, mean_srv
+
+
+def dense_rules(lam_pieces, lam_tail, mu_pieces, mu_tail):
+    """Per-state (lam, mu) lists over 0..max q_hi, filled piece by piece.
+
+    States no piece covers take the tail rate, except that mu(0) defaults
+    to 0; overlapping pieces raise ValueError.
+    """
+    top = 0
+    for q0, q1, _ in list(lam_pieces) + list(mu_pieces):
+        if q0 < 0 or q1 < q0:
+            raise ValueError("bad piece range [%s, %s]" % (q0, q1))
+        top = max(top, q1)
+    lam = [None] * (top + 1)
+    mu = [None] * (top + 1)
+    for arr, pieces in ((lam, lam_pieces), (mu, mu_pieces)):
+        for q0, q1, rate in pieces:
+            for q in range(int(q0), int(q1) + 1):
+                if arr[q] is not None:
+                    raise ValueError("overlapping pieces at q=%d" % q)
+                arr[q] = float(rate)
+    lam = [float(lam_tail) if x is None else x for x in lam]
+    mu = [(0.0 if q == 0 else float(mu_tail)) if x is None else x
+          for q, x in enumerate(mu)]
+    return lam, mu
+
+
+def pieces_of(arr, tail):
+    """Policy-JSON rule of a per-state rate list: maximal runs of equal rate."""
+    pieces = []
+    q = 0
+    while q < len(arr):
+        r = q
+        while r + 1 < len(arr) and arr[r + 1] == arr[q]:
+            r += 1
+        pieces.append([q, r, arr[q]])
+        q = r + 1
+    return {"pieces": pieces, "tail": tail}
+
+
+def per_state_rules(p):
+    """(lam, mu) of ``p`` at every state 0..horizon, read one state at a time."""
+    states = range(p.horizon + 1)
+    return [p.arrival(q) for q in states], [p.service(q) for q in states]
+
+
+def loop_check_admissible(p):
+    """Per-state admissibility scan: raise unless mu rises and lambda falls."""
+    lam, mu = per_state_rules(p)
+    if mu[0] != 0.0:
+        raise ValueError("mu(0) must be 0")
+    seq_mu = mu + [p.mu_tail]
+    seq_lam = lam + [p.lam_tail]
+    for i in range(1, len(seq_mu)):
+        if seq_mu[i] < seq_mu[i - 1]:
+            raise ValueError("service rates decrease at q=%d" % i)
+        if seq_lam[i] > seq_lam[i - 1]:
+            raise ValueError("arrival rates increase at q=%d" % i)
+    if max(seq_lam) > p.ra_max + 1e-12 or max(seq_mu) > p.r_max + 1e-12:
+        raise ValueError("rates exceed declared bounds")
+
+
+def loop_recurrent_window(p):
+    """(q_rl, q_ru) by scanning every state up to the horizon."""
+    if p.mu_tail == 0.0:
+        q_rl = math.inf
+    else:
+        q_rl = 0
+        for q in range(p.horizon + 1):
+            if p.service(q) == 0.0:
+                q_rl = q
+    q_ru = math.inf
+    for q in range(p.horizon + 1):
+        if p.arrival(q) == 0.0:
+            q_ru = q
+            break
+    if math.isinf(q_ru) and p.lam_tail == 0.0:
+        q_ru = p.horizon + 1
+    return q_rl, q_ru
+
+
+def loop_qlength_upper_bound(p):
+    """Smallest drift bound over every state 1..horizon+1."""
+    best = math.inf
+    for q in range(1, p.horizon + 2):
+        eps = p.service(q) - p.arrival(q)
+        if eps > 0:
+            val = q * (eps + p.ra_max) / eps + (p.r_max + p.ra_max) / (2.0 * eps)
+            best = min(best, val)
+    if best is math.inf:
+        raise ValueError("no state with positive drift gap")
+    return best
+
+
+def loop_service_mass_outside(p, sr, low, high):
+    """Stationary mass of states serving outside [low, high], state by state."""
+    total = 0.0
+    for i, q in enumerate(range(sr.q_lo, sr.q_max + 1)):
+        r = p.service(q)
+        if r < low - 1e-12 or r > high + 1e-12:
+            total += float(sr.pi[i])
+    if sr.tail_mass > 0.0:
+        r = p.mu_tail
+        if r < low - 1e-12 or r > high + 1e-12:
+            total += sr.tail_mass
+    return total
+
+
+def loop_mass_below(sr, q_star):
+    """Stationary mass of the window states below q_star, state by state."""
+    total = 0.0
+    for i, q in enumerate(range(sr.q_lo, sr.q_max + 1)):
+        if q >= q_star:
+            break
+        total += float(sr.pi[i])
+    return total
+
+
+def loop_first_service_at_least(p, threshold, strict=False):
+    """First state 1..horizon+1 serving at (or, if strict, above) threshold."""
+    for q in range(1, p.horizon + 2):
+        r = p.service(q)
+        if (r > threshold) if strict else (r >= threshold):
+            return q
+    return None
 
 
 def exact_chain_stats(lam, mu, lam_tail, mu_tail, cost=None, util=None):

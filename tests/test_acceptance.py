@@ -157,7 +157,6 @@ def test_criterion_3_closed_form_oracle():
 
 
 def _random_admissible(rng, transient, finite):
-    from qtl import Policy
     h = int(rng.integers(2, 30))
     mu_levels = np.sort(rng.uniform(0.1, 1.0, size=3))
     lam_levels = np.sort(rng.uniform(0.05, 0.95, size=2))[::-1]
@@ -176,7 +175,8 @@ def _random_admissible(rng, transient, finite):
         stop = int(rng.integers(max(2, h - 3), h + 1))
         lam = [x if q < stop else 0.0 for q, x in enumerate(lam)]
         lam_tail = 0.0
-    return Policy(lam, mu, lam_tail, mu_tail)
+    return policy_from_pieces(oracles.pieces_of(lam, lam_tail)["pieces"], lam_tail,
+                              oracles.pieces_of(mu, mu_tail)["pieces"], mu_tail)
 
 
 def test_criterion_4_stationary_oracle_equivalence():

@@ -41,8 +41,15 @@ def two_level():
     return policy_from_pieces([], 0.4, [(1, 2, 0.5)], 1.0)
 
 
-def random_policy(rng, transient=False, finite=False):
-    """Admissible, stable policy with random level structure."""
+def dense_policy(lam, mu, lam_tail, mu_tail):
+    """Policy with per-state rates lam, mu over 0..len-1, built from their runs."""
+    return policy_from_pieces(oracles.pieces_of(lam, lam_tail)["pieces"], lam_tail,
+                              oracles.pieces_of(mu, mu_tail)["pieces"], mu_tail)
+
+
+def random_rules(rng, transient=False, finite=False):
+    """Per-state (lam, mu, lam_tail, mu_tail) of an admissible, stable policy
+    with random level structure."""
     h = int(rng.integers(2, 30))
     mu_levels = np.sort(rng.uniform(0.1, 1.0, size=3))
     lam_levels = np.sort(rng.uniform(0.05, 0.95, size=2))[::-1]
@@ -62,7 +69,11 @@ def random_policy(rng, transient=False, finite=False):
         stop = int(rng.integers(max(2, h - 3), h + 1))
         lam = [x if q < stop else 0.0 for q, x in enumerate(lam)]
         lam_tail = 0.0
-    return Policy(lam, mu, lam_tail, mu_tail)
+    return lam, mu, lam_tail, mu_tail
+
+
+def random_policy(rng, transient=False, finite=False):
+    return dense_policy(*random_rules(rng, transient, finite))
 
 
 def test_constant_policy_shape():
@@ -74,11 +85,21 @@ def test_constant_policy_shape():
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        Policy([0.4], [0.5], 0.4, 1.0)  # mu(0) nonzero
+        Policy([(0, 0.4)], [(0, 0.5)], 0.4, 1.0, 0)  # mu(0) nonzero
     with pytest.raises(ValueError):
-        Policy([0.4, 0.4], [0.0], 0.4, 1.0)  # horizon mismatch
+        Policy([(0, 0.4), (2, 0.3)], [(0, 0.0)], 0.4, 1.0, 1)  # run past the horizon
     with pytest.raises(ValueError):
-        Policy([-0.1], [0.0], 0.4, 1.0)
+        Policy([(1, 0.4)], [(0, 0.0)], 0.4, 1.0, 1)  # no run at q=0
+    with pytest.raises(ValueError):
+        Policy([], [(0, 0.0)], 0.4, 1.0, 1)  # empty rule
+    with pytest.raises(ValueError):
+        Policy([(0, 0.4), (2, 0.3), (1, 0.2)], [(0, 0.0)], 0.4, 1.0, 3)  # unsorted
+    with pytest.raises(ValueError):
+        Policy([(0, 0.4), (1, 0.3), (1, 0.2)], [(0, 0.0)], 0.4, 1.0, 3)  # repeated start
+    with pytest.raises(ValueError):
+        Policy([(0, -0.1)], [(0, 0.0)], 0.4, 1.0, 0)
+    with pytest.raises(ValueError):
+        Policy([(0, 0.4)], [(0, 0.0)], 0.4, -1.0, 0)  # negative tail
     with pytest.raises(ValueError):
         policy_from_pieces([(0, 2, 0.4), (2, 3, 0.3)], 0.0, [], 1.0)  # overlap
     with pytest.raises(ValueError):
@@ -88,7 +109,7 @@ def test_policy_validation():
 def test_admissibility_flags():
     assert is_admissible(constant_policy(0.4, 1.0))
     assert is_admissible(two_level())
-    bumpy = Policy([0.4, 0.4, 0.4], [0.0, 0.8, 0.5], 0.4, 1.0)
+    bumpy = dense_policy([0.4, 0.4, 0.4], [0.0, 0.8, 0.5], 0.4, 1.0)
     assert not is_admissible(bumpy)
     with pytest.raises(ValueError):
         check_admissible(bumpy)
@@ -169,6 +190,16 @@ def test_head_over_cap_is_value_error(monkeypatch):
     assert failures[0].U == 2.0 ** -20 and "cap 1000" in failures[0].error
 
 
+def test_finite_window_over_cap_is_value_error():
+    # arrivals stop at q=4999: a finite window of 5,000 states, checked
+    # against the cap before anything is allocated per state
+    p = policy_from_pieces([[0, 4998, 0.5]], 0.0, [], 0.6)
+    assert recurrent_window(p) == (0, 4999)
+    with pytest.raises(ValueError, match="needs 5000 states \\(cap 1000\\)"):
+        stationary(p, max_states=1000)
+    assert stationary(p, max_states=5000).q_max == 4999
+
+
 def _loop_cases():
     """(kind, policy) pairs covering each way the stationary window ends."""
     rng = np.random.default_rng(20)
@@ -179,10 +210,10 @@ def _loop_cases():
             cases.append(("geometric", random_policy(rng, transient)))
     # arrivals never vanish in the rules but the tail is 0: the window
     # ends at horizon + 1, where mu_tail enters the recursion
-    cases.append(("horizon+1", Policy([0.6, 0.5, 0.5, 0.3], [0.0, 0.4, 0.2, 0.7],
-                                      0.0, 0.9)))
-    cases.append(("horizon+1", Policy([0.3, 0.8, 0.8, 0.8, 0.2],
-                                      [0.0, 0.0, 0.0, 0.5, 0.6], 0.0, 0.35)))
+    cases.append(("horizon+1", dense_policy([0.6, 0.5, 0.5, 0.3], [0.0, 0.4, 0.2, 0.7],
+                                            0.0, 0.9)))
+    cases.append(("horizon+1", dense_policy([0.3, 0.8, 0.8, 0.8, 0.2],
+                                            [0.0, 0.0, 0.0, 0.5, 0.6], 0.0, 0.35)))
     cases.append(("geometric", policy_from_pieces([(0, 400, 0.45)], 0.3,
                                                   [(1, 400, 0.5)], 0.9)))
     return cases

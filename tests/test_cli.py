@@ -94,6 +94,37 @@ def test_eval_domain_error(runner):
     assert json.loads(res.stderr)["error"]["type"] == "domain"
 
 
+@pytest.mark.parametrize("piece", [
+    ["a", 2, 0.3], [0, 2.7, 0.3], [True, 2, 0.3], [0, 2], [0, 2, 0.3, 4], [0, 2, None]])
+def test_eval_bad_piece_schema_error(runner, piece):
+    policy = json.dumps({"lambda": {"pieces": [piece], "tail": 0.4},
+                         "mu": {"pieces": [], "tail": 1.0}})
+    res = runner.invoke(main, ["eval", "--policy", policy, "--cost", CSQ])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"]["type"] == "schema"
+
+
+@pytest.mark.parametrize("policy", [
+    {"lambda": {"pieces": []}, "mu": {"pieces": [], "tail": 1.0}},
+    {"lambda": {"tail": 0.4}, "mu": [1.0]},
+    {"lambda": {"pieces": 3, "tail": 0.4}, "mu": {"tail": 1.0}},
+    {"lambda": {"tail": "fast"}, "mu": {"tail": 1.0}},
+    {"lambda": {"tail": 0.4}, "mu": {"tail": 1.0}, "bounds": {"r_max": [1]}},
+    {"lambda": {"tail": 0.4}, "mu": {"tail": 1.0}, "meta": 5}])
+def test_eval_bad_rule_schema_error(runner, policy):
+    res = runner.invoke(main, ["eval", "--policy", json.dumps(policy), "--cost", CSQ])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"]["type"] == "schema"
+
+
+@pytest.mark.parametrize("domain", [[0], [0, 1, 2], 1, ["a", 1], [True, 1], None])
+def test_eval_bad_domain_schema_error(runner, domain):
+    cost = json.dumps({"kind": "power", "domain": domain, "exponent": 2})
+    res = runner.invoke(main, ["eval", "--policy", MM1, "--cost", cost])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"]["type"] == "schema"
+
+
 def test_solve(runner):
     res = invoke(runner, ["solve", "--cost", CSQ,
                           "--service-actions", "[1.0]",
@@ -238,6 +269,16 @@ def test_simulate_deterministic(runner):
     assert a.output == b.output
     doc = json.loads(a.output)
     assert doc["replications"] == 3
+
+
+def test_simulate_unstable_domain_error(runner):
+    unstable = json.dumps({"lambda": {"pieces": [], "tail": 0.6},
+                           "mu": {"pieces": [], "tail": 0.5}})
+    res = runner.invoke(main, ["simulate", "--policy", unstable, "--cost", CSQ,
+                               "--horizon", "100"])
+    assert res.exit_code == 1
+    err = json.loads(res.stderr)["error"]
+    assert err["type"] == "domain" and "unstable" in err["message"]
 
 
 def test_run_manifest(runner, tmp_path):

@@ -116,7 +116,8 @@ def test_uniform_actions():
 def test_zero_cost_weight_serves_at_max():
     r = solve(problem(0.0))
     assert r.converged and r.monotone
-    assert all(x == 1.0 for x in r.policy.mu[1:])
+    states = range(1, r.policy.horizon + 1)
+    assert all(r.policy.service(q) == 1.0 for q in states)
     m = exact_metrics(r.policy, CDISC)
     assert abs(m.qbar - 2.0 / 3.0) < 1e-9
 
@@ -147,8 +148,8 @@ def test_gain_history_monotone():
 def test_solve_deterministic():
     a = solve(problem(7.0))
     b = solve(problem(7.0))
-    assert a.policy.mu == b.policy.mu
-    assert a.policy.lam == b.policy.lam
+    assert a.policy == b.policy
+    assert oracles.per_state_rules(a.policy) == oracles.per_state_rules(b.policy)
     assert a.gain == b.gain
 
 
@@ -168,7 +169,7 @@ def test_cap_state_keeps_positive_service():
     # still serve, or the evaluation chain would have two recurrent classes
     lp = problem(1e6, cap=50)
     r = solve(lp)
-    assert r.policy.mu[-1] > 0.0
+    assert r.policy.service(r.policy.horizon) > 0.0
     assert math.isfinite(r.gain)
 
 

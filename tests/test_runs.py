@@ -1,0 +1,206 @@
+"""Run-based policy readers against the dense per-state references.
+
+A policy stores each rate rule as runs of constant rate.  Every reader of
+those runs must return exactly what the library's earlier per-state scans
+(kept in ``oracles``) return, compared with ``==``: on random policies
+with and without transient states and finite windows, on every policy
+family at several scales, and on policies produced by policy iteration.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+import oracles
+from qtl import (
+    CaseTag,
+    LagrangianProblem,
+    check_admissible,
+    discrete_function,
+    lambda_mu_policy,
+    lc_mirror_policy,
+    mc1_policy,
+    mc21_policy,
+    mc22_policy,
+    mc23_policy,
+    policy_from_json,
+    policy_from_pieces,
+    policy_to_json,
+    power_function,
+    qlength_upper_bound,
+    recurrent_window,
+    solve,
+    stationary,
+    uniform_actions,
+)
+from qtl.scaling import _first_service_at_least, _mass_below, _service_mass_outside
+from test_birth_death import dense_policy, random_policy, random_rules
+
+S = [0, 0.2, 0.4, 0.5, 0.6, 0.8, 1]
+CDISC = discrete_function([(s, s * s) for s in S])
+CSQ = power_function(2.0)
+USQRT = power_function(0.5, role="utility")
+
+
+def _random_cases():
+    rng = np.random.default_rng(31)
+    return [("random-%s-%s-%d" % (t, f, i), random_policy(rng, t, f))
+            for t in (False, True) for f in (False, True) for i in range(4)]
+
+
+def _family_cases():
+    ks = (4, 8, 12)
+    cases = [("mc1-%d" % k, mc1_policy(0.5, 2.0 ** -k, K=0.5)) for k in ks]
+    cases += [("mc21-%d" % q, mc21_policy(0.1, 0.2, 1.0, q)) for q in (1, 3, 6)]
+    cases += [("mc22-%d" % k, mc22_policy(0.39, 0.2, 0.4, 2.0 ** -k)) for k in (4, 10, 20)]
+    cases += [("mc23-%d" % k, mc23_policy(0.40, 0.1, 2.0 ** -k, next_corner=0.5))
+              for k in ks]
+    cases += [("lmu-%d" % k, lambda_mu_policy(0.4, 2.0 ** -k, eps=0.05, K=10))
+              for k in (4, 10, 20)]
+    for fam, window in (("LC1", (0.0, 1.0)), ("LC2-1", (0.3, 0.6)), ("LC2-2", (0.3, 0.7))):
+        tag = CaseTag(fam, window, None, 0.5)
+        cases += [("%s-%d" % (fam, k), lc_mirror_policy(0.5, tag, 2.0 ** -k))
+                  for k in (4, 8)]
+    return cases
+
+
+def _solve_cases():
+    acts = uniform_actions(1.0, 11)
+    problems = [
+        ("menu-50", LagrangianProblem(50.0, 0.0, S, [0.4], CDISC, None, state_cap=300)),
+        ("menu-1e4", LagrangianProblem(1e4, 0.0, S, [0.4], CDISC, None, state_cap=300)),
+        ("admission", LagrangianProblem(30.0, 30.0, acts, acts, CSQ, USQRT, state_cap=200)),
+        ("admission-cap", LagrangianProblem(3.0, 100.0, acts, acts, CSQ, USQRT,
+                                            state_cap=200)),
+        ("admission-hi", LagrangianProblem(1000.0, 100.0, acts, acts, CSQ, USQRT,
+                                           state_cap=200)),
+    ]
+    return [("solve-" + name, solve(lp).policy) for name, lp in problems]
+
+
+def _rough_cases():
+    # inadmissible but stable: admissibility errors must name the same
+    # first state, with a service decrease reported before an arrival
+    # increase at the same state, including at the step into the tails
+    return [
+        ("rough-lam-first", dense_policy([0.3, 0.5, 0.5, 0.2], [0.0, 0.8, 0.5, 0.9],
+                                         0.2, 1.0)),
+        ("rough-same-q", dense_policy([0.5, 0.3, 0.6], [0.0, 0.9, 0.4], 0.3, 1.0)),
+        ("rough-tail", dense_policy([0.2, 0.2], [0.0, 0.9], 0.3, 0.5)),
+        ("rough-bounds", policy_from_pieces([], 0.3, [[1, 4, 0.5]], 0.9, ra_max=0.2)),
+    ]
+
+
+CASES = _random_cases() + _family_cases() + _solve_cases() + _rough_cases()
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("name,p", CASES, ids=[n for n, _ in CASES])
+def test_policy_readers_match_dense(name, p):
+    lam, mu = oracles.per_state_rules(p)
+    d = policy_to_json(p)
+    assert d["lambda"] == oracles.pieces_of(lam, p.lam_tail)
+    assert d["mu"] == oracles.pieces_of(mu, p.mu_tail)
+    assert oracles.dense_rules(d["lambda"]["pieces"], p.lam_tail,
+                               d["mu"]["pieces"], p.mu_tail) == (lam, mu)
+    assert policy_from_json(d) == p
+    assert recurrent_window(p) == oracles.loop_recurrent_window(p)
+    assert _outcome(check_admissible, p) == _outcome(oracles.loop_check_admissible, p)
+    assert (_outcome(qlength_upper_bound, p)
+            == _outcome(oracles.loop_qlength_upper_bound, p))
+
+
+@pytest.mark.parametrize("name,p", CASES, ids=[n for n, _ in CASES])
+def test_scaling_helpers_match_dense(name, p):
+    sr = stationary(p)
+    rates = sorted(set(oracles.per_state_rules(p)[1] + [p.mu_tail]))
+    for r in rates:
+        for low, high in ((r, r), (r - 1e-3, r + 1e-3), (0.0, r), (r, 2.0),
+                          (-1.0, r - 1e-6)):
+            assert (_service_mass_outside(p, sr, low, high)
+                    == oracles.loop_service_mass_outside(p, sr, low, high))
+        for thr in (r - 1e-9, r, r + 1e-9):
+            for strict in (False, True):
+                assert (_first_service_at_least(p, thr, strict)
+                        == oracles.loop_first_service_at_least(p, thr, strict))
+    assert _first_service_at_least(p, rates[-1] + 1.0) is None
+    mid = (sr.q_lo + sr.q_max) // 2
+    for q_star in (0, sr.q_lo - 1, sr.q_lo, sr.q_lo + 1, mid, sr.q_max, sr.q_max + 1,
+                   sr.q_max + 10):
+        assert _mass_below(sr, q_star) == oracles.loop_mass_below(sr, q_star)
+
+
+def test_random_rules_round_trip():
+    rng = np.random.default_rng(5)
+    for k in range(40):
+        rules = random_rules(rng, transient=k % 2 == 0, finite=k % 3 == 0)
+        p = policy_from_pieces(oracles.pieces_of(rules[0], rules[2])["pieces"], rules[2],
+                               oracles.pieces_of(rules[1], rules[3])["pieces"], rules[3])
+        assert oracles.per_state_rules(p) == (rules[0], rules[1])
+        assert p.horizon == len(rules[0]) - 1
+
+
+def _random_pieces(rng, top, zero_at_0):
+    """Shuffled non-overlapping pieces over 0..top with gaps and repeated rates."""
+    pieces = []
+    q = int(rng.integers(0, 3))
+    while q <= top:
+        end = min(top, q + int(rng.integers(0, 6)))
+        rate = float(rng.choice([0.0, 0.2, 0.5, 0.5, 0.9]))
+        if q == 0 and zero_at_0:
+            rate = 0.0
+        pieces.append([q, end, rate])
+        q = end + 1 + int(rng.integers(0, 3))
+    rng.shuffle(pieces)
+    return pieces
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pieces_match_dense_expander(seed):
+    rng = np.random.default_rng(900 + seed)
+    top = int(rng.integers(0, 25))
+    lam_tail, mu_tail = (float(x) for x in rng.choice([0.0, 0.2, 0.5, 0.9], 2))
+    lam_pieces = _random_pieces(rng, top, False)
+    mu_pieces = _random_pieces(rng, top, True)
+    if seed % 5 == 0 and lam_pieces:
+        lam_pieces.append(list(lam_pieces[0]))         # overlaps itself
+    build = functools.partial(policy_from_pieces, lam_pieces, lam_tail, mu_pieces, mu_tail)
+    want = _outcome(oracles.dense_rules, lam_pieces, lam_tail, mu_pieces, mu_tail)
+    got = _outcome(build)
+    assert got[0] == want[0]
+    if want[0] == "error":
+        return
+    lam, mu = want[1]
+    p = got[1]
+    assert p.horizon == len(lam) - 1
+    assert oracles.per_state_rules(p) == (lam, mu)
+    assert policy_to_json(p)["lambda"] == oracles.pieces_of(lam, lam_tail)
+    assert policy_to_json(p)["mu"] == oracles.pieces_of(mu, mu_tail)
+
+
+@pytest.mark.parametrize("piece", [
+    ["a", 2, 0.3], [0, 2.7, 0.3], [True, 2, 0.3], [0, False, 0.3], [0, 2],
+    [0, 2, 0.3, 1], "abc", 7, [0, 2, None], [0, 2, [0.3]], [-1, 2, 0.3], [3, 2, 0.3]])
+def test_piece_contract(piece):
+    with pytest.raises(ValueError):
+        policy_from_pieces([piece], 0.4, [], 1.0)
+    with pytest.raises(ValueError):
+        policy_from_pieces([], 0.4, [piece], 1.0)
+
+
+def test_huge_piece_stores_runs_only():
+    # a billion-state piece builds at once; the stationary window is refused
+    # by the state cap before anything is allocated per state
+    p = policy_from_pieces([[0, 10 ** 9, 0.4]], 0.4, [[1, 10 ** 9, 0.5]], 0.5)
+    assert p.horizon == 10 ** 9
+    assert p.runs("mu") == ([0, 1, 10 ** 9 + 1], [0.0, 0.5, 0.5])
+    assert recurrent_window(p) == (0, float("inf"))
+    with pytest.raises(ValueError, match="cap 2000000"):
+        stationary(p)

@@ -169,11 +169,11 @@ def test_audit_joint_family():
 
 
 def test_audit_joint_family_needs_margin_meta():
-    from qtl import Policy
+    from qtl import policy_from_json, policy_to_json
     tag = CaseTag("LMU", None, "log", 0.4)
     p = lambda_mu_policy(0.4, 0.01, eps=0.05, K=10)
-    stripped = Policy(p.lam, p.mu, p.lam_tail, p.mu_tail,
-                      ra_max=p.ra_max, r_max=p.r_max, meta={"family": "lmu"})
+    stripped = policy_from_json(dict(policy_to_json(p), meta={"family": "lmu"}))
+    assert stripped == p and (stripped.ra_max, stripped.r_max) == (p.ra_max, p.r_max)
     got = check_map(audit_lower_bound(stripped, tag, CSQ, IDENT, 0.16))
     assert not got["low-rate-mass"].applicable
     assert "eps" in got["low-rate-mass"].note

@@ -62,6 +62,16 @@ def test_absorbing_state_rejected():
         simulate(p, SimConfig(100.0, 2, 0, 0.1), CSQ)
 
 
+def test_unstable_policy_refused():
+    # lambda >= mu at the tail: the queue drifts off and has no averages
+    for lam, mu in ((0.6, 0.5), (0.5, 0.5)):
+        with pytest.raises(ValueError, match="unstable"):
+            simulate(constant_policy(lam, mu), SimConfig(100.0, 2, 0, 0.1), CSQ)
+    never_serves = policy_from_pieces([], 0.4, [], 0.0)
+    with pytest.raises(ValueError, match="unstable"):
+        simulate(never_serves, SimConfig(100.0, 2, 0, 0.1), CSQ)
+
+
 def test_config_validation():
     p = constant_policy(0.4, 1.0)
     with pytest.raises(ValueError):
