@@ -320,7 +320,7 @@ def stationary(p, tail_tol=1e-12, max_states=2_000_000):
         tail_w = w[-1] * rho / (1.0 - rho)
         total = np.sum(w) + tail_w
         pi = w / total
-        tail_mass = tail_w / total
+        tail_mass = float(tail_w / total)
 
     return StationaryResult(pi, q_rl, q_max, tail_mass, rho, (q_rl, q_ru))
 

@@ -2,7 +2,7 @@
 
 One subcommand per mode: envelope, feasibility, eval, solve, trace,
 construct, sweep, classify, audit, simulate, plus ``run`` for a JSON
-manifest that names a mode and its parameters.
+manifest that names a mode and its options.
 
 Conventions shared by all subcommands:
 
@@ -11,8 +11,9 @@ Conventions shared by all subcommands:
   the strings "inf"/"-inf"/"nan" so the JSON stays parseable.
 * CSV artifacts open with a provenance comment ``# qtl <version> <hash>``
   (hash of the invocation parameters) and then a header row.
-* Exit 2 with an error JSON on malformed input, 1 on domain errors, 0 on
-  success.
+* Every failure is one JSON error object on stderr, with exit 2 on
+  malformed input (click's usage errors included), 1 on domain errors and
+  0 on success.
 """
 
 import functools
@@ -32,61 +33,68 @@ from .policy_families import (
     lambda_mu_policy, lc_mirror_policy, mc1_policy, mc21_policy, mc22_policy,
     mc23_policy)
 from .rate_functions import (
-    CaseTag, evaluate, function_from_spec, lower_convex_envelope)
+    CaseTag, _is_number, evaluate, function_from_spec, lower_convex_envelope)
 from .scaling import ScalingSample, audit_lower_bound, classify_regime, sweep
 from .sim import SimConfig, simulate as sim_run
 from . import birth_death
 
 
-class SchemaError(Exception):
-    pass
+class SchemaError(click.ClickException):
+    """Malformed input: exit 2 with an error of type ``schema``."""
 
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except SchemaError as exc:
-            click.echo(json.dumps(
-                {"error": {"type": "schema", "message": str(exc)}}), err=True)
-            sys.exit(2)
-        except ValueError as exc:
-            click.echo(json.dumps(
-                {"error": {"type": "domain", "message": str(exc)}}), err=True)
-            sys.exit(1)
-    return wrapper
+def _strict_json(text):
+    # NaN and Infinity are not JSON numbers, though Python's parser takes them
+    def refuse(name):
+        raise ValueError("%s is not a JSON number" % name)
+    return json.loads(text, parse_constant=refuse)
 
 
-def _load_arg(text):
-    if text.startswith("@"):
-        path = text[1:]
-        if not os.path.exists(path):
-            raise SchemaError("file not found: %s" % path)
-        with open(path) as fh:
-            return fh.read()
-    return text
+def _decode(text, what, fn, parse=_strict_json):
+    """``fn`` of the JSON in ``text``, given inline or as ``@path``.
 
-
-def _parse_json(text, what):
+    A ValueError on the way, from the parser or from ``fn``, is malformed
+    input.
+    """
     try:
-        return json.loads(_load_arg(text))
-    except json.JSONDecodeError as exc:
-        raise SchemaError("%s is not valid JSON: %s" % (what, exc))
+        if text.startswith("@"):
+            path = text[1:]
+            if not os.path.isfile(path):
+                raise SchemaError("file not found: %s" % path)
+            with open(path) as fh:
+                text = fh.read()
+        return fn(parse(text))
+    except (OSError, ValueError) as exc:
+        raise SchemaError("bad %s: %s" % (what, exc))
 
 
-def _function(text, role):
-    try:
-        return function_from_spec(_parse_json(text, "%s spec" % role), role)
-    except ValueError as exc:
-        raise SchemaError("bad %s spec: %s" % (role, exc))
+def _object(obj):
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object, got %.60s" % json.dumps(obj))
+    return obj
 
 
-def _policy(text):
-    try:
-        return policy_from_json(_parse_json(text, "policy"))
-    except ValueError as exc:
-        raise SchemaError("bad policy: %s" % exc)
+def _numbers(obj, n=None):
+    # a JSON list of numbers, n of them when n is given, as floats
+    if not (isinstance(obj, list) and (n is None or len(obj) == n)
+            and all(map(_is_number, obj))):
+        raise ValueError("expected a list of %snumbers, got %.60s"
+                         % ("" if n is None else "%d " % n, json.dumps(obj)))
+    return [float(x) for x in obj]
+
+
+def _rows(obj, n):
+    if not isinstance(obj, list):
+        raise ValueError("expected a list of rows, got %.60s" % json.dumps(obj))
+    return [_numbers(row, n) for row in obj]
+
+
+def _functions(cost, utility):
+    """The cost function and the utility function (None without a spec)."""
+    c = _decode(cost, "cost spec", lambda spec: function_from_spec(spec, "cost"))
+    u = None if utility is None else _decode(
+        utility, "utility spec", lambda spec: function_from_spec(spec, "utility"))
+    return c, u
 
 
 def _round12(obj):
@@ -103,13 +111,19 @@ def _round12(obj):
     return obj
 
 
-def _emit_json(obj, out):
-    text = json.dumps(_round12(obj), sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
+def _write(text, out):
+    if not out:
         click.echo(text, nl=False)
+        return
+    try:
+        with open(out, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError("cannot write %s: %s" % (out, exc))
+
+
+def _emit_json(obj, out):
+    _write(json.dumps(_round12(obj), sort_keys=True, indent=2) + "\n", out)
 
 
 def _provenance(payload):
@@ -122,22 +136,31 @@ def _emit_csv(header, rows, prov, out):
     lines = ["# qtl %s %s" % (__version__, prov), ",".join(header)]
     for row in rows:
         lines.append(",".join("%.12g" % x for x in row))
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write("\n".join(lines) + "\n", out)
 
 
 def _failures_note(failures, kind):
     if failures:
         click.echo("%d %s point(s) failed" % (len(failures), kind), err=True)
         for f in failures:
-            click.echo("  %s" % (f,), err=True)
+            click.echo(json.dumps(f._asdict()), err=True)
 
 
-@click.group()
+class _Main(click.Group):
+    """The qtl group: any failure below it ends as one JSON error object."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.ClickException as exc:
+            kind, code, message = "schema", 2, exc.format_message()
+        except ValueError as exc:
+            kind, code, message = "domain", 1, str(exc)
+        click.echo(json.dumps({"error": {"type": kind, "message": message}}), err=True)
+        sys.exit(code)
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__, prog_name="qtl")
 def main():
     """Queue-length / service-cost / utility tradeoff toolkit."""
@@ -148,11 +171,9 @@ def main():
 @click.option("--at", "at_rates", multiple=True, type=float,
               help="rates to evaluate the envelope at (repeatable)")
 @click.option("--out", default=None, help="output path (default stdout)")
-@_guarded
 def envelope(points, at_rates, out):
     """Lower convex envelope of a discrete cost set (JSON: corners, values)."""
-    pts = _parse_json(points, "points")
-    env = lower_convex_envelope(pts)
+    env = lower_convex_envelope(_decode(points, "points", lambda v: _rows(v, 2)))
     values = {"%.12g" % r: evaluate(env, r) for r in at_rates}
     _emit_json({"corners": [[r, v] for r, v in zip(env.br, env.bv)],
                 "values": values}, out)
@@ -164,11 +185,9 @@ def envelope(points, at_rates, out):
 @click.option("--cc", type=float, required=True, help="service cost ceiling")
 @click.option("--uc", type=float, required=True, help="utility floor")
 @click.option("--out", default=None)
-@_guarded
 def feasibility(cost, utility, cc, uc, out):
     """Constraint-pair status: feasible / boundary / infeasible."""
-    c = _function(cost, "cost")
-    u = _function(utility, "utility")
+    c, u = _functions(cost, utility)
     _emit_json({"status": birth_death.feasibility(c, u, cc, uc),
                 "c_c": cc, "u_c": uc}, out)
 
@@ -179,12 +198,10 @@ def feasibility(cost, utility, cc, uc, out):
 @click.option("--utility", default=None)
 @click.option("--tail-tol", type=float, default=1e-12, show_default=True)
 @click.option("--out", default=None)
-@_guarded
 def eval_cmd(policy, cost, utility, tail_tol, out):
     """Exact stationary metrics of a policy (JSON)."""
-    p = _policy(policy)
-    c = _function(cost, "cost")
-    u = _function(utility, "utility") if utility else None
+    p = _decode(policy, "policy", policy_from_json)
+    c, u = _functions(cost, utility)
     m = exact_metrics(p, c, u, tail_tol=tail_tol)
     try:
         bound = qlength_upper_bound(p)
@@ -198,12 +215,9 @@ def eval_cmd(policy, cost, utility, tail_tol, out):
 
 def _problem(cost, utility, service_actions, arrival_actions, state_cap,
              beta1=0.0, beta2=0.0):
-    c = _function(cost, "cost")
-    u = _function(utility, "utility") if utility else None
-    srv = _parse_json(service_actions, "service actions")
-    arr = _parse_json(arrival_actions, "arrival actions")
-    if not isinstance(srv, list) or not isinstance(arr, list):
-        raise SchemaError("action sets must be JSON lists of rates")
+    c, u = _functions(cost, utility)
+    srv = _decode(service_actions, "service actions", _numbers)
+    arr = _decode(arrival_actions, "arrival actions", _numbers)
     return LagrangianProblem(beta1, beta2, srv, arr, c, u, state_cap=state_cap)
 
 
@@ -217,7 +231,6 @@ def _problem(cost, utility, service_actions, arrival_actions, state_cap,
 @click.option("--state-cap", type=int, default=500, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--out", default=None)
-@_guarded
 def solve(cost, utility, service_actions, arrival_actions, beta1, beta2,
           state_cap, tol, out):
     """Solve one relaxed problem; JSON with gain, policy, exact metrics."""
@@ -234,15 +247,12 @@ def solve(cost, utility, service_actions, arrival_actions, beta1, beta2,
 
 def _beta_grid(grid_json, log_triplet, fallback):
     if grid_json:
-        grid = _parse_json(grid_json, "multiplier grid")
-        if not isinstance(grid, list):
-            raise SchemaError("multiplier grid must be a JSON list")
-        return [float(b) for b in grid]
+        return _decode(grid_json, "multiplier grid", _numbers)
     if log_triplet:
         lo, hi, n = log_triplet
+        if not (0 < lo < hi < math.inf and 2 <= n < math.inf):
+            raise SchemaError("log grid needs 0 < lo < hi and n >= 2, all finite")
         n = int(n)
-        if lo <= 0 or hi <= lo or n < 2:
-            raise SchemaError("log grid needs 0 < lo < hi and n >= 2")
         step = (math.log(hi) - math.log(lo)) / (n - 1)
         return [math.exp(math.log(lo) + i * step) for i in range(n)]
     return fallback
@@ -261,7 +271,6 @@ def _beta_grid(grid_json, log_triplet, fallback):
 @click.option("--state-cap", type=int, default=500, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--out", default=None)
-@_guarded
 def trace(cost, utility, service_actions, arrival_actions, beta1_grid,
           beta1_log, beta2_grid, beta2_log, state_cap, tol, out):
     """Sweep multipliers; CSV beta1,beta2,c_c,u_c,q_star sorted by c_c."""
@@ -280,82 +289,73 @@ def trace(cost, utility, service_actions, arrival_actions, beta1_grid,
     _failures_note(failures, "trace")
 
 
-_FAMILY_REGIMES = {"LC1": "inv-sqrt", "LC2-1": "log", "LC2-2": "inv"}
-
-
 def _case_tag(obj):
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise SchemaError("case tag needs an object with 'family'")
-    window = obj.get("window")
-    return CaseTag(
-        obj["family"],
-        tuple(window) if window is not None else None,
-        obj.get("regime", _FAMILY_REGIMES.get(obj["family"])),
-        obj.get("anchor"))
+    # a malformed tag is malformed input, in --case and in the lc family's params
+    if not (isinstance(obj, dict) and isinstance(obj.get("family"), str)):
+        raise SchemaError("a case tag is an object with a string 'family', got %.60s"
+                          % json.dumps(obj))
+    window, anchor = obj.get("window"), obj.get("anchor")
+    if window is not None and not (isinstance(window, list) and len(window) == 2
+                                   and all(map(_is_number, window))):
+        raise SchemaError("case 'window' must be a list of two numbers")
+    if anchor is not None and not _is_number(anchor):
+        raise SchemaError("case 'anchor' must be a number")
+    return CaseTag(obj["family"], None if window is None else tuple(window),
+                   obj.get("regime"), anchor)
 
 
-def _build_family(family, params, U):
-    params = dict(params)
-    if family == "mc1":
-        return mc1_policy(U=U, **params)
-    if family == "mc21":
-        # the scale enters through the threshold: q_k = round(log2(1/U))
-        if "q_k" not in params:
-            if U is None:
-                raise ValueError("mc21 needs q_k or the scale U")
-            params["q_k"] = max(1, int(round(-math.log2(U))))
-        return mc21_policy(**params)
-    if family == "mc22":
-        return mc22_policy(U=U, **params)
-    if family == "mc23":
-        return mc23_policy(U=U, **params)
-    if family == "lmu":
-        return lambda_mu_policy(U=U, **params)
-    if family == "lc":
-        tag = _case_tag(params.pop("case", None))
-        return lc_mirror_policy(params.pop("mu"), tag, U)
-    raise SchemaError("unknown family %r" % family)
+def _mc21(U=None, **params):
+    # the scale enters through the threshold: q_k = round(log2(1/U))
+    if "q_k" not in params:
+        if U is None:
+            raise ValueError("mc21 needs q_k or the scale U")
+        params["q_k"] = max(1, int(round(-math.log2(U))))
+    return mc21_policy(**params)
 
 
-_FAMILY_CHOICES = ["mc1", "mc21", "mc22", "mc23", "lmu", "lc"]
+_FAMILIES = {
+    "mc1": mc1_policy,
+    "mc21": _mc21,
+    "mc22": mc22_policy,
+    "mc23": mc23_policy,
+    "lmu": lambda_mu_policy,
+    "lc": lambda U, mu, case: lc_mirror_policy(mu, _case_tag(case), U),
+}
+
+
+def _build(family, params, U):
+    try:
+        return _FAMILIES[family](U=U, **params)
+    except TypeError as exc:
+        raise SchemaError("bad params for family %s: %s" % (family, exc))
 
 
 @main.command()
-@click.option("--family", type=click.Choice(_FAMILY_CHOICES), required=True)
+@click.option("--family", type=click.Choice(list(_FAMILIES)), required=True)
 @click.option("--params", required=True, help="constructor parameters as JSON")
 @click.option("--out", default=None)
-@_guarded
 def construct(family, params, out):
     """Build one family policy; emits Policy JSON."""
-    kw = _parse_json(params, "params")
-    if not isinstance(kw, dict):
-        raise SchemaError("params must be a JSON object")
-    try:
-        U = kw.pop("U", None)
-        if family != "mc21" and U is None:
-            raise SchemaError("params need the scale U")
-        p = _build_family(family, kw, U)
-    except TypeError as exc:
-        raise SchemaError("bad params for family %s: %s" % (family, exc))
-    _emit_json(policy_to_json(p), out)
+    kw = _decode(params, "params", _object)
+    U = kw.pop("U", None)
+    if family != "mc21" and U is None:
+        raise SchemaError("params need the scale U")
+    _emit_json(policy_to_json(_build(family, kw, U)), out)
 
 
 def _u_grid(u_grid, dyadic):
     if u_grid:
-        grid = _parse_json(u_grid, "U grid")
-        if not isinstance(grid, list) or not grid:
-            raise SchemaError("U grid must be a non-empty JSON list")
-        return [float(x) for x in grid]
+        return _decode(u_grid, "U grid", _numbers)
     if dyadic:
-        k0, k1 = int(dyadic[0]), int(dyadic[1])
-        if k1 < k0:
-            raise SchemaError("dyadic range needs k0 <= k1")
+        k0, k1 = dyadic
+        if not 0 <= k0 <= k1:
+            raise SchemaError("dyadic range needs 0 <= k0 <= k1")
         return [2.0 ** -k for k in range(k0, k1 + 1)]
     return [2.0 ** -k for k in range(4, 15)]
 
 
 @main.command("sweep")
-@click.option("--family", type=click.Choice(_FAMILY_CHOICES), required=True)
+@click.option("--family", type=click.Choice(list(_FAMILIES)), required=True)
 @click.option("--params", required=True)
 @click.option("--cost", required=True)
 @click.option("--utility", default=None)
@@ -365,24 +365,13 @@ def _u_grid(u_grid, dyadic):
 @click.option("--dyadic", nargs=2, type=int, default=None,
               help="K0 K1: U = 2^-k for k in [K0, K1]")
 @click.option("--out", default=None)
-@_guarded
 def sweep_cmd(family, params, cost, utility, c_ref, u_grid, dyadic, out):
     """Sweep a family over U; CSV U,V,qbar,ubar,cbar."""
-    kw = _parse_json(params, "params")
-    if not isinstance(kw, dict):
-        raise SchemaError("params must be a JSON object")
+    kw = _decode(params, "params", _object)
     kw.pop("U", None)
-    c = _function(cost, "cost")
-    u = _function(utility, "utility") if utility else None
+    c, u = _functions(cost, utility)
     grid = _u_grid(u_grid, dyadic)
-
-    def build(U):
-        try:
-            return _build_family(family, kw, U)
-        except TypeError as exc:
-            raise ValueError("bad params for family %s: %s" % (family, exc))
-
-    samples, failures = sweep(build, grid, c, c_ref, u)
+    samples, failures = sweep(functools.partial(_build, family, kw), grid, c, c_ref, u)
     prov = _provenance({"cmd": "sweep", "family": family, "params": kw,
                         "cost": cost, "utility": utility, "c_ref": c_ref,
                         "grid": grid})
@@ -392,6 +381,16 @@ def sweep_cmd(family, params, cost, utility, c_ref, u_grid, dyadic, out):
     _failures_note(failures, "sweep")
 
 
+def _sample_table(text):
+    # a JSON list of rows, or sweep CSV without its comment and header lines
+    text = text.strip()
+    if text.startswith("["):
+        return _strict_json(text)
+    return [[float(x) for x in line.split(",")]
+            for line in map(str.strip, text.splitlines())
+            if line and not line.startswith(("#", "U,"))]
+
+
 @main.command()
 @click.option("--samples", "samples_in", required=True,
               help="sweep CSV path or JSON list of [U,V,qbar,ubar,cbar]")
@@ -399,31 +398,13 @@ def sweep_cmd(family, params, cost, utility, c_ref, u_grid, dyadic, out):
               type=click.Choice(["finite", "log", "inv-sqrt", "inv"]),
               help="predicted regime for the verdict")
 @click.option("--out", default=None)
-@_guarded
 def classify(samples_in, regime, out):
     """Fit growth models to sweep samples; JSON fit + verdict."""
-    if samples_in.startswith("@"):
-        text = _load_arg(samples_in)
-    elif os.path.exists(samples_in):
-        text = _load_arg("@" + samples_in)
-    else:
-        text = samples_in
-    rows = []
-    stripped = text.strip()
-    if stripped.startswith("["):
-        for row in _parse_json(stripped, "samples"):
-            rows.append(ScalingSample(*[float(x) for x in row]))
-    else:
-        for line in stripped.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("U,"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise SchemaError("sample rows need 5 columns, got %r" % line)
-            rows.append(ScalingSample(*[float(x) for x in parts]))
+    if not samples_in.startswith("@") and os.path.exists(samples_in):
+        samples_in = "@" + samples_in
+    rows = _decode(samples_in, "samples", lambda v: _rows(v, 5), parse=_sample_table)
     tag = CaseTag("", None, regime, None) if regime else None
-    fit = classify_regime(rows, tag)
+    fit = classify_regime([ScalingSample(*row) for row in rows], tag)
     _emit_json({"model": fit.model, "coefficients": fit.coefficients,
                 "residual": fit.residual, "verdict": fit.verdict,
                 "residuals": fit.residuals}, out)
@@ -437,13 +418,11 @@ def classify(samples_in, regime, out):
               help='CaseTag JSON, e.g. {"family":"MC1","anchor":0.5,...}')
 @click.option("--c-ref", type=float, required=True)
 @click.option("--out", default=None)
-@_guarded
 def audit(policy, cost, utility, case_json, c_ref, out):
     """Lower-bound inequality audit of one policy; JSON check list."""
-    p = _policy(policy)
-    c = _function(cost, "cost")
-    u = _function(utility, "utility") if utility else None
-    tag = _case_tag(_parse_json(case_json, "case"))
+    p = _decode(policy, "policy", policy_from_json)
+    c, u = _functions(cost, utility)
+    tag = _decode(case_json, "case", _case_tag)
     checks = audit_lower_bound(p, tag, c, u, c_ref)
     _emit_json({"checks": [ch._asdict() for ch in checks]}, out)
 
@@ -457,54 +436,50 @@ def audit(policy, cost, utility, case_json, c_ref, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--warmup", type=float, default=0.1, show_default=True)
 @click.option("--out", default=None)
-@_guarded
 def simulate_cmd(policy, cost, utility, horizon, replications, seed, warmup, out):
     """Monte Carlo estimate of the metrics; JSON with 95% CIs."""
-    p = _policy(policy)
-    c = _function(cost, "cost")
-    u = _function(utility, "utility") if utility else None
+    p = _decode(policy, "policy", policy_from_json)
+    c, u = _functions(cost, utility)
     est = sim_run(p, SimConfig(horizon, replications, seed, warmup), c, u)
     _emit_json(est._asdict(), out)
 
 
-_MODES = ("envelope", "feasibility", "eval", "solve", "trace", "construct",
-          "sweep", "classify", "audit", "simulate")
+def _arg(value):
+    return value if isinstance(value, str) else json.dumps(value)
 
 
 @main.command("run")
 @click.option("--manifest", required=True, help="experiment manifest JSON file")
 @click.pass_context
-@_guarded
 def run_cmd(ctx, manifest):
-    """Execute a manifest: {"mode": ..., parameters..., "out": path}."""
-    doc = _parse_json("@" + manifest if not manifest.startswith("@") else manifest,
-                      "manifest")
-    if not isinstance(doc, dict) or "mode" not in doc:
-        raise SchemaError("manifest needs a 'mode'")
-    mode = doc.pop("mode")
-    if mode not in _MODES:
-        raise SchemaError("unknown mode %r" % mode)
+    """Execute a manifest: {"mode": ..., option: value, ...}.
+
+    A key is an option name with _ for -; a list fills a repeatable or
+    multi-value option, other lists and objects pass as JSON text, and
+    null leaves the option out.  Click then checks them as on the command
+    line.
+    """
+    doc = _decode(manifest if manifest.startswith("@") else "@" + manifest,
+                  "manifest", _object)
+    mode = doc.pop("mode", None)
+    if not isinstance(mode, str) or mode == "run" or mode not in main.commands:
+        raise SchemaError("manifest 'mode' must name a subcommand, got %.60s"
+                          % json.dumps(mode))
     cmd = main.commands[mode]
-    kwargs = {}
-    for param in cmd.params:
-        name = param.name
-        lookup = {"samples_in": "samples", "case_json": "case",
-                  "at_rates": "at"}.get(name, name)
-        if lookup not in doc:
-            if param.required:
-                raise SchemaError("manifest for %s needs %r" % (mode, lookup))
+    argv = []
+    for key, value in doc.items():
+        if value is None:
             continue
-        val = doc[lookup]
-        multi = getattr(param, "multiple", False) or getattr(param, "nargs", 1) != 1
-        if multi:
-            if not isinstance(val, (list, tuple)):
-                raise SchemaError("manifest key %r must be a list" % lookup)
-            kwargs[name] = tuple(val)
-        elif isinstance(val, (dict, list)):
-            kwargs[name] = json.dumps(val)
+        flag = "--" + key.replace("_", "-")
+        opt = next((o for o in cmd.params if flag in o.opts), None)
+        if opt is not None and opt.multiple and isinstance(value, list):
+            argv += [a for v in value for a in (flag, _arg(v))]
+        elif opt is not None and opt.nargs != 1 and isinstance(value, list):
+            argv += [flag] + [_arg(v) for v in value]
         else:
-            kwargs[name] = val
-    ctx.invoke(cmd, **kwargs)
+            argv += [flag, _arg(value)]
+    with cmd.make_context(mode, argv, parent=ctx) as sub:
+        cmd.invoke(sub)
 
 
 if __name__ == "__main__":

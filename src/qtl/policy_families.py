@@ -26,6 +26,7 @@ its preconditions and the admissibility of what it built.
 import math
 
 from .birth_death import check_admissible, is_stable, policy_from_pieces
+from .rate_functions import _check_tag
 
 
 def _finish(p):
@@ -187,6 +188,9 @@ def lc_mirror_policy(mu, tag, U):
         raise ValueError("U must be positive")
     note = "heuristic mirror family; no tightness guarantee"
     fam = tag.family
+    if fam not in ("LC1", "LC2-1", "LC2-2"):
+        raise ValueError("not an arrival-side case tag: %r" % (fam,))
+    _check_tag(tag, "window")
     if fam == "LC1":
         eps_u = math.sqrt(U)
         lo, hi = tag.window
@@ -229,4 +233,3 @@ def lc_mirror_policy(mu, tag, U):
             meta={"family": "lc-mirror", "case": fam, "U": U, "q1": q1,
                   "note": note})
         return _finish(p)
-    raise ValueError("not an arrival-side case tag: %r" % (fam,))

@@ -40,6 +40,18 @@ CaseTag = namedtuple("CaseTag", ["family", "window", "regime", "anchor"])
 SupportLine = namedtuple("SupportLine", ["slope", "intercept", "anchor", "m_a", "a1"])
 
 
+def _is_number(x):
+    """True for an int or float, but not for a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _check_tag(tag, *fields):
+    """Raise ValueError naming the first of ``fields`` the case tag lacks."""
+    for name in fields:
+        if getattr(tag, name) is None:
+            raise ValueError("case tag %s has no %r" % (tag.family, name))
+
+
 class RateFunction(object):
     """Immutable cost or utility function over a closed rate interval.
 
@@ -252,7 +264,9 @@ def classify_case(f, rate):
 
 
 def _segment_slopes(f):
-    if f.kind == "power" and f.exponent == 1.0:
+    if f.kind == "power":
+        if f.exponent != 1.0:
+            raise ValueError("a curved power function has no linear segments")
         return [f.lo, f.hi], [1.0]
     rs, vs = f.br, f.bv
     slopes = [(vs[i + 1] - vs[i]) / (rs[i + 1] - rs[i]) for i in range(len(rs) - 1)]
@@ -274,20 +288,34 @@ def support_line(f, tag):
     """
     fam = tag.family
     if fam in ("MC1", "LC1"):
+        _check_tag(tag, "anchor")
+        if f.kind != "power":
+            raise ValueError("%s needs a power function" % fam)
+        d2 = _second_derivative(f, tag.anchor)
+        if abs(d2) < CURVATURE_FLOOR:
+            raise ValueError("second derivative %g below curvature floor" % d2)
         p = f.exponent
         slope = p * tag.anchor ** (p - 1.0)
-        a1 = 0.5 * abs(_second_derivative(f, tag.anchor))
+        a1 = 0.5 * abs(d2)
         return SupportLine(slope, evaluate(f, tag.anchor) - slope * tag.anchor, tag.anchor, None, a1)
     if fam in ("MC2-3", "LC2-2"):
+        _check_tag(tag, "window", "anchor")
         p0, p1 = tag.window
+        if not p0 < tag.anchor < p1:
+            raise ValueError("corner %g is not inside its window" % tag.anchor)
         v0, va, v1 = evaluate(f, p0), evaluate(f, tag.anchor), evaluate(f, p1)
         s_left = (va - v0) / (tag.anchor - p0)
         s_right = (v1 - va) / (p1 - tag.anchor)
         slope = 0.5 * (s_left + s_right)
         m_a = 0.5 * abs(s_right - s_left)
+        if m_a == 0.0:
+            raise ValueError("no corner at rate %g: both slopes are %g" % (tag.anchor, slope))
         return SupportLine(slope, va - slope * tag.anchor, tag.anchor, m_a, None)
     # segment-interior chord
+    _check_tag(tag, "window")
     a, b = tag.window
+    if not a < b:
+        raise ValueError("segment window needs a < b, got [%g, %g]" % (a, b))
     va, vb = evaluate(f, a), evaluate(f, b)
     slope = (vb - va) / (b - a)
     rs, slopes = _segment_slopes(f)
@@ -322,11 +350,10 @@ def function_from_spec(spec, role):
         raise ValueError("function spec must be an object with a 'kind'")
     kind = spec["kind"]
     if kind == "power":
-        if "exponent" not in spec:
-            raise ValueError("power kind needs 'exponent'")
+        if not _is_number(spec.get("exponent")):
+            raise ValueError("power kind needs a numeric 'exponent'")
         dom = spec.get("domain", [0.0, 1.0])
-        if not (isinstance(dom, list) and len(dom) == 2 and all(
-                isinstance(x, numbers.Real) and not isinstance(x, bool) for x in dom)):
+        if not (isinstance(dom, list) and len(dom) == 2 and all(map(_is_number, dom))):
             raise ValueError("power 'domain' must be a list of two numbers")
         return power_function(spec["exponent"], (dom[0], dom[1]), role)
     if kind not in ("piecewise", "discrete"):
@@ -334,6 +361,9 @@ def function_from_spec(spec, role):
     pts = spec.get("points")
     if not pts:
         raise ValueError("%s kind needs 'points'" % kind)
+    if not (isinstance(pts, list) and all(
+            isinstance(pt, list) and len(pt) == 2 and all(map(_is_number, pt)) for pt in pts)):
+        raise ValueError("'points' must be a list of [rate, value] pairs")
     if kind == "piecewise":
         return piecewise_function(pts, role)
     return discrete_function(pts, role)

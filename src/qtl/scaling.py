@@ -38,8 +38,9 @@ from collections import namedtuple
 
 import numpy as np
 
-from .birth_death import exact_metrics, pi_at, stationary
-from .rate_functions import _second_derivative, _segment_slopes, evaluate, support_line
+from .birth_death import exact_metrics, metrics, pi_at, stationary
+from .rate_functions import (
+    _check_tag, _second_derivative, _segment_slopes, evaluate, support_line)
 
 ScalingSample = namedtuple("ScalingSample", ["U", "V", "qbar", "ubar", "cbar"])
 SweepFailure = namedtuple("SweepFailure", ["U", "error"])
@@ -199,11 +200,11 @@ def audit_lower_bound(p, tag, c, u, c_ref):
     policy metadata); ``c_ref`` anchors V = Cbar - c_ref, which must be
     positive.  Returns a list of AuditCheck records.
     """
-    m = exact_metrics(p, c, u)
+    sr = stationary(p)
+    m = metrics(p, sr, c, u)
     v = m.cbar - c_ref
     if v <= 0:
         raise ValueError("cost gap V = %g is not positive" % v)
-    sr = stationary(p)
     checks = []
     fam = tag.family if tag is not None else None
 
@@ -259,6 +260,7 @@ def audit_lower_bound(p, tag, c, u, c_ref):
             checks.append(_skip(
                 "low-rate-mass", "construction margin 'eps' missing from policy meta"))
         else:
+            _check_tag(tag, "anchor")
             anchor = tag.anchor
             a1 = 0.5 * abs(_second_derivative(c, anchor))
             if a1 < 1e-12:

@@ -68,8 +68,8 @@ def simulate(p, cfg, c, u=None):
     which the structure reports rather than hiding.  An unstable policy
     has no long-run averages to estimate and is refused.
     """
-    if cfg.horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < cfg.horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     if cfg.replications < 1:
         raise ValueError("need at least one replication")
     if not (0.0 <= cfg.warmup_fraction < 1.0):

@@ -317,3 +317,146 @@ def test_run_manifest_errors(runner, tmp_path):
 def test_version(runner):
     res = invoke(runner, ["--version"])
     assert "qtl" in res.output
+
+
+def error_of(res, code):
+    assert res.exit_code == code, res.output + str(res.stderr)
+    err = json.loads(res.stderr.splitlines()[-1])["error"]
+    assert err["type"] == {1: "domain", 2: "schema"}[code]
+    return err["message"]
+
+
+AUDIT_POLICY = json.dumps({"lambda": {"pieces": [[0, 0, 0.5]], "tail": 0.5},
+                           "mu": {"pieces": [[0, 0, 0.0]], "tail": 1.0}})
+LOG_GRID = ["--service-actions", "[1]", "--arrival-actions", "[0.4]"]
+
+
+@pytest.mark.parametrize("args,code", [
+    (["classify", "--samples", "[[1,2]]"], 2),
+    (["envelope", "--points", "5"], 2),
+    (["solve", "--cost", CSQ, "--service-actions", "[[1]]",
+      "--arrival-actions", "[0.4]"], 2),
+    (["trace", "--cost", CSQ] + LOG_GRID + ["--beta1-grid", "[[1]]"], 2),
+    (["trace", "--cost", CSQ] + LOG_GRID + ["--beta1-log", "1", "100", "inf"], 2),
+    (["eval", "--policy", MM1,
+      "--cost", '{"kind": "piecewise", "points": [[0, 0], [1]]}'], 2),
+    (["eval", "--policy", MM1,
+      "--cost", '{"kind": "power", "domain": [0, 1], "exponent": "2"}'], 2),
+    (["eval", "--policy", "@.", "--cost", CSQ], 2),
+    (["eval", "--policy", MM1, "--cost", CSQ, "--out", "."], 2),
+    (["audit", "--policy", AUDIT_POLICY, "--cost", CSQ, "--c-ref", "0.25",
+      "--case", '{"family": "MC2-2"}'], 1),
+    (["audit", "--policy", AUDIT_POLICY, "--cost", CSQ, "--c-ref", "0.25",
+      "--case", '{"family": "MC1"}'], 1),
+    (["audit", "--policy", AUDIT_POLICY, "--cost", CSQ, "--c-ref", "0.25",
+      "--case", '{"family": "MC1", "window": 5}'], 2),
+    (["simulate", "--policy", MM1, "--cost", CSQ, "--horizon", "inf"], 1),
+    (["construct", "--family", "lc", "--params",
+      '{"mu": 0.5, "U": 0.01, "case": {"family": "LC2-1"}}'], 1),
+    (["construct", "--family", "lc", "--params",
+      '{"mu": 0.5, "U": 0.01, "case": {"family": "LC2-1", "window": 0.3}}'], 2),
+    (["construct", "--family", "mc21", "--params",
+      '{"lam": 0.1, "b_lam": 0.2, "r_max": 1.0, "U": Infinity}'], 2),
+    (["sweep", "--family", "mc22", "--params", '{"lam": 0.39, "a_lam": 0.2, "b_lam": 0.4}',
+      "--cost", CSQ, "--c-ref", "0.1", "--dyadic", "-2000", "-1999"], 2),
+    (["solve", "--cost", CSQ] + LOG_GRID + ["--beta1", "abc"], 2),
+    (["solve", "--cost", CSQ], 2),
+    (["nosuch"], 2),
+])
+def test_malformed_input_is_a_json_error(runner, args, code):
+    error_of(runner.invoke(main, args, catch_exceptions=False), code)
+
+
+ENV_SPEC = json.dumps({"kind": "piecewise", "points": json.loads(POINTS)})
+
+
+@pytest.mark.parametrize("cost,case", [
+    (IDENT, {"family": "MC1", "anchor": 0.5}),
+    (ENV_SPEC, {"family": "MC1", "anchor": 0.5}),
+    (CSQ, {"family": "MC2-2", "window": [0.2, 0.4]}),
+    (ENV_SPEC, {"family": "MC2-2", "window": [0.4, 0.4]}),
+    (ENV_SPEC, {"family": "MC2-3", "window": [0.4, 0.5], "anchor": 0.4}),
+    (IDENT, {"family": "MC2-3", "window": [0.2, 0.6], "anchor": 0.4}),
+])
+def test_audit_case_outside_its_family_is_domain_error(runner, cost, case):
+    res = runner.invoke(main, ["audit", "--policy", AUDIT_POLICY, "--cost", cost,
+                               "--case", json.dumps(case), "--c-ref", "0.1"],
+                        catch_exceptions=False)
+    error_of(res, 1)
+
+
+@pytest.mark.parametrize("doc", [
+    {"mode": "solve", "cost": json.loads(CSQ), "service_actions": [1],
+     "arrival_actions": [0.4], "beta1": "abc"},
+    {"mode": "eval", "policy": json.loads(MM1), "cost": None},
+    {"mode": "eval", "policy": json.loads(MM1), "cost": json.loads(CSQ), "oops": 1},
+    {"mode": ["eval"]},
+    {"mode": "trace", "cost": json.loads(CSQ), "service_actions": [1],
+     "arrival_actions": [0.4], "beta1_log": [1, 100]},
+    [1, 2],
+])
+def test_run_manifest_is_checked_like_the_command_line(runner, tmp_path, doc):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    error_of(runner.invoke(main, ["run", "--manifest", str(manifest)],
+                           catch_exceptions=False), 2)
+
+
+def test_run_manifest_cannot_run_a_manifest(runner, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"mode": "run", "manifest": str(manifest)}))
+    error_of(runner.invoke(main, ["run", "--manifest", str(manifest)],
+                           catch_exceptions=False), 2)
+
+
+def test_run_manifest_spreads_multi_value_options(runner, tmp_path):
+    doc = {"mode": "trace", "cost": json.loads(CSQ), "utility": None,
+           "service_actions": [0.5, 1.0], "arrival_actions": [0.4],
+           "beta1_log": [1, 100, 3], "state_cap": 200}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    res = invoke(runner, ["run", "--manifest", str(manifest)])
+    direct = invoke(runner, ["trace", "--cost", json.dumps(doc["cost"]),
+                             "--service-actions", "[0.5, 1.0]",
+                             "--arrival-actions", "[0.4]",
+                             "--beta1-log", "1", "100", "3", "--state-cap", "200"])
+    assert res.output == direct.output
+
+
+def test_audit_geometric_tail(runner, tmp_path):
+    pol = tmp_path / "mc1.json"
+    invoke(runner, ["construct", "--family", "mc1",
+                    "--params", '{"lam": 0.5, "U": 0.001, "K": 0.5}',
+                    "--out", str(pol)])
+    res = invoke(runner, ["audit", "--policy", "@%s" % pol, "--cost", CSQ,
+                          "--utility", USQRT, "--c-ref", "0.25",
+                          "--case", '{"family": "MC1", "anchor": 0.5}'])
+    checks = json.loads(res.output)["checks"]
+    assert {c["name"] for c in checks} == {"rate-mass", "boundary-mass", "pi-zero"}
+    assert all(c["passed"] is True for c in checks)
+
+
+def failure_records(res):
+    lines = res.stderr.splitlines()
+    assert lines[0].endswith("point(s) failed")
+    return [json.loads(line) for line in lines[1:]]
+
+
+def test_trace_failures_are_json_records(runner):
+    res = invoke(runner, ["trace", "--cost", CSQ, "--service-actions", "[0]",
+                          "--arrival-actions", "[0.4]", "--beta1-grid", "[0, 5]",
+                          "--state-cap", "20"])
+    assert res.stdout.splitlines()[1:] == ["beta1,beta2,c_c,u_c,q_star"]
+    records = failure_records(res)
+    assert [(r["beta1"], r["beta2"]) for r in records] == [(0.0, 0.0), (5.0, 0.0)]
+    assert all(isinstance(r["error"], str) and r["error"] for r in records)
+
+
+def test_sweep_failures_are_json_records(runner):
+    res = invoke(runner, ["sweep", "--family", "mc22",
+                          "--params", '{"lam": 0.39, "a_lam": 0.2, "b_lam": 0.4}',
+                          "--cost", ENV_SPEC, "--c-ref", "5", "--dyadic", "4", "6"])
+    assert res.stdout.splitlines()[1:] == ["U,V,qbar,ubar,cbar"]
+    records = failure_records(res)
+    assert [r["U"] for r in records] == [0.0625, 0.03125, 0.015625]
+    assert all(r["error"].startswith("non-positive cost gap") for r in records)

@@ -198,3 +198,8 @@ def test_mc23_always_admissible_stable(k):
 def test_lambda_mu_always_admissible_stable(k):
     p = lambda_mu_policy(0.4, 2.0 ** -k, eps=0.05, K=10)
     assert is_admissible(p) and is_stable(p)
+
+
+def test_lc_mirror_names_missing_window():
+    with pytest.raises(ValueError, match="'window'"):
+        lc_mirror_policy(0.5, CaseTag("LC2-1", None, "log", 0.5), 0.01)

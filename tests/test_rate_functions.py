@@ -214,3 +214,29 @@ def test_shape_validation():
         discrete_function([(0, 0), (0.5, 0.3), (0.5, 0.4)])  # duplicate rate
     with pytest.raises(ValueError):
         discrete_function([(0, 0), (0.5, 0.4), (1, 0.2)])  # values decrease
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "power", "exponent": "2"},
+    {"kind": "power", "exponent": True},
+    {"kind": "power", "exponent": None},
+    {"kind": "piecewise", "points": [[0, 0], [1]]},
+    {"kind": "piecewise", "points": [[0, 0], [1, "1"]]},
+    {"kind": "discrete", "points": 5},
+    {"kind": "discrete", "points": [[0, 0], [0.5, 0.25], 1]},
+])
+def test_spec_refuses_malformed_numbers(spec):
+    with pytest.raises(ValueError):
+        function_from_spec(spec, "cost")
+
+
+@pytest.mark.parametrize("tag,field", [
+    (CaseTag("MC1", (0.0, 1.0), "inv-sqrt", None), "anchor"),
+    (CaseTag("MC2-2", None, "log", 0.39), "window"),
+    (CaseTag("MC2-3", None, "inv", 0.4), "window"),
+    (CaseTag("MC2-3", (0.2, 0.6), "inv", None), "anchor"),
+])
+def test_support_line_names_missing_tag_field(env, tag, field):
+    f = power_function(2.0) if tag.family == "MC1" else env
+    with pytest.raises(ValueError, match=repr(field)):
+        support_line(f, tag)

@@ -199,3 +199,18 @@ def test_audit_pi_zero_piecewise_utility():
     # pi(0) = 0.6; Ubar = u(0.2) = 0.2, so rhs = (0.4 - 0.2)/(0.5 * 0.5)
     assert abs(c.lhs - 0.6) < 1e-12
     assert abs(c.rhs - 0.8) < 1e-12
+
+
+def test_audit_geometric_tail_gives_python_types():
+    # the tail rate lam + K lies outside the rate-mass interval, so the
+    # check adds the analytic tail mass
+    p = mc1_policy(0.5, 0.001, K=0.5)
+    got = check_map(audit_lower_bound(p, classify_case(CSQ, 0.5), CSQ, USQRT, 0.25))
+    for c in got.values():
+        assert type(c.passed) is bool and type(c.lhs) is float and c.passed
+
+
+def test_audit_joint_family_names_missing_anchor():
+    p = lambda_mu_policy(0.4, 0.01, eps=0.05, K=10)
+    with pytest.raises(ValueError, match="'anchor'"):
+        audit_lower_bound(p, CaseTag("LMU", None, "log", None), CSQ, IDENT, 0.16)
