@@ -146,18 +146,34 @@ def _failures_note(failures, kind):
             click.echo(json.dumps(f._asdict()), err=True)
 
 
+def _fail(kind, code, message):
+    click.echo(json.dumps({"error": {"type": kind, "message": message}}), err=True)
+    sys.exit(code)
+
+
+# click >= 8.2 shows the help for a bare ``qtl`` by raising this usage error
+_NO_ARGS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
 class _Main(click.Group):
-    """The qtl group: any failure below it ends as one JSON error object."""
+    """The qtl group: any failure in its own options or below it ends as
+    one JSON error object."""
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        try:
+            return super().make_context(info_name, args, parent=parent, **extra)
+        except click.ClickException as exc:
+            if isinstance(exc, _NO_ARGS_HELP):
+                raise
+            _fail("schema", 2, exc.format_message())
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except click.ClickException as exc:
-            kind, code, message = "schema", 2, exc.format_message()
+            _fail("schema", 2, exc.format_message())
         except ValueError as exc:
-            kind, code, message = "domain", 1, str(exc)
-        click.echo(json.dumps({"error": {"type": kind, "message": message}}), err=True)
-        sys.exit(code)
+            _fail("domain", 1, str(exc))
 
 
 @click.group(cls=_Main)

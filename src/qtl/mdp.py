@@ -61,8 +61,10 @@ class LagrangianProblem:
 
     def __init__(self, beta1, beta2, service_actions, arrival_actions,
                  cost_fn, utility_fn=None, state_cap=500, r_u=None):
-        if beta1 < 0 or beta2 < 0:
-            raise ValueError("multipliers must be non-negative")
+        for name, beta in (("beta1", beta1), ("beta2", beta2)):
+            if not (math.isfinite(beta) and beta >= 0):
+                raise ValueError("multiplier %s must be finite and non-negative, "
+                                 "got %r" % (name, beta))
         service_actions = sorted(float(a) for a in service_actions)
         arrival_actions = sorted(float(a) for a in arrival_actions)
         if not service_actions or not arrival_actions:
@@ -267,7 +269,7 @@ def trace_tradeoff(base, beta1_grid, beta2_grid, tol=1e-9):
     b2 = [float(b) for b in beta2_grid]
     if not b1 or not b2:
         raise ValueError("multiplier grids must be non-empty")
-    if min(b1) < 0 or min(b2) < 0:
+    if any(b < 0 for b in b1 + b2):
         raise ValueError("multipliers must be non-negative")
 
     points = []

@@ -5,8 +5,14 @@ as a continuous-time chain with exponential holding times at total rate
 lambda(q) + mu(q), and Qbar, Cbar, Ubar are time integrals over the
 post-warmup window.  Replications use RNG streams spawned from one seed,
 so results are reproducible bit for bit and replication order cannot
-matter.  The event loop walks the policy's runs of constant rate, which
-it enters and leaves one state at a time, so it never looks a rate up.
+matter.  Each replication's stream spawns two of its own: uniforms that
+send each jump up or down, and standard exponentials for the holding
+times.  The path is built BLOCK events at a time.  A Python loop walks the
+jump chain over the policy's runs of constant rate, which it enters and
+leaves one state at a time, so it never looks a rate up; numpy then draws
+the block's holding times and integrates q, c and u over them.  Either
+stream yields the same draws at any block size, so the block size moves
+only the rounding of the integrals.
 """
 
 import math
@@ -15,6 +21,10 @@ from collections import namedtuple
 import numpy as np
 
 from .birth_death import is_stable, rate_value
+
+# The walk runs to the end of the block that crosses the horizon, so the
+# uniforms past it are wasted; 2**12 beat 2**14 by about 2x on criterion 8.
+BLOCK = 2 ** 12
 
 SimConfig = namedtuple("SimConfig", ["horizon", "replications", "seed", "warmup_fraction"])
 SimConfig.__new__.__defaults__ = (10000.0, 10, 0, 0.1)
@@ -26,38 +36,58 @@ SimEstimate = namedtuple(
 
 
 def _runs(p, c, u):
-    """(first, last, lambda, lambda + mu, c(mu), u(lambda)) per run of both rules."""
+    """Runs of both rules: the walk's (first, last, P(up), lambda + mu) per
+    run, the run starts, lambda + mu per run and (c(mu), u(lambda)) rows."""
     starts = sorted(set(p.runs("lam")[0]) | set(p.runs("mu")[0]))
-    rates = [(p.arrival(q), p.service(q)) for q in starts]
-    return [(q, end - 1, lam, lam + mu, rate_value(c, mu), rate_value(u, lam))
-            for q, end, (lam, mu) in zip(starts, starts[1:] + [math.inf], rates)]
+    lam = [p.arrival(q) for q in starts]
+    mu = [p.service(q) for q in starts]
+    total = [a + s for a, s in zip(lam, mu)]
+    walk = [(q, end - 1, a / r if r > 0.0 else 0.0, r)
+            for q, end, a, r in zip(starts, starts[1:] + [math.inf], lam, total)]
+    cu = np.array([[rate_value(c, s) for s in mu], [rate_value(u, a) for a in lam]])
+    return walk, np.array(starts), np.array(total), cu
 
 
-def _replicate(runs, cfg, rng):
+def _replicate(runs, cfg, seq):
+    walk, starts, total, cu = runs
+    jump, hold = (np.random.default_rng(s) for s in seq.spawn(2))
     warmup_end = cfg.warmup_fraction * cfg.horizon
-    span = cfg.horizon - warmup_end
-    q = 0
+    q = i = 0
     t = 0.0
-    acc_q = acc_c = acc_u = 0.0
-    i = 0
-    first, last, lam, total, c_q, u_q = runs[0]
-    while t < cfg.horizon:
-        if total <= 0.0:
+    acc = np.zeros(3)
+    first, last, up, rate = walk[0]
+    while True:
+        path = []
+        visit = path.append
+        if rate > 0.0:
+            for x in jump.random(BLOCK).tolist():
+                visit(q)
+                if x < up:
+                    q += 1
+                    if q <= last:
+                        continue
+                    i += 1
+                else:
+                    q -= 1
+                    if q >= first:
+                        continue
+                    i -= 1
+                first, last, up, rate = walk[i]
+                if rate <= 0.0:
+                    break
+        states = np.fromiter(path, np.int64, len(path))
+        k = np.searchsorted(starts, states, side="right") - 1
+        edges = np.cumsum(np.concatenate(
+            ([t], hold.standard_exponential(len(path)) / total[k])))
+        seg = np.minimum(edges[1:], cfg.horizon) - np.maximum(edges[:-1], warmup_end)
+        np.maximum(seg, 0.0, out=seg)
+        acc[0] += seg @ states
+        acc[1:] += cu.take(k, axis=1) @ seg
+        t = edges[-1]
+        if t >= cfg.horizon:
+            return tuple(acc / (cfg.horizon - warmup_end))
+        if rate <= 0.0:
             raise ValueError("absorbing state q=%d: no arrivals, no service" % q)
-        t_next = t + rng.exponential(1.0 / total)
-        seg = min(t_next, cfg.horizon) - max(t, warmup_end)
-        if seg > 0.0:
-            acc_q += q * seg
-            acc_c += c_q * seg
-            acc_u += u_q * seg
-        if t_next >= cfg.horizon:
-            break
-        q = q + 1 if rng.random() < lam / total else q - 1
-        if not first <= q <= last:
-            i += 1 if q > last else -1
-            first, last, lam, total, c_q, u_q = runs[i]
-        t = t_next
-    return acc_q / span, acc_c / span, acc_u / span
 
 
 def simulate(p, cfg, c, u=None):
@@ -80,8 +110,7 @@ def simulate(p, cfg, c, u=None):
 
     runs = _runs(p, c, u)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
-    reps = np.array([_replicate(runs, cfg, np.random.default_rng(s))
-                     for s in streams])
+    reps = np.array([_replicate(runs, cfg, s) for s in streams])
 
     means = reps.mean(axis=0)
     if cfg.replications == 1:

@@ -7,7 +7,9 @@ forms, and 60-digit arithmetic for threshold indices.  The per-state
 loops below are the library's earlier implementations, kept as references
 that its vectorized and run-based code must reproduce bit for bit; they
 read a policy only through arrival(q), service(q), its horizon, tails and
-rate bounds.  Nothing in this module imports the package.
+rate bounds.  The simulator's reference walks its path one event at a
+time and must agree with the block-drawn simulator up to the rounding of
+its sums.  Nothing in this module imports the package.
 """
 
 import math
@@ -133,6 +135,40 @@ def loop_metrics(p, window, c, u):
         mean_srv += p.mu_tail * tail_mass
     dbar = qbar / mean_arr if mean_arr > 0 else math.inf
     return qbar, cbar, ubar, dbar, mean_arr, mean_srv
+
+
+def loop_replicate(p, horizon, warmup_fraction, seq, c, u):
+    """One simulation replication's (Qbar, Cbar, Ubar), one event at a time.
+
+    ``seq`` spawns a jump stream of uniforms and a hold stream of standard
+    exponentials; each event draws its holding time from the one and, if
+    it ends before ``horizon``, its direction from the other.  The rates
+    come from arrival(q) and service(q) at every event.  ``c`` and ``u``
+    are plain callables as in loop_metrics.  A state with no arrivals and
+    no service reached before ``horizon`` is a ValueError naming it.
+    """
+    jump, hold = (np.random.default_rng(s) for s in seq.spawn(2))
+    warmup_end = warmup_fraction * horizon
+    q = 0
+    t = 0.0
+    acc_q = acc_c = acc_u = 0.0
+    while t < horizon:
+        lam, mu = p.arrival(q), p.service(q)
+        total = lam + mu
+        if total <= 0.0:
+            raise ValueError("absorbing state q=%d: no arrivals, no service" % q)
+        t_next = t + hold.standard_exponential() / total
+        seg = min(t_next, horizon) - max(t, warmup_end)
+        if seg > 0.0:
+            acc_q += q * seg
+            acc_c += (0.0 if mu == 0.0 else c(mu)) * seg
+            acc_u += (0.0 if (u is None or lam == 0.0) else u(lam)) * seg
+        if t_next >= horizon:
+            break
+        q = q + 1 if jump.random() < lam / total else q - 1
+        t = t_next
+    span = horizon - warmup_end
+    return acc_q / span, acc_c / span, acc_u / span
 
 
 def dense_rules(lam_pieces, lam_tail, mu_pieces, mu_tail):

@@ -367,6 +367,24 @@ def test_malformed_input_is_a_json_error(runner, args, code):
     error_of(runner.invoke(main, args, catch_exceptions=False), code)
 
 
+@pytest.mark.parametrize("flag", ["--beta1", "--beta2"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_solve_non_finite_multiplier_named(runner, flag, value):
+    res = runner.invoke(main, ["solve", "--cost", CSQ, "--utility", USQRT] + LOG_GRID
+                        + [flag, value], catch_exceptions=False)
+    assert flag[2:] in error_of(res, 1)
+
+
+def test_unknown_group_option_is_a_json_error(runner):
+    assert "--bogus" in error_of(runner.invoke(main, ["--bogus"],
+                                               catch_exceptions=False), 2)
+
+
+def test_bare_group_still_shows_help(runner):
+    res = runner.invoke(main, [], catch_exceptions=False)
+    assert "Usage:" in res.output and '"error"' not in res.output
+
+
 ENV_SPEC = json.dumps({"kind": "piecewise", "points": json.loads(POINTS)})
 
 

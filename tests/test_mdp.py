@@ -219,6 +219,24 @@ def test_trace_records_failures(monkeypatch):
     assert "converge" in fails[0].error
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_bad_multipliers_refused(bad):
+    with pytest.raises(ValueError, match="beta1"):
+        LagrangianProblem(bad, 0.0, S, [0.4], CDISC)
+    with pytest.raises(ValueError, match="beta2"):
+        LagrangianProblem(0.0, bad, S, [0.4], CDISC, IDENT)
+
+
+def test_trace_nan_point_is_a_failure():
+    pts, fails = trace_tradeoff(problem(0.0, cap=200), [0.0, math.nan], [0.0])
+    assert [p.beta1 for p in pts] == [0.0]
+    assert len(fails) == 1 and math.isnan(fails[0].beta1)
+    assert "beta1" in fails[0].error
+    # a NaN ahead of a negative multiplier does not hide it from the grid check
+    with pytest.raises(ValueError, match="non-negative"):
+        trace_tradeoff(problem(0.0, cap=200), [math.nan, -1.0], [0.0])
+
+
 def test_cap_doubling_insensitive():
     m1 = exact_metrics(solve(problem(50.0, cap=500)).policy, CDISC)
     m2 = exact_metrics(solve(problem(50.0, cap=1000)).policy, CDISC)

@@ -1,18 +1,52 @@
 import math
 
+import numpy as np
 import pytest
 
 from qtl import (
     SimConfig,
     constant_policy,
+    discrete_function,
+    evaluate,
     exact_metrics,
+    lower_convex_envelope,
     policy_from_pieces,
     power_function,
+    sim,
     simulate,
 )
+from qtl.policy_families import (
+    lambda_mu_policy,
+    mc1_policy,
+    mc21_policy,
+    mc22_policy,
+    mc23_policy,
+)
+import oracles
 
 CSQ = power_function(2.0)
 IDENT = power_function(1.0, role="utility")
+USQRT = power_function(0.5, role="utility")
+ENV = lower_convex_envelope(
+    discrete_function([(s, s * s) for s in (0, 0.2, 0.4, 0.5, 0.6, 0.8, 1)]))
+BLOCKS = (1, 7, sim.BLOCK)
+
+# (policy, cost, utility, horizon, warmup fraction).  The first ten end
+# inside the first default block, the last two span two or three.
+ORACLE_CASES = [
+    (constant_policy(0.25, 1.0), CSQ, None, 4.0, 0.0),
+    (constant_policy(0.4, 1.0), CSQ, IDENT, 300.0, 0.1),
+    (policy_from_pieces([], 0.4, [[1, 2, 0.5]], 1.0), CSQ, USQRT, 500.0, 0.0),
+    (policy_from_pieces([[0, 3, 0.6]], 0.3, [[1, 5, 0.5]], 0.9), CSQ, None, 500.0, 0.1),
+    (mc22_policy(0.39, 0.2, 0.4, 2.0 ** -6), ENV, USQRT, 2000.0, 0.1),
+    (mc22_policy(0.39, 0.2, 0.4, 2.0 ** -8), ENV, None, 1500.0, 0.0),
+    (mc23_policy(0.40, 0.1, 2.0 ** -5, next_corner=0.5), ENV, USQRT, 2000.0, 0.0),
+    (mc1_policy(0.5, 2.0 ** -6, K=0.5), CSQ, USQRT, 2000.0, 0.1),
+    (mc21_policy(0.1, 0.2, 1.0, 3), ENV, None, 1000.0, 0.1),
+    (lambda_mu_policy(0.4, 2.0 ** -6, eps=0.05, K=10), CSQ, IDENT, 1000.0, 0.1),
+    (mc1_policy(0.5, 2.0 ** -6, K=0.5), CSQ, USQRT, 10000.0, 0.0),
+    (constant_policy(0.4, 1.0), CSQ, IDENT, 12000.0, 0.1),
+]
 
 
 def test_same_seed_same_numbers():
@@ -87,3 +121,27 @@ def test_interval_shrinks_with_replications():
     small = simulate(p, SimConfig(2000.0, 4, 5, 0.1), CSQ)
     large = simulate(p, SimConfig(2000.0, 32, 5, 0.1), CSQ)
     assert large.qbar_halfwidth < small.qbar_halfwidth
+
+
+def _plain(fn):
+    return None if fn is None else (lambda r: evaluate(fn, r))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_block_kernel_matches_event_loop(monkeypatch, block):
+    monkeypatch.setattr(sim, "BLOCK", block)
+    for i, (p, c, u, horizon, warmup) in enumerate(ORACLE_CASES):
+        got = sim._replicate(sim._runs(p, c, u), SimConfig(horizon, 1, 0, warmup),
+                             np.random.SeedSequence(i))
+        want = oracles.loop_replicate(p, horizon, warmup, np.random.SeedSequence(i),
+                                      _plain(c), _plain(u))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_absorbing_state_mid_path_rejected(monkeypatch, block):
+    # no arrivals and no service at q=3 traps the chain there; the tail is stable
+    monkeypatch.setattr(sim, "BLOCK", block)
+    p = policy_from_pieces([[3, 3, 0.0]], 0.4, [[3, 3, 0.0]], 1.0)
+    with pytest.raises(ValueError, match="absorbing state q=3"):
+        simulate(p, SimConfig(1000.0, 2, 0, 0.1), CSQ)
