@@ -24,6 +24,7 @@ from .birth_death import (  # noqa: F401
     feasibility,
     is_admissible,
     is_stable,
+    mass_below,
     metrics,
     pi_at,
     policy_from_json,

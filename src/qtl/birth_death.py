@@ -14,30 +14,37 @@ The recurrent class of the birth death process is the contiguous window
     q_rl = max{q : mu(q) = 0}   ...   q_ru = min{q : lambda(q) = 0},
 
 with q_ru unbounded when arrivals never vanish.  The stationary
-distribution is computed by the detailed-balance recursion
+distribution follows the detailed-balance recursion
 
-    pi(q) lambda(q) = pi(q+1) mu(q+1)
+    pi(q) lambda(q) = pi(q+1) mu(q+1),
 
-run in log space over the window, with the geometric tail beyond the
-horizon summed in closed form, so normalization and the moments carry no
-truncation error beyond float rounding.  Transient states below q_rl get
-probability zero, which makes the queue-length offset of the relabeled
-chain automatic.
+which is geometric within each joint run of constant (lambda, mu).  So
+``stationary`` returns one segment per run in the window, in log space,
+with the geometric tail beyond the horizon as a last segment of infinite
+length; each segment's mass and mean come in closed form, so nothing is
+truncated and the cost does not grow with the window.  Transient states
+below q_rl carry no segment and thus probability zero, which makes the
+queue-length offset of the relabeled chain automatic.
 """
 
 import bisect
-import functools
 import math
 import numbers
 from collections import namedtuple
 
-import numpy as np
-
 from .rate_functions import evaluate
 
+# segments cover the recurrent window (q_lo, q_ru) = window in state order;
+# q_max is the last state before the geometric tail of ratio tail_ratio and
+# tail_mass the tail's mass (q_ru, 0 and 0 for a finite window)
 StationaryResult = namedtuple(
-    "StationaryResult", ["pi", "q_lo", "q_max", "tail_mass", "tail_ratio", "window"]
-)
+    "StationaryResult",
+    ["segments", "q_lo", "q_max", "tail_mass", "tail_ratio", "window"])
+
+# a joint run of constant (lam, mu) within the recurrent window: pi(q) =
+# exp(log_pi + (q - first) log_ratio) for first <= q < first + length
+Segment = namedtuple(
+    "Segment", ["first", "length", "lam", "mu", "log_pi", "log_ratio", "mass"])
 
 Metrics = namedtuple(
     "Metrics", ["qbar", "cbar", "ubar", "dbar", "mean_arrival", "mean_service"]
@@ -74,15 +81,6 @@ class Policy(object):
         """(starts, rates) of the "lam" or "mu" rule, read-only, with the
         tail as a last run from horizon + 1 on."""
         return self._runs[rule]
-
-    def per_state(self, rule, lo, hi, fn=None):
-        """Rate of the "lam" or "mu" rule at each state lo..hi-1 as an array,
-        or ``fn`` of it, with ``fn`` called once per run."""
-        starts, rates = self._runs[rule]
-        counts = np.diff(np.append(np.clip(starts, lo, hi), hi))
-        rates = [r for r, n in zip(rates, counts) if n > 0]
-        vals = rates if fn is None else [fn(r) for r in rates]
-        return np.repeat(np.array(vals, dtype=float), counts[counts > 0])
 
     def arrival(self, q):
         starts, rates = self._runs["lam"]
@@ -252,18 +250,16 @@ def is_stable(p):
     return p.lam_tail < p.mu_tail
 
 
-def stationary(p, tail_tol=1e-12, max_states=2_000_000):
-    """Exact stationary distribution over the recurrent window.
+def stationary(p):
+    """Exact stationary distribution over the recurrent window, as segments.
 
-    The detailed-balance products are accumulated as logs; beyond the
-    horizon the chain is geometric with ratio rho = lambda_tail/mu_tail
-    and its mass is summed in closed form, so the result is exact up to
-    float rounding.  The returned array covers [q_lo, q_max] chosen so the
-    analytic tail mass beyond q_max is below ``tail_tol``; that mass is
-    reported (and accounted for in the moments), not dropped.
+    Each segment is a joint run of constant (lambda, mu) clipped to the
+    window, so pi is geometric within it (flat on a zero-drift plateau) and
+    its mass and mean have closed forms.  An infinite window ends in the
+    geometric tail beyond the horizon, a segment of infinite length.  Work
+    and memory scale with the number of runs, not of states, and nothing is
+    truncated.
     """
-    if not (0 < tail_tol <= 1e-6):
-        raise ValueError("tail_tol must be in (0, 1e-6]")
     q_rl, q_ru = recurrent_window(p)
     if math.isinf(q_rl):
         raise ValueError("policy never serves; no stationary distribution")
@@ -274,66 +270,79 @@ def stationary(p, tail_tol=1e-12, max_states=2_000_000):
         raise ValueError(
             "unstable tail: lambda=%g >= mu=%g" % (p.lam_tail, p.mu_tail))
 
-    head_end = q_ru if finite else p.horizon + 1
-    if head_end - q_rl + 1 > max_states:
-        raise ValueError("the window from q=%d to q=%d needs %d states (cap %d)"
-                         % (q_rl, head_end, head_end - q_rl + 1, max_states))
-    # logf[k] = (logf[k-1] + log lambda(q_rl+k-1)) - log mu(q_rl+k), added in
-    # that order as a running sum over the two logs interleaved
-    k = head_end - q_rl
-    logf = np.zeros(2 * k + 1)
-    logf[1::2] = p.per_state("lam", q_rl, head_end, math.log)
-    logf[2::2] = -p.per_state("mu", q_rl + 1, head_end + 1, math.log)
-    logf = np.cumsum(logf, out=logf)[::2].copy()
-
+    # unnormalized log pi at each segment's first state, from log pi(q_rl) = 0
+    # by detailed balance; a one-state segment (mu = 0 at q_rl, lambda = 0
+    # at q_ru) gets ratio 0, as it never steps within itself
+    starts = sorted(set(p.runs("lam")[0]) | set(p.runs("mu")[0]))
+    runs, log_w = [], 0.0
+    for a, b in zip(starts, starts[1:] + [math.inf]):
+        first, end = max(a, q_rl), min(b, q_ru + 1)
+        if first < end:
+            lam, mu, n = p.arrival(first), p.service(first), end - first
+            if runs:
+                _, n0, lam0, _, _, x0 = runs[-1]
+                log_w += (n0 - 1) * x0 + _log_ratio(lam0, mu)
+            runs.append((first, n, lam, mu, log_w, _log_ratio(lam, mu) if n > 1 else 0.0))
+    log_mass = [w + _log_geometric_sum(n, x) for _, n, _, _, w, x in runs]
+    top = max(log_mass)
+    log_z = top + math.log(math.fsum(math.exp(m - top) for m in log_mass))
+    segments = [Segment(first, n, lam, mu, w - log_z, x, math.exp(m - log_z))
+                for (first, n, lam, mu, w, x), m in zip(runs, log_mass)]
     if finite:
-        q_max = head_end
-        rho = 0.0
-        w = np.exp(logf - logf.max())
-        total = np.sum(w)
-        pi = w / total
-        tail_mass = 0.0
-    else:
-        rho = p.lam_tail / p.mu_tail
-        log_rho = math.log(rho)
-        # head covers [q_rl, q_h + 1]; everything beyond decays by rho
-        m = logf.max()
-        head_sum = np.sum(np.exp(logf - m))
-        tail_sum = math.exp(logf[-1] - m) * rho / (1.0 - rho)
-        log_total = m + math.log(head_sum + tail_sum)
-        # extend until pi(q_max) * rho/(1-rho) < tail_tol
-        target = math.log(tail_tol) + math.log((1.0 - rho) / rho) + log_total
-        extra = (target - logf[-1]) / log_rho
-        extra = max(0, int(math.ceil(extra)))
-        q_max = head_end + extra
-        if q_max - q_rl + 1 > max_states:
-            # in log space, where a far-off achieved mass cannot underflow
-            log_achieved = (logf[-1] + (max_states - (head_end - q_rl) - 1) * log_rho
-                            + math.log(rho / (1.0 - rho)) - log_total)
-            raise ValueError(
-                "tail ratio %g needs %d states for tol %g (cap %d, achieved "
-                "tail mass 10^%.3g)" % (rho, q_max - q_rl + 1, tail_tol,
-                                         max_states, log_achieved / math.log(10)))
-        logf_all = np.concatenate(
-            [logf, logf[-1] + log_rho * np.arange(1, extra + 1)])
-        w = np.exp(logf_all - m)
-        tail_w = w[-1] * rho / (1.0 - rho)
-        total = np.sum(w) + tail_w
-        pi = w / total
-        tail_mass = float(tail_w / total)
+        return StationaryResult(segments, q_rl, q_ru, 0.0, 0.0, (q_rl, q_ru))
+    tail = segments[-1]
+    return StationaryResult(segments, q_rl, tail.first - 1, tail.mass,
+                            p.lam_tail / p.mu_tail, (q_rl, q_ru))
 
-    return StationaryResult(pi, q_rl, q_max, tail_mass, rho, (q_rl, q_ru))
+
+def _log_ratio(a, b):
+    # log(a/b); within a factor 2, a - b is exact and log1p keeps the digits
+    # of a ratio near 1
+    r = a / b
+    return math.log1p((a - b) / b) if 0.5 < r < 2.0 else math.log(r)
+
+
+def _log_geometric_sum(n, x):
+    # log sum_{j<n} e^{j x}, for n = inf only with x < 0
+    if x == 0.0:
+        return math.log(n)
+    if math.isinf(n):
+        return -math.log(-math.expm1(x))
+    s = abs(x)
+    return (n - 1) * max(x, 0.0) + math.log(-math.expm1(-n * s)) - math.log(-math.expm1(-s))
+
+
+def _mean_offset(n, x):
+    # mean of j under weights e^{j x}, j < n
+    if abs(n * x) < 1e-2:
+        # series in x, truncated below 1e-14 relative; the closed form below
+        # cancels two terms of order 1/x
+        n2 = n * n
+        return (n - 1) / 2 + x * ((n2 - 1) / 12 - x * x * (n2 * n2 - 1) / 720)
+    s = abs(x)
+    back = 0.0 if math.isinf(n) else n * math.exp(-n * s) / -math.expm1(-n * s)
+    down = math.exp(-s) / -math.expm1(-s) - back
+    return down if x < 0 else (n - 1) - down
 
 
 def pi_at(sr, q):
-    """pi(q) including transient zeros and the analytic geometric tail."""
-    if q < sr.q_lo:
-        return 0.0
-    if q <= sr.q_max:
-        return float(sr.pi[q - sr.q_lo])
-    if sr.tail_ratio == 0.0:
-        return 0.0
-    return float(sr.pi[-1] * sr.tail_ratio ** (q - sr.q_max))
+    """pi(q), zero at transient and unreachable states."""
+    for s in sr.segments:
+        if s.first <= q < s.first + s.length:
+            return math.exp(s.log_pi + (q - s.first) * s.log_ratio)
+    return 0.0
+
+
+def mass_below(sr, q):
+    """Stationary mass of the states below q."""
+    parts = []
+    for s in sr.segments:
+        if s.first >= q:
+            break
+        n = q - s.first
+        parts.append(s.mass if n >= s.length
+                     else math.exp(s.log_pi + _log_geometric_sum(n, s.log_ratio)))
+    return math.fsum(parts)
 
 
 def rate_value(fn, r):
@@ -346,43 +355,28 @@ def rate_value(fn, r):
 def metrics(p, sr, c, u):
     """Performance triple and delay for a policy under cost c and utility u.
 
-    Qbar picks up the transient offset automatically because the window
-    states keep their absolute labels.  The geometric tail contributes its
-    closed-form mass and first moment, so nothing is truncated.  Rates must
-    be evaluable under the respective function (for a discrete cost that
-    means every service rate used is a sample).
+    Each segment contributes its mass times its rates' values, and its mass
+    times its mean state to Qbar, so transient states and the geometric
+    tail need no special case.  Rates must be evaluable under the
+    respective function (for a discrete cost that means every service rate
+    used is a sample).
     """
-    lo, hi = sr.q_lo, sr.q_max + 1
-    qs = np.arange(lo, hi)
-    lam_q = p.per_state("lam", lo, hi)
-    mu_q = p.per_state("mu", lo, hi)
-    c_q = p.per_state("mu", lo, hi, functools.partial(rate_value, c))
-    u_q = p.per_state("lam", lo, hi, functools.partial(rate_value, u))
+    segs = sr.segments
 
-    qbar = float(np.dot(qs, sr.pi))
-    cbar = float(np.dot(c_q, sr.pi))
-    ubar = float(np.dot(u_q, sr.pi))
-    mean_arr = float(np.dot(lam_q, sr.pi))
-    mean_srv = float(np.dot(mu_q, sr.pi))
+    def mean(values):
+        return math.fsum(s.mass * v for s, v in zip(segs, values))
 
-    if sr.tail_mass > 0.0:
-        rho = sr.tail_ratio
-        pi_top = float(sr.pi[-1])
-        # sum_{j>=1} (q_max + j) rho^j pi(q_max)
-        qbar += pi_top * (sr.q_max * rho / (1.0 - rho) + rho / (1.0 - rho) ** 2)
-        cbar += evaluate(c, p.mu_tail) * sr.tail_mass
-        if u is not None:
-            ubar += evaluate(u, p.lam_tail) * sr.tail_mass
-        mean_arr += p.lam_tail * sr.tail_mass
-        mean_srv += p.mu_tail * sr.tail_mass
-
+    qbar = mean(s.first + _mean_offset(s.length, s.log_ratio) for s in segs)
+    cbar = mean(rate_value(c, s.mu) for s in segs)
+    ubar = mean(rate_value(u, s.lam) for s in segs)
+    mean_arr = mean(s.lam for s in segs)
+    mean_srv = mean(s.mu for s in segs)
     dbar = qbar / mean_arr if mean_arr > 0 else math.inf
-    return Metrics(float(qbar), float(cbar), float(ubar), float(dbar),
-                   float(mean_arr), float(mean_srv))
+    return Metrics(qbar, cbar, ubar, dbar, mean_arr, mean_srv)
 
 
-def exact_metrics(p, c, u=None, tail_tol=1e-12):
-    return metrics(p, stationary(p, tail_tol=tail_tol), c, u)
+def exact_metrics(p, c, u=None):
+    return metrics(p, stationary(p), c, u)
 
 
 def feasibility(c, u, c_c, u_c, tol=1e-12):

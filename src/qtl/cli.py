@@ -212,13 +212,12 @@ def feasibility(cost, utility, cc, uc, out):
 @click.option("--policy", required=True, help="policy JSON (or @file)")
 @click.option("--cost", required=True)
 @click.option("--utility", default=None)
-@click.option("--tail-tol", type=float, default=1e-12, show_default=True)
 @click.option("--out", default=None)
-def eval_cmd(policy, cost, utility, tail_tol, out):
+def eval_cmd(policy, cost, utility, out):
     """Exact stationary metrics of a policy (JSON)."""
     p = _decode(policy, "policy", policy_from_json)
     c, u = _functions(cost, utility)
-    m = exact_metrics(p, c, u, tail_tol=tail_tol)
+    m = exact_metrics(p, c, u)
     try:
         bound = qlength_upper_bound(p)
     except ValueError:

@@ -54,13 +54,12 @@ class LagrangianProblem:
     """Relaxed control problem: multipliers, action sets, stage-cost pieces.
 
     service_actions / arrival_actions are finite rate sets (ascending
-    order enforced here).  r_u defaults to max arrival + max service,
-    the smallest valid uniformization rate.  utility_fn may be None when
-    beta2 == 0.
+    order enforced here).  r_u is max arrival + max service, the smallest
+    valid uniformization rate.  utility_fn may be None when beta2 == 0.
     """
 
     def __init__(self, beta1, beta2, service_actions, arrival_actions,
-                 cost_fn, utility_fn=None, state_cap=500, r_u=None):
+                 cost_fn, utility_fn=None, state_cap=500):
         for name, beta in (("beta1", beta1), ("beta2", beta2)):
             if not (math.isfinite(beta) and beta >= 0):
                 raise ValueError("multiplier %s must be finite and non-negative, "
@@ -73,12 +72,6 @@ class LagrangianProblem:
             raise ValueError("rates must be non-negative")
         if state_cap < 10:
             raise ValueError("state_cap must be at least 10")
-        r_min = service_actions[-1] + arrival_actions[-1]
-        if r_u is None:
-            r_u = r_min
-        if r_u < r_min - 1e-12:
-            raise ValueError(
-                "r_u=%g below max arrival + max service = %g" % (r_u, r_min))
         if beta2 > 0 and utility_fn is None:
             raise ValueError("beta2 > 0 needs a utility function")
         self.beta1 = float(beta1)
@@ -88,12 +81,12 @@ class LagrangianProblem:
         self.cost_fn = cost_fn
         self.utility_fn = utility_fn
         self.state_cap = int(state_cap)
-        self.r_u = float(r_u)
+        self.r_u = service_actions[-1] + arrival_actions[-1]
 
     def with_multipliers(self, beta1, beta2):
         return LagrangianProblem(
             beta1, beta2, self.service_actions, self.arrival_actions,
-            self.cost_fn, self.utility_fn, self.state_cap, self.r_u)
+            self.cost_fn, self.utility_fn, self.state_cap)
 
 
 def uniform_actions(r_max, n=201):

@@ -38,7 +38,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .birth_death import exact_metrics, metrics, pi_at, stationary
+from .birth_death import exact_metrics, mass_below, metrics, pi_at, stationary
 from .rate_functions import (
     _check_tag, _second_derivative, _segment_slopes, evaluate, support_line)
 
@@ -137,29 +137,9 @@ def classify_regime(samples, tag=None):
     return ScalingFit(best, best_coeffs, residuals[best], verdict, residuals)
 
 
-def _running_total(parts):
-    # the values one by one in state order, as a running total adds them
-    values = np.concatenate([np.zeros(0)] + parts)
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
-
-
-def _service_mass_outside(p, sr, low, high):
-    starts, rates = p.runs("mu")
-    parts = []
-    for first, end, r in zip(starts, starts[1:] + [math.inf], rates):
-        lo, hi = max(first, sr.q_lo), min(end, sr.q_max + 1)
-        if lo < hi and (r < low - 1e-12 or r > high + 1e-12):
-            parts.append(sr.pi[lo - sr.q_lo:hi - sr.q_lo])
-    total = _running_total(parts)
-    if sr.tail_mass > 0.0:
-        r = p.mu_tail
-        if r < low - 1e-12 or r > high + 1e-12:
-            total += sr.tail_mass
-    return total
-
-
-def _mass_below(sr, q_star):
-    return _running_total([sr.pi[:max(q_star - sr.q_lo, 0)]])
+def _service_mass_outside(sr, low, high):
+    return math.fsum(s.mass for s in sr.segments
+                     if s.mu < low - 1e-12 or s.mu > high + 1e-12)
 
 
 def _first_service_at_least(p, threshold, strict=False):
@@ -214,7 +194,7 @@ def audit_lower_bound(p, tag, c, u, c_ref):
         anchor = tag.anchor
         a2 = 2.0 / math.sqrt(a1)
         eps_v = a2 * math.sqrt(v)
-        lhs = _service_mass_outside(p, sr, anchor - eps_v, anchor + eps_v)
+        lhs = _service_mass_outside(sr, anchor - eps_v, anchor + eps_v)
         checks.append(_check(
             "rate-mass", lhs, v / (a1 * eps_v * eps_v),
             "eps_V = %g = (2/sqrt(a1)) sqrt(V)" % eps_v))
@@ -242,7 +222,7 @@ def audit_lower_bound(p, tag, c, u, c_ref):
         else:
             a, b = tag.window
             eps = 0.25 * (b - a)
-            lhs = _service_mass_outside(p, sr, a - eps, b + eps)
+            lhs = _service_mass_outside(sr, a - eps, b + eps)
             checks.append(_check(
                 "rate-mass", lhs, v / (sl.m_a * eps),
                 "fixed eps = %g, m_a = %g" % (eps, sl.m_a)))
@@ -250,7 +230,7 @@ def audit_lower_bound(p, tag, c, u, c_ref):
         sl = support_line(c, tag)
         a2 = 4.0 / sl.m_a
         eps_v = a2 * v
-        lhs = _service_mass_outside(p, sr, tag.anchor - eps_v, tag.anchor + eps_v)
+        lhs = _service_mass_outside(sr, tag.anchor - eps_v, tag.anchor + eps_v)
         checks.append(_check(
             "rate-mass", lhs, v / (sl.m_a * eps_v),
             "eps_V = %g = (4/m_a) V" % eps_v))
@@ -273,7 +253,7 @@ def audit_lower_bound(p, tag, c, u, c_ref):
                         "low-rate-mass", "every state serves below anchor - eps"))
                 else:
                     checks.append(_check(
-                        "low-rate-mass", _mass_below(sr, q_star), rhs,
+                        "low-rate-mass", mass_below(sr, q_star), rhs,
                         "q* = %d, fixed eps = %g" % (q_star, eps)))
                     checks.append(_check(
                         "boundary-state", pi_at(sr, q_star - 1), rhs,

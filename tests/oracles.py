@@ -1,15 +1,18 @@
 """Independent recomputation routes for values frozen in the tests.
 
-The library computes stationary distributions with a detailed-balance
-recursion and float arithmetic; everything here goes another way: dense
-global-balance least squares, exact rational arithmetic for the closed
-forms, and 60-digit arithmetic for threshold indices.  The per-state
-loops below are the library's earlier implementations, kept as references
-that its vectorized and run-based code must reproduce bit for bit; they
-read a policy only through arrival(q), service(q), its horizon, tails and
-rate bounds.  The simulator's reference walks its path one event at a
-time and must agree with the block-drawn simulator up to the rounding of
-its sums.  Nothing in this module imports the package.
+The library computes stationary distributions with per-run closed forms
+in log space and float arithmetic; everything here goes another way:
+dense global-balance least squares, exact rational arithmetic for the
+closed forms, 60-digit arithmetic for threshold indices and 50-digit
+power sums for the stationary law of long runs.  The per-state loops
+below are the library's earlier implementations, kept as references that
+its run-based code must reproduce, bit for bit where the arithmetic is
+the same and to a stated tolerance for the stationary law, whose sums
+now run in another order; they read a policy only through arrival(q),
+service(q), its horizon, tails and rate bounds.  The simulator's
+reference walks its path one event at a time and must agree with the
+block-drawn simulator up to the rounding of its sums.  Nothing in this
+module imports the package.
 """
 
 import math
@@ -263,27 +266,34 @@ def loop_qlength_upper_bound(p):
     return best
 
 
-def loop_service_mass_outside(p, sr, low, high):
-    """Stationary mass of states serving outside [low, high], state by state."""
+def loop_service_mass_outside(p, window, low, high):
+    """Stationary mass of states serving outside [low, high], state by state.
+
+    ``window`` is loop_stationary's result.
+    """
+    pi, q_lo, q_max, tail_mass, _ = window
     total = 0.0
-    for i, q in enumerate(range(sr.q_lo, sr.q_max + 1)):
+    for i, q in enumerate(range(q_lo, q_max + 1)):
         r = p.service(q)
         if r < low - 1e-12 or r > high + 1e-12:
-            total += float(sr.pi[i])
-    if sr.tail_mass > 0.0:
+            total += float(pi[i])
+    if tail_mass > 0.0:
         r = p.mu_tail
         if r < low - 1e-12 or r > high + 1e-12:
-            total += sr.tail_mass
+            total += tail_mass
     return total
 
 
-def loop_mass_below(sr, q_star):
-    """Stationary mass of the window states below q_star, state by state."""
+def loop_mass_below(window, q_star):
+    """Stationary mass of the states below q_star, state by state.
+
+    ``window`` is loop_stationary's result; states past its q_max continue
+    its last value geometrically.
+    """
+    pi, q_lo, q_max, _, rho = window
     total = 0.0
-    for i, q in enumerate(range(sr.q_lo, sr.q_max + 1)):
-        if q >= q_star:
-            break
-        total += float(sr.pi[i])
+    for q in range(q_lo, q_star):
+        total += float(pi[q - q_lo]) if q <= q_max else float(pi[-1]) * rho ** (q - q_max)
     return total
 
 
@@ -294,6 +304,85 @@ def loop_first_service_at_least(p, threshold, strict=False):
         if (r > threshold) if strict else (r >= threshold):
             return q
     return None
+
+
+class MpChain:
+    """A birth-death chain given as runs, solved at ``dps`` decimal digits.
+
+    ``runs`` lists (length, lam, mu) from state 0 on, the tail rates hold
+    beyond them, and mu must be 0 at state 0.  The recurrent window runs
+    from the last zero-service state to the first zero-arrival state.
+    Within a run pi is geometric with ratio r = lam/mu, so each run's mass
+    and first moment are summed with the textbook power forms
+    (1 - r^n)/(1 - r) and r (1 - n r^(n-1) + (n-1) r^n)/(1 - r)^2 in mpmath;
+    the library's log-space forms and series share none of this.
+    """
+
+    def __init__(self, runs, lam_tail, mu_tail, dps=50):
+        self.dps = dps
+        with mpmath.workdps(dps):
+            chain, q = [], 0
+            for n, lam, mu in list(runs) + [(mpmath.inf, lam_tail, mu_tail)]:
+                chain.append((q, n, mpmath.mpf(lam), mpmath.mpf(mu)))
+                q += n
+            q_lo = max(a + n - 1 for a, n, _, mu in chain if mu == 0)
+            q_hi = min([a for a, _, lam, _ in chain if lam == 0] + [mpmath.inf])
+            self.segs = []
+            w = mpmath.mpf(1)
+            for a, n, lam, mu in chain:
+                a, b = max(a, q_lo), min(a + n, q_hi + 1)
+                if a >= b:
+                    continue
+                if self.segs:
+                    _, m, lam0, _, w0, r0 = self.segs[-1]
+                    w = w0 * r0 ** (m - 1) * lam0 / mu
+                r = lam / mu if b - a > 1 else mpmath.mpf(1)
+                self.segs.append((a, b - a, lam, mu, w, r))
+            self.z = sum(self._sums(n, r)[0] * w for _, n, _, _, w, r in self.segs)
+
+    @staticmethod
+    def _sums(n, r):
+        # (sum_{j<n} r^j, sum_{j<n} j r^j)
+        if r == 1:
+            return mpmath.mpf(n), mpmath.mpf(n) * (n - 1) / 2
+        if mpmath.isinf(n):
+            return 1 / (1 - r), r / (1 - r) ** 2
+        return ((1 - r ** n) / (1 - r),
+                r * (1 - n * r ** (n - 1) + (n - 1) * r ** n) / (1 - r) ** 2)
+
+    def pi(self, q):
+        with mpmath.workdps(self.dps):
+            for a, n, _, _, w, r in self.segs:
+                if a <= q < a + n:
+                    return float(w * r ** (q - a) / self.z)
+            return 0.0
+
+    def mass_below(self, q):
+        with mpmath.workdps(self.dps):
+            total = mpmath.mpf(0)
+            for a, n, _, _, w, r in self.segs:
+                if a < q:
+                    total += w * self._sums(min(n, q - a), r)[0]
+            return float(total / self.z)
+
+    def metrics(self, cost, util=None):
+        """(qbar, cbar, ubar, dbar, mean_arrival, mean_service) as floats.
+
+        ``cost`` and ``util`` map an mpf rate to an mpf; rate 0 maps to 0,
+        and so does every rate when ``util`` is None.
+        """
+        with mpmath.workdps(self.dps):
+            qbar = cbar = ubar = arr = srv = mpmath.mpf(0)
+            for a, n, lam, mu, w, r in self.segs:
+                s0, s1 = self._sums(n, r)
+                mass = w * s0 / self.z
+                qbar += (a * s0 + s1) * w / self.z
+                cbar += 0 if mu == 0 else cost(mu) * mass
+                ubar += 0 if (util is None or lam == 0) else util(lam) * mass
+                arr += lam * mass
+                srv += mu * mass
+            dbar = qbar / arr if arr > 0 else mpmath.inf
+            return tuple(float(x) for x in (qbar, cbar, ubar, dbar, arr, srv))
 
 
 def exact_chain_stats(lam, mu, lam_tail, mu_tail, cost=None, util=None):

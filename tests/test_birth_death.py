@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-import qtl.birth_death as birth_death
 from qtl import (
     Policy,
     check_admissible,
@@ -18,6 +17,7 @@ from qtl import (
     feasibility,
     is_admissible,
     is_stable,
+    mass_below,
     mc1_policy,
     metrics,
     pi_at,
@@ -30,7 +30,6 @@ from qtl import (
     stationary,
     sweep,
 )
-from qtl.scaling import SweepFailure
 
 CSQ = power_function(2.0)
 IDENT = power_function(1.0, role="utility")
@@ -144,7 +143,8 @@ def test_stationary_geometric():
     sr = stationary(constant_policy(0.4, 1.0))
     for q in range(50):
         assert abs(pi_at(sr, q) - 0.6 * 0.4 ** q) < 1e-12
-    assert sr.tail_mass < 1e-12
+    # the tail starts past the horizon q_h = 0 and holds all but pi(0)
+    assert sr.q_max == 0 and abs(sr.tail_mass - 0.4) < 1e-12
 
 
 def test_stationary_two_level_hand_values():
@@ -160,44 +160,67 @@ def test_stationary_two_level_hand_values():
 
 
 def test_stationary_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unstable tail"):
         stationary(constant_policy(0.5, 0.5))
-    with pytest.raises(ValueError):
-        stationary(constant_policy(0.4, 1.0), tail_tol=0.0)
-    with pytest.raises(ValueError):
-        stationary(constant_policy(0.4, 1.0), tail_tol=1e-3)
+    with pytest.raises(ValueError, match="never serves"):
+        stationary(policy_from_pieces([], 0.4, [], 0.0))
+    with pytest.raises(ValueError, match="absorbing"):
+        stationary(policy_from_pieces([(2, 3, 0.0)], 0.4, [(1, 4, 0.0)], 1.0))
 
 
-def test_stationary_cap_reported():
-    # ratio so close to 1 the truncation cap is hit
+def _assert_matches_loop(p, sr):
+    """pi at rtol 1e-10 and the metrics at rtol 1e-12 against the loop oracle,
+    whose sums run state by state."""
+    ref = oracles.loop_stationary(p)
+    pi, q_lo, q_max, tail_mass, rho = ref
+    assert (sr.q_lo, sr.tail_ratio) == (q_lo, rho)
+    got = [pi_at(sr, q) for q in range(q_lo, q_max + 1)]
+    # subnormal values carry fewer than 16 digits, so atol is the smallest
+    # normal float
+    np.testing.assert_allclose(got, pi, rtol=1e-10, atol=np.finfo(float).tiny)
+    # the oracle truncates its window further out; the mass past our q_max
+    # is its states beyond that plus its own tail
+    assert sr.tail_mass == pytest.approx(
+        math.fsum(pi[sr.q_max + 1 - q_lo:]) + tail_mass, rel=1e-10, abs=0.0)
+    for u in (None, IDENT):
+        got = metrics(p, sr, CSQ, u)
+        want = oracles.loop_metrics(
+            p, ref, functools.partial(evaluate, CSQ),
+            None if u is None else functools.partial(evaluate, u))
+        np.testing.assert_allclose(tuple(got), want, rtol=1e-12, atol=0.0)
+
+
+def test_near_unit_tail_ratio():
+    # rho = 1 - 2e-9: the geometric tail is summed in closed form however
+    # slowly it decays, and 1 - rho is exact here
     p = constant_policy(0.499999999, 0.5)
-    with pytest.raises(ValueError) as err:
-        stationary(p, max_states=10_000)
-    assert "cap" in str(err.value)
+    rho = 0.499999999 / 0.5
+    sr = stationary(p)
+    assert sr.tail_ratio == rho
+    assert abs(pi_at(sr, 0) - (1.0 - rho)) <= 1e-12 * (1.0 - rho)
+    m = exact_metrics(p, CSQ)
+    assert m.qbar == pytest.approx(rho / (1.0 - rho), rel=1e-12)
 
 
-def test_head_over_cap_is_value_error(monkeypatch):
-    # the head alone needs more states than the cap; the error message's
-    # achieved tail mass must not overflow into an OverflowError
+def test_long_head_matches_loop():
+    # mc1 at U = 2^-20 has a head of 7,800 states; its sweep point is a
+    # sample, not a failure
     build = functools.partial(mc1_policy, 0.5, K=0.5)
-    with pytest.raises(ValueError, match="cap 1000"):
-        stationary(build(2.0 ** -20), max_states=1000)
-    monkeypatch.setattr(birth_death, "stationary",
-                        functools.partial(stationary, max_states=1000))
+    p = build(2.0 ** -20)
+    assert p.horizon == 2 * p.meta["q1"] > 7000
+    _assert_matches_loop(p, stationary(p))
     samples, failures = sweep(build, [2.0 ** -20], CSQ, 0.25)
-    assert samples == []
-    assert len(failures) == 1 and isinstance(failures[0], SweepFailure)
-    assert failures[0].U == 2.0 ** -20 and "cap 1000" in failures[0].error
+    assert failures == [] and len(samples) == 1
+    assert samples[0].qbar == exact_metrics(p, CSQ).qbar
 
 
-def test_finite_window_over_cap_is_value_error():
-    # arrivals stop at q=4999: a finite window of 5,000 states, checked
-    # against the cap before anything is allocated per state
+def test_finite_window_matches_loop():
+    # arrivals stop at q=4999: a finite window of 5,000 states
     p = policy_from_pieces([[0, 4998, 0.5]], 0.0, [], 0.6)
     assert recurrent_window(p) == (0, 4999)
-    with pytest.raises(ValueError, match="needs 5000 states \\(cap 1000\\)"):
-        stationary(p, max_states=1000)
-    assert stationary(p, max_states=5000).q_max == 4999
+    sr = stationary(p)
+    assert (sr.q_max, sr.tail_mass) == (4999, 0.0)
+    _assert_matches_loop(p, sr)
 
 
 def _loop_cases():
@@ -226,21 +249,13 @@ LOOP_CASES = _loop_cases()
                          ids=["%s-%d" % (k, i) for i, (k, _) in enumerate(LOOP_CASES)])
 def test_stationary_metrics_match_loop(kind, p):
     sr = stationary(p)
-    ref = oracles.loop_stationary(p)
     if kind == "finite":
         assert sr.q_max <= p.horizon
     elif kind == "horizon+1":
         assert sr.q_max == p.horizon + 1 and sr.tail_mass == 0.0
     else:
-        assert sr.tail_mass > 0.0
-    assert np.array_equal(sr.pi, ref[0])
-    assert (sr.q_lo, sr.q_max, sr.tail_mass, sr.tail_ratio) == ref[1:]
-    for u in (None, IDENT):
-        got = metrics(p, sr, CSQ, u)
-        want = oracles.loop_metrics(
-            p, ref, functools.partial(evaluate, CSQ),
-            None if u is None else functools.partial(evaluate, u))
-        assert tuple(got) == want
+        assert sr.q_max == p.horizon and sr.tail_mass > 0.0
+    _assert_matches_loop(p, sr)
 
 
 def test_mm1_metrics_closed_forms():
@@ -300,7 +315,7 @@ def test_stationary_invariants(seed):
     p = random_policy(rng, transient=seed % 2 == 0, finite=seed % 3 == 0)
     sr = stationary(p)
     lo, hi = sr.window
-    assert sum(sr.pi) + sr.tail_mass == pytest.approx(1.0, abs=1e-12)
+    assert mass_below(sr, sr.q_max + 1) + sr.tail_mass == pytest.approx(1.0, abs=1e-12)
     # detailed balance on the stored window
     for q in range(lo, sr.q_max):
         lhs = pi_at(sr, q) * p.arrival(q)
@@ -359,3 +374,57 @@ def test_upper_bound_dominates(seed):
     rng = np.random.default_rng(seed)
     p = random_policy(rng)
     assert qlength_upper_bound(p) >= exact_metrics(p, CSQ).qbar - 1e-9
+
+
+def runs_policy(runs, lam_tail, mu_tail):
+    """Policy of consecutive (length, lam, mu) runs from state 0 on."""
+    lam, mu, q = [], [], 0
+    for n, a, b in runs:
+        lam.append([q, q + n - 1, a])
+        mu.append([q, q + n - 1, b])
+        q += n
+    return policy_from_pieces(lam, lam_tail, mu, mu_tail)
+
+
+# (id, runs, lam_tail, mu_tail): segments with rho > 1, rho < 1, rho = 1
+# and |log rho| near 1e-9 (where the mean's closed form takes its series,
+# at the switch n |log rho| = 1e-2 and past it), transient states, finite
+# windows and heads far beyond any per-state array
+NEAR = 0.4 * (1.0 + 1e-9)
+MP_CHAINS = [
+    ("up-down", [(1, 0.6, 0.0), (20, 0.6, 0.4), (30, 0.45, 0.9)], 0.3, 0.9),
+    ("plateau", [(1, 0.4, 0.0), (1000, 0.4, 0.4)], 0.4, 0.5),
+    ("near-unit", [(1, 0.4, 0.0), (50, 0.4, NEAR), (50, NEAR, 0.4)], 0.4, 0.6),
+    ("series-edge", [(1, 0.4, 0.0), (10, 0.4, 0.40036), (7, 0.40036, 0.4),
+                     (100, 0.4000004, 0.4)], 0.4, 0.6),
+    ("near-unit-switch", [(1, 0.4, 0.0), (10 ** 7, NEAR, 0.4), (10 ** 7, 0.4, NEAR)],
+     0.4, 0.6),
+    ("near-unit-long", [(1, 0.4, 0.0), (10 ** 8, 0.4, NEAR)], 0.4, 0.6),
+    ("transient", [(4, 0.5, 0.0), (10, 0.5, 0.8)], 0.5, 0.9),
+    ("finite", [(1, 0.7, 0.0), (10, 0.7, 0.5), (5, 0.0, 0.9)], 0.0, 0.9),
+    ("finite-transient-plateau", [(3, 0.5, 0.0), (100, 0.5, 0.5), (1, 0.0, 0.5)],
+     0.0, 0.5),
+    ("billion", [(1, 0.4, 0.0), (10 ** 9, 0.4, 0.5)], 0.4, 0.5),
+    ("mc23-2^-40", [(1, 0.4, 0.0), (2 ** 40, 0.4, 0.4)], 0.4, 0.5),
+]
+
+
+@pytest.mark.parametrize("runs,lam_tail,mu_tail", [c[1:] for c in MP_CHAINS],
+                         ids=[c[0] for c in MP_CHAINS])
+def test_segments_match_mpmath(runs, lam_tail, mu_tail):
+    p = runs_policy(runs, lam_tail, mu_tail)
+    sr = stationary(p)
+    ref = oracles.MpChain(runs, lam_tail, mu_tail, dps=50)
+    states, q = {0, 1}, 0
+    for n, _, _ in runs:
+        states |= {q, q + 1, q + n // 3, q + n - 2, q + n - 1, q + n}
+        q += n
+    states |= {q + 1, q + 7, q + 40}
+    tiny = np.finfo(float).tiny
+    for s in sorted(x for x in states if x >= 0):
+        assert pi_at(sr, s) == pytest.approx(ref.pi(s), rel=1e-12, abs=tiny), s
+        assert mass_below(sr, s) == pytest.approx(ref.mass_below(s), rel=1e-12, abs=tiny), s
+    for u, mp_u in ((None, None), (IDENT, lambda r: r)):
+        got = metrics(p, sr, CSQ, u)
+        np.testing.assert_allclose(tuple(got), ref.metrics(lambda r: r * r, mp_u),
+                                   rtol=1e-12, atol=0.0)

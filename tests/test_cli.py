@@ -69,6 +69,14 @@ def test_eval(runner):
     assert doc["qbar_upper_bound"] >= doc["qbar"]
 
 
+def test_eval_billion_state_policy(runner):
+    # a billion states at rho = 0.8 are three segments, not a refused window
+    huge = json.dumps({"lambda": {"pieces": [[0, 10 ** 9, 0.4]], "tail": 0.4},
+                       "mu": {"pieces": [[1, 10 ** 9, 0.5]], "tail": 0.5}})
+    res = invoke(runner, ["eval", "--policy", huge, "--cost", CSQ])
+    assert json.loads(res.output)["qbar"] == pytest.approx(4.0, rel=1e-12)
+
+
 def test_eval_at_file(runner, tmp_path):
     pol = tmp_path / "policy.json"
     pol.write_text(MM1)
@@ -362,6 +370,7 @@ LOG_GRID = ["--service-actions", "[1]", "--arrival-actions", "[0.4]"]
     (["solve", "--cost", CSQ] + LOG_GRID + ["--beta1", "abc"], 2),
     (["solve", "--cost", CSQ], 2),
     (["nosuch"], 2),
+    (["eval", "--policy", MM1, "--cost", CSQ, "--tail-tol", "1e-9"], 2),
 ])
 def test_malformed_input_is_a_json_error(runner, args, code):
     error_of(runner.invoke(main, args, catch_exceptions=False), code)

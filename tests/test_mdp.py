@@ -92,8 +92,6 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         LagrangianProblem(0.0, 0.0, S, [0.4], CDISC, None, state_cap=5)
     with pytest.raises(ValueError):
-        LagrangianProblem(0.0, 0.0, S, [0.4], CDISC, None, r_u=1.0)
-    with pytest.raises(ValueError):
         LagrangianProblem(0.0, 1.0, S, [0.4], CDISC, None)
 
 

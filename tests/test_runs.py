@@ -2,9 +2,11 @@
 
 A policy stores each rate rule as runs of constant rate.  Every reader of
 those runs must return exactly what the library's earlier per-state scans
-(kept in ``oracles``) return, compared with ``==``: on random policies
-with and without transient states and finite windows, on every policy
-family at several scales, and on policies produced by policy iteration.
+(kept in ``oracles``) return, compared with ``==``, except stationary
+masses, which are summed per segment and agree to rtol 1e-12: on random
+policies with and without transient states and finite windows, on every
+policy family at several scales, and on policies produced by policy
+iteration.
 """
 
 import functools
@@ -18,8 +20,10 @@ from qtl import (
     LagrangianProblem,
     check_admissible,
     discrete_function,
+    exact_metrics,
     lambda_mu_policy,
     lc_mirror_policy,
+    mass_below,
     mc1_policy,
     mc21_policy,
     mc22_policy,
@@ -34,7 +38,7 @@ from qtl import (
     stationary,
     uniform_actions,
 )
-from qtl.scaling import _first_service_at_least, _mass_below, _service_mass_outside
+from qtl.scaling import _first_service_at_least, _service_mass_outside
 from test_birth_death import dense_policy, random_policy, random_rules
 
 S = [0, 0.2, 0.4, 0.5, 0.6, 0.8, 1]
@@ -119,13 +123,16 @@ def test_policy_readers_match_dense(name, p):
 
 @pytest.mark.parametrize("name,p", CASES, ids=[n for n, _ in CASES])
 def test_scaling_helpers_match_dense(name, p):
+    # stationary masses are summed per segment, the oracles add states one
+    # by one, so they agree to rounding (rtol 1e-12), not bit for bit
     sr = stationary(p)
+    window = oracles.loop_stationary(p)
     rates = sorted(set(oracles.per_state_rules(p)[1] + [p.mu_tail]))
     for r in rates:
         for low, high in ((r, r), (r - 1e-3, r + 1e-3), (0.0, r), (r, 2.0),
                           (-1.0, r - 1e-6)):
-            assert (_service_mass_outside(p, sr, low, high)
-                    == oracles.loop_service_mass_outside(p, sr, low, high))
+            assert (_service_mass_outside(sr, low, high) == pytest.approx(
+                oracles.loop_service_mass_outside(p, window, low, high), rel=1e-12, abs=0))
         for thr in (r - 1e-9, r, r + 1e-9):
             for strict in (False, True):
                 assert (_first_service_at_least(p, thr, strict)
@@ -133,8 +140,9 @@ def test_scaling_helpers_match_dense(name, p):
     assert _first_service_at_least(p, rates[-1] + 1.0) is None
     mid = (sr.q_lo + sr.q_max) // 2
     for q_star in (0, sr.q_lo - 1, sr.q_lo, sr.q_lo + 1, mid, sr.q_max, sr.q_max + 1,
-                   sr.q_max + 10):
-        assert _mass_below(sr, q_star) == oracles.loop_mass_below(sr, q_star)
+                   sr.q_max + 10, window[2] + 1):
+        assert mass_below(sr, q_star) == pytest.approx(
+            oracles.loop_mass_below(window, q_star), rel=1e-12, abs=0)
 
 
 def test_random_rules_round_trip():
@@ -196,11 +204,12 @@ def test_piece_contract(piece):
 
 
 def test_huge_piece_stores_runs_only():
-    # a billion-state piece builds at once; the stationary window is refused
-    # by the state cap before anything is allocated per state
+    # a billion-state piece builds at once, and its stationary law is three
+    # segments: M/M/1 with rho = 0.8 split at the horizon
     p = policy_from_pieces([[0, 10 ** 9, 0.4]], 0.4, [[1, 10 ** 9, 0.5]], 0.5)
     assert p.horizon == 10 ** 9
     assert p.runs("mu") == ([0, 1, 10 ** 9 + 1], [0.0, 0.5, 0.5])
     assert recurrent_window(p) == (0, float("inf"))
-    with pytest.raises(ValueError, match="cap 2000000"):
-        stationary(p)
+    sr = stationary(p)
+    assert len(sr.segments) == 3 and sr.q_max == 10 ** 9
+    assert exact_metrics(p, CSQ).qbar == pytest.approx(4.0, rel=1e-12)

@@ -68,6 +68,24 @@ def test_sweep_empty_grid():
         sweep(lambda u: constant_policy(0.4, 1.0), [], CSQ, 0.1)
 
 
+# the paper's regimes b)-d) over 37 dyadic scales, down to windows of 2^40
+# states; each family with the cost, utility and c_ref of criterion 5
+DEEP = [2.0 ** -k for k in range(4, 41)]
+DEEP_FAMILIES = {
+    "mc22": (lambda u: mc22_policy(0.39, 0.2, 0.4, u), ENV, 0.154, 0.39),
+    "mc23": (lambda u: mc23_policy(0.40, 0.1, u, next_corner=0.5), ENV, 0.160, 0.40),
+    "mc1": (lambda u: mc1_policy(0.5, u, K=0.5), CSQ, 0.25, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_FAMILIES))
+def test_sweep_to_two_to_the_minus_forty(name):
+    build, cost, c_ref, lam = DEEP_FAMILIES[name]
+    samples, failures = sweep(build, DEEP, cost, c_ref, USQRT)
+    assert failures == [] and len(samples) == 37
+    assert classify_regime(samples, classify_case(cost, lam)).verdict == "matches"
+
+
 def growth_samples(model):
     vs = [10.0 ** -e for e in (1, 1.5, 2, 2.5, 3, 3.5, 4)]
     return [ScalingSample(v, v, q, 0.0, 0.0)
