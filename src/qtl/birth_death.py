@@ -32,7 +32,7 @@ import math
 import numbers
 from collections import namedtuple
 
-from .rate_functions import evaluate
+from .rate_functions import _is_number, evaluate
 
 # segments cover the recurrent window (q_lo, q_ru) = window in state order;
 # q_max is the last state before the geometric tail of ratio tail_ratio and
@@ -58,14 +58,16 @@ class Policy(object):
     the next start, the last one up to the horizon q_h, and beyond it the
     rule takes its tail value.  Starts begin at 0 and increase within the
     horizon; neighbouring runs of equal rate are merged.  Rate bounds
-    default to the largest rates the policy uses.
+    default to the largest rates the policy uses.  Every rate, tail and
+    bound must be a finite int or float; a bool, a string or a NaN is
+    refused, not converted.
     """
 
     def __init__(self, lam, mu, lam_tail, mu_tail, horizon, ra_max=None,
                  r_max=None, meta=None):
         self.horizon = int(horizon)
-        self.lam_tail = float(lam_tail)
-        self.mu_tail = float(mu_tail)
+        self.lam_tail = _finite(lam_tail, "arrival tail")
+        self.mu_tail = _finite(mu_tail, "service tail")
         self._runs = {"lam": _merged_runs(lam, self.horizon, self.lam_tail),
                       "mu": _merged_runs(mu, self.horizon, self.mu_tail)}
         lam_rates, mu_rates = self._runs["lam"][1], self._runs["mu"][1]
@@ -73,8 +75,8 @@ class Policy(object):
             raise ValueError("mu(0) must be 0")
         if min(lam_rates + mu_rates) < 0:
             raise ValueError("rates are non-negative")
-        self.ra_max = float(ra_max) if ra_max is not None else max(lam_rates)
-        self.r_max = float(r_max) if r_max is not None else max(mu_rates)
+        self.ra_max = _finite(ra_max, "ra_max") if ra_max is not None else max(lam_rates)
+        self.r_max = _finite(r_max, "r_max") if r_max is not None else max(mu_rates)
         self.meta = dict(meta) if meta else {}
 
     def runs(self, rule):
@@ -100,8 +102,14 @@ class Policy(object):
             self.horizon, self.lam_tail, self.mu_tail)
 
 
+def _finite(x, what):
+    if not (_is_number(x) and math.isfinite(x)):
+        raise ValueError("%s must be a finite number, got %r" % (what, x))
+    return float(x)
+
+
 def _merged_runs(runs, horizon, tail):
-    runs = [(int(s), float(r)) for s, r in runs]
+    runs = [(int(s), _finite(r, "rate")) for s, r in runs]
     starts = [s for s, _ in runs]
     if starts[:1] != [0] or starts != sorted(set(starts)) or starts[-1] > horizon:
         raise ValueError("runs must start at q=0 and increase within the horizon")
@@ -117,12 +125,13 @@ def _checked_pieces(pieces):
         if not isinstance(piece, (list, tuple)) or len(piece) != 3:
             raise ValueError("a piece is [q_lo, q_hi, rate], got %r" % (piece,))
         q0, q1, rate = piece
-        if any(isinstance(b, bool) or not isinstance(b, numbers.Integral)
+        # int first: it passes without the slower abstract-class check
+        if any(isinstance(b, bool) or not isinstance(b, (int, numbers.Integral))
                for b in (q0, q1)):
             raise ValueError("piece bounds must be integers, got %r" % (piece,))
         if q0 < 0 or q1 < q0:
             raise ValueError("bad piece range [%s, %s]" % (q0, q1))
-        if not isinstance(rate, (numbers.Real, str)):
+        if not _is_number(rate):
             raise ValueError("piece rate must be a number, got %r" % (piece,))
         out.append((int(q0), int(q1), float(rate)))
     return sorted(out)
@@ -188,15 +197,14 @@ def policy_from_json(d):
     try:
         lam = d["lambda"]
         mu = d["mu"]
-        lam_pieces, lam_tail = lam.get("pieces", []), float(lam["tail"])
-        mu_pieces, mu_tail = mu.get("pieces", []), float(mu["tail"])
+        lam_pieces, lam_tail = lam.get("pieces", []), lam["tail"]
+        mu_pieces, mu_tail = mu.get("pieces", []), mu["tail"]
         bounds = d.get("bounds", {})
-        ra_max, r_max = (None if b is None else float(b)
-                         for b in (bounds.get("r_a_max"), bounds.get("r_max")))
+        ra_max, r_max = bounds.get("r_a_max"), bounds.get("r_max")
         meta = dict(d.get("meta") or {})
     except (KeyError, TypeError, AttributeError, ValueError):
-        raise ValueError("policy JSON needs 'lambda' and 'mu' objects with a numeric "
-                         "'tail', numeric bounds and an object 'meta'")
+        raise ValueError("policy JSON needs 'lambda' and 'mu' objects with a 'tail', "
+                         "and 'bounds' and 'meta' must be objects")
     return policy_from_pieces(lam_pieces, lam_tail, mu_pieces, mu_tail,
                               ra_max=ra_max, r_max=r_max, meta=meta)
 

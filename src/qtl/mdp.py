@@ -22,6 +22,9 @@ directly (sparse LU on a matrix assembled column-wise in numpy, whose
 arrays and solution are bit-identical to a per-state COO build converted
 to CSC).  A singular system means the chain under the evaluated policy
 has more than one recurrent class; that is reported, not papered over.
+``scipy.sparse`` is imported inside the two functions that build and
+solve that system, so importing this module (and ``qtl`` or ``qtl.cli``)
+does not load it; only the first policy evaluation does.
 
 Improvement tie-breaking: smallest service rate, largest arrival rate
 among the minimizers.  Deterministic by construction.
@@ -31,8 +34,6 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import spsolve
 
 from .birth_death import Policy, exact_metrics, is_admissible, rate_value
 
@@ -104,6 +105,8 @@ def _poisson_matrix(lam, mu, r_u):
     mu(j+1) > 0 and, in column 0 only, the row h(0) = 0; column n is 1 in
     rows 0..n-1.
     """
+    from scipy.sparse import csc_matrix
+
     n = lam.shape[0]
     if lam[-1] > 0.0 or mu[0] > 0.0:
         raise ValueError("evaluation needs lambda(%d) = 0 and mu(0) = 0" % (n - 1))
@@ -127,6 +130,8 @@ def _poisson_matrix(lam, mu, r_u):
 
 
 def _evaluate_policy(lam, mu, stage, r_u):
+    from scipy.sparse.linalg import spsolve
+
     x = spsolve(_poisson_matrix(lam, mu, r_u), np.append(stage, 0.0))
     if not np.all(np.isfinite(x)):
         raise ValueError(
@@ -159,7 +164,11 @@ def solve(lp, tol=1e-9):
     if not np.any(cap_ok):
         raise ValueError("service actions must include a positive rate")
 
-    mu = np.full(n, srv[-1])
+    try:
+        mu = np.full(n, srv[-1])
+    except MemoryError:
+        raise ValueError("state_cap %d is too large: its arrays do not fit in memory"
+                         % lp.state_cap) from None
     mu[0] = 0.0
     lam = np.full(n, arr[-1])
     lam[-1] = 0.0

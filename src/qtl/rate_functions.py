@@ -42,7 +42,8 @@ SupportLine = namedtuple("SupportLine", ["slope", "intercept", "anchor", "m_a", 
 
 def _is_number(x):
     """True for an int or float, but not for a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    # float and int first: they pass without the slower abstract-class check
+    return isinstance(x, (float, int, numbers.Real)) and not isinstance(x, bool)
 
 
 def _check_tag(tag, *fields):

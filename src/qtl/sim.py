@@ -7,7 +7,9 @@ post-warmup window.  Replications use RNG streams spawned from one seed,
 so results are reproducible bit for bit and replication order cannot
 matter.  Each replication's stream spawns two of its own: uniforms that
 send each jump up or down, and standard exponentials for the holding
-times.  The path is built BLOCK events at a time.  A Python loop walks the
+times.  The path is built in blocks of at most BLOCK events; after the
+first, each block is sized from the event rate so far to end just past the
+horizon, since the walk runs to the end of a block.  A Python loop walks the
 jump chain over the policy's runs of constant rate, which it enters and
 leaves one state at a time, so it never looks a rate up; numpy then draws
 the block's holding times and integrates q, c and u over them.  Either
@@ -22,9 +24,12 @@ import numpy as np
 
 from .birth_death import is_stable, rate_value
 
-# The walk runs to the end of the block that crosses the horizon, so the
-# uniforms past it are wasted; 2**12 beat 2**14 by about 2x on criterion 8.
+# The largest block; 2**12 beat 2**14 by about 2x on criterion 8.  A later
+# block holds the remaining events expected at the rate so far, times MARGIN,
+# plus SLACK: an undershoot costs one more short block.
 BLOCK = 2 ** 12
+MARGIN = 1.05
+SLACK = 16
 
 SimConfig = namedtuple("SimConfig", ["horizon", "replications", "seed", "warmup_fraction"])
 SimConfig.__new__.__defaults__ = (10000.0, 10, 0, 0.1)
@@ -52,15 +57,16 @@ def _replicate(runs, cfg, seq):
     walk, starts, total, cu = runs
     jump, hold = (np.random.default_rng(s) for s in seq.spawn(2))
     warmup_end = cfg.warmup_fraction * cfg.horizon
-    q = i = 0
+    q = i = events = 0
     t = 0.0
+    size = BLOCK
     acc = np.zeros(3)
     first, last, up, rate = walk[0]
     while True:
         path = []
         visit = path.append
         if rate > 0.0:
-            for x in jump.random(BLOCK).tolist():
+            for x in jump.random(size).tolist():
                 visit(q)
                 if x < up:
                     q += 1
@@ -88,6 +94,8 @@ def _replicate(runs, cfg, seq):
             return tuple(acc / (cfg.horizon - warmup_end))
         if rate <= 0.0:
             raise ValueError("absorbing state q=%d: no arrivals, no service" % q)
+        events += len(path)
+        size = min(BLOCK, int(MARGIN * (cfg.horizon - t) * events / t) + SLACK)
 
 
 def simulate(p, cfg, c, u=None):

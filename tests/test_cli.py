@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import qtl
 from qtl.cli import main
 
 CSQ = '{"kind": "power", "domain": [0, 1], "exponent": 2}'
@@ -339,6 +343,12 @@ AUDIT_POLICY = json.dumps({"lambda": {"pieces": [[0, 0, 0.5]], "tail": 0.5},
 LOG_GRID = ["--service-actions", "[1]", "--arrival-actions", "[0.4]"]
 
 
+def mm1(rate=0.4, tail=0.4, r_max=1.0):
+    return json.dumps({"lambda": {"pieces": [[0, 0, rate]], "tail": tail},
+                       "mu": {"pieces": [[0, 0, 0.0]], "tail": 1.0},
+                       "bounds": {"r_max": r_max}})
+
+
 @pytest.mark.parametrize("args,code", [
     (["classify", "--samples", "[[1,2]]"], 2),
     (["envelope", "--points", "5"], 2),
@@ -371,6 +381,14 @@ LOG_GRID = ["--service-actions", "[1]", "--arrival-actions", "[0.4]"]
     (["solve", "--cost", CSQ], 2),
     (["nosuch"], 2),
     (["eval", "--policy", MM1, "--cost", CSQ, "--tail-tol", "1e-9"], 2),
+    (["eval", "--policy", mm1(rate="nan"), "--cost", CSQ], 2),
+    (["eval", "--policy", mm1(rate="inf"), "--cost", CSQ], 2),
+    (["eval", "--policy", mm1(rate="0.4"), "--cost", CSQ], 2),
+    (["eval", "--policy", mm1(rate=True), "--cost", CSQ], 2),
+    (["eval", "--policy", mm1(tail="nan"), "--cost", CSQ], 2),
+    (["eval", "--policy", mm1(r_max="inf"), "--cost", CSQ], 2),
+    (["simulate", "--policy", mm1(rate="nan"), "--cost", CSQ, "--horizon", "10"], 2),
+    (["solve", "--cost", CSQ] + LOG_GRID + ["--state-cap", "1000000000000"], 1),
 ])
 def test_malformed_input_is_a_json_error(runner, args, code):
     error_of(runner.invoke(main, args, catch_exceptions=False), code)
@@ -487,3 +505,45 @@ def test_sweep_failures_are_json_records(runner):
     records = failure_records(res)
     assert [r["U"] for r in records] == [0.0625, 0.03125, 0.015625]
     assert all(r["error"].startswith("non-positive cost gap") for r in records)
+
+
+# runs each command line of argv[1] in one interpreter and reports, after
+# each, its exit code, its stdout and whether scipy.sparse is loaded
+COLD_SCRIPT = """
+import json, sys
+from click.testing import CliRunner
+from qtl.cli import main
+out = []
+for args in json.loads(sys.argv[1]):
+    res = CliRunner().invoke(main, args, catch_exceptions=False)
+    out.append([res.exit_code, res.output, "scipy.sparse" in sys.modules])
+print(json.dumps(out))
+"""
+
+
+def test_scipy_sparse_loads_only_to_evaluate_a_policy(runner, tmp_path):
+    family = '{"lam": 0.39, "a_lam": 0.2, "b_lam": 0.4}'
+    scaled = '{"lam": 0.39, "a_lam": 0.2, "b_lam": 0.4, "U": 0.01}'
+    solve_args = ["solve", "--cost", CSQ, "--service-actions", "[0.5, 1.0]",
+                  "--arrival-actions", "[0.4]", "--beta1", "5", "--state-cap", "50"]
+    commands = [
+        ["construct", "--family", "mc22", "--params", scaled],
+        ["eval", "--policy", MM1, "--cost", CSQ],
+        ["sweep", "--family", "mc22", "--params", family, "--cost", ENV_SPEC,
+         "--c-ref", "0.154", "--dyadic", "4", "6"],
+        ["audit", "--policy", AUDIT_POLICY, "--cost", CSQ, "--c-ref", "0.25",
+         "--case", '{"family": "MC1", "anchor": 0.5}'],
+        ["simulate", "--policy", MM1, "--cost", CSQ, "--horizon", "300",
+         "--replications", "2"],
+        solve_args,
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qtl.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", COLD_SCRIPT, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=120, check=True)
+    runs = json.loads(proc.stdout)
+    assert [code for code, _, _ in runs] == [0] * len(commands)
+    assert [loaded for _, _, loaded in runs] == [False] * 5 + [True]
+    assert runs[-1][1] == invoke(runner, solve_args).output

@@ -235,6 +235,14 @@ def test_trace_nan_point_is_a_failure():
         trace_tradeoff(problem(0.0, cap=200), [math.nan, -1.0], [0.0])
 
 
+def test_trace_huge_state_cap_is_a_failure():
+    # 10^12 states fail to allocate at once; each point records it, naming
+    # the option, and the grid goes on
+    pts, fails = trace_tradeoff(problem(0.0, cap=10 ** 12), [0.0, 5.0], [0.0])
+    assert pts == [] and [f.beta1 for f in fails] == [0.0, 5.0]
+    assert all("state_cap" in f.error for f in fails)
+
+
 def test_cap_doubling_insensitive():
     m1 = exact_metrics(solve(problem(50.0, cap=500)).policy, CDISC)
     m2 = exact_metrics(solve(problem(50.0, cap=1000)).policy, CDISC)

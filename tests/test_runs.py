@@ -10,6 +10,7 @@ iteration.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -195,12 +196,21 @@ def test_pieces_match_dense_expander(seed):
 
 @pytest.mark.parametrize("piece", [
     ["a", 2, 0.3], [0, 2.7, 0.3], [True, 2, 0.3], [0, False, 0.3], [0, 2],
-    [0, 2, 0.3, 1], "abc", 7, [0, 2, None], [0, 2, [0.3]], [-1, 2, 0.3], [3, 2, 0.3]])
+    [0, 2, 0.3, 1], "abc", 7, [0, 2, None], [0, 2, [0.3]], [-1, 2, 0.3], [3, 2, 0.3],
+    [0, 2, "nan"], [0, 2, "0.3"], [0, 2, True], [0, 2, math.nan], [0, 2, math.inf]])
 def test_piece_contract(piece):
     with pytest.raises(ValueError):
         policy_from_pieces([piece], 0.4, [], 1.0)
     with pytest.raises(ValueError):
         policy_from_pieces([], 0.4, [piece], 1.0)
+
+
+@pytest.mark.parametrize("value", ["nan", "0.4", True, math.nan, math.inf])
+@pytest.mark.parametrize("field", ["lam_tail", "mu_tail", "ra_max", "r_max"])
+def test_tail_and_bound_contract(field, value):
+    kw = dict({"lam_tail": 0.4, "mu_tail": 1.0}, **{field: value})
+    with pytest.raises(ValueError, match="finite number"):
+        policy_from_pieces([], kw.pop("lam_tail"), [], kw.pop("mu_tail"), **kw)
 
 
 def test_huge_piece_stores_runs_only():
