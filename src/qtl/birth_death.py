@@ -84,6 +84,20 @@ class Policy(object):
         tail as a last run from horizon + 1 on."""
         return self._runs[rule]
 
+    def joint_runs(self):
+        """Yield (first, end, lambda, mu) for each run of constant (lambda,
+        mu) in state order, by one merge of the two rules' runs; the last
+        is the tail, with end math.inf."""
+        (lam_at, lam), (mu_at, mu) = self._runs["lam"], self._runs["mu"]
+        lam_end, mu_end = lam_at[1:] + [math.inf], mu_at[1:] + [math.inf]
+        first = i = j = 0
+        while first < math.inf:
+            end = min(lam_end[i], mu_end[j])
+            yield first, end, lam[i], mu[j]
+            i += lam_end[i] == end
+            j += mu_end[j] == end
+            first = end
+
     def arrival(self, q):
         starts, rates = self._runs["lam"]
         return rates[bisect.bisect_right(starts, q) - 1]
@@ -281,12 +295,11 @@ def stationary(p):
     # unnormalized log pi at each segment's first state, from log pi(q_rl) = 0
     # by detailed balance; a one-state segment (mu = 0 at q_rl, lambda = 0
     # at q_ru) gets ratio 0, as it never steps within itself
-    starts = sorted(set(p.runs("lam")[0]) | set(p.runs("mu")[0]))
     runs, log_w = [], 0.0
-    for a, b in zip(starts, starts[1:] + [math.inf]):
+    for a, b, lam, mu in p.joint_runs():
         first, end = max(a, q_rl), min(b, q_ru + 1)
         if first < end:
-            lam, mu, n = p.arrival(first), p.service(first), end - first
+            n = end - first
             if runs:
                 _, n0, lam0, _, _, x0 = runs[-1]
                 log_w += (n0 - 1) * x0 + _log_ratio(lam0, mu)
@@ -415,10 +428,9 @@ def qlength_upper_bound(p):
     each run is tried.
     """
     best = math.inf
-    firsts = set(p.runs("lam")[0]) | set(p.runs("mu")[0]) | {1}
-    for q in firsts - {0}:
-        eps = p.service(q) - p.arrival(q)
-        if eps > 0:
+    for first, end, lam, mu in p.joint_runs():
+        q, eps = max(first, 1), mu - lam
+        if q < end and eps > 0:
             val = q * (eps + p.ra_max) / eps + (p.r_max + p.ra_max) / (2.0 * eps)
             best = min(best, val)
     if best is math.inf:

@@ -26,8 +26,10 @@ has more than one recurrent class; that is reported, not papered over.
 solve that system, so importing this module (and ``qtl`` or ``qtl.cli``)
 does not load it; only the first policy evaluation does.
 
-Improvement tie-breaking: smallest service rate, largest arrival rate
-among the minimizers.  Deterministic by construction.
+Policy iteration keeps one array of action indices per rule; each action
+table ends in a zero-rate, zero-cost column for state 0's service and the
+cap's arrival.  ``_best`` breaks every tie of the improvement step: the
+smallest service rate, the largest arrival rate among exact minimizers.
 """
 
 import math
@@ -41,8 +43,7 @@ MAX_ITERATIONS = 500
 
 SolveResult = namedtuple(
     "SolveResult",
-    ["policy", "gain", "bias", "iterations", "converged", "monotone",
-     "gain_history"])
+    ["policy", "gain", "iterations", "converged", "monotone", "gain_history"])
 
 TradeoffPoint = namedtuple(
     "TradeoffPoint",
@@ -54,9 +55,10 @@ TraceFailure = namedtuple("TraceFailure", ["beta1", "beta2", "error"])
 class LagrangianProblem:
     """Relaxed control problem: multipliers, action sets, stage-cost pieces.
 
-    service_actions / arrival_actions are finite rate sets (ascending
-    order enforced here).  r_u is max arrival + max service, the smallest
-    valid uniformization rate.  utility_fn may be None when beta2 == 0.
+    service_actions / arrival_actions are finite rate sets, stored in
+    ascending order without duplicates.  r_u is max arrival + max service,
+    the smallest valid uniformization rate.  utility_fn may be None when
+    beta2 == 0.
     """
 
     def __init__(self, beta1, beta2, service_actions, arrival_actions,
@@ -65,12 +67,8 @@ class LagrangianProblem:
             if not (math.isfinite(beta) and beta >= 0):
                 raise ValueError("multiplier %s must be finite and non-negative, "
                                  "got %r" % (name, beta))
-        service_actions = sorted(float(a) for a in service_actions)
-        arrival_actions = sorted(float(a) for a in arrival_actions)
-        if not service_actions or not arrival_actions:
-            raise ValueError("action sets must be non-empty")
-        if service_actions[0] < 0 or arrival_actions[0] < 0:
-            raise ValueError("rates must be non-negative")
+        service_actions = _rates(service_actions, "service")
+        arrival_actions = _rates(arrival_actions, "arrival")
         if state_cap < 10:
             raise ValueError("state_cap must be at least 10")
         if beta2 > 0 and utility_fn is None:
@@ -88,6 +86,15 @@ class LagrangianProblem:
         return LagrangianProblem(
             beta1, beta2, self.service_actions, self.arrival_actions,
             self.cost_fn, self.utility_fn, self.state_cap)
+
+
+def _rates(actions, name):
+    # distinct, so that an unchanged policy is one with unchanged action indices
+    rates = sorted(set(float(a) for a in actions))
+    if not (rates and all(math.isfinite(a) and a >= 0 for a in rates)):
+        raise ValueError("%s actions must be a non-empty set of finite, "
+                         "non-negative rates" % name)
+    return rates
 
 
 def uniform_actions(r_max, n=201):
@@ -140,107 +147,97 @@ def _evaluate_policy(lam, mu, stage, r_u):
     return x[:-1], x[-1]
 
 
+def _best(values, last=False):
+    """Each row's pick (a column index) and its minimum.  Ties go to the
+    first column, or to the last when ``last`` is set."""
+    if last:
+        pick, low = _best(values[:, ::-1])
+        return values.shape[1] - 1 - pick, low
+    return np.argmin(values, axis=1), np.min(values, axis=1)
+
+
+def _checked_tol(tol):
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and non-negative, got %r" % (tol,))
+
+
 def solve(lp, tol=1e-9):
     """Policy iteration for the relaxed problem.  Returns a SolveResult.
 
     Stops when the improvement step leaves the policy unchanged or the
-    span of the Bellman residual drops below tol; raises after
-    MAX_ITERATIONS.  The returned Policy lives on states 0..state_cap
-    with arrivals off at the cap, so its stationary window is finite and
-    exact re-evaluation is cheap.
+    span of the Bellman residual drops below tol (the improved policy is
+    then evaluated once more); raises after MAX_ITERATIONS improvement
+    steps.  The returned Policy lives on states 0..state_cap with arrivals
+    off at the cap, so its stationary window is finite and exact
+    re-evaluation is cheap.
     """
+    _checked_tol(tol)
     n = lp.state_cap + 1      # states 0..state_cap
-    srv = np.asarray(lp.service_actions)
-    arr = np.asarray(lp.arrival_actions)
-    c_vals = np.array([rate_value(lp.cost_fn, a) for a in lp.service_actions])
-    u_vals = np.array([rate_value(lp.utility_fn, a) for a in lp.arrival_actions])
-    srv_cost = lp.beta1 * c_vals          # beta1 c(mu), per action
-    arr_cost = -lp.beta2 * u_vals         # -beta2 u(lam), per action
+    k, m = len(lp.service_actions), len(lp.arrival_actions)
+    # each action table ends in a zero-rate, zero-cost column that only
+    # state 0's service and the cap's arrival use
+    srv = np.append(lp.service_actions, 0.0)
+    arr = np.append(lp.arrival_actions, 0.0)
+    srv_cost = np.append([lp.beta1 * rate_value(lp.cost_fn, a)
+                          for a in lp.service_actions], 0.0)
+    arr_cost = np.append([-lp.beta2 * rate_value(lp.utility_fn, a)
+                          for a in lp.arrival_actions], 0.0)
     # with arrivals already off at the cap, zero service there would absorb
     # the chain at its most expensive state -- a truncation artifact the
-    # unbounded problem has no counterpart for; the cap state is therefore
-    # restricted to positive service rates
-    cap_ok = srv > 0.0
-    if not np.any(cap_ok):
+    # unbounded problem has no counterpart for; the cap row therefore
+    # prices every zero service rate at +inf
+    cap_off = srv[:k] <= 0.0
+    if np.all(cap_off):
         raise ValueError("service actions must include a positive rate")
 
+    # the initial policy serves and admits at the largest rates
     try:
-        mu = np.full(n, srv[-1])
+        mu_at = np.append(k, np.full(n - 1, k - 1))
     except MemoryError:
         raise ValueError("state_cap %d is too large: its arrays do not fit in memory"
                          % lp.state_cap) from None
-    mu[0] = 0.0
-    lam = np.full(n, arr[-1])
-    lam[-1] = 0.0
-    mu_cost = np.full(n, srv_cost[-1])
-    mu_cost[0] = 0.0
-    lam_cost = np.full(n, arr_cost[-1])
-    lam_cost[-1] = 0.0
+    lam_at = np.append(np.full(n - 1, m - 1), m)
 
     states = np.arange(n)
     gain_history = []
-    converged = False
     iterations = 0
-    h = None
-    g = math.inf
-    while iterations < MAX_ITERATIONS:
-        iterations += 1
-        stage = (states + mu_cost + lam_cost) / lp.r_u
+    span = math.inf
+    while True:
+        if iterations == MAX_ITERATIONS and not span < tol:
+            raise ValueError(
+                "policy iteration did not converge in %d iterations" % MAX_ITERATIONS)
+        mu, lam = srv[mu_at], arr[lam_at]
+        stage = (states + srv_cost[mu_at] + arr_cost[lam_at]) / lp.r_u
         h, g = _evaluate_policy(lam, mu, stage, lp.r_u)
         gain_history.append(g)
-        d = np.diff(h)        # d[q] = h(q+1) - h(q), q = 0..n-2
-
-        # service improvement at q >= 1: minimize beta1 c(a) - a d(q-1)
-        srv_vals = srv_cost[None, :] - np.outer(d, srv)
-        srv_pick = np.argmin(srv_vals, axis=1)          # ties -> smallest
-        new_mu = np.concatenate(([0.0], srv[srv_pick]))
-        new_mu_cost = np.concatenate(([0.0], srv_cost[srv_pick]))
-        srv_min = np.concatenate(([0.0], np.min(srv_vals, axis=1)))
-        cap_vals = srv_cost[cap_ok] - d[-1] * srv[cap_ok]
-        cap_pick = int(np.argmin(cap_vals))
-        new_mu[-1] = srv[cap_ok][cap_pick]
-        new_mu_cost[-1] = srv_cost[cap_ok][cap_pick]
-        srv_min[-1] = float(np.min(cap_vals))
-
-        # arrival improvement at q <= n-2: minimize -beta2 u(a) + a d(q)
-        arr_vals = arr_cost[None, :] + np.outer(d, arr)
-        flipped = np.argmax(arr_vals[:, ::-1] == np.min(
-            arr_vals, axis=1, keepdims=True), axis=1)
-        arr_pick = arr.shape[0] - 1 - flipped           # ties -> largest
-        new_lam = np.concatenate((arr[arr_pick], [0.0]))
-        new_lam_cost = np.concatenate((arr_cost[arr_pick], [0.0]))
-        arr_min = np.concatenate((np.min(arr_vals, axis=1), [0.0]))
-
-        residual = (states + srv_min + arr_min) / lp.r_u - g
-        span = float(np.max(residual) - np.min(residual))
-        unchanged = np.array_equal(new_mu, mu) and np.array_equal(new_lam, lam)
-        if unchanged or span < tol:
-            converged = True
-            if not unchanged:
-                mu, lam = new_mu, new_lam
-                mu_cost, lam_cost = new_mu_cost, new_lam_cost
-                stage = (states + mu_cost + lam_cost) / lp.r_u
-                h, g = _evaluate_policy(lam, mu, stage, lp.r_u)
-                gain_history.append(g)
+        if span < tol:
             break
-        mu, lam = new_mu, new_lam
-        mu_cost, lam_cost = new_mu_cost, new_lam_cost
-    if not converged:
-        raise ValueError(
-            "policy iteration did not converge in %d iterations" % MAX_ITERATIONS)
+        iterations += 1
+        d = np.diff(h)        # d[q] = h(q+1) - h(q), q = 0..n-2
+        # service at q = 1..n-1 minimizes beta1 c(a) - a d(q-1), arrival at
+        # q = 0..n-2 minimizes -beta2 u(a) + a d(q)
+        srv_vals = srv_cost[:k] - np.outer(d, srv[:k])
+        srv_vals[-1, cap_off] = np.inf
+        srv_pick, srv_min = _best(srv_vals)
+        arr_pick, arr_min = _best(arr_cost[:m] + np.outer(d, arr[:m]), last=True)
+        residual = (states + np.append(0.0, srv_min) + np.append(arr_min, 0.0)) / lp.r_u - g
+        span = float(np.max(residual) - np.min(residual))
+        srv_pick, arr_pick = np.append(k, srv_pick), np.append(arr_pick, m)
+        if np.array_equal(srv_pick, mu_at) and np.array_equal(arr_pick, lam_at):
+            break
+        mu_at, lam_at = srv_pick, arr_pick
 
-    # the states where a rate changes start the policy's runs
-    lam_at, mu_at = (np.flatnonzero(np.diff(x, prepend=-1.0)) for x in (lam, mu))
+    # the states where an action changes start the policy's runs
+    lam_run, mu_run = (np.flatnonzero(np.diff(x, prepend=-1)) for x in (lam_at, mu_at))
     policy = Policy(
-        zip(lam_at.tolist(), lam[lam_at].tolist()), zip(mu_at.tolist(), mu[mu_at].tolist()),
-        0.0, float(mu[-1]), lp.state_cap,
-        ra_max=float(arr[-1]), r_max=float(srv[-1]),
+        zip(lam_run.tolist(), lam[lam_run].tolist()),
+        zip(mu_run.tolist(), mu[mu_run].tolist()), 0.0, float(mu[-1]), lp.state_cap,
+        ra_max=lp.arrival_actions[-1], r_max=lp.service_actions[-1],
         meta={"source": "policy-iteration", "beta1": lp.beta1,
               "beta2": lp.beta2, "state_cap": lp.state_cap})
     return SolveResult(
-        policy=policy, gain=float(g), bias=h, iterations=iterations,
-        converged=converged, monotone=is_admissible(policy),
-        gain_history=gain_history)
+        policy=policy, gain=float(g), iterations=iterations, converged=True,
+        monotone=is_admissible(policy), gain_history=gain_history)
 
 
 def _mark_dominated(points):
@@ -267,6 +264,7 @@ def trace_tradeoff(base, beta1_grid, beta2_grid, tol=1e-9):
     by achieved cost with dominated ones flagged, failures as
     (beta1, beta2, error) records for grid points whose solve raised.
     """
+    _checked_tol(tol)
     b1 = [float(b) for b in beta1_grid]
     b2 = [float(b) for b in beta2_grid]
     if not b1 or not b2:

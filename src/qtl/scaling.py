@@ -38,7 +38,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .birth_death import exact_metrics, mass_below, metrics, pi_at, stationary
+from .birth_death import mass_below, metrics, pi_at, rate_value, stationary
 from .rate_functions import (
     _check_tag, _second_derivative, _segment_slopes, evaluate, support_line)
 
@@ -85,11 +85,12 @@ def sweep(build, U_grid, c, c_ref, u=None):
     for U in grid:
         try:
             p = build(U)
-            m = exact_metrics(p, c, u)
+            sr = stationary(p)
+            m = metrics(p, sr, c, u)
         except ValueError as exc:
             failures.append(SweepFailure(U, str(exc)))
             continue
-        v = m.cbar - c_ref
+        v = _cost_gap(sr, c, c_ref)
         if v <= 0:
             failures.append(SweepFailure(U, "non-positive cost gap %g" % v))
             continue
@@ -137,6 +138,12 @@ def classify_regime(samples, tag=None):
     return ScalingFit(best, best_coeffs, residuals[best], verdict, residuals)
 
 
+def _cost_gap(sr, c, c_ref):
+    # V = Cbar - c_ref as one sum of mass (c(mu) - c_ref) over segments: the
+    # difference is taken per segment, so a V far below Cbar keeps its digits
+    return math.fsum(s.mass * (rate_value(c, s.mu) - c_ref) for s in sr.segments)
+
+
 def _service_mass_outside(sr, low, high):
     return math.fsum(s.mass for s in sr.segments
                      if s.mu < low - 1e-12 or s.mu > high + 1e-12)
@@ -182,7 +189,7 @@ def audit_lower_bound(p, tag, c, u, c_ref):
     """
     sr = stationary(p)
     m = metrics(p, sr, c, u)
-    v = m.cbar - c_ref
+    v = _cost_gap(sr, c, c_ref)
     if v <= 0:
         raise ValueError("cost gap V = %g is not positive" % v)
     checks = []

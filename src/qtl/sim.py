@@ -43,12 +43,10 @@ SimEstimate = namedtuple(
 def _runs(p, c, u):
     """Runs of both rules: the walk's (first, last, P(up), lambda + mu) per
     run, the run starts, lambda + mu per run and (c(mu), u(lambda)) rows."""
-    starts = sorted(set(p.runs("lam")[0]) | set(p.runs("mu")[0]))
-    lam = [p.arrival(q) for q in starts]
-    mu = [p.service(q) for q in starts]
+    starts, ends, lam, mu = zip(*p.joint_runs())
     total = [a + s for a, s in zip(lam, mu)]
     walk = [(q, end - 1, a / r if r > 0.0 else 0.0, r)
-            for q, end, a, r in zip(starts, starts[1:] + [math.inf], lam, total)]
+            for q, end, a, r in zip(starts, ends, lam, total)]
     cu = np.array([[rate_value(c, s) for s in mu], [rate_value(u, a) for a in lam]])
     return walk, np.array(starts), np.array(total), cu
 

@@ -11,8 +11,10 @@ the same and to a stated tolerance for the stationary law, whose sums
 now run in another order; they read a policy only through arrival(q),
 service(q), its horizon, tails and rate bounds.  The simulator's
 reference walks its path one event at a time and must agree with the
-block-drawn simulator up to the rounding of its sums.  Nothing in this
-module imports the package.
+block-drawn simulator up to the rounding of its sums.  Policy iteration
+is redone in exact rational arithmetic under the solver's rules, so a
+float solve can be held to the exact policy.  Nothing in this module
+imports the package.
 """
 
 import math
@@ -218,6 +220,18 @@ def per_state_rules(p):
     return [p.arrival(q) for q in states], [p.service(q) for q in states]
 
 
+def loop_joint_runs(p):
+    """(first, end, lam, mu) of each maximal run of constant (lam, mu) over
+    0..horizon, found state by state, then the tail from horizon + 1 on."""
+    runs = []
+    for q, rates in enumerate(zip(*per_state_rules(p))):
+        if runs and runs[-1][2:] == list(rates):
+            runs[-1][1] = q + 1
+        else:
+            runs.append([q, q + 1] + list(rates))
+    return [tuple(r) for r in runs] + [(p.horizon + 1, math.inf, p.lam_tail, p.mu_tail)]
+
+
 def loop_check_admissible(p):
     """Per-state admissibility scan: raise unless mu rises and lambda falls."""
     lam, mu = per_state_rules(p)
@@ -365,6 +379,14 @@ class MpChain:
                     total += w * self._sums(min(n, q - a), r)[0]
             return float(total / self.z)
 
+    def cost_gap(self, cost, c_ref):
+        """V = Cbar - c_ref as a float, the difference taken at ``dps``
+        digits; ``cost`` maps an mpf rate to an mpf, and rate 0 maps to 0."""
+        with mpmath.workdps(self.dps):
+            cbar = sum(cost(mu) * w * self._sums(n, r)[0]
+                       for _, n, _, mu, w, r in self.segs if mu != 0)
+            return float(cbar / self.z - mpmath.mpf(c_ref))
+
     def metrics(self, cost, util=None):
         """(qbar, cbar, ubar, dbar, mean_arrival, mean_service) as floats.
 
@@ -449,6 +471,109 @@ def exact_chain_stats(lam, mu, lam_tail, mu_tail, cost=None, util=None):
     if arr != 0:
         stats["dbar"] = stats["qbar"] / (arr / z)
     return stats
+
+
+def _solve_exact(rows):
+    """x with row[:-1] . x = row[-1] for every row, by Gauss-Jordan
+    elimination over Fractions; ValueError when the system is singular."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular system")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        top = rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / top[col]
+                rows[r] = [a - f * b if b else a for a, b in zip(rows[r], top)]
+    return [rows[i][-1] / rows[i][i] for i in range(n)]
+
+
+def exact_policy_iteration(srv, srv_cost, arr, arr_cost, n, tol, max_iterations=500):
+    """Policy iteration on states 0..n-1 in exact rational arithmetic.
+
+    ``srv`` and ``arr`` are the ascending action rates, ``srv_cost`` and
+    ``arr_cost`` their float stage-cost terms (beta1 c(a) and -beta2 u(a));
+    each is converted to a Fraction exactly, and so is the float sum
+    r_u = srv[-1] + arr[-1].  Each evaluation solves, with h(0) = 0,
+
+        (lam_q + mu_q) h(q) - lam_q h(q+1) - mu_q h(q-1) + r_u g
+            = q + (stage-cost terms of the actions at q).
+
+    The rules are the float solver's: the initial policy serves and admits
+    at the largest rates; state 0 never serves, and the last state never
+    admits and serves only at positive rates; each improvement step takes
+    the smallest service and the largest arrival rate among the exact
+    minimizers; iteration stops when the policy is unchanged, or when the
+    span of the Bellman residual is below ``tol``, and the improved policy
+    is then evaluated once more.  Returns (lam, mu, g, iterations,
+    min_gap): per-state rates as floats, the gain as a Fraction, the number
+    of improvement steps and the smallest (second best - best) / max(1,
+    |best|) over every row with two or more candidates, at every step.
+    """
+    r_u = Fraction(srv[-1] + arr[-1])
+    srv, srv_cost, arr, arr_cost = ([Fraction(x) for x in xs]
+                                    for xs in (srv, srv_cost, arr, arr_cost))
+    zero = Fraction(0)
+    # (rate, cost) per state; state 0 serves and the last state admits at 0
+    mu = [(zero, zero)] + [(srv[-1], srv_cost[-1])] * (n - 1)
+    lam = [(arr[-1], arr_cost[-1])] * (n - 1) + [(zero, zero)]
+
+    def evaluate():
+        rows = []
+        for q in range(n):
+            (a, ca), (s, cs) = lam[q], mu[q]
+            row = [zero] * (n + 2)          # h(0..n-1), r_u g, right-hand side
+            row[q] += a + s
+            if a:
+                row[q + 1] -= a
+            if s:
+                row[q - 1] -= s
+            row[n], row[n + 1] = Fraction(1), q + cs + ca
+            rows.append(row[1:])
+        x = _solve_exact(rows)
+        return [zero] + x[:-1], x[-1] / r_u
+
+    gaps = []
+
+    def best(values, last):
+        # the minimum and its index, ties to the first or the last; the gap
+        # to the runner-up (0 for a tie) goes to gaps
+        cands = sorted(v for v in values if v is not None)
+        if len(cands) > 1:
+            gaps.append((cands[1] - cands[0]) / max(1, abs(cands[0])))
+        ties = [i for i, v in enumerate(values) if v == cands[0]]
+        return ties[-1 if last else 0], cands[0]
+
+    iterations = 0
+    while True:
+        if iterations == max_iterations:
+            raise ValueError("no convergence in %d iterations" % max_iterations)
+        h, g = evaluate()
+        iterations += 1
+        d = [b - a for a, b in zip(h, h[1:])]
+        new_mu, new_lam, residual = [mu[0]], [], []
+        for q in range(n):
+            s_low = a_low = zero
+            if q > 0:
+                i, s_low = best([c - s * d[q - 1] if s > 0 or q < n - 1 else None
+                                 for s, c in zip(srv, srv_cost)], last=False)
+                new_mu.append((srv[i], srv_cost[i]))
+            if q < n - 1:
+                i, a_low = best([c + a * d[q] for a, c in zip(arr, arr_cost)], last=True)
+                new_lam.append((arr[i], arr_cost[i]))
+            residual.append((q + s_low + a_low) / r_u - g)
+        new_lam.append(lam[-1])
+        if new_mu == mu and new_lam == lam:
+            break
+        mu, lam = new_mu, new_lam
+        if max(residual) - min(residual) < Fraction(tol):
+            _, g = evaluate()
+            break
+    return ([float(a) for a, _ in lam], [float(s) for s, _ in mu], g, iterations,
+            float(min(gaps)) if gaps else None)
 
 
 def mm1_stats(lam, mu, cost=None, util=None):

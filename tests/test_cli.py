@@ -389,6 +389,9 @@ def mm1(rate=0.4, tail=0.4, r_max=1.0):
     (["eval", "--policy", mm1(r_max="inf"), "--cost", CSQ], 2),
     (["simulate", "--policy", mm1(rate="nan"), "--cost", CSQ, "--horizon", "10"], 2),
     (["solve", "--cost", CSQ] + LOG_GRID + ["--state-cap", "1000000000000"], 1),
+    (["solve", "--cost", CSQ] + LOG_GRID + ["--tol", "inf"], 1),
+    (["solve", "--cost", CSQ] + LOG_GRID + ["--tol", "nan"], 1),
+    (["trace", "--cost", CSQ] + LOG_GRID + ["--beta1-grid", "[0, 1]", "--tol", "-1"], 1),
 ])
 def test_malformed_input_is_a_json_error(runner, args, code):
     error_of(runner.invoke(main, args, catch_exceptions=False), code)

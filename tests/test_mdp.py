@@ -18,6 +18,7 @@ from qtl import (
     trace_tradeoff,
     uniform_actions,
 )
+from qtl.birth_death import rate_value
 
 S = [0, 0.2, 0.4, 0.5, 0.6, 0.8, 1]
 CDISC = discrete_function([(s, s * s) for s in S])
@@ -225,6 +226,32 @@ def test_bad_multipliers_refused(bad):
         LagrangianProblem(0.0, bad, S, [0.4], CDISC, IDENT)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bad_action_rates_refused(bad):
+    # before, a NaN rate reached policy evaluation and read as a singular chain
+    with pytest.raises(ValueError, match="service actions"):
+        LagrangianProblem(1.0, 0.0, [bad, 0.5, 1.0], [0.4], CDISC)
+    with pytest.raises(ValueError, match="arrival actions"):
+        LagrangianProblem(1.0, 0.0, S, [0.4, bad], CDISC)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9])
+def test_bad_tol_refused(tol):
+    # tol = inf stopped after one improvement step with a non-optimal policy
+    # marked converged
+    with pytest.raises(ValueError, match="tol"):
+        solve(problem(1000.0, cap=50), tol)
+    with pytest.raises(ValueError, match="tol"):
+        trace_tradeoff(problem(0.0, cap=50), [0.0, 1000.0], [0.0], tol)
+
+
+def test_duplicate_rates_dropped():
+    lp = LagrangianProblem(50.0, 0.0, S + S[::-1], [0.4, 0.4], CDISC, state_cap=100)
+    assert lp.service_actions == S and lp.arrival_actions == [0.4]
+    a, b = solve(lp), solve(problem(50.0, cap=100))
+    assert a.policy == b.policy and a.gain_history == b.gain_history
+
+
 def test_trace_nan_point_is_a_failure():
     pts, fails = trace_tradeoff(problem(0.0, cap=200), [0.0, math.nan], [0.0])
     assert [p.beta1 for p in pts] == [0.0]
@@ -255,3 +282,42 @@ def test_solved_policies_admissible_or_flagged():
         r = solve(problem(beta1))
         assert r.monotone == is_admissible(r.policy)
         assert r.monotone
+
+
+def _random_problem(rng):
+    grid = [0.1 * i for i in range(11)]
+    srv = rng.choice(grid, size=int(rng.integers(2, 6)), replace=False).tolist()
+    arr = rng.choice(grid[:9], size=int(rng.integers(1, 4)), replace=False).tolist()
+    if max(srv) == 0.0:
+        srv.append(1.0)
+    beta2 = 0.0 if rng.random() < 0.3 else 10 ** rng.uniform(-1, 1.5)
+    return LagrangianProblem(10 ** rng.uniform(-1, 2.5), beta2, srv, arr, CSQ,
+                             [IDENT, power_function(0.5, role="utility")][rng.integers(2)],
+                             state_cap=int(rng.integers(10, 15)))
+
+
+def test_solve_matches_exact_policy_iteration():
+    # on problems whose every improvement row has a best action ahead of the
+    # runner-up by more than 1e-9, rounding cannot pick another action: solve
+    # must take the exact-rational oracle's path under the same rules
+    rng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 20:
+        lp = _random_problem(rng)
+        srv_cost = [lp.beta1 * rate_value(lp.cost_fn, a) for a in lp.service_actions]
+        arr_cost = [-lp.beta2 * rate_value(lp.utility_fn, a) for a in lp.arrival_actions]
+        try:
+            lam, mu, g, iterations, gap = oracles.exact_policy_iteration(
+                lp.service_actions, srv_cost, lp.arrival_actions, arr_cost,
+                lp.state_cap + 1, 1e-9)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                solve(lp)
+            continue
+        if gap is not None and gap <= 1e-9:
+            continue
+        res = solve(lp)
+        assert oracles.per_state_rules(res.policy) == (lam, mu)
+        assert res.gain == pytest.approx(float(g), rel=1e-12, abs=0)
+        assert res.iterations == iterations
+        checked += 1

@@ -116,6 +116,7 @@ def test_policy_readers_match_dense(name, p):
     assert oracles.dense_rules(d["lambda"]["pieces"], p.lam_tail,
                                d["mu"]["pieces"], p.mu_tail) == (lam, mu)
     assert policy_from_json(d) == p
+    assert list(p.joint_runs()) == oracles.loop_joint_runs(p)
     assert recurrent_window(p) == oracles.loop_recurrent_window(p)
     assert _outcome(check_admissible, p) == _outcome(oracles.loop_check_admissible, p)
     assert (_outcome(qlength_upper_bound, p)

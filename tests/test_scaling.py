@@ -23,7 +23,8 @@ from qtl.policy_families import (
     mc22_policy,
     mc23_policy,
 )
-from oracles import GROWTH_MODELS, synthetic_growth
+from qtl.rate_functions import evaluate
+from oracles import GROWTH_MODELS, MpChain, synthetic_growth
 
 S = [0, 0.2, 0.4, 0.5, 0.6, 0.8, 1]
 CDISC = discrete_function([(s, s * s) for s in S])
@@ -84,6 +85,21 @@ def test_sweep_to_two_to_the_minus_forty(name):
     samples, failures = sweep(build, DEEP, cost, c_ref, USQRT)
     assert failures == [] and len(samples) == 37
     assert classify_regime(samples, classify_case(cost, lam)).verdict == "matches"
+
+
+@pytest.mark.parametrize("name,rtol", [("mc22", 1e-2), ("mc23", 1e-9), ("mc1", 1e-9)])
+def test_deep_cost_gap_matches_mpmath(name, rtol):
+    # at U = 2^-38..2^-40, V is below 1e-11 against Cbar ~ 0.2; a per-segment
+    # sum keeps its digits, except that mc22's two segment terms still cancel
+    build, cost, c_ref, _ = DEEP_FAMILIES[name]
+    samples, _ = sweep(build, DEEP[-3:], cost, c_ref, USQRT)
+    assert len(samples) == 3
+    for s in samples:
+        p = build(s.U)
+        runs = [(end - first, lam, mu) for first, end, lam, mu in p.joint_runs()][:-1]
+        ref = MpChain(runs, p.lam_tail, p.mu_tail).cost_gap(
+            lambda r: evaluate(cost, float(r)), c_ref)
+        assert s.V == pytest.approx(ref, rel=rtol, abs=0), s.U
 
 
 def growth_samples(model):
