@@ -254,7 +254,7 @@ def solve(cost, utility, service_actions, arrival_actions, beta1, beta2,
     res = mdp_solve(lp, tol)
     m = exact_metrics(res.policy, lp.cost_fn, lp.utility_fn)
     _emit_json({"gain": res.gain, "iterations": res.iterations,
-                "converged": res.converged, "monotone": res.monotone,
+                "monotone": res.monotone,
                 "policy": policy_to_json(res.policy),
                 "metrics": {"qbar": m.qbar, "cbar": m.cbar, "ubar": m.ubar}},
                out)

@@ -28,8 +28,17 @@ does not load it; only the first policy evaluation does.
 
 Policy iteration keeps one array of action indices per rule; each action
 table ends in a zero-rate, zero-cost column for state 0's service and the
-cap's arrival.  ``_best`` breaks every tie of the improvement step: the
-smallest service rate, the largest arrival rate among exact minimizers.
+cap's arrival.  Service columns run in ascending rate order and arrival
+columns in descending order, so ``_best(values)``, which takes each row's
+first exact minimizer, breaks every tie of the improvement step: the
+smallest service rate, the largest arrival rate.  ``solve`` fills one
+service and one arrival table in place on every improvement step rather
+than allocating them anew.  It may start from a given policy, and runs
+again from the largest rates if that start ends in an error.
+``trace_tradeoff`` starts each point of a beta1 row from the previous
+beta2 point's policy and the first point of a row cold.  Warm starts
+along beta1 are not used: on the admission benchmark grid one of them
+ends at another policy among exact ties that rounding decides.
 """
 
 import math
@@ -43,7 +52,7 @@ MAX_ITERATIONS = 500
 
 SolveResult = namedtuple(
     "SolveResult",
-    ["policy", "gain", "iterations", "converged", "monotone", "gain_history"])
+    ["policy", "gain", "iterations", "monotone", "gain_history"])
 
 TradeoffPoint = namedtuple(
     "TradeoffPoint",
@@ -147,13 +156,43 @@ def _evaluate_policy(lam, mu, stage, r_u):
     return x[:-1], x[-1]
 
 
-def _best(values, last=False):
-    """Each row's pick (a column index) and its minimum.  Ties go to the
-    first column, or to the last when ``last`` is set."""
-    if last:
-        pick, low = _best(values[:, ::-1])
-        return values.shape[1] - 1 - pick, low
-    return np.argmin(values, axis=1), np.min(values, axis=1)
+def _best(values):
+    """Each row's pick, the first column holding its minimum, and that
+    minimum."""
+    pick = np.argmin(values, axis=1)
+    return pick, values[np.arange(values.shape[0]), pick]
+
+
+def _tables(lp):
+    """(srv, srv_cost, arr, arr_cost): the rates and weighted stage costs of
+    the service columns, ascending, and of the arrival columns, descending,
+    each followed by a zero-rate, zero-cost column."""
+    arrivals = lp.arrival_actions[::-1]
+    return (np.append(lp.service_actions, 0.0),
+            np.append([lp.beta1 * rate_value(lp.cost_fn, a)
+                       for a in lp.service_actions], 0.0),
+            np.append(arrivals, 0.0),
+            np.append([-lp.beta2 * rate_value(lp.utility_fn, a) for a in arrivals], 0.0))
+
+
+def _start_indices(lp, start):
+    """Service and arrival column indices of ``start``'s rates, per state."""
+    if not isinstance(start, Policy) or start.horizon != lp.state_cap:
+        raise ValueError("start must be a Policy on states 0..state_cap = %d"
+                         % lp.state_cap)
+    mu, lam = (np.repeat(rates[:-1], np.diff(starts))
+               for starts, rates in (start.runs("mu"), start.runs("lam")))
+    if mu[0] != 0.0 or lam[-1] != 0.0:
+        raise ValueError("start must have mu(0) = 0 and lambda(%d) = 0" % lp.state_cap)
+    at = []
+    for actions, rates, name in ((lp.service_actions, mu[1:], "service"),
+                                 (lp.arrival_actions, lam[:-1], "arrival")):
+        i = np.searchsorted(actions, rates)
+        if not np.array_equal(np.take(actions, i, mode="clip"), rates):
+            raise ValueError("start uses %s rates outside the action set" % name)
+        at.append(i)
+    k, m = len(lp.service_actions), len(lp.arrival_actions)
+    return np.append(k, at[0]), np.append(m - 1 - at[1], m)
 
 
 def _checked_tol(tol):
@@ -161,9 +200,12 @@ def _checked_tol(tol):
         raise ValueError("tol must be finite and non-negative, got %r" % (tol,))
 
 
-def solve(lp, tol=1e-9):
+def solve(lp, tol=1e-9, start=None):
     """Policy iteration for the relaxed problem.  Returns a SolveResult.
 
+    Starts from the largest rates, or from ``start``, a Policy on states
+    0..state_cap whose rates are all in the action sets; if policy
+    iteration from ``start`` raises, it runs again from the largest rates.
     Stops when the improvement step leaves the policy unchanged or the
     span of the Bellman residual drops below tol (the improved policy is
     then evaluated once more); raises after MAX_ITERATIONS improvement
@@ -174,14 +216,7 @@ def solve(lp, tol=1e-9):
     _checked_tol(tol)
     n = lp.state_cap + 1      # states 0..state_cap
     k, m = len(lp.service_actions), len(lp.arrival_actions)
-    # each action table ends in a zero-rate, zero-cost column that only
-    # state 0's service and the cap's arrival use
-    srv = np.append(lp.service_actions, 0.0)
-    arr = np.append(lp.arrival_actions, 0.0)
-    srv_cost = np.append([lp.beta1 * rate_value(lp.cost_fn, a)
-                          for a in lp.service_actions], 0.0)
-    arr_cost = np.append([-lp.beta2 * rate_value(lp.utility_fn, a)
-                          for a in lp.arrival_actions], 0.0)
+    srv, srv_cost, arr, arr_cost = _tables(lp)
     # with arrivals already off at the cap, zero service there would absorb
     # the chain at its most expensive state -- a truncation artifact the
     # unbounded problem has no counterpart for; the cap row therefore
@@ -190,42 +225,59 @@ def solve(lp, tol=1e-9):
     if np.all(cap_off):
         raise ValueError("service actions must include a positive rate")
 
-    # the initial policy serves and admits at the largest rates
     try:
-        mu_at = np.append(k, np.full(n - 1, k - 1))
+        warm = _start_indices(lp, start) if start is not None else None
+        # serve and admit at the largest rates
+        cold = np.append(k, np.full(n - 1, k - 1)), np.append(np.zeros(n - 1, dtype=int), m)
+        srv_vals, arr_vals = np.empty((n - 1, k)), np.empty((n - 1, m))
     except MemoryError:
         raise ValueError("state_cap %d is too large: its arrays do not fit in memory"
                          % lp.state_cap) from None
-    lam_at = np.append(np.full(n - 1, m - 1), m)
 
     states = np.arange(n)
-    gain_history = []
-    iterations = 0
-    span = math.inf
-    while True:
-        if iterations == MAX_ITERATIONS and not span < tol:
-            raise ValueError(
-                "policy iteration did not converge in %d iterations" % MAX_ITERATIONS)
-        mu, lam = srv[mu_at], arr[lam_at]
-        stage = (states + srv_cost[mu_at] + arr_cost[lam_at]) / lp.r_u
-        h, g = _evaluate_policy(lam, mu, stage, lp.r_u)
-        gain_history.append(g)
-        if span < tol:
-            break
-        iterations += 1
-        d = np.diff(h)        # d[q] = h(q+1) - h(q), q = 0..n-2
-        # service at q = 1..n-1 minimizes beta1 c(a) - a d(q-1), arrival at
-        # q = 0..n-2 minimizes -beta2 u(a) + a d(q)
-        srv_vals = srv_cost[:k] - np.outer(d, srv[:k])
-        srv_vals[-1, cap_off] = np.inf
-        srv_pick, srv_min = _best(srv_vals)
-        arr_pick, arr_min = _best(arr_cost[:m] + np.outer(d, arr[:m]), last=True)
-        residual = (states + np.append(0.0, srv_min) + np.append(arr_min, 0.0)) / lp.r_u - g
-        span = float(np.max(residual) - np.min(residual))
-        srv_pick, arr_pick = np.append(k, srv_pick), np.append(arr_pick, m)
-        if np.array_equal(srv_pick, mu_at) and np.array_equal(arr_pick, lam_at):
-            break
-        mu_at, lam_at = srv_pick, arr_pick
+    neg_srv = -srv[:k]
+
+    def iterate(mu_at, lam_at):
+        gain_history = []
+        iterations = 0
+        span = math.inf
+        while True:
+            if iterations == MAX_ITERATIONS and not span < tol:
+                raise ValueError(
+                    "policy iteration did not converge in %d iterations" % MAX_ITERATIONS)
+            stage = (states + srv_cost[mu_at] + arr_cost[lam_at]) / lp.r_u
+            h, g = _evaluate_policy(arr[lam_at], srv[mu_at], stage, lp.r_u)
+            gain_history.append(g)
+            if span < tol:
+                return mu_at, lam_at, g, iterations, gain_history
+            iterations += 1
+            d = np.diff(h)        # d[q] = h(q+1) - h(q), q = 0..n-2
+            # service at q = 1..n-1 minimizes beta1 c(a) - a d(q-1), arrival
+            # at q = 0..n-2 minimizes -beta2 u(a) + a d(q)
+            np.multiply.outer(d, neg_srv, out=srv_vals)
+            np.add(srv_vals, srv_cost[:k], out=srv_vals)
+            srv_vals[-1, cap_off] = np.inf
+            np.multiply.outer(d, arr[:m], out=arr_vals)
+            np.add(arr_vals, arr_cost[:m], out=arr_vals)
+            srv_pick, srv_min = _best(srv_vals)
+            arr_pick, arr_min = _best(arr_vals)
+            residual = (states + np.append(0.0, srv_min) + np.append(arr_min, 0.0)) / lp.r_u - g
+            span = float(np.max(residual) - np.min(residual))
+            srv_pick, arr_pick = np.append(k, srv_pick), np.append(arr_pick, m)
+            if np.array_equal(srv_pick, mu_at) and np.array_equal(arr_pick, lam_at):
+                return mu_at, lam_at, g, iterations, gain_history
+            mu_at, lam_at = srv_pick, arr_pick
+
+    found = None
+    if warm is not None:
+        try:
+            found = iterate(*warm)
+        except ValueError:
+            # a start can lead policy iteration into a multi-class policy,
+            # or a cycle, that the largest rates avoid
+            pass
+    mu_at, lam_at, g, iterations, gain_history = found or iterate(*cold)
+    mu, lam = srv[mu_at], arr[lam_at]
 
     # the states where an action changes start the policy's runs
     lam_run, mu_run = (np.flatnonzero(np.diff(x, prepend=-1)) for x in (lam_at, mu_at))
@@ -236,7 +288,7 @@ def solve(lp, tol=1e-9):
         meta={"source": "policy-iteration", "beta1": lp.beta1,
               "beta2": lp.beta2, "state_cap": lp.state_cap})
     return SolveResult(
-        policy=policy, gain=float(g), iterations=iterations, converged=True,
+        policy=policy, gain=float(g), iterations=iterations,
         monotone=is_admissible(policy), gain_history=gain_history)
 
 
@@ -258,11 +310,13 @@ def _mark_dominated(points):
 def trace_tradeoff(base, beta1_grid, beta2_grid, tol=1e-9):
     """Sweep the multiplier grid (Cartesian product) and collect the curve.
 
-    Each grid point is solved independently; its policy is re-evaluated
-    exactly through the stationary distribution (the DP's internal gain is
-    not trusted for reporting).  Returns (points, failures): points sorted
-    by achieved cost with dominated ones flagged, failures as
-    (beta1, beta2, error) records for grid points whose solve raised.
+    Along each beta1 row, policy iteration at a beta2 point starts from the
+    previous point's policy; the first point of a row, and a point after a
+    failed one, start cold.  Each policy is re-evaluated exactly through
+    the stationary distribution (the DP's internal gain is not trusted for
+    reporting).  Returns (points, failures): points sorted by achieved
+    cost with dominated ones flagged, failures as (beta1, beta2, error)
+    records for grid points whose solve raised.
     """
     _checked_tol(tol)
     b1 = [float(b) for b in beta1_grid]
@@ -275,13 +329,16 @@ def trace_tradeoff(base, beta1_grid, beta2_grid, tol=1e-9):
     points = []
     failures = []
     for beta1 in b1:
+        start = None
         for beta2 in b2:
             try:
-                res = solve(base.with_multipliers(beta1, beta2), tol)
+                res = solve(base.with_multipliers(beta1, beta2), tol, start=start)
                 m = exact_metrics(res.policy, base.cost_fn, base.utility_fn)
             except ValueError as exc:
                 failures.append(TraceFailure(beta1, beta2, str(exc)))
+                start = None
                 continue
+            start = res.policy
             points.append(TradeoffPoint(
                 beta1=beta1, beta2=beta2, c_c=m.cbar, u_c=m.ubar,
                 q_star=m.qbar, policy=res.policy, dominated=False))

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 import oracles
 import qtl.mdp as mdp
 from qtl import (
     LagrangianProblem,
+    Policy,
     constant_policy,
     discrete_function,
     exact_metrics,
@@ -24,6 +26,7 @@ S = [0, 0.2, 0.4, 0.5, 0.6, 0.8, 1]
 CDISC = discrete_function([(s, s * s) for s in S])
 CSQ = power_function(2.0)
 IDENT = power_function(1.0, role="utility")
+USQRT = power_function(0.5, role="utility")
 
 
 def problem(beta1, cap=500):
@@ -114,7 +117,7 @@ def test_uniform_actions():
 
 def test_zero_cost_weight_serves_at_max():
     r = solve(problem(0.0))
-    assert r.converged and r.monotone
+    assert r.monotone
     states = range(1, r.policy.horizon + 1)
     assert all(r.policy.service(q) == 1.0 for q in states)
     m = exact_metrics(r.policy, CDISC)
@@ -320,4 +323,135 @@ def test_solve_matches_exact_policy_iteration():
         assert oracles.per_state_rules(res.policy) == (lam, mu)
         assert res.gain == pytest.approx(float(g), rel=1e-12, abs=0)
         assert res.iterations == iterations
+        # a warm start from another multiplier's policy ends at the same one
+        other = solve(lp.with_multipliers(2 * lp.beta1, lp.beta2)).policy
+        warm = solve(lp, start=other)
+        assert oracles.per_state_rules(warm.policy) == (lam, mu)
+        assert warm.gain == pytest.approx(float(g), rel=1e-12, abs=0)
         checked += 1
+
+
+def test_best_tie_rule():
+    # exact float ties go to the first column: the smallest service rate,
+    # and in the arrival columns' descending layout the largest arrival rate
+    lp = LagrangianProblem(1.0, 1.0, [0.0, 0.5, 1.0], [0.2, 0.4, 0.6], CSQ, USQRT,
+                           state_cap=10)
+    srv, _, arr, _ = mdp._tables(lp)
+    assert srv.tolist() == [0.0, 0.5, 1.0, 0.0] and arr.tolist() == [0.6, 0.4, 0.2, 0.0]
+    service = np.array([[0.3, -0.1, -0.1],
+                        [-0.2, -0.2, 0.4],
+                        [np.inf, 0.7, 0.7]])   # the cap row, zero rate at +inf
+    pick, low = mdp._best(service)
+    assert srv[pick].tolist() == [0.5, 0.0, 0.5]
+    assert low.tolist() == [-0.1, -0.2, 0.7]
+    arrival = np.array([[0.25, 0.25, 0.25], [0.9, -0.5, -0.5], [0.1, 0.3, 0.1]])
+    pick, low = mdp._best(arrival)
+    assert arr[pick].tolist() == [0.6, 0.4, 0.6]
+    assert low.tolist() == [0.25, -0.5, 0.1]
+    # +inf is never picked, however large the finite entries
+    pick, _ = mdp._best(np.array([[np.inf, 1e308, 1e308], [np.inf, np.inf, -0.0]]))
+    assert pick.tolist() == [1, 2]
+
+
+class _ServedAtZero(Policy):
+    # reads mu(0) = 0.5, which Policy itself refuses to build
+    def runs(self, rule):
+        starts, rates = super().runs(rule)
+        return (starts, [0.5] + rates[1:]) if rule == "mu" else (starts, rates)
+
+
+def test_bad_start_refused():
+    lp = problem(5.0, cap=40)
+    good = solve(lp).policy
+    assert solve(lp, start=good).policy == good
+    lam_runs = list(zip(*good.runs("lam")))[:-1]
+    mu_runs = list(zip(*good.runs("mu")))[:-1]
+    bad = [
+        solve(problem(5.0, cap=41)).policy,                         # another state_cap
+        Policy([(0, 0.4), (40, 0.0)], [(0, 0.0), (1, 0.45)], 0.0, 0.45, 40),
+        Policy([(0, 0.3), (40, 0.0)], [(0, 0.0), (1, 1.0)], 0.0, 1.0, 40),
+        Policy([(0, 0.4)], [(0, 0.0), (1, 1.0)], 0.4, 1.0, 40),     # lambda(cap) = 0.4
+        _ServedAtZero(lam_runs, mu_runs, 0.0, 1.0, 40),
+        "not a policy",
+    ]
+    for start in bad:
+        with pytest.raises(ValueError, match="start"):
+            solve(lp, start=start)
+
+
+def test_failed_start_runs_again_cold():
+    # from the beta2 = 100 policy, policy iteration at beta2 = 1 reaches a
+    # policy with two closed classes; solve then runs from the largest rates
+    lp = LagrangianProblem(100.0, 1.0, [0.0, 0.3, 0.75], [0.0, 0.05, 0.25], CSQ, IDENT,
+                           state_cap=33)
+    start = solve(lp.with_multipliers(100.0, 100.0)).policy
+    cold = solve(lp)
+    with pytest.warns(MatrixRankWarning):
+        warm = solve(lp, start=start)
+    assert warm.policy == cold.policy and warm.gain_history == cold.gain_history
+    assert warm.iterations == cold.iterations
+
+
+def test_trace_warm_starts_change_nothing(monkeypatch):
+    # along each beta1 row a point starts from the previous point's policy;
+    # every point must equal a cold solve's, policy included
+    acts = uniform_actions(1.0, 21)
+    base = LagrangianProblem(0.0, 0.0, acts, acts, CSQ, USQRT, state_cap=80)
+    b1, b2 = [0.5, 5.0, 40.0], [0.0, 0.7, 3.0, 12.0]
+    warm = []
+
+    def recording_solve(lp, tol, start=None):
+        warm.append(start is not None)
+        return solve(lp, tol, start=start)
+
+    monkeypatch.setattr(mdp, "solve", recording_solve)
+    pts, fails = trace_tradeoff(base, b1, b2)
+    monkeypatch.undo()
+    assert warm == [False, True, True, True] * len(b1)
+    assert not fails and len(pts) == len(b1) * len(b2)
+    for p in pts:
+        cold = solve(base.with_multipliers(p.beta1, p.beta2))
+        m = exact_metrics(cold.policy, CSQ, USQRT)
+        assert (p.c_c, p.u_c, p.q_star) == (m.cbar, m.ubar, m.qbar)
+        if p.policy.runs("lam")[1] == [0.0, 0.0]:
+            # admitting nothing is optimal (at beta2 = 0 and 0.7): no state
+            # above 0 is reachable, and a span stop leaves their service to
+            # the start -- at (5, 0.7) it differs from the cold solve's
+            assert cold.policy.runs("lam") == p.policy.runs("lam")
+        else:
+            assert p.policy == cold.policy
+
+
+ACTION_RATES = st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 1.0]),
+                        min_size=1, max_size=4)
+MULTIPLIERS = st.lists(st.sampled_from([0.5, 1.0, 3.0, 10.0, 100.0]), max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(service=ACTION_RATES, arrival=ACTION_RATES, cap=st.integers(10, 40),
+       b1=MULTIPLIERS, b2=MULTIPLIERS, utility=st.sampled_from([IDENT, USQRT]))
+def test_trace_fuzz(service, arrival, cap, b1, b2, utility):
+    # any grid ends in points and failure records, never another exception;
+    # a point fails only where a cold solve fails too, and each point's
+    # Lagrangian value is a cold solve's (a tie may pick another optimal
+    # policy, so policies are not compared)
+    base = LagrangianProblem(0.0, 0.0, service, arrival, CSQ, utility, state_cap=cap)
+    b1, b2 = [0.0] + b1, [0.0] + b2
+    pts, fails = trace_tradeoff(base, b1, b2)
+    assert len(pts) + len(fails) == len(b1) * len(b2)
+    for f in fails:
+        assert isinstance(f, mdp.TraceFailure)
+        with pytest.raises(ValueError):
+            solve(base.with_multipliers(f.beta1, f.beta2))
+    for p in pts:
+        try:
+            cold = solve(base.with_multipliers(p.beta1, p.beta2))
+        except ValueError as exc:
+            # the warm start got past a multi-class policy that the cold
+            # start runs into; there is no cold value to compare
+            assert "singular" in str(exc)
+            continue
+        m = exact_metrics(cold.policy, CSQ, utility)
+        want = m.qbar + p.beta1 * m.cbar - p.beta2 * m.ubar
+        got = p.q_star + p.beta1 * p.c_c - p.beta2 * p.u_c
+        assert got == pytest.approx(want, rel=1e-9, abs=0)
