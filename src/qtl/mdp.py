@@ -36,9 +36,11 @@ service and one arrival table in place on every improvement step rather
 than allocating them anew.  It may start from a given policy, and runs
 again from the largest rates if that start ends in an error.
 ``trace_tradeoff`` starts each point of a beta1 row from the previous
-beta2 point's policy and the first point of a row cold.  Warm starts
-along beta1 are not used: on the admission benchmark grid one of them
-ends at another policy among exact ties that rounding decides.
+beta2 point's policy and the first point of a row cold.  With a single
+beta2 it starts each beta1 point from the previous one's policy.  On a
+grid with several beta2 the rows are not chained along beta1: on the
+admission benchmark grid one such chain ends at another policy among
+exact ties that rounding decides.
 """
 
 import math
@@ -205,13 +207,15 @@ def solve(lp, tol=1e-9, start=None):
 
     Starts from the largest rates, or from ``start``, a Policy on states
     0..state_cap whose rates are all in the action sets; if policy
-    iteration from ``start`` raises, it runs again from the largest rates.
-    Stops when the improvement step leaves the policy unchanged or the
-    span of the Bellman residual drops below tol (the improved policy is
-    then evaluated once more); raises after MAX_ITERATIONS improvement
-    steps.  The returned Policy lives on states 0..state_cap with arrivals
-    off at the cap, so its stationary window is finite and exact
-    re-evaluation is cheap.
+    iteration from ``start`` raises, it runs again from the largest rates,
+    and ``iterations`` counts the improvement steps of both runs while
+    ``gain_history`` is the returned run's.  Stops when the improvement
+    step leaves the policy unchanged or the span of the Bellman residual
+    drops below tol (the improved policy is then evaluated once more);
+    raises after MAX_ITERATIONS improvement steps in one run.  The
+    returned Policy lives on states 0..state_cap with arrivals off at the
+    cap, so its stationary window is finite and exact re-evaluation is
+    cheap.
     """
     _checked_tol(tol)
     n = lp.state_cap + 1      # states 0..state_cap
@@ -236,8 +240,10 @@ def solve(lp, tol=1e-9, start=None):
 
     states = np.arange(n)
     neg_srv = -srv[:k]
+    steps = 0     # improvement steps of every run, an abandoned warm one included
 
     def iterate(mu_at, lam_at):
+        nonlocal steps
         gain_history = []
         iterations = 0
         span = math.inf
@@ -249,8 +255,9 @@ def solve(lp, tol=1e-9, start=None):
             h, g = _evaluate_policy(arr[lam_at], srv[mu_at], stage, lp.r_u)
             gain_history.append(g)
             if span < tol:
-                return mu_at, lam_at, g, iterations, gain_history
+                return mu_at, lam_at, g, gain_history
             iterations += 1
+            steps += 1
             d = np.diff(h)        # d[q] = h(q+1) - h(q), q = 0..n-2
             # service at q = 1..n-1 minimizes beta1 c(a) - a d(q-1), arrival
             # at q = 0..n-2 minimizes -beta2 u(a) + a d(q)
@@ -265,7 +272,7 @@ def solve(lp, tol=1e-9, start=None):
             span = float(np.max(residual) - np.min(residual))
             srv_pick, arr_pick = np.append(k, srv_pick), np.append(arr_pick, m)
             if np.array_equal(srv_pick, mu_at) and np.array_equal(arr_pick, lam_at):
-                return mu_at, lam_at, g, iterations, gain_history
+                return mu_at, lam_at, g, gain_history
             mu_at, lam_at = srv_pick, arr_pick
 
     found = None
@@ -276,7 +283,7 @@ def solve(lp, tol=1e-9, start=None):
             # a start can lead policy iteration into a multi-class policy,
             # or a cycle, that the largest rates avoid
             pass
-    mu_at, lam_at, g, iterations, gain_history = found or iterate(*cold)
+    mu_at, lam_at, g, gain_history = found or iterate(*cold)
     mu, lam = srv[mu_at], arr[lam_at]
 
     # the states where an action changes start the policy's runs
@@ -288,7 +295,7 @@ def solve(lp, tol=1e-9, start=None):
         meta={"source": "policy-iteration", "beta1": lp.beta1,
               "beta2": lp.beta2, "state_cap": lp.state_cap})
     return SolveResult(
-        policy=policy, gain=float(g), iterations=iterations,
+        policy=policy, gain=float(g), iterations=steps,
         monotone=is_admissible(policy), gain_history=gain_history)
 
 
@@ -312,11 +319,14 @@ def trace_tradeoff(base, beta1_grid, beta2_grid, tol=1e-9):
 
     Along each beta1 row, policy iteration at a beta2 point starts from the
     previous point's policy; the first point of a row, and a point after a
-    failed one, start cold.  Each policy is re-evaluated exactly through
-    the stationary distribution (the DP's internal gain is not trusted for
-    reporting).  Returns (points, failures): points sorted by achieved
-    cost with dominated ones flagged, failures as (beta1, beta2, error)
-    records for grid points whose solve raised.
+    failed one, start cold.  With a single beta2 the rows form one chain
+    along beta1: each point starts from the previous beta1 point's policy,
+    and only the first point and a point after a failed one start cold.
+    Each policy is re-evaluated exactly through the stationary
+    distribution (the DP's internal gain is not trusted for reporting).
+    Returns (points, failures): points sorted by achieved cost with
+    dominated ones flagged, failures as (beta1, beta2, error) records for
+    grid points whose solve raised.
     """
     _checked_tol(tol)
     b1 = [float(b) for b in beta1_grid]
@@ -328,8 +338,10 @@ def trace_tradeoff(base, beta1_grid, beta2_grid, tol=1e-9):
 
     points = []
     failures = []
+    start = None
     for beta1 in b1:
-        start = None
+        if len(b2) > 1:
+            start = None
         for beta2 in b2:
             try:
                 res = solve(base.with_multipliers(beta1, beta2), tol, start=start)
