@@ -31,10 +31,21 @@ table ends in a zero-rate, zero-cost column for state 0's service and the
 cap's arrival.  Service columns run in ascending rate order and arrival
 columns in descending order, so ``_best(values)``, which takes each row's
 first exact minimizer, breaks every tie of the improvement step: the
-smallest service rate, the largest arrival rate.  ``solve`` fills one
-service and one arrival table in place on every improvement step rather
-than allocating them anew.  It may start from a given policy, and runs
-again from the largest rates if that start ends in an error.
+smallest service rate, the largest arrival rate.
+
+The improvement step of a rule with fewer than WINDOW_MIN_RATES (17)
+rates fills one (states x rates) table in place on every step.  A wider
+rule needs only a window of its columns per row: row q's pick minimizes
+beta c(a) - a d(q), so only columns near the lower-hull vertex that d(q)
+selects can win.  ``_Rule.window`` evaluates those columns exactly as the
+table would, and takes the pick there when a certificate proves every
+column outside the window strictly worse; a row that fails it, and the
+cap row, are evaluated in full.  Picks and minima are therefore the
+table's, ties included.  The unweighted c(a) and u(a), the hull and the
+certificate's chord-slope bounds are built once per action set (``_Side``)
+and shared through ``with_multipliers``.  ``solve`` may start from a given
+policy, and runs again from the largest rates if that start ends in an
+error.
 ``trace_tradeoff`` starts each point of a beta1 row from the previous
 beta2 point's policy and the first point of a row cold.  With a single
 beta2 it starts each beta1 point from the previous one's policy.  On a
@@ -47,10 +58,15 @@ import math
 from collections import namedtuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .birth_death import Policy, exact_metrics, is_admissible, rate_value
+from .rate_functions import lower_hull
 
 MAX_ITERATIONS = 500
+WINDOW_MIN_RATES = 17     # a smaller action set keeps the full improvement table
+_U = 2.0 ** -53           # unit roundoff of a double
+_TINY = 2.0 ** -1022      # smallest normal double: covers underflow in the bound
 
 SolveResult = namedtuple(
     "SolveResult",
@@ -92,11 +108,14 @@ class LagrangianProblem:
         self.utility_fn = utility_fn
         self.state_cap = int(state_cap)
         self.r_u = service_actions[-1] + arrival_actions[-1]
+        self._menu = {}     # the _sides of the action sets, once a solve builds them
 
     def with_multipliers(self, beta1, beta2):
-        return LagrangianProblem(
+        lp = LagrangianProblem(
             beta1, beta2, self.service_actions, self.arrival_actions,
             self.cost_fn, self.utility_fn, self.state_cap)
+        lp._menu = self._menu
+        return lp
 
 
 def _rates(actions, name):
@@ -165,16 +184,161 @@ def _best(values):
     return pick, values[np.arange(values.shape[0]), pick]
 
 
+def _chord_bounds(x, c):
+    """Per column j, the largest chord slope (c[j] - c[i]) / (x[j] - x[i])
+    from a column i < j (-inf for j = 0) and the smallest to a column i > j
+    (+inf for the last column), as rounded."""
+    k = len(x)
+    lmax, rmin = np.empty(k), np.empty(k)
+    i = np.arange(k)[:, None]
+    block = max(1, 2 ** 14 // k)      # columns per block, so memory stays O(k)
+    for j0 in range(0, k, block):
+        j = np.arange(j0, min(k, j0 + block))
+        with np.errstate(invalid="ignore"):        # 0/0 where i = j
+            s = (c[:, None] - c[j]) / (x[:, None] - x[j])
+        lmax[j] = np.where(i < j, s, -np.inf).max(axis=0)
+        rmin[j] = np.where(i > j, s, np.inf).min(axis=0)
+    return lmax, rmin
+
+
+class _Side:
+    """The columns of one improvement rule, whatever the multiplier.
+
+    Row slope d and multiplier beta price column j at d*w[j] + beta*c[j]:
+    the service side has w = -rate ascending and c = c(rate), the arrival
+    side w = rate descending and c = -u(rate), so x = -w ascends on both.
+    A side of at least WINDOW_MIN_RATES rates also keeps what the windowed
+    step needs (``_Rule.window``): the vertices and slopes of the lower hull
+    of (x, c); per hull vertex t, the first column ``lo[t]`` of the
+    ``width`` columns spanning vertices t-1..t+1; and, for the columns just
+    outside that window, the chord slope bounds ``lm``/``rm`` (padded
+    outward by 8u relative) and the spacings ``hl``/``hr`` to them, where
+    ``left``/``right`` says such a column exists (the spacing is +inf where
+    not).  A smaller side has ``lo`` None.  ``solve`` takes the window on a
+    side whose window spans at most a quarter of its columns (``wide``); a
+    collinear menu, whose hull is its two ends, keeps the full table.
+    """
+
+    def __init__(self, w, c):
+        self.w, self.c = w, c
+        k = len(w)
+        self.wide, self.lo = False, None
+        if k < WINDOW_MIN_RATES:
+            return
+        x = -w
+        hull = np.array(lower_hull(x.tolist(), c.tolist()))
+        self.slopes = np.diff(c[hull]) / np.diff(x[hull])
+        t = np.arange(len(hull))
+        first, last = hull[np.maximum(t - 1, 0)], hull[np.minimum(t + 1, len(hull) - 1)]
+        self.width = int(np.max(last - first)) + 1
+        self.wide = 4 * self.width <= k
+        self.w_windows = sliding_window_view(w, self.width)
+        self.lo = lo = np.minimum(first, k - self.width)
+        hi = lo + self.width - 1
+        lmax, rmin = _chord_bounds(x, c)
+        self.left, self.right = left, right = lo > 0, hi < k - 1
+        lm = np.where(left, lmax[lo], 0.0)
+        rm = np.where(right, rmin[hi], 0.0)
+        self.lm, self.rm = lm + 8 * _U * np.abs(lm), rm - 8 * _U * np.abs(rm)
+        self.hl = np.where(left, x[lo] - x[lo - 1], np.inf)
+        self.hr = np.where(right, x[np.minimum(hi + 1, k - 1)] - x[hi], np.inf)
+        self.x_max, self.c_max = np.max(np.abs(x)), np.max(np.abs(c))
+
+
+def _sides(lp):
+    """The service and the arrival _Side of lp's action sets, built on first
+    use and shared by every problem ``with_multipliers`` derives from lp."""
+    if "sides" not in lp._menu:
+        arrivals = lp.arrival_actions[::-1]
+        c = np.array([rate_value(lp.cost_fn, a) for a in lp.service_actions])
+        u = np.array([rate_value(lp.utility_fn, a) for a in arrivals])
+        lp._menu["sides"] = (_Side(-np.array(lp.service_actions), c),
+                             _Side(np.array(arrivals), -u))
+    return lp._menu["sides"]
+
+
 def _tables(lp):
     """(srv, srv_cost, arr, arr_cost): the rates and weighted stage costs of
     the service columns, ascending, and of the arrival columns, descending,
     each followed by a zero-rate, zero-cost column."""
-    arrivals = lp.arrival_actions[::-1]
-    return (np.append(lp.service_actions, 0.0),
-            np.append([lp.beta1 * rate_value(lp.cost_fn, a)
-                       for a in lp.service_actions], 0.0),
-            np.append(arrivals, 0.0),
-            np.append([-lp.beta2 * rate_value(lp.utility_fn, a) for a in arrivals], 0.0))
+    service, arrival = _sides(lp)
+    return (np.append(lp.service_actions, 0.0), np.append(lp.beta1 * service.c, 0.0),
+            np.append(arrival.w, 0.0), np.append(lp.beta2 * arrival.c, 0.0))
+
+
+class _Rule:
+    """One improvement rule of a solve: ``best(d)`` returns each row's pick
+    and minimum of d*w + cost for the row slopes d, bit for bit those of
+    ``_best`` on the full table.  With ``cap_off`` the last row prices those
+    columns at +inf."""
+
+    def __init__(self, side, beta, cost, rows, cap_off=None):
+        self.side, self.cost, self.cap_off = side, cost, cap_off
+        if not side.wide:
+            self.values = np.empty((rows, len(cost)))
+        if side.lo is not None:
+            self.slopes = beta * side.slopes
+            self.cost_windows = sliding_window_view(cost, side.width)
+            # with no column outside, d - lm and rm - d are +inf
+            self.lm = np.where(side.left, beta * side.lm, -np.inf)
+            self.rm = np.where(side.right, beta * side.rm, np.inf)
+            # twice the rounding bound E = 4u (|d| max|x| + 2 beta max|c|)
+            self.e_d, self.e_0 = 8 * _U * side.x_max, 16 * _U * beta * side.c_max + 2 * _TINY
+
+    def best(self, d):
+        if not self.side.wide:
+            values = self.values
+            np.multiply.outer(d, self.side.w, out=values)
+            np.add(values, self.cost, out=values)
+            if self.cap_off is not None:
+                values[-1, self.cap_off] = np.inf
+            return _best(values)
+        if self.cap_off is None:
+            return self.window(d)[:2]
+        pick, low, _ = self.window(d[:-1])
+        cap = d[-1] * self.side.w + self.cost
+        cap[self.cap_off] = np.inf
+        at = np.argmin(cap)
+        return np.append(pick, at), np.append(low, cap[at])
+
+    def window(self, d):
+        """(pick, low, full): each row's pick and minimum, found among the
+        window's columns, and the rows evaluated in full instead.
+
+        Row slope d selects hull vertex t = searchsorted(beta*slopes, d).
+        Its window holds the columns from vertex t-1 to t+1, priced as the
+        full table prices them, and the window's first minimizer is the
+        pick when a certificate shows every column outside the window
+        strictly worse than the window's minimum f_min.  For the columns
+        left of the window's first column L, in exact arithmetic
+
+            g_i - g_L = (x_L - x_i) (d - beta * slope(i, L))
+                     >= (x_L - x_{L-1}) (d - beta * lm)      once d > beta * lm,
+
+        and each float value is within E/2 of its exact value, so
+
+            d > beta * lm  and  f_L - f_min + (x_L - x_{L-1}) (d - beta * lm) > 2E
+
+        proves them worse; the right side mirrors it with rm.  A row that
+        fails either side is evaluated in full.
+        """
+        side = self.side
+        t = np.searchsorted(self.slopes, d)
+        lo = side.lo[t]
+        values = np.take(side.w_windows, lo, axis=0)     # row r: w[lo[r]:lo[r] + width]
+        values *= d[:, None]
+        values += np.take(self.cost_windows, lo, axis=0)
+        at = np.argmin(values, axis=1)
+        low = values[np.arange(len(d)), at]
+        two_e = np.abs(d) * self.e_d + self.e_0
+        left, right = d - self.lm[t], self.rm[t] - d
+        ok = ((left > 0) & (values[:, 0] - low + side.hl[t] * left > two_e)
+              & (right > 0) & (values[:, -1] - low + side.hr[t] * right > two_e))
+        pick = lo + at
+        full = np.flatnonzero(~ok)
+        if full.size:
+            pick[full], low[full] = _best(np.multiply.outer(d[full], side.w) + self.cost)
+        return pick, low, full
 
 
 def _start_indices(lp, start):
@@ -216,11 +380,21 @@ def solve(lp, tol=1e-9, start=None):
     returned Policy lives on states 0..state_cap with arrivals off at the
     cap, so its stationary window is finite and exact re-evaluation is
     cheap.
+
+    Each improvement step picks, per state, the first minimizing column of
+    each rule.  A rule with fewer than WINDOW_MIN_RATES rates, or whose hull
+    window would span more than a quarter of them, fills its full table in
+    place; any other searches each row's window around the lower-hull
+    vertex its slope selects, proves with a rounding-aware certificate
+    that no column outside wins, and evaluates in full the rows where that
+    proof fails (see ``_Rule.window``).  Either way the picks and minima
+    are bit for bit the full table's.
     """
     _checked_tol(tol)
     n = lp.state_cap + 1      # states 0..state_cap
     k, m = len(lp.service_actions), len(lp.arrival_actions)
     srv, srv_cost, arr, arr_cost = _tables(lp)
+    service, arrival = _sides(lp)
     # with arrivals already off at the cap, zero service there would absorb
     # the chain at its most expensive state -- a truncation artifact the
     # unbounded problem has no counterpart for; the cap row therefore
@@ -233,13 +407,13 @@ def solve(lp, tol=1e-9, start=None):
         warm = _start_indices(lp, start) if start is not None else None
         # serve and admit at the largest rates
         cold = np.append(k, np.full(n - 1, k - 1)), np.append(np.zeros(n - 1, dtype=int), m)
-        srv_vals, arr_vals = np.empty((n - 1, k)), np.empty((n - 1, m))
+        srv_rule = _Rule(service, lp.beta1, srv_cost[:k], n - 1, cap_off)
+        arr_rule = _Rule(arrival, lp.beta2, arr_cost[:m], n - 1)
     except MemoryError:
         raise ValueError("state_cap %d is too large: its arrays do not fit in memory"
                          % lp.state_cap) from None
 
     states = np.arange(n)
-    neg_srv = -srv[:k]
     steps = 0     # improvement steps of every run, an abandoned warm one included
 
     def iterate(mu_at, lam_at):
@@ -261,13 +435,8 @@ def solve(lp, tol=1e-9, start=None):
             d = np.diff(h)        # d[q] = h(q+1) - h(q), q = 0..n-2
             # service at q = 1..n-1 minimizes beta1 c(a) - a d(q-1), arrival
             # at q = 0..n-2 minimizes -beta2 u(a) + a d(q)
-            np.multiply.outer(d, neg_srv, out=srv_vals)
-            np.add(srv_vals, srv_cost[:k], out=srv_vals)
-            srv_vals[-1, cap_off] = np.inf
-            np.multiply.outer(d, arr[:m], out=arr_vals)
-            np.add(arr_vals, arr_cost[:m], out=arr_vals)
-            srv_pick, srv_min = _best(srv_vals)
-            arr_pick, arr_min = _best(arr_vals)
+            srv_pick, srv_min = srv_rule.best(d)
+            arr_pick, arr_min = arr_rule.best(d)
             residual = (states + np.append(0.0, srv_min) + np.append(arr_min, 0.0)) / lp.r_u - g
             span = float(np.max(residual) - np.min(residual))
             srv_pick, arr_pick = np.append(k, srv_pick), np.append(arr_pick, m)

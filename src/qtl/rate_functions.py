@@ -189,12 +189,29 @@ def inverse(f, v):
     return 0.5 * (lo + hi)
 
 
+def lower_hull(xs, ys):
+    """Indices of the lower convex hull's vertices of the points (xs[i], ys[i]),
+    whose xs strictly ascend (Andrew's monotone chain).  A point on a chord
+    between two others is not a vertex."""
+    hull = []
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            cross = (xs[a] - xs[o]) * (y - ys[o]) - (ys[a] - ys[o]) * (x - xs[o])
+            if cross <= 0:  # a is above or on the chord o-p, drop it
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return hull
+
+
 def lower_convex_envelope(f_or_points):
     """Lower convex envelope of a discrete point set.
 
     Accepts a discrete RateFunction or a raw (rate, value) list and returns
     the greatest convex minorant as a piecewise cost function.  Corners are
-    a subset of the input points (Andrew monotone chain, lower hull).
+    a subset of the input points (``lower_hull``).
     """
     if isinstance(f_or_points, RateFunction):
         pts = list(zip(f_or_points.br, f_or_points.bv))
@@ -206,17 +223,8 @@ def lower_convex_envelope(f_or_points):
     rs = [p[0] for p in pts]
     if len(set(rs)) != len(rs):
         raise ValueError("duplicate rates in point set")
-    hull = []
-    for p in pts:
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-            if cross <= 0:  # a is above or on the chord o-p, drop it
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return piecewise_function(hull, role="cost")
+    return piecewise_function([pts[i] for i in lower_hull(rs, [p[1] for p in pts])],
+                              role="cost")
 
 
 def _second_derivative(f, r):

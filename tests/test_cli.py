@@ -550,3 +550,19 @@ def test_scipy_sparse_loads_only_to_evaluate_a_policy(runner, tmp_path):
     assert [code for code, _, _ in runs] == [0] * len(commands)
     assert [loaded for _, _, loaded in runs] == [False] * 5 + [True]
     assert runs[-1][1] == invoke(runner, solve_args).output
+
+
+def test_singular_evaluation_leaves_only_the_json_error(tmp_path):
+    # the largest-rate start of this problem has two closed classes; SuperLU
+    # warns about it, and the CLI must print nothing but its own error
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qtl.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    args = ["solve", "--cost", CSQ, "--utility", IDENT, "--service-actions", "[0, 0.25]",
+            "--arrival-actions", "[0.05, 0.3, 0.5, 0.75]", "--beta1", "100",
+            "--beta2", "10", "--state-cap", "32"]
+    proc = subprocess.run([sys.executable, "-m", "qtl.cli"] + args, capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["type"] == "domain"
+    assert len(proc.stderr.splitlines()) == 1
