@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 import click
 
@@ -170,11 +169,7 @@ class _Main(click.Group):
 
     def invoke(self, ctx):
         try:
-            with warnings.catch_warnings():
-                # SuperLU's warning on a singular policy evaluation: solve
-                # reports that failure, or runs again from a cold start
-                warnings.filterwarnings("ignore", message="Matrix is exactly singular")
-                return super().invoke(ctx)
+            return super().invoke(ctx)
         except click.ClickException as exc:
             _fail("schema", 2, exc.format_message())
         except ValueError as exc:

@@ -20,11 +20,15 @@ Policy evaluation solves the (N+2)-unknown linear system
 
 directly (sparse LU on a matrix assembled column-wise in numpy, whose
 arrays and solution are bit-identical to a per-state COO build converted
-to CSC).  A singular system means the chain under the evaluated policy
-has more than one recurrent class; that is reported, not papered over.
+to CSC).  A policy whose first zero-arrival state lies below its last
+zero-service state has more than one recurrent class, and evaluation
+refuses it before the solve; a single-class system that SuperLU still
+finds singular is reported as numerically singular.  Neither is papered
+over, and SuperLU's warning stays inside this module.
 ``scipy.sparse`` is imported inside the two functions that build and
-solve that system, so importing this module (and ``qtl`` or ``qtl.cli``)
-does not load it; only the first policy evaluation does.
+solve that system, and ``fractions`` inside the convexity test of a wide
+action set, so importing this module (and ``qtl`` or ``qtl.cli``) loads
+neither.
 
 Policy iteration keeps one array of action indices per rule; each action
 table ends in a zero-rate, zero-cost column for state 0's service and the
@@ -33,19 +37,21 @@ columns in descending order, so ``_best(values)``, which takes each row's
 first exact minimizer, breaks every tie of the improvement step: the
 smallest service rate, the largest arrival rate.
 
-The improvement step of a rule with fewer than WINDOW_MIN_RATES (17)
-rates fills one (states x rates) table in place on every step.  A wider
-rule needs only a window of its columns per row: row q's pick minimizes
-beta c(a) - a d(q), so only columns near the lower-hull vertex that d(q)
-selects can win.  ``_Rule.window`` evaluates those columns exactly as the
-table would, and takes the pick there when a certificate proves every
-column outside the window strictly worse; a row that fails it, and the
-cap row, are evaluated in full.  Picks and minima are therefore the
-table's, ties included.  The unweighted c(a) and u(a), the hull and the
-certificate's chord-slope bounds are built once per action set (``_Side``)
-and shared through ``with_multipliers``.  ``solve`` may start from a given
-policy, and runs again from the largest rates if that start ends in an
-error.
+The improvement step of a rule fills one (states x rates) table in place
+on every step unless its side is windowed: at least WINDOW_MIN_RATES (17)
+rates whose points (rate, cost), or (rate, -utility), are convex in exact
+arithmetic, as a convex cost and a concave utility make them.  Row q's
+pick then minimizes a convex function of the column, so ``_Rule.window``
+evaluates the three columns around the one d(q) selects exactly as the
+table would, and takes the pick there when both window edges that have
+columns beyond them are worse than the window's minimum by more than a
+rounding bound; a row that fails that test is evaluated in full.  Picks
+and minima are therefore the table's, ties included.  The unweighted c(a)
+and u(a) and the consecutive slopes are built once per action set
+(``_Side``) and shared through ``with_multipliers``.  The cap state never
+serves at rate zero: when the cap's pick is a zero rate, ``solve`` picks
+again among the positive rates.  ``solve`` may start from a given policy,
+and runs again from the largest rates if that start ends in an error.
 ``trace_tradeoff`` starts each point of a beta1 row from the previous
 beta2 point's policy and the first point of a row cold.  With a single
 beta2 it starts each beta1 point from the previous one's policy.  On a
@@ -54,14 +60,15 @@ admission benchmark grid one such chain ends at another policy among
 exact ties that rounding decides.
 """
 
+import copy
 import math
+import warnings
 from collections import namedtuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .birth_death import Policy, exact_metrics, is_admissible, rate_value
-from .rate_functions import lower_hull
 
 MAX_ITERATIONS = 500
 WINDOW_MIN_RATES = 17     # a smaller action set keeps the full improvement table
@@ -90,16 +97,11 @@ class LagrangianProblem:
 
     def __init__(self, beta1, beta2, service_actions, arrival_actions,
                  cost_fn, utility_fn=None, state_cap=500):
-        for name, beta in (("beta1", beta1), ("beta2", beta2)):
-            if not (math.isfinite(beta) and beta >= 0):
-                raise ValueError("multiplier %s must be finite and non-negative, "
-                                 "got %r" % (name, beta))
+        _check_multipliers(beta1, beta2, utility_fn)
         service_actions = _rates(service_actions, "service")
         arrival_actions = _rates(arrival_actions, "arrival")
         if state_cap < 10:
             raise ValueError("state_cap must be at least 10")
-        if beta2 > 0 and utility_fn is None:
-            raise ValueError("beta2 > 0 needs a utility function")
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.service_actions = service_actions
@@ -111,11 +113,21 @@ class LagrangianProblem:
         self._menu = {}     # the _sides of the action sets, once a solve builds them
 
     def with_multipliers(self, beta1, beta2):
-        lp = LagrangianProblem(
-            beta1, beta2, self.service_actions, self.arrival_actions,
-            self.cost_fn, self.utility_fn, self.state_cap)
-        lp._menu = self._menu
+        """This problem at other multipliers; the action sets, already
+        checked, and their _sides are shared."""
+        _check_multipliers(beta1, beta2, self.utility_fn)
+        lp = copy.copy(self)
+        lp.beta1, lp.beta2 = float(beta1), float(beta2)
         return lp
+
+
+def _check_multipliers(beta1, beta2, utility_fn):
+    for name, beta in (("beta1", beta1), ("beta2", beta2)):
+        if not (math.isfinite(beta) and beta >= 0):
+            raise ValueError("multiplier %s must be finite and non-negative, "
+                             "got %r" % (name, beta))
+    if beta2 > 0 and utility_fn is None:
+        raise ValueError("beta2 > 0 needs a utility function")
 
 
 def _rates(actions, name):
@@ -167,13 +179,27 @@ def _poisson_matrix(lam, mu, r_u):
 
 
 def _evaluate_policy(lam, mu, stage, r_u):
-    from scipy.sparse.linalg import spsolve
+    from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-    x = spsolve(_poisson_matrix(lam, mu, r_u), np.append(stage, 0.0))
+    a = _poisson_matrix(lam, mu, r_u)
+    # the rule of birth_death.recurrent_window: one recurrent class needs
+    # the first zero-arrival state at or above the last zero-service state
+    # (rates are non-negative and lam(n-1) = mu(0) = 0, so argmin finds them)
+    q_ru = int(lam.argmin())
+    q_rl = len(mu) - 1 - int(mu[::-1].argmin())
+    if q_ru < q_rl:
+        raise ValueError(
+            "policy evaluation is singular: the first zero-arrival state q=%d "
+            "lies below the last zero-service state q=%d, so the chain under "
+            "this policy has more than one recurrent class" % (q_ru, q_rl))
+    with warnings.catch_warnings():
+        # a non-finite solution is reported below
+        warnings.simplefilter("ignore", MatrixRankWarning)
+        x = spsolve(a, np.append(stage, 0.0))
     if not np.all(np.isfinite(x)):
         raise ValueError(
-            "policy evaluation is singular: the chain under this policy "
-            "has more than one recurrent class")
+            "policy evaluation is singular: the Poisson system of this "
+            "single-class chain is numerically singular")
     return x[:-1], x[-1]
 
 
@@ -184,21 +210,17 @@ def _best(values):
     return pick, values[np.arange(values.shape[0]), pick]
 
 
-def _chord_bounds(x, c):
-    """Per column j, the largest chord slope (c[j] - c[i]) / (x[j] - x[i])
-    from a column i < j (-inf for j = 0) and the smallest to a column i > j
-    (+inf for the last column), as rounded."""
-    k = len(x)
-    lmax, rmin = np.empty(k), np.empty(k)
-    i = np.arange(k)[:, None]
-    block = max(1, 2 ** 14 // k)      # columns per block, so memory stays O(k)
-    for j0 in range(0, k, block):
-        j = np.arange(j0, min(k, j0 + block))
-        with np.errstate(invalid="ignore"):        # 0/0 where i = j
-            s = (c[:, None] - c[j]) / (x[:, None] - x[j])
-        lmax[j] = np.where(i < j, s, -np.inf).max(axis=0)
-        rmin[j] = np.where(i > j, s, np.inf).min(axis=0)
-    return lmax, rmin
+def _convex(x, c):
+    """Whether the points (x[j], c[j]), x strictly ascending, are convex in
+    exact arithmetic: no point lies above the chord of its two neighbours
+    (collinear points are convex)."""
+    from fractions import Fraction      # only a wide action set needs it
+
+    if not np.all(np.isfinite(c)):
+        return False
+    x, c = [Fraction(v) for v in x.tolist()], [Fraction(v) for v in c.tolist()]
+    return all((c[j] - c[j - 1]) * (x[j + 1] - x[j]) <= (c[j + 1] - c[j]) * (x[j] - x[j - 1])
+               for j in range(1, len(x) - 1))
 
 
 class _Side:
@@ -207,42 +229,22 @@ class _Side:
     Row slope d and multiplier beta price column j at d*w[j] + beta*c[j]:
     the service side has w = -rate ascending and c = c(rate), the arrival
     side w = rate descending and c = -u(rate), so x = -w ascends on both.
-    A side of at least WINDOW_MIN_RATES rates also keeps what the windowed
-    step needs (``_Rule.window``): the vertices and slopes of the lower hull
-    of (x, c); per hull vertex t, the first column ``lo[t]`` of the
-    ``width`` columns spanning vertices t-1..t+1; and, for the columns just
-    outside that window, the chord slope bounds ``lm``/``rm`` (padded
-    outward by 8u relative) and the spacings ``hl``/``hr`` to them, where
-    ``left``/``right`` says such a column exists (the spacing is +inf where
-    not).  A smaller side has ``lo`` None.  ``solve`` takes the window on a
-    side whose window spans at most a quarter of its columns (``wide``); a
-    collinear menu, whose hull is its two ends, keeps the full table.
+    A side is ``wide`` when it has at least WINDOW_MIN_RATES rates and its
+    points (x, c) are convex in exact arithmetic, as a convex cost and a
+    concave utility make them; it then keeps what the windowed step needs
+    (``_Rule.window``): the slopes between consecutive columns, the
+    three-column windows of w and the largest |x| and |c|.  Any other side
+    fills the full table.
     """
 
     def __init__(self, w, c):
         self.w, self.c = w, c
-        k = len(w)
-        self.wide, self.lo = False, None
-        if k < WINDOW_MIN_RATES:
-            return
         x = -w
-        hull = np.array(lower_hull(x.tolist(), c.tolist()))
-        self.slopes = np.diff(c[hull]) / np.diff(x[hull])
-        t = np.arange(len(hull))
-        first, last = hull[np.maximum(t - 1, 0)], hull[np.minimum(t + 1, len(hull) - 1)]
-        self.width = int(np.max(last - first)) + 1
-        self.wide = 4 * self.width <= k
-        self.w_windows = sliding_window_view(w, self.width)
-        self.lo = lo = np.minimum(first, k - self.width)
-        hi = lo + self.width - 1
-        lmax, rmin = _chord_bounds(x, c)
-        self.left, self.right = left, right = lo > 0, hi < k - 1
-        lm = np.where(left, lmax[lo], 0.0)
-        rm = np.where(right, rmin[hi], 0.0)
-        self.lm, self.rm = lm + 8 * _U * np.abs(lm), rm - 8 * _U * np.abs(rm)
-        self.hl = np.where(left, x[lo] - x[lo - 1], np.inf)
-        self.hr = np.where(right, x[np.minimum(hi + 1, k - 1)] - x[hi], np.inf)
-        self.x_max, self.c_max = np.max(np.abs(x)), np.max(np.abs(c))
+        self.wide = len(w) >= WINDOW_MIN_RATES and _convex(x, c)
+        if self.wide:
+            self.slopes = np.diff(c) / np.diff(x)
+            self.w_windows = sliding_window_view(w, 3)
+            self.x_max, self.c_max = np.max(np.abs(x)), np.max(np.abs(c))
 
 
 def _sides(lp):
@@ -269,75 +271,58 @@ def _tables(lp):
 class _Rule:
     """One improvement rule of a solve: ``best(d)`` returns each row's pick
     and minimum of d*w + cost for the row slopes d, bit for bit those of
-    ``_best`` on the full table.  With ``cap_off`` the last row prices those
-    columns at +inf."""
+    ``_best`` on the full table."""
 
-    def __init__(self, side, beta, cost, rows, cap_off=None):
-        self.side, self.cost, self.cap_off = side, cost, cap_off
-        if not side.wide:
-            self.values = np.empty((rows, len(cost)))
-        if side.lo is not None:
+    def __init__(self, side, beta, cost, rows):
+        self.side, self.cost = side, cost
+        if side.wide:
             self.slopes = beta * side.slopes
-            self.cost_windows = sliding_window_view(cost, side.width)
-            # with no column outside, d - lm and rm - d are +inf
-            self.lm = np.where(side.left, beta * side.lm, -np.inf)
-            self.rm = np.where(side.right, beta * side.rm, np.inf)
+            self.cost_windows = sliding_window_view(cost, 3)
             # twice the rounding bound E = 4u (|d| max|x| + 2 beta max|c|)
             self.e_d, self.e_0 = 8 * _U * side.x_max, 16 * _U * beta * side.c_max + 2 * _TINY
+        else:
+            self.values = np.empty((rows, len(cost)))
 
     def best(self, d):
-        if not self.side.wide:
-            values = self.values
-            np.multiply.outer(d, self.side.w, out=values)
-            np.add(values, self.cost, out=values)
-            if self.cap_off is not None:
-                values[-1, self.cap_off] = np.inf
-            return _best(values)
-        if self.cap_off is None:
+        if self.side.wide:
             return self.window(d)[:2]
-        pick, low, _ = self.window(d[:-1])
-        cap = d[-1] * self.side.w + self.cost
-        cap[self.cap_off] = np.inf
-        at = np.argmin(cap)
-        return np.append(pick, at), np.append(low, cap[at])
+        values = self.values
+        np.multiply.outer(d, self.side.w, out=values)
+        np.add(values, self.cost, out=values)
+        return _best(values)
 
     def window(self, d):
-        """(pick, low, full): each row's pick and minimum, found among the
-        window's columns, and the rows evaluated in full instead.
+        """(pick, low, full): each row's pick and minimum, found among three
+        columns, and the rows evaluated in full instead.
 
-        Row slope d selects hull vertex t = searchsorted(beta*slopes, d).
-        Its window holds the columns from vertex t-1 to t+1, priced as the
-        full table prices them, and the window's first minimizer is the
-        pick when a certificate shows every column outside the window
-        strictly worse than the window's minimum f_min.  For the columns
-        left of the window's first column L, in exact arithmetic
-
-            g_i - g_L = (x_L - x_i) (d - beta * slope(i, L))
-                     >= (x_L - x_{L-1}) (d - beta * lm)      once d > beta * lm,
-
-        and each float value is within E/2 of its exact value, so
-
-            d > beta * lm  and  f_L - f_min + (x_L - x_{L-1}) (d - beta * lm) > 2E
-
-        proves them worse; the right side mirrors it with rm.  A row that
-        fails either side is evaluated in full.
+        Row slope d selects column t = searchsorted(beta*slopes, d), where
+        the row stops falling; the window holds columns t-1..t+1, shifted
+        to fit, priced as the full table prices them.  Each float value
+        f_j lies within E/2 of its exact value g_j = beta c_j - d x_j, with
+        E = 4u (|d| max|x| + 2 beta max|c|) plus the smallest normal double
+        against underflow (up to terms of order u^2, which the factor 2
+        below covers along with the test's own rounding).  An edge with
+        f_edge - f_min > 2E therefore has g_edge above the window
+        minimizer's g by more than E; g is convex in x, as the side's
+        points are and beta >= 0, so every column beyond that edge has g
+        above g_edge and f above f_min.  When each edge with columns beyond it passes, the
+        window's first minimizer is the table's; a row that fails is
+        evaluated in full.
         """
-        side = self.side
-        t = np.searchsorted(self.slopes, d)
-        lo = side.lo[t]
-        values = np.take(side.w_windows, lo, axis=0)     # row r: w[lo[r]:lo[r] + width]
+        k = len(self.side.w)
+        lo = np.clip(np.searchsorted(self.slopes, d) - 1, 0, k - 3)
+        values = np.take(self.side.w_windows, lo, axis=0)     # row r: w[lo[r]:lo[r] + 3]
         values *= d[:, None]
         values += np.take(self.cost_windows, lo, axis=0)
         at = np.argmin(values, axis=1)
         low = values[np.arange(len(d)), at]
         two_e = np.abs(d) * self.e_d + self.e_0
-        left, right = d - self.lm[t], self.rm[t] - d
-        ok = ((left > 0) & (values[:, 0] - low + side.hl[t] * left > two_e)
-              & (right > 0) & (values[:, -1] - low + side.hr[t] * right > two_e))
+        ok = (((lo == 0) | (values[:, 0] - low > two_e))
+              & ((lo == k - 3) | (values[:, 2] - low > two_e)))
         pick = lo + at
         full = np.flatnonzero(~ok)
         if full.size:
-            pick[full], low[full] = _best(np.multiply.outer(d[full], side.w) + self.cost)
+            pick[full], low[full] = _best(np.multiply.outer(d[full], self.side.w) + self.cost)
         return pick, low, full
 
 
@@ -382,32 +367,28 @@ def solve(lp, tol=1e-9, start=None):
     cheap.
 
     Each improvement step picks, per state, the first minimizing column of
-    each rule.  A rule with fewer than WINDOW_MIN_RATES rates, or whose hull
-    window would span more than a quarter of them, fills its full table in
-    place; any other searches each row's window around the lower-hull
-    vertex its slope selects, proves with a rounding-aware certificate
-    that no column outside wins, and evaluates in full the rows where that
-    proof fails (see ``_Rule.window``).  Either way the picks and minima
-    are bit for bit the full table's.
+    each rule.  A rule on a windowed side (``_Side``) evaluates each row's
+    three columns around the one its slope selects, keeps their first
+    minimizer when the window edges prove every column beyond them worse,
+    and evaluates in full the rows where that proof fails (see
+    ``_Rule.window``); any other rule fills its full table in place.
+    Either way the picks and minima are bit for bit the full table's.  The
+    cap state, whose arrivals are off, picks among the positive service
+    rates only.
     """
     _checked_tol(tol)
     n = lp.state_cap + 1      # states 0..state_cap
     k, m = len(lp.service_actions), len(lp.arrival_actions)
     srv, srv_cost, arr, arr_cost = _tables(lp)
     service, arrival = _sides(lp)
-    # with arrivals already off at the cap, zero service there would absorb
-    # the chain at its most expensive state -- a truncation artifact the
-    # unbounded problem has no counterpart for; the cap row therefore
-    # prices every zero service rate at +inf
-    cap_off = srv[:k] <= 0.0
-    if np.all(cap_off):
+    if lp.service_actions[-1] <= 0.0:
         raise ValueError("service actions must include a positive rate")
 
     try:
         warm = _start_indices(lp, start) if start is not None else None
         # serve and admit at the largest rates
         cold = np.append(k, np.full(n - 1, k - 1)), np.append(np.zeros(n - 1, dtype=int), m)
-        srv_rule = _Rule(service, lp.beta1, srv_cost[:k], n - 1, cap_off)
+        srv_rule = _Rule(service, lp.beta1, srv_cost[:k], n - 1)
         arr_rule = _Rule(arrival, lp.beta2, arr_cost[:m], n - 1)
     except MemoryError:
         raise ValueError("state_cap %d is too large: its arrays do not fit in memory"
@@ -418,6 +399,7 @@ def solve(lp, tol=1e-9, start=None):
 
     def iterate(mu_at, lam_at):
         nonlocal steps
+        residual = np.empty(n)      # filled in place by each improvement step
         gain_history = []
         iterations = 0
         span = math.inf
@@ -437,12 +419,24 @@ def solve(lp, tol=1e-9, start=None):
             # at q = 0..n-2 minimizes -beta2 u(a) + a d(q)
             srv_pick, srv_min = srv_rule.best(d)
             arr_pick, arr_min = arr_rule.best(d)
-            residual = (states + np.append(0.0, srv_min) + np.append(arr_min, 0.0)) / lp.r_u - g
+            if srv_pick[-1] == 0 and srv[0] == 0.0:
+                # with arrivals already off at the cap, zero service there
+                # would absorb the chain at its most expensive state -- a
+                # truncation artifact the unbounded problem has no
+                # counterpart for; the cap picks again among columns
+                # 1..k-1, the positive rates (rates are distinct)
+                cap = d[-1] * service.w[1:] + srv_cost[1:k]
+                srv_pick[-1] = at = np.argmin(cap) + 1
+                srv_min[-1] = cap[at - 1]
+            residual[:] = states
+            residual[1:] += srv_min
+            residual[:-1] += arr_min
+            residual /= lp.r_u
+            residual -= g
             span = float(np.max(residual) - np.min(residual))
-            srv_pick, arr_pick = np.append(k, srv_pick), np.append(arr_pick, m)
-            if np.array_equal(srv_pick, mu_at) and np.array_equal(arr_pick, lam_at):
+            if np.array_equal(srv_pick, mu_at[1:]) and np.array_equal(arr_pick, lam_at[:-1]):
                 return mu_at, lam_at, g, gain_history
-            mu_at, lam_at = srv_pick, arr_pick
+            mu_at[1:], lam_at[:-1] = srv_pick, arr_pick
 
     found = None
     if warm is not None:

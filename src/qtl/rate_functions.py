@@ -192,7 +192,8 @@ def inverse(f, v):
 def lower_hull(xs, ys):
     """Indices of the lower convex hull's vertices of the points (xs[i], ys[i]),
     whose xs strictly ascend (Andrew's monotone chain).  A point on a chord
-    between two others is not a vertex."""
+    between two others is not a vertex.  It serves ``lower_convex_envelope``
+    only."""
     hull = []
     for i, (x, y) in enumerate(zip(xs, ys)):
         while len(hull) >= 2:

@@ -553,8 +553,8 @@ def test_scipy_sparse_loads_only_to_evaluate_a_policy(runner, tmp_path):
 
 
 def test_singular_evaluation_leaves_only_the_json_error(tmp_path):
-    # the largest-rate start of this problem has two closed classes; SuperLU
-    # warns about it, and the CLI must print nothing but its own error
+    # policy iteration on this problem meets a numerically singular policy
+    # evaluation; the CLI must print nothing but its own error
     src = os.path.dirname(os.path.dirname(os.path.abspath(qtl.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("PYTHONWARNINGS", None)

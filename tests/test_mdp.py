@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse.linalg import spsolve
 
 import oracles
 import qtl.mdp as mdp
@@ -78,8 +78,10 @@ def test_poisson_matrix_matches_coo_build(seed, window):
 def test_evaluate_policy_refusals():
     lam = np.array([0.5, 0.5, 0.0, 0.5, 0.0])
     mu = np.array([0.0, 0.5, 0.5, 0.0, 0.5])
-    # lam(2) = 0 and mu(3) = 0 split the chain into two closed classes
-    with pytest.warns(MatrixRankWarning), pytest.raises(ValueError, match="singular"):
+    # lam(2) = 0 and mu(3) = 0 split the chain into two closed classes,
+    # refused before SuperLU sees the matrix
+    with pytest.raises(ValueError, match="singular: the first zero-arrival state q=2 "
+                                         "lies below the last zero-service state q=3"):
         mdp._evaluate_policy(lam, mu, np.ones(5), 1.0)
     lam[-1] = 0.5
     with pytest.raises(ValueError):
@@ -99,12 +101,27 @@ def test_problem_validation():
         LagrangianProblem(0.0, 1.0, S, [0.4], CDISC, None)
 
 
-def test_with_multipliers():
-    lp = problem(0.0)
-    lp2 = lp.with_multipliers(3.0, 0.0)
-    assert lp2.beta1 == 3.0
+def test_with_multipliers(monkeypatch):
+    lp = LagrangianProblem(0.0, 0.0, S, [0.4], CDISC, IDENT)
+    no_utility = problem(0.0)
+    sides = mdp._sides(lp)
+
+    def refuse(actions, name):
+        raise AssertionError("the %s actions were checked again" % name)
+
+    # a derived problem shares the base's checked action sets and sides
+    monkeypatch.setattr(mdp, "_rates", refuse)
+    lp2 = lp.with_multipliers(3.0, 2.0)
+    assert (lp2.beta1, lp2.beta2) == (3.0, 2.0) and (lp.beta1, lp.beta2) == (0.0, 0.0)
     assert lp2.service_actions == lp.service_actions
     assert lp2.state_cap == lp.state_cap
+    assert mdp._sides(lp2) is sides
+    with pytest.raises(ValueError, match="beta1"):
+        lp.with_multipliers(math.nan, 0.0)
+    with pytest.raises(ValueError, match="beta2"):
+        lp.with_multipliers(0.0, -1.0)
+    with pytest.raises(ValueError, match="utility"):
+        no_utility.with_multipliers(1.0, 1.0)
 
 
 def test_uniform_actions():
@@ -354,38 +371,57 @@ def test_windowed_solve_matches_exact_policy_iteration():
         assert all(side.wide for side in mdp._sides(lp))
 
 
-def _wide_menu(data, role):
+def _wide_menu(data, role, kind):
     # 17-201 rates with 0: a uniform grid or random ones, and the function
-    # over them: strictly convex (concave for a utility), a discrete set that
-    # is neither, or linear, whose columns all tie at one slope
+    # over them: strictly convex (concave for a utility) or linear, whose
+    # columns all tie at one slope; or, on a uniform grid, a discrete set
+    # whose first kink bends the wrong way
     k = data.draw(st.integers(17, 201))
-    if data.draw(st.booleans()):
+    if kind == "discrete" or data.draw(st.booleans()):
         rates = uniform_actions(data.draw(st.sampled_from([0.5, 1.0, 3.0])), k)
     else:
         rates = [0.0] + data.draw(st.lists(st.floats(1e-3, 2.0), min_size=k - 1,
                                            max_size=k - 1, unique=True))
-    kind = data.draw(st.sampled_from(["convex", "discrete", "collinear"]))
     top = max(rates)
     if kind == "discrete":
-        steps = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=k - 1, max_size=k - 1))
-        return rates, discrete_function(zip(sorted(rates), np.cumsum([0.0] + steps)), role)
+        steps = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=k - 3, max_size=k - 3))
+        kink = [1.0, 1e-3] if role == "cost" else [1e-3, 1.0]
+        return rates, discrete_function(zip(rates, np.cumsum([0.0] + kink + steps)), role)
     p = data.draw(st.sampled_from([1.5, 2.0, 3.0])) if kind == "convex" else 1.0
     return rates, power_function(p if role == "cost" else 1 / p, (0.0, top), role)
 
 
+def test_convex():
+    x = np.array([0.0, 0.25, 0.5, 1.0, 3.0])
+    assert mdp._convex(x, 2.0 * x + 1.0)      # exact: the points are collinear
+    c = np.array([0.0, 1.0, 5.0, 9.0, 16.0])  # c[2] on the chord of its neighbours
+    x = np.arange(5.0)
+    assert mdp._convex(x, c)
+    up, down = c.copy(), c.copy()
+    up[2], down[2] = np.nextafter(5.0, np.inf), np.nextafter(5.0, -np.inf)
+    assert not mdp._convex(x, up)      # one ulp above its chord
+    assert mdp._convex(x, down)        # one ulp below
+    assert not mdp._convex(x, np.append(c[:-1], np.inf))
+
+
 def test_window_matches_full_table():
-    # the windowed row minimizer returns the full table's argmin and minimum
-    # bit for bit, on any slope, and evaluates in full the rows whose
-    # certificate fails (on a linear menu, the rows at its one slope)
-    full_rows = []
+    # on a convex side the windowed row minimizer returns the full table's
+    # argmin and minimum bit for bit, on any slope, and evaluates in full the
+    # rows whose guard columns fail (on a linear menu, the rows at its one
+    # slope); linear menus are windowed, non-convex discrete ones are not
+    full_rows, windowed = [], []
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def check(data):
-        service, cost = _wide_menu(data, "cost")
-        arrival, utility = _wide_menu(data, "utility")
+        kinds = [data.draw(st.sampled_from(["convex", "collinear"])) for _ in range(2)]
+        service, cost = _wide_menu(data, "cost", kinds[0])
+        arrival, utility = _wide_menu(data, "utility", kinds[1])
         lp = LagrangianProblem(1.0, 1.0, service, arrival, cost, utility, state_cap=10)
-        for side in mdp._sides(lp):
+        for side, kind in zip(mdp._sides(lp), kinds):
+            assert side.wide or kind == "convex"
+            if not side.wide:
+                continue
             beta = data.draw(st.sampled_from([0.0, 0.01, 1.0, 30.0, 1e4]))
             rule = mdp._Rule(side, beta, beta * side.c, 0)
             kinks = rule.slopes[data.draw(st.lists(st.integers(0, len(rule.slopes) - 1),
@@ -400,9 +436,14 @@ def test_window_matches_full_table():
             assert pick.tolist() == want.tolist()
             assert low.tobytes() == table[np.arange(len(d)), want].tobytes()
             full_rows.append(len(full))
+            windowed.append(kind)
+        service, cost = _wide_menu(data, "cost", "discrete")
+        arrival, utility = _wide_menu(data, "utility", "discrete")
+        lp = LagrangianProblem(1.0, 1.0, service, arrival, cost, utility, state_cap=10)
+        assert not any(side.wide for side in mdp._sides(lp))
 
     check()
-    assert sum(full_rows) > 0
+    assert sum(full_rows) > 0 and "convex" in windowed
 
 
 def test_best_tie_rule():
@@ -460,12 +501,23 @@ def test_failed_start_runs_again_cold():
                            state_cap=33)
     start = solve(lp.with_multipliers(100.0, 100.0)).policy
     cold = solve(lp)
-    with pytest.warns(MatrixRankWarning):
-        warm = solve(lp, start=start)
+    warm = solve(lp, start=start)
     assert warm.policy == cold.policy and warm.gain_history == cold.gain_history
     # the abandoned warm run took one improvement step before its second
     # evaluation met the two closed classes; iterations counts it too
     assert cold.iterations == 3 and warm.iterations == 4
+
+
+def test_single_class_numerically_singular():
+    # the second policy admits at 0.05 below the cap and stops service on
+    # states 26-31: its one recurrent class is {31, 32}, and leaving states
+    # 0-25 takes about 5^26 steps, so SuperLU finds the Poisson system
+    # singular; solve says so, and does not blame recurrent classes
+    lp = LagrangianProblem(100.0, 10.0, [0.0, 0.25], [0.05, 0.3, 0.5, 0.75], CSQ, IDENT,
+                           state_cap=32)
+    with pytest.raises(ValueError, match="numerically singular") as info:
+        solve(lp)
+    assert "recurrent class" not in str(info.value)
 
 
 def test_trace_warm_starts_change_nothing(monkeypatch):
@@ -531,9 +583,6 @@ ACTION_RATES = st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.3, 0.5, 0.6, 0.
 MULTIPLIERS = st.sampled_from([0.5, 1.0, 3.0, 10.0, 100.0])
 
 
-# a cold reference solve may meet a policy with two closed classes, which
-# SuperLU warns about before solve reports it
-@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 @settings(max_examples=200, deadline=None)
 @given(service=ACTION_RATES, arrival=ACTION_RATES, cap=st.integers(10, 40),
        b1=st.lists(MULTIPLIERS, max_size=4), b2=st.lists(MULTIPLIERS, max_size=2),
