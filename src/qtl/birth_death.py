@@ -30,6 +30,7 @@ queue-length offset of the relabeled chain automatic.
 import bisect
 import math
 import numbers
+import sys
 from collections import namedtuple
 
 from .rate_functions import _is_number, evaluate
@@ -50,6 +51,8 @@ Metrics = namedtuple(
     "Metrics", ["qbar", "cbar", "ubar", "dbar", "mean_arrival", "mean_service"]
 )
 
+_MAX_DOUBLE = int(sys.float_info.max)
+
 
 class Policy(object):
     """Arrival/service rate rules stored as runs of constant rate.
@@ -57,15 +60,19 @@ class Policy(object):
     ``lam`` and ``mu`` list (start, rate) runs: a run holds its rate up to
     the next start, the last one up to the horizon q_h, and beyond it the
     rule takes its tail value.  Starts begin at 0 and increase within the
-    horizon; neighbouring runs of equal rate are merged.  Rate bounds
-    default to the largest rates the policy uses.  Every rate, tail and
-    bound must be a finite int or float; a bool, a string or a NaN is
-    refused, not converted.
+    horizon, which lies below the largest double; neighbouring runs of
+    equal rate are merged.  Rate bounds default to the largest rates the
+    policy uses.  Every rate, tail and bound must be a finite int or float;
+    a bool, a string or a NaN is refused, not converted.
     """
 
     def __init__(self, lam, mu, lam_tail, mu_tail, horizon, ra_max=None,
                  r_max=None, meta=None):
         self.horizon = int(horizon)
+        if self.horizon >= _MAX_DOUBLE:
+            # stationary() and the simulator count states in doubles
+            raise ValueError("the horizon must lie below the largest double, "
+                             "about 1.8e308")
         self.lam_tail = _finite(lam_tail, "arrival tail")
         self.mu_tail = _finite(mu_tail, "service tail")
         self._runs = {"lam": _merged_runs(lam, self.horizon, self.lam_tail),
@@ -339,6 +346,10 @@ def _mean_offset(n, x):
         # series in x, truncated below 1e-14 relative; the closed form below
         # cancels two terms of order 1/x
         n2 = n * n
+        if n2 * n2 > _MAX_DOUBLE:
+            # the x^3 term below would convert n^4 to a double
+            raise ValueError("a run of %.3g states is too long to evaluate: the "
+                             "limit is about 1.1e77" % n)
         return (n - 1) / 2 + x * ((n2 - 1) / 12 - x * x * (n2 * n2 - 1) / 720)
     s = abs(x)
     back = 0.0 if math.isinf(n) else n * math.exp(-n * s) / -math.expm1(-n * s)

@@ -20,13 +20,19 @@ Policy evaluation solves the (N+2)-unknown linear system
 
 directly (sparse LU on a matrix assembled column-wise in numpy, whose
 arrays and solution are bit-identical to a per-state COO build converted
-to CSC).  A policy whose first zero-arrival state lies below its last
-zero-service state has more than one recurrent class, and evaluation
-refuses it before the solve; a single-class system that SuperLU still
-finds singular is reported as numerically singular.  Neither is papered
-over, and SuperLU's warning stays inside this module.
+to CSC).  The matrix depends on the policy and r_u only, so the last
+SuperLU factor is kept, keyed by (lam, mu, r_u): the first evaluation of
+a warm-started solve, the policy the previous solve ended on at new
+multipliers, re-solves with it and skips the factorization.  The slot is
+emptied before the next factorization, so at most one factor is alive.
+A policy whose first zero-arrival state lies below its last zero-service
+state has more than one recurrent class, and evaluation refuses it before
+the factorization; a single-class system that SuperLU finds exactly
+singular, or whose solution is not finite, is reported as numerically
+singular.  Neither is papered over, and no warnings filter is needed:
+the factorization raises rather than warns.
 ``scipy.sparse`` is imported inside the two functions that build and
-solve that system, and ``fractions`` inside the convexity test of a wide
+factor that system, and ``fractions`` inside the convexity test of a wide
 action set, so importing this module (and ``qtl`` or ``qtl.cli``) loads
 neither.
 
@@ -62,7 +68,6 @@ exact ties that rounding decides.
 
 import copy
 import math
-import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -178,8 +183,26 @@ def _poisson_matrix(lam, mu, r_u):
     return csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))
 
 
-def _evaluate_policy(lam, mu, stage, r_u):
-    from scipy.sparse.linalg import MatrixRankWarning, spsolve
+_SINGULAR = ("policy evaluation is singular: the Poisson system of this "
+             "single-class chain is numerically singular")
+_factor = None      # (key, SuperLU factor) of the last Poisson matrix factored
+
+
+def _factorize(lam, mu, r_u):
+    """SuperLU factor of the Poisson matrix of (lam, mu, r_u).
+
+    The last factor is kept, keyed by the matrix contents, like an
+    ``lru_cache(maxsize=1)``: a warm-started solve first evaluates the
+    policy the previous solve ended on, and only its right-hand side
+    differs.  The slot is emptied before the next factorization, so one
+    factor at most is alive.  A policy already factored was already checked.
+    """
+    global _factor
+    key = (lam.tobytes(), mu.tobytes(), r_u)
+    if _factor is not None and _factor[0] == key:
+        return _factor[1]
+    _factor = None
+    from scipy.sparse.linalg import splu
 
     a = _poisson_matrix(lam, mu, r_u)
     # the rule of birth_death.recurrent_window: one recurrent class needs
@@ -192,14 +215,19 @@ def _evaluate_policy(lam, mu, stage, r_u):
             "policy evaluation is singular: the first zero-arrival state q=%d "
             "lies below the last zero-service state q=%d, so the chain under "
             "this policy has more than one recurrent class" % (q_ru, q_rl))
-    with warnings.catch_warnings():
-        # a non-finite solution is reported below
-        warnings.simplefilter("ignore", MatrixRankWarning)
-        x = spsolve(a, np.append(stage, 0.0))
+    try:
+        lu = splu(a)
+    except RuntimeError:
+        # SuperLU's "Factor is exactly singular"
+        raise ValueError(_SINGULAR) from None
+    _factor = key, lu
+    return lu
+
+
+def _evaluate_policy(lam, mu, stage, r_u):
+    x = _factorize(lam, mu, r_u).solve(np.append(stage, 0.0))
     if not np.all(np.isfinite(x)):
-        raise ValueError(
-            "policy evaluation is singular: the Poisson system of this "
-            "single-class chain is numerically singular")
+        raise ValueError(_SINGULAR)
     return x[:-1], x[-1]
 
 
@@ -375,6 +403,12 @@ def solve(lp, tol=1e-9, start=None):
     Either way the picks and minima are bit for bit the full table's.  The
     cap state, whose arrivals are off, picks among the positive service
     rates only.
+
+    Each evaluation solves the Poisson system with SuperLU, reusing the
+    factor of the previous evaluation when the policy and r_u are the same
+    (the first evaluation of a solve started from the policy the previous
+    solve returned); a multi-class policy, or a numerically singular
+    system, is a ValueError, not a warning.
     """
     _checked_tol(tol)
     n = lp.state_cap + 1      # states 0..state_cap

@@ -29,6 +29,15 @@ from .birth_death import check_admissible, is_stable, policy_from_pieces
 from .rate_functions import _check_tag
 
 
+def _quotient(num, den, U):
+    """num/den in the closed form of a threshold q1, which must be a finite
+    number: at a U so small that it is not, a ValueError names U (Python's
+    float division would raise ZeroDivisionError, or int() OverflowError)."""
+    if den == 0.0 or not math.isfinite(num / den):
+        raise ValueError("U=%g is too small: the threshold q1 is not a finite number" % U)
+    return num / den
+
+
 def _finish(p):
     check_admissible(p)
     if not is_stable(p):
@@ -61,8 +70,8 @@ def mc1_policy(lam, U, K=None, r_max=1.0):
     if eps_pu > K + 1e-12:
         raise ValueError(
             "middle level offset %g exceeds K=%g; service would decrease" % (eps_pu, K))
-    q1 = int(math.floor(
-        math.log1p(eps_u / (U * lam)) / math.log(lam / (lam - eps_u))))
+    q1 = int(math.floor(_quotient(
+        math.log1p(_quotient(eps_u, U * lam, U)), math.log(lam / (lam - eps_u)), U)))
     if q1 < 1:
         raise ValueError("U=%g too large, threshold q1 < 1" % U)
     p = policy_from_pieces(
@@ -97,8 +106,8 @@ def mc22_policy(lam, a_lam, b_lam, U):
         raise ValueError("need 0 < a_lam < lam < b_lam")
     if U <= 0:
         raise ValueError("U must be positive")
-    q1 = int(math.ceil(
-        math.log1p((lam - a_lam) / lam / U) / math.log(lam / a_lam)))
+    q1 = int(math.ceil(_quotient(
+        math.log1p((lam - a_lam) / lam / U), math.log(lam / a_lam), U)))
     q1 = max(q1, 1)
     p = policy_from_pieces(
         [], lam, [[1, q1, a_lam]], b_lam,
@@ -119,7 +128,7 @@ def mc23_policy(lam, K, U, next_corner=None):
     if next_corner is not None and lam + K > next_corner + 1e-12:
         raise ValueError(
             "lam + K = %g overshoots the next corner %g" % (lam + K, next_corner))
-    q1 = int(math.ceil(1.0 / U))
+    q1 = int(math.ceil(_quotient(1.0, U, U)))
     p = policy_from_pieces(
         [], lam, [[1, q1, lam]], lam + K,
         ra_max=lam, r_max=lam + K,
@@ -164,8 +173,8 @@ def lambda_mu_policy(u_inv_uc, U, eps=None, K=None, ra_max=1.0, r_max=1.0):
         raise ValueError("mu2=%g exceeds r_max=%g" % (mu2, r_max))
     if lam1 > ra_max + 1e-12:
         raise ValueError("lam1=%g exceeds r_a_max=%g" % (lam1, ra_max))
-    q1 = int(math.ceil(
-        math.log1p((lam1 - mu1) / lam1 / U) / math.log(lam1 / mu1)))
+    q1 = int(math.ceil(_quotient(
+        math.log1p((lam1 - mu1) / lam1 / U), math.log(lam1 / mu1), U)))
     q1 = max(q1, 1)
     p = policy_from_pieces(
         [[0, q1 - 1, lam1], [q1, q1 + K, u_inv_uc]], lam2,
@@ -200,8 +209,8 @@ def lc_mirror_policy(mu, tag, U):
             raise ValueError("mu + sqrt(U) leaves the utility domain")
         lam_hi = mu + eps_u
         lam_lo = mu - eps_u
-        q1 = int(math.ceil(
-            math.log1p(eps_u / lam_hi / U) / math.log(lam_hi / mu)))
+        q1 = int(math.ceil(_quotient(
+            math.log1p(eps_u / lam_hi / U), math.log(lam_hi / mu), U)))
         q1 = max(q1, 1)
         p = policy_from_pieces(
             [[0, q1 - 1, lam_hi]], lam_lo, [], mu,
@@ -213,8 +222,8 @@ def lc_mirror_policy(mu, tag, U):
         a_mu, b_mu = tag.window
         if not (a_mu < mu < b_mu):
             raise ValueError("mu must lie strictly inside the segment")
-        q1 = int(math.ceil(
-            math.log1p((b_mu - mu) / b_mu / U) / math.log(b_mu / mu)))
+        q1 = int(math.ceil(_quotient(
+            math.log1p((b_mu - mu) / b_mu / U), math.log(b_mu / mu), U)))
         q1 = max(q1, 1)
         p = policy_from_pieces(
             [[0, q1 - 1, b_mu]], a_mu, [], mu,
@@ -226,7 +235,7 @@ def lc_mirror_policy(mu, tag, U):
         prev_c, next_c = tag.window
         if not (prev_c < mu < next_c):
             raise ValueError("corner window does not bracket mu")
-        q1 = int(math.ceil(1.0 / U))
+        q1 = int(math.ceil(_quotient(1.0, U, U)))
         p = policy_from_pieces(
             [[0, q1 - 1, mu]], prev_c, [], mu,
             ra_max=mu, r_max=mu,

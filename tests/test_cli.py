@@ -349,6 +349,12 @@ def mm1(rate=0.4, tail=0.4, r_max=1.0):
                        "bounds": {"r_max": r_max}})
 
 
+def plateau(n):
+    # lambda = mu = 0.4 on states 1..n, then no arrivals: a zero-drift run
+    return json.dumps({"lambda": {"pieces": [[0, n, 0.4]], "tail": 0.0},
+                       "mu": {"pieces": [[1, n, 0.4]], "tail": 0.4}})
+
+
 @pytest.mark.parametrize("args,code", [
     (["classify", "--samples", "[[1,2]]"], 2),
     (["envelope", "--points", "5"], 2),
@@ -392,6 +398,15 @@ def mm1(rate=0.4, tail=0.4, r_max=1.0):
     (["solve", "--cost", CSQ] + LOG_GRID + ["--tol", "inf"], 1),
     (["solve", "--cost", CSQ] + LOG_GRID + ["--tol", "nan"], 1),
     (["trace", "--cost", CSQ] + LOG_GRID + ["--beta1-grid", "[0, 1]", "--tol", "-1"], 1),
+    # scales so small that a family's threshold q1, or the mean of a run of
+    # states, is no finite double
+    (["construct", "--family", "mc1", "--params", '{"lam": 0.5, "K": 0.5, "U": 1e-300}'], 1),
+    (["construct", "--family", "mc22", "--params",
+      '{"lam": 0.39, "a_lam": 0.2, "b_lam": 0.4, "U": 5e-324}'], 1),
+    (["construct", "--family", "lmu", "--params", '{"u_inv_uc": 0.5, "U": 5e-324}'], 1),
+    (["construct", "--family", "mc23", "--params", '{"lam": 0.4, "K": 0.1, "U": 5e-324}'], 1),
+    (["eval", "--policy", plateau(10 ** 80), "--cost", CSQ], 1),
+    (["eval", "--policy", plateau(10 ** 309), "--cost", CSQ], 2),
 ])
 def test_malformed_input_is_a_json_error(runner, args, code):
     error_of(runner.invoke(main, args, catch_exceptions=False), code)
@@ -508,6 +523,22 @@ def test_sweep_failures_are_json_records(runner):
     records = failure_records(res)
     assert [r["U"] for r in records] == [0.0625, 0.03125, 0.015625]
     assert all(r["error"].startswith("non-positive cost gap") for r in records)
+
+
+
+@pytest.mark.parametrize("family,params,c_ref,grid,failed", [
+    ("mc1", '{"lam": 0.5, "K": 0.5}', "0.25", ["--dyadic", "996", "997"], 2),
+    ("mc23", '{"lam": 0.4, "K": 0.1}', "0.16", ["--u-grid", "[1e-300]"], 1),
+])
+def test_sweep_at_extreme_scales_fails_per_point(runner, family, params, c_ref, grid,
+                                                  failed):
+    # the threshold q1 is no finite double (mc1), or the plateau of 1e300
+    # states is too long for its mean (mc23): failure records, exit 0
+    res = invoke(runner, ["sweep", "--family", family, "--params", params,
+                          "--cost", CSQ, "--c-ref", c_ref] + grid)
+    assert res.stdout.splitlines()[1:] == ["U,V,qbar,ubar,cbar"]
+    records = failure_records(res)
+    assert len(records) == failed and all(r["error"] for r in records)
 
 
 # runs each command line of argv[1] in one interpreter and reports, after

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import spsolve
 
@@ -58,6 +59,13 @@ def random_chain(rng, window):
     return lam, mu, stage, float(lam.max() + mu.max())
 
 
+def assert_exact(lam, mu, stage, r_u):
+    # _evaluate_policy equals spsolve on the per-state COO build, bit for bit
+    h, g = mdp._evaluate_policy(lam, mu, stage, r_u)
+    x = spsolve(oracles.coo_poisson_matrix(lam, mu, r_u), np.append(stage, 0.0))
+    assert np.array_equal(h, x[:-1]) and g == x[-1]
+
+
 @pytest.mark.parametrize("window", ["wide", "point", "last"])
 @pytest.mark.parametrize("seed", range(4))
 def test_poisson_matrix_matches_coo_build(seed, window):
@@ -70,9 +78,27 @@ def test_poisson_matrix_matches_coo_build(seed, window):
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, attr), getattr(want, attr))
     assert got.indices.dtype == want.indices.dtype
-    h, g = mdp._evaluate_policy(lam, mu, stage, r_u)
-    x = spsolve(want, np.append(stage, 0.0))
-    assert np.array_equal(h, x[:-1]) and g == x[-1]
+    # the factor memo: a second stage vector on the same chain reuses the
+    # factor; the same chain at another r_u, and another chain, replace it;
+    # every result is the fresh oracle solve's
+    assert_exact(lam, mu, stage, r_u)
+    factor = mdp._factor[1]
+    assert_exact(lam, mu, rng.uniform(0.0, 5.0, len(stage)), r_u)
+    assert mdp._factor[1] is factor
+    assert_exact(lam, mu, stage, 1.5 * r_u)
+    assert mdp._factor[1] is not factor
+    assert_exact(*random_chain(rng, "wide"))
+    assert_exact(lam, mu, stage, r_u)
+
+
+def singular_chain():
+    # one recurrent class, {31, 32}: leaving states 0-25 takes about 5^26
+    # steps, and SuperLU finds the Poisson matrix exactly singular
+    lam = np.append(np.full(32, 0.05), 0.0)
+    mu = np.full(33, 0.25)
+    mu[0] = 0.0
+    mu[26:32] = 0.0
+    return lam, mu, np.ones(33), 1.0
 
 
 def test_evaluate_policy_refusals():
@@ -83,9 +109,54 @@ def test_evaluate_policy_refusals():
     with pytest.raises(ValueError, match="singular: the first zero-arrival state q=2 "
                                          "lies below the last zero-service state q=3"):
         mdp._evaluate_policy(lam, mu, np.ones(5), 1.0)
+    with pytest.raises(ValueError, match="single-class chain is numerically singular"):
+        mdp._evaluate_policy(*singular_chain())
     lam[-1] = 0.5
     with pytest.raises(ValueError):
         mdp._evaluate_policy(lam, mu, np.ones(5), 1.0)
+
+
+@pytest.mark.parametrize("bad", [
+    (np.array([0.5, 0.5, 0.0, 0.5, 0.0]), np.array([0.0, 0.5, 0.5, 0.0, 0.5]),
+     np.ones(5), 1.0),
+    singular_chain(),
+])
+def test_evaluation_after_a_failed_one_is_exact(bad):
+    # a refused or singular evaluation leaves no factor behind, and the
+    # next evaluation, of the chain factored before it, is exact
+    lam, mu, stage, r_u = random_chain(np.random.default_rng(11), "wide")
+    assert_exact(lam, mu, stage, r_u)
+    with pytest.raises(ValueError, match="singular"):
+        mdp._evaluate_policy(*bad)
+    assert mdp._factor is None
+    assert_exact(lam, mu, 2.0 * stage, r_u)
+
+
+def test_trace_factors_each_policy_once(monkeypatch):
+    # a one-beta2 trace chains its solves: each warm solve first evaluates
+    # the policy the previous solve ended on, and reuses its factor, so
+    # SuperLU runs once per policy evaluated
+    base = LagrangianProblem(0.0, 0.0, S, [0.4], CDISC, None, state_cap=300)
+    keys, factored = [], []
+    evaluate, splu = mdp._evaluate_policy, scipy.sparse.linalg.splu
+
+    def recording_evaluate(lam, mu, stage, r_u):
+        keys.append((lam.tobytes(), mu.tobytes()))
+        return evaluate(lam, mu, stage, r_u)
+
+    def counting_splu(a):
+        # the last factor is released before the next one is built
+        assert mdp._factor is None
+        factored.append(a)
+        return splu(a)
+
+    monkeypatch.setattr(mdp, "_factor", None)
+    monkeypatch.setattr(mdp, "_evaluate_policy", recording_evaluate)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    pts, fails = trace_tradeoff(base, np.geomspace(10.0, 1.2e4, 12).tolist(), [0.0])
+    assert not fails and len(pts) == 12
+    # and each of the 11 warm solves starts with a reused factor
+    assert len(factored) == len(set(keys)) <= len(keys) - 11
 
 
 def test_problem_validation():
@@ -526,11 +597,12 @@ def test_trace_warm_starts_change_nothing(monkeypatch):
     acts = uniform_actions(1.0, 21)
     base = LagrangianProblem(0.0, 0.0, acts, acts, CSQ, USQRT, state_cap=80)
     b1, b2 = [0.5, 5.0, 40.0], [0.0, 0.7, 3.0, 12.0]
-    warm = []
+    warm, solved = [], {}
 
     def recording_solve(lp, tol, start=None):
         warm.append(start is not None)
-        return solve(lp, tol, start=start)
+        res = solved[lp.beta1, lp.beta2] = solve(lp, tol, start=start)
+        return res
 
     monkeypatch.setattr(mdp, "solve", recording_solve)
     pts, fails = trace_tradeoff(base, b1, b2)
@@ -548,6 +620,9 @@ def test_trace_warm_starts_change_nothing(monkeypatch):
             assert cold.policy.runs("lam") == p.policy.runs("lam")
         else:
             assert p.policy == cold.policy
+        if p.policy == cold.policy:
+            # a reused factor gives the float a fresh one gives
+            assert solved[p.beta1, p.beta2].gain == cold.gain
 
 
 @pytest.mark.parametrize("b2", [[0.0], [0.0, 1.0]])
@@ -558,11 +633,12 @@ def test_trace_chains_beta1_with_one_beta2(monkeypatch, b2):
     # utility only lets beta2 be positive: one arrival rate leaves no choice)
     base = LagrangianProblem(0.0, 0.0, S, [0.4], CDISC, IDENT, state_cap=300)
     b1 = np.geomspace(10.0, 1.2e4, 8).tolist()
-    starts = []
+    starts, solved = [], {}
 
     def recording_solve(lp, tol, start=None):
         starts.append(start)
-        return solve(lp, tol, start=start)
+        res = solved[lp.beta1, lp.beta2] = solve(lp, tol, start=start)
+        return res
 
     monkeypatch.setattr(mdp, "solve", recording_solve)
     pts, fails = trace_tradeoff(base, b1, b2)
@@ -575,6 +651,8 @@ def test_trace_chains_beta1_with_one_beta2(monkeypatch, b2):
         cold = solve(base.with_multipliers(p.beta1, p.beta2))
         m = exact_metrics(cold.policy, CDISC, IDENT)
         assert p.policy == cold.policy
+        # a reused factor gives the float a fresh one gives
+        assert solved[p.beta1, p.beta2].gain == cold.gain
         assert (p.c_c, p.u_c, p.q_star) == (m.cbar, m.ubar, m.qbar)
 
 

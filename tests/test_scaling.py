@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtl import (
     CaseTag,
@@ -18,12 +19,14 @@ from qtl import (
 )
 from qtl.policy_families import (
     lambda_mu_policy,
+    lc_mirror_policy,
     mc1_policy,
     mc21_policy,
     mc22_policy,
     mc23_policy,
 )
 from qtl.rate_functions import evaluate
+from qtl.scaling import SweepFailure
 from oracles import GROWTH_MODELS, MpChain, synthetic_growth
 
 S = [0, 0.2, 0.4, 0.5, 0.6, 0.8, 1]
@@ -248,3 +251,32 @@ def test_audit_joint_family_names_missing_anchor():
     p = lambda_mu_policy(0.4, 0.01, eps=0.05, K=10)
     with pytest.raises(ValueError, match="'anchor'"):
         audit_lower_bound(p, CaseTag("LMU", None, "log", None), CSQ, IDENT, 0.16)
+
+
+MIRROR_TAGS = {
+    "LC1": CaseTag("LC1", (0.0, 1.0), "inv-sqrt", 0.5),
+    "LC2-1": CaseTag("LC2-1", (0.3, 0.6), "log", 0.5),
+    "LC2-2": CaseTag("LC2-2", (0.3, 0.7), "inv", 0.5),
+}
+# every family, as criterion 5 and the CLI build them, with a cost and c_ref
+FUZZ_FAMILIES = dict(DEEP_FAMILIES, **{
+    "mc21": (lambda u: mc21_policy(0.39, 0.4, 1.0, max(1, round(-math.log2(u)))),
+             ENV, 0.154, 0.39),
+    "lmu": (lambda u: lambda_mu_policy(0.4, u), CSQ, 0.16, 0.4),
+}, **{"lc " + fam: (lambda u, tag=tag: lc_mirror_policy(0.5, tag, u), CSQ, 0.25, 0.5)
+      for fam, tag in MIRROR_TAGS.items()})
+# U log-uniform on [2^-1074, 1]: subnormal scales down to 5e-324 included
+SCALES = st.floats(-1074.0, 0.0).map(lambda e: 2.0 ** e)
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_FAMILIES))
+@settings(max_examples=40, deadline=None)
+@given(grid=st.lists(st.one_of(SCALES, st.sampled_from([5e-324, 1e-300, 2.0 ** -996])),
+                     min_size=1, max_size=4))
+def test_sweep_fuzz(name, grid):
+    # any scale ends in a sample or a failure record, never another exception
+    build, cost, c_ref, _ = FUZZ_FAMILIES[name]
+    samples, failures = sweep(build, grid, cost, c_ref, USQRT)
+    assert len(samples) + len(failures) == len(grid)
+    assert all(isinstance(f, SweepFailure) and f.error for f in failures)
+    assert all(s.V > 0 and math.isfinite(s.qbar) for s in samples)
