@@ -270,13 +270,29 @@ def recurrent_window(p):
     return q_rl, q_ru
 
 
-def is_stable(p):
+def _stable_window(p):
+    """recurrent_window(p) of a policy with a stationary distribution;
+    a ValueError says why p has none.  An infinite window needs the tail's
+    lambda below its mu by a relative margin of 1e-15."""
     q_rl, q_ru = recurrent_window(p)
     if math.isinf(q_rl):
+        raise ValueError("policy never serves; no stationary distribution")
+    finite = not math.isinf(q_ru)
+    if finite and q_ru < q_rl:
+        raise ValueError("absorbing states between q=%s and q=%s" % (q_ru, q_rl))
+    if not finite and p.lam_tail >= p.mu_tail * (1.0 - 1e-15):
+        raise ValueError(
+            "unstable tail: lambda=%r >= mu=%r" % (p.lam_tail, p.mu_tail))
+    return q_rl, q_ru
+
+
+def is_stable(p):
+    """Whether p has a stationary distribution, by ``stationary``'s rule."""
+    try:
+        _stable_window(p)
+    except ValueError:
         return False
-    if not math.isinf(q_ru):
-        return q_ru >= q_rl
-    return p.lam_tail < p.mu_tail
+    return True
 
 
 def stationary(p):
@@ -289,15 +305,7 @@ def stationary(p):
     and memory scale with the number of runs, not of states, and nothing is
     truncated.
     """
-    q_rl, q_ru = recurrent_window(p)
-    if math.isinf(q_rl):
-        raise ValueError("policy never serves; no stationary distribution")
-    finite = not math.isinf(q_ru)
-    if finite and q_ru < q_rl:
-        raise ValueError("absorbing states between q=%s and q=%s" % (q_ru, q_rl))
-    if not finite and p.lam_tail >= p.mu_tail * (1.0 - 1e-15):
-        raise ValueError(
-            "unstable tail: lambda=%g >= mu=%g" % (p.lam_tail, p.mu_tail))
+    q_rl, q_ru = _stable_window(p)
 
     # unnormalized log pi at each segment's first state, from log pi(q_rl) = 0
     # by detailed balance; a one-state segment (mu = 0 at q_rl, lambda = 0
@@ -316,7 +324,7 @@ def stationary(p):
     log_z = top + math.log(math.fsum(math.exp(m - top) for m in log_mass))
     segments = [Segment(first, n, lam, mu, w - log_z, x, math.exp(m - log_z))
                 for (first, n, lam, mu, w, x), m in zip(runs, log_mass)]
-    if finite:
+    if not math.isinf(q_ru):
         return StationaryResult(segments, q_rl, q_ru, 0.0, 0.0, (q_rl, q_ru))
     tail = segments[-1]
     return StationaryResult(segments, q_rl, tail.first - 1, tail.mass,

@@ -18,52 +18,16 @@ Policy evaluation solves the (N+2)-unknown linear system
     (lam_q + mu_q)/r_u h(q) - lam_q/r_u h(q+1) - mu_q/r_u h(q-1) + g = cost(q)
     h(0) = 0
 
-directly (sparse LU on a matrix assembled column-wise in numpy, whose
-arrays and solution are bit-identical to a per-state COO build converted
-to CSC).  The matrix depends on the policy and r_u only, so the last
-SuperLU factor is kept, keyed by (lam, mu, r_u): the first evaluation of
-a warm-started solve, the policy the previous solve ended on at new
-multipliers, re-solves with it and skips the factorization.  The slot is
-emptied before the next factorization, so at most one factor is alive.
-A policy whose first zero-arrival state lies below its last zero-service
-state has more than one recurrent class, and evaluation refuses it before
-the factorization; a single-class system that SuperLU finds exactly
-singular, or whose solution is not finite, is reported as numerically
-singular.  Neither is papered over, and no warnings filter is needed:
-the factorization raises rather than warns.
-``scipy.sparse`` is imported inside the two functions that build and
-factor that system, and ``fractions`` inside the convexity test of a wide
-action set, so importing this module (and ``qtl`` or ``qtl.cli``) loads
-neither.
+by sparse LU (``_factorize``); ``scipy.sparse`` is imported only then, so
+importing this module (and ``qtl`` or ``qtl.cli``) does not load it.
 
-Policy iteration keeps one array of action indices per rule; each action
-table ends in a zero-rate, zero-cost column for state 0's service and the
-cap's arrival.  Service columns run in ascending rate order and arrival
-columns in descending order, so ``_best(values)``, which takes each row's
-first exact minimizer, breaks every tie of the improvement step: the
-smallest service rate, the largest arrival rate.
-
-The improvement step of a rule fills one (states x rates) table in place
-on every step unless its side is windowed: at least WINDOW_MIN_RATES (17)
-rates whose points (rate, cost), or (rate, -utility), are convex in exact
-arithmetic, as a convex cost and a concave utility make them.  Row q's
-pick then minimizes a convex function of the column, so ``_Rule.window``
-evaluates the three columns around the one d(q) selects exactly as the
-table would, and takes the pick there when both window edges that have
-columns beyond them are worse than the window's minimum by more than a
-rounding bound; a row that fails that test is evaluated in full.  Picks
-and minima are therefore the table's, ties included.  The unweighted c(a)
-and u(a) and the consecutive slopes are built once per action set
-(``_Side``) and shared through ``with_multipliers``.  The cap state never
-serves at rate zero: when the cap's pick is a zero rate, ``solve`` picks
-again among the positive rates.  ``solve`` may start from a given policy,
-and runs again from the largest rates if that start ends in an error.
-``trace_tradeoff`` starts each point of a beta1 row from the previous
-beta2 point's policy and the first point of a row cold.  With a single
-beta2 it starts each beta1 point from the previous one's policy.  On a
-grid with several beta2 the rows are not chained along beta1: on the
-admission benchmark grid one such chain ends at another policy among
-exact ties that rounding decides.
+Policy iteration keeps one array of action indices per rule.  Each action
+set is a ``_Side``, built with the problem: its columns, service rates
+ascending and arrival rates descending, end in a zero-rate, zero-cost
+column for state 0's service and the cap's arrival.  Every pick of the
+improvement step is made by ``_best``, which takes each row's first exact
+minimizer, so every tie goes to the smallest service rate and the largest
+arrival rate.
 """
 
 import copy
@@ -95,9 +59,10 @@ class LagrangianProblem:
     """Relaxed control problem: multipliers, action sets, stage-cost pieces.
 
     service_actions / arrival_actions are finite rate sets, stored in
-    ascending order without duplicates.  r_u is max arrival + max service,
-    the smallest valid uniformization rate.  utility_fn may be None when
-    beta2 == 0.
+    ascending order without duplicates, and priced here once: a rate that
+    cost_fn or utility_fn cannot evaluate is a ValueError.  r_u is max
+    arrival + max service, the smallest valid uniformization rate.
+    utility_fn may be None when beta2 == 0.
     """
 
     def __init__(self, beta1, beta2, service_actions, arrival_actions,
@@ -115,11 +80,12 @@ class LagrangianProblem:
         self.utility_fn = utility_fn
         self.state_cap = int(state_cap)
         self.r_u = service_actions[-1] + arrival_actions[-1]
-        self._menu = {}     # the _sides of the action sets, once a solve builds them
+        self._service = _Side(service_actions, cost_fn, -1.0)
+        self._arrival = _Side(arrival_actions[::-1], utility_fn, 1.0)
 
     def with_multipliers(self, beta1, beta2):
-        """This problem at other multipliers; the action sets, already
-        checked, and their _sides are shared."""
+        """This problem at other multipliers, sharing its checked action
+        sets and their priced ``_Side``s."""
         _check_multipliers(beta1, beta2, self.utility_fn)
         lp = copy.copy(self)
         lp.beta1, lp.beta2 = float(beta1), float(beta2)
@@ -233,7 +199,8 @@ def _evaluate_policy(lam, mu, stage, r_u):
 
 def _best(values):
     """Each row's pick, the first column holding its minimum, and that
-    minimum."""
+    minimum.  Every pick of the improvement step is made here, so this is
+    where a tie is broken."""
     pick = np.argmin(values, axis=1)
     return pick, values[np.arange(values.shape[0]), pick]
 
@@ -254,70 +221,62 @@ def _convex(x, c):
 class _Side:
     """The columns of one improvement rule, whatever the multiplier.
 
-    Row slope d and multiplier beta price column j at d*w[j] + beta*c[j]:
-    the service side has w = -rate ascending and c = c(rate), the arrival
-    side w = rate descending and c = -u(rate), so x = -w ascends on both.
-    A side is ``wide`` when it has at least WINDOW_MIN_RATES rates and its
-    points (x, c) are convex in exact arithmetic, as a convex cost and a
-    concave utility make them; it then keeps what the windowed step needs
-    (``_Rule.window``): the slopes between consecutive columns, the
+    ``rates`` holds the column rates in the given order followed by the
+    zero-rate column.  Row slope d and multiplier beta price column j at
+    d*w[j] + beta*c[j], with w = sign*rate and c = -sign*fn(rate): sign -1
+    makes the service side (rates ascending, c = c(rate)), sign +1 the
+    arrival side (rates descending, c = -u(rate)), so x = -w ascends on
+    both.  A side is ``wide`` when it has at least WINDOW_MIN_RATES rates
+    and its points (x, c) are convex in exact arithmetic, as a convex cost
+    and a concave utility make them; it then keeps what the windowed step
+    needs (``_Rule.window``): the slopes between consecutive columns, the
     three-column windows of w and the largest |x| and |c|.  Any other side
     fills the full table.
     """
 
-    def __init__(self, w, c):
-        self.w, self.c = w, c
-        x = -w
-        self.wide = len(w) >= WINDOW_MIN_RATES and _convex(x, c)
+    def __init__(self, rates, fn, sign):
+        rates = np.array(rates)
+        self.rates = np.append(rates, 0.0)
+        self.w = sign * rates
+        self.c = -sign * np.array([rate_value(fn, a) for a in rates.tolist()])
+        x = -self.w
+        self.wide = len(rates) >= WINDOW_MIN_RATES and _convex(x, self.c)
         if self.wide:
-            self.slopes = np.diff(c) / np.diff(x)
-            self.w_windows = sliding_window_view(w, 3)
-            self.x_max, self.c_max = np.max(np.abs(x)), np.max(np.abs(c))
-
-
-def _sides(lp):
-    """The service and the arrival _Side of lp's action sets, built on first
-    use and shared by every problem ``with_multipliers`` derives from lp."""
-    if "sides" not in lp._menu:
-        arrivals = lp.arrival_actions[::-1]
-        c = np.array([rate_value(lp.cost_fn, a) for a in lp.service_actions])
-        u = np.array([rate_value(lp.utility_fn, a) for a in arrivals])
-        lp._menu["sides"] = (_Side(-np.array(lp.service_actions), c),
-                             _Side(np.array(arrivals), -u))
-    return lp._menu["sides"]
-
-
-def _tables(lp):
-    """(srv, srv_cost, arr, arr_cost): the rates and weighted stage costs of
-    the service columns, ascending, and of the arrival columns, descending,
-    each followed by a zero-rate, zero-cost column."""
-    service, arrival = _sides(lp)
-    return (np.append(lp.service_actions, 0.0), np.append(lp.beta1 * service.c, 0.0),
-            np.append(arrival.w, 0.0), np.append(lp.beta2 * arrival.c, 0.0))
+            self.slopes = np.diff(self.c) / np.diff(x)
+            self.w_windows = sliding_window_view(self.w, 3)
+            self.x_max, self.c_max = np.max(np.abs(x)), np.max(np.abs(self.c))
 
 
 class _Rule:
     """One improvement rule of a solve: ``best(d)`` returns each row's pick
     and minimum of d*w + cost for the row slopes d, bit for bit those of
-    ``_best`` on the full table."""
+    ``_best`` on the full table.  ``cost`` holds the weighted column costs,
+    the zero-rate column's 0 last."""
 
-    def __init__(self, side, beta, cost, rows):
-        self.side, self.cost = side, cost
+    def __init__(self, side, beta, rows):
+        self.side = side
+        self.cost = np.append(beta * side.c, 0.0)
         if side.wide:
             self.slopes = beta * side.slopes
-            self.cost_windows = sliding_window_view(cost, 3)
+            self.cost_windows = sliding_window_view(self.cost[:-1], 3)
             # twice the rounding bound E = 4u (|d| max|x| + 2 beta max|c|)
             self.e_d, self.e_0 = 8 * _U * side.x_max, 16 * _U * beta * side.c_max + 2 * _TINY
         else:
-            self.values = np.empty((rows, len(cost)))
+            self.values = np.empty((rows, len(side.w)))
 
     def best(self, d):
         if self.side.wide:
             return self.window(d)[:2]
         values = self.values
         np.multiply.outer(d, self.side.w, out=values)
-        np.add(values, self.cost, out=values)
+        np.add(values, self.cost[:-1], out=values)
         return _best(values)
+
+    def full(self, d, first=0):
+        """Each row's pick among the rate columns first.. and its minimum,
+        from a table of those columns."""
+        pick, low = _best(np.multiply.outer(d, self.side.w[first:]) + self.cost[first:-1])
+        return pick + first, low
 
     def window(self, d):
         """(pick, low, full): each row's pick and minimum, found among three
@@ -342,15 +301,14 @@ class _Rule:
         values = np.take(self.side.w_windows, lo, axis=0)     # row r: w[lo[r]:lo[r] + 3]
         values *= d[:, None]
         values += np.take(self.cost_windows, lo, axis=0)
-        at = np.argmin(values, axis=1)
-        low = values[np.arange(len(d)), at]
+        at, low = _best(values)
         two_e = np.abs(d) * self.e_d + self.e_0
         ok = (((lo == 0) | (values[:, 0] - low > two_e))
               & ((lo == k - 3) | (values[:, 2] - low > two_e)))
         pick = lo + at
         full = np.flatnonzero(~ok)
         if full.size:
-            pick[full], low[full] = _best(np.multiply.outer(d[full], self.side.w) + self.cost)
+            pick[full], low[full] = self.full(d[full])
         return pick, low, full
 
 
@@ -395,14 +353,14 @@ def solve(lp, tol=1e-9, start=None):
     cheap.
 
     Each improvement step picks, per state, the first minimizing column of
-    each rule.  A rule on a windowed side (``_Side``) evaluates each row's
-    three columns around the one its slope selects, keeps their first
-    minimizer when the window edges prove every column beyond them worse,
-    and evaluates in full the rows where that proof fails (see
-    ``_Rule.window``); any other rule fills its full table in place.
-    Either way the picks and minima are bit for bit the full table's.  The
-    cap state, whose arrivals are off, picks among the positive service
-    rates only.
+    each rule, always through ``_best``.  A rule on a windowed side
+    (``_Side``) evaluates each row's three columns around the one its slope
+    selects, keeps their first minimizer when the window edges prove every
+    column beyond them worse, and evaluates in full the rows where that
+    proof fails (see ``_Rule.window``); any other rule fills its full table
+    in place.  Either way the picks and minima are bit for bit the full
+    table's.  The cap state, whose arrivals are off, picks among the
+    positive service rates only.
 
     Each evaluation solves the Poisson system with SuperLU, reusing the
     factor of the previous evaluation when the policy and r_u are the same
@@ -413,8 +371,7 @@ def solve(lp, tol=1e-9, start=None):
     _checked_tol(tol)
     n = lp.state_cap + 1      # states 0..state_cap
     k, m = len(lp.service_actions), len(lp.arrival_actions)
-    srv, srv_cost, arr, arr_cost = _tables(lp)
-    service, arrival = _sides(lp)
+    srv, arr = lp._service.rates, lp._arrival.rates
     if lp.service_actions[-1] <= 0.0:
         raise ValueError("service actions must include a positive rate")
 
@@ -422,8 +379,8 @@ def solve(lp, tol=1e-9, start=None):
         warm = _start_indices(lp, start) if start is not None else None
         # serve and admit at the largest rates
         cold = np.append(k, np.full(n - 1, k - 1)), np.append(np.zeros(n - 1, dtype=int), m)
-        srv_rule = _Rule(service, lp.beta1, srv_cost[:k], n - 1)
-        arr_rule = _Rule(arrival, lp.beta2, arr_cost[:m], n - 1)
+        srv_rule = _Rule(lp._service, lp.beta1, n - 1)
+        arr_rule = _Rule(lp._arrival, lp.beta2, n - 1)
     except MemoryError:
         raise ValueError("state_cap %d is too large: its arrays do not fit in memory"
                          % lp.state_cap) from None
@@ -441,7 +398,7 @@ def solve(lp, tol=1e-9, start=None):
             if iterations == MAX_ITERATIONS and not span < tol:
                 raise ValueError(
                     "policy iteration did not converge in %d iterations" % MAX_ITERATIONS)
-            stage = (states + srv_cost[mu_at] + arr_cost[lam_at]) / lp.r_u
+            stage = (states + srv_rule.cost[mu_at] + arr_rule.cost[lam_at]) / lp.r_u
             h, g = _evaluate_policy(arr[lam_at], srv[mu_at], stage, lp.r_u)
             gain_history.append(g)
             if span < tol:
@@ -459,9 +416,7 @@ def solve(lp, tol=1e-9, start=None):
                 # truncation artifact the unbounded problem has no
                 # counterpart for; the cap picks again among columns
                 # 1..k-1, the positive rates (rates are distinct)
-                cap = d[-1] * service.w[1:] + srv_cost[1:k]
-                srv_pick[-1] = at = np.argmin(cap) + 1
-                srv_min[-1] = cap[at - 1]
+                srv_pick[-1:], srv_min[-1:] = srv_rule.full(d[-1:], 1)
             residual[:] = states
             residual[1:] += srv_min
             residual[:-1] += arr_min
@@ -519,6 +474,9 @@ def trace_tradeoff(base, beta1_grid, beta2_grid, tol=1e-9):
     failed one, start cold.  With a single beta2 the rows form one chain
     along beta1: each point starts from the previous beta1 point's policy,
     and only the first point and a point after a failed one start cold.
+    A grid with several beta2 is not chained along beta1: on the admission
+    benchmark grid such a chain ends at another policy among exact ties
+    that rounding decides.
     Each policy is re-evaluated exactly through the stationary
     distribution (the DP's internal gain is not trusted for reporting).
     Returns (points, failures): points sorted by achieved cost with

@@ -38,6 +38,12 @@ def _quotient(num, den, U):
     return num / den
 
 
+def _threshold(x, ratio, U):
+    """q1 = max(1, ceil( log_ratio (1 + x/U) )), the threshold of the
+    geometric families."""
+    return max(1, int(math.ceil(_quotient(math.log1p(x / U), math.log(ratio), U))))
+
+
 def _finish(p):
     check_admissible(p)
     if not is_stable(p):
@@ -106,9 +112,7 @@ def mc22_policy(lam, a_lam, b_lam, U):
         raise ValueError("need 0 < a_lam < lam < b_lam")
     if U <= 0:
         raise ValueError("U must be positive")
-    q1 = int(math.ceil(_quotient(
-        math.log1p((lam - a_lam) / lam / U), math.log(lam / a_lam), U)))
-    q1 = max(q1, 1)
+    q1 = _threshold((lam - a_lam) / lam, lam / a_lam, U)
     p = policy_from_pieces(
         [], lam, [[1, q1, a_lam]], b_lam,
         ra_max=lam, r_max=b_lam,
@@ -173,9 +177,7 @@ def lambda_mu_policy(u_inv_uc, U, eps=None, K=None, ra_max=1.0, r_max=1.0):
         raise ValueError("mu2=%g exceeds r_max=%g" % (mu2, r_max))
     if lam1 > ra_max + 1e-12:
         raise ValueError("lam1=%g exceeds r_a_max=%g" % (lam1, ra_max))
-    q1 = int(math.ceil(_quotient(
-        math.log1p((lam1 - mu1) / lam1 / U), math.log(lam1 / mu1), U)))
-    q1 = max(q1, 1)
+    q1 = _threshold((lam1 - mu1) / lam1, lam1 / mu1, U)
     p = policy_from_pieces(
         [[0, q1 - 1, lam1], [q1, q1 + K, u_inv_uc]], lam2,
         [[1, q1, mu1]], mu2,
@@ -209,9 +211,7 @@ def lc_mirror_policy(mu, tag, U):
             raise ValueError("mu + sqrt(U) leaves the utility domain")
         lam_hi = mu + eps_u
         lam_lo = mu - eps_u
-        q1 = int(math.ceil(_quotient(
-            math.log1p(eps_u / lam_hi / U), math.log(lam_hi / mu), U)))
-        q1 = max(q1, 1)
+        q1 = _threshold(eps_u / lam_hi, lam_hi / mu, U)
         p = policy_from_pieces(
             [[0, q1 - 1, lam_hi]], lam_lo, [], mu,
             ra_max=lam_hi, r_max=mu,
@@ -222,9 +222,7 @@ def lc_mirror_policy(mu, tag, U):
         a_mu, b_mu = tag.window
         if not (a_mu < mu < b_mu):
             raise ValueError("mu must lie strictly inside the segment")
-        q1 = int(math.ceil(_quotient(
-            math.log1p((b_mu - mu) / b_mu / U), math.log(b_mu / mu), U)))
-        q1 = max(q1, 1)
+        q1 = _threshold((b_mu - mu) / b_mu, b_mu / mu, U)
         p = policy_from_pieces(
             [[0, q1 - 1, b_mu]], a_mu, [], mu,
             ra_max=b_mu, r_max=mu,

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 import oracles
 from qtl import (
     Policy,
+    SimConfig,
     check_admissible,
     constant_policy,
     discrete_function,
@@ -27,6 +28,7 @@ from qtl import (
     power_function,
     qlength_upper_bound,
     recurrent_window,
+    simulate,
     stationary,
     sweep,
 )
@@ -137,6 +139,19 @@ def test_stability():
     assert not is_stable(constant_policy(0.5, 0.5))
     # finite window is always stable
     assert is_stable(policy_from_pieces([(0, 4, 0.9)], 0.0, [], 0.2))
+
+
+def test_near_critical_tail_refused_everywhere():
+    # lambda one ulp below mu: stationary's relative margin refuses it, and
+    # is_stable and simulate follow the same rule
+    lam = math.nextafter(0.4, 0)
+    p = constant_policy(lam, 0.4)
+    assert not is_stable(p)
+    with pytest.raises(ValueError) as exc:
+        stationary(p)
+    assert str(exc.value) == "unstable tail: lambda=%r >= mu=0.4" % lam
+    with pytest.raises(ValueError, match="unstable policy"):
+        simulate(p, SimConfig(100.0, 2), CSQ)
 
 
 def test_stationary_geometric():

@@ -178,6 +178,20 @@ def test_trace_log_grid(runner):
     assert betas == pytest.approx([1.0, 10.0, 100.0])
 
 
+def test_trace_unpriced_action_domain_error(runner):
+    # a service rate the discrete cost has no sample for fails once, before
+    # any grid point is solved, not as one failure record per point
+    disc = json.dumps({"kind": "discrete", "points": json.loads(POINTS)})
+    res = runner.invoke(main, ["trace", "--cost", disc,
+                               "--service-actions", "[0.3, 1.0]",
+                               "--arrival-actions", "[0.4]",
+                               "--beta1-grid", "[1, 5]", "--state-cap", "50"])
+    assert res.exit_code == 1 and res.stdout == ""
+    err = json.loads(res.stderr)["error"]
+    assert err == {"type": "domain",
+                   "message": "rate 0.3 is not a sample of the discrete set"}
+
+
 def test_trace_needs_grid(runner):
     res = runner.invoke(main, ["trace", "--cost", CSQ,
                                "--service-actions", "[1.0]",
@@ -284,13 +298,15 @@ def test_simulate_deterministic(runner):
 
 
 def test_simulate_unstable_domain_error(runner):
-    unstable = json.dumps({"lambda": {"pieces": [], "tail": 0.6},
-                           "mu": {"pieces": [], "tail": 0.5}})
-    res = runner.invoke(main, ["simulate", "--policy", unstable, "--cost", CSQ,
-                               "--horizon", "100"])
-    assert res.exit_code == 1
-    err = json.loads(res.stderr)["error"]
-    assert err["type"] == "domain" and "unstable" in err["message"]
+    # lambda one ulp below mu is refused as qtl eval refuses it
+    for lam, mu in ((0.6, 0.5), (math.nextafter(0.4, 0), 0.4)):
+        unstable = json.dumps({"lambda": {"pieces": [], "tail": lam},
+                               "mu": {"pieces": [], "tail": mu}})
+        res = runner.invoke(main, ["simulate", "--policy", unstable, "--cost", CSQ,
+                                   "--horizon", "100"])
+        assert res.exit_code == 1
+        err = json.loads(res.stderr)["error"]
+        assert err["type"] == "domain" and "unstable" in err["message"]
 
 
 def test_run_manifest(runner, tmp_path):

@@ -172,10 +172,18 @@ def test_problem_validation():
         LagrangianProblem(0.0, 1.0, S, [0.4], CDISC, None)
 
 
+def test_unpriced_action_refused():
+    # a rate the cost or the utility cannot price is refused when the
+    # problem is built, not at each solve, and the error names it
+    with pytest.raises(ValueError, match="rate 0.3 is not a sample"):
+        LagrangianProblem(0.0, 0.0, [0.0, 0.3, 1.0], [0.4], CDISC, None)
+    with pytest.raises(ValueError, match="rate 2 outside domain"):
+        LagrangianProblem(0.0, 1.0, S, [0.4, 2.0], CDISC, IDENT)
+
+
 def test_with_multipliers(monkeypatch):
     lp = LagrangianProblem(0.0, 0.0, S, [0.4], CDISC, IDENT)
     no_utility = problem(0.0)
-    sides = mdp._sides(lp)
 
     def refuse(actions, name):
         raise AssertionError("the %s actions were checked again" % name)
@@ -186,7 +194,7 @@ def test_with_multipliers(monkeypatch):
     assert (lp2.beta1, lp2.beta2) == (3.0, 2.0) and (lp.beta1, lp.beta2) == (0.0, 0.0)
     assert lp2.service_actions == lp.service_actions
     assert lp2.state_cap == lp.state_cap
-    assert mdp._sides(lp2) is sides
+    assert lp2._service is lp._service and lp2._arrival is lp._arrival
     with pytest.raises(ValueError, match="beta1"):
         lp.with_multipliers(math.nan, 0.0)
     with pytest.raises(ValueError, match="beta2"):
@@ -439,7 +447,7 @@ def test_solve_matches_exact_policy_iteration():
 
 def test_windowed_solve_matches_exact_policy_iteration():
     for lp in _check_exact_policy_iteration(np.random.default_rng(11), _random_wide_problem, 12):
-        assert all(side.wide for side in mdp._sides(lp))
+        assert lp._service.wide and lp._arrival.wide
 
 
 def _wide_menu(data, role, kind):
@@ -489,19 +497,19 @@ def test_window_matches_full_table():
         service, cost = _wide_menu(data, "cost", kinds[0])
         arrival, utility = _wide_menu(data, "utility", kinds[1])
         lp = LagrangianProblem(1.0, 1.0, service, arrival, cost, utility, state_cap=10)
-        for side, kind in zip(mdp._sides(lp), kinds):
+        for side, kind in zip((lp._service, lp._arrival), kinds):
             assert side.wide or kind == "convex"
             if not side.wide:
                 continue
             beta = data.draw(st.sampled_from([0.0, 0.01, 1.0, 30.0, 1e4]))
-            rule = mdp._Rule(side, beta, beta * side.c, 0)
+            rule = mdp._Rule(side, beta, 0)
             kinks = rule.slopes[data.draw(st.lists(st.integers(0, len(rule.slopes) - 1),
                                                    max_size=10))]
             d = np.concatenate([
                 kinks, np.nextafter(kinks, np.inf), np.nextafter(kinks, -np.inf),
                 [0.0, -0.0, 1e12, -1e12],
                 data.draw(st.lists(st.floats(-1e4, 1e4), max_size=20))])
-            table = np.multiply.outer(d, side.w) + rule.cost
+            table = np.multiply.outer(d, side.w) + rule.cost[:-1]
             want = np.argmin(table, axis=1)
             pick, low, full = rule.window(d)
             assert pick.tolist() == want.tolist()
@@ -511,7 +519,7 @@ def test_window_matches_full_table():
         service, cost = _wide_menu(data, "cost", "discrete")
         arrival, utility = _wide_menu(data, "utility", "discrete")
         lp = LagrangianProblem(1.0, 1.0, service, arrival, cost, utility, state_cap=10)
-        assert not any(side.wide for side in mdp._sides(lp))
+        assert not (lp._service.wide or lp._arrival.wide)
 
     check()
     assert sum(full_rows) > 0 and "convex" in windowed
@@ -522,7 +530,7 @@ def test_best_tie_rule():
     # and in the arrival columns' descending layout the largest arrival rate
     lp = LagrangianProblem(1.0, 1.0, [0.0, 0.5, 1.0], [0.2, 0.4, 0.6], CSQ, USQRT,
                            state_cap=10)
-    srv, _, arr, _ = mdp._tables(lp)
+    srv, arr = lp._service.rates, lp._arrival.rates
     assert srv.tolist() == [0.0, 0.5, 1.0, 0.0] and arr.tolist() == [0.6, 0.4, 0.2, 0.0]
     service = np.array([[0.3, -0.1, -0.1],
                         [-0.2, -0.2, 0.4],
