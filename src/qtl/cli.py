@@ -143,7 +143,7 @@ def _failures_note(failures, kind):
     if failures:
         click.echo("%d %s point(s) failed" % (len(failures), kind), err=True)
         for f in failures:
-            click.echo(json.dumps(f._asdict()), err=True)
+            click.echo(json.dumps(_round12(f._asdict())), err=True)
 
 
 def _fail(kind, code, message):
@@ -319,18 +319,9 @@ def _case_tag(obj):
                    obj.get("regime"), anchor)
 
 
-def _mc21(U=None, **params):
-    # the scale enters through the threshold: q_k = round(log2(1/U))
-    if "q_k" not in params:
-        if U is None:
-            raise ValueError("mc21 needs q_k or the scale U")
-        params["q_k"] = max(1, int(round(-math.log2(U))))
-    return mc21_policy(**params)
-
-
 _FAMILIES = {
     "mc1": mc1_policy,
-    "mc21": _mc21,
+    "mc21": mc21_policy,
     "mc22": mc22_policy,
     "mc23": mc23_policy,
     "lmu": lambda_mu_policy,

@@ -35,7 +35,6 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .birth_death import Policy, exact_metrics, is_admissible, rate_value
 
@@ -165,9 +164,10 @@ def _factorize(lam, mu, r_u):
     """
     global _factor
     key = (lam.tobytes(), mu.tobytes(), r_u)
-    if _factor is not None and _factor[0] == key:
-        return _factor[1]
-    _factor = None
+    last = _factor      # read the slot once: another thread may replace it
+    if last is not None and last[0] == key:
+        return last[1]
+    _factor = last = None
     from scipy.sparse.linalg import splu
 
     a = _poisson_matrix(lam, mu, r_u)
@@ -208,12 +208,13 @@ def _best(values):
 def _convex(x, c):
     """Whether the points (x[j], c[j]), x strictly ascending, are convex in
     exact arithmetic: no point lies above the chord of its two neighbours
-    (collinear points are convex)."""
-    from fractions import Fraction      # only a wide action set needs it
-
+    (collinear points are convex).  Each double, times 2^1074, is an exact
+    integer, and one common scale leaves every comparison as it is."""
     if not np.all(np.isfinite(c)):
         return False
-    x, c = [Fraction(v) for v in x.tolist()], [Fraction(v) for v in c.tolist()]
+    # n/d with d a power of two up to 2^1074, so n * 2^1074 / d is n shifted
+    x, c = ([n << (1075 - d.bit_length())
+             for n, d in map(float.as_integer_ratio, v.tolist())] for v in (x, c))
     return all((c[j] - c[j - 1]) * (x[j + 1] - x[j]) <= (c[j + 1] - c[j]) * (x[j] - x[j - 1])
                for j in range(1, len(x) - 1))
 
@@ -229,9 +230,8 @@ class _Side:
     both.  A side is ``wide`` when it has at least WINDOW_MIN_RATES rates
     and its points (x, c) are convex in exact arithmetic, as a convex cost
     and a concave utility make them; it then keeps what the windowed step
-    needs (``_Rule.window``): the slopes between consecutive columns, the
-    three-column windows of w and the largest |x| and |c|.  Any other side
-    fills the full table.
+    needs (``_Rule.window``): the slopes between consecutive columns and
+    the largest |x| and |c|.  Any other side fills the full table.
     """
 
     def __init__(self, rates, fn, sign):
@@ -243,7 +243,6 @@ class _Side:
         self.wide = len(rates) >= WINDOW_MIN_RATES and _convex(x, self.c)
         if self.wide:
             self.slopes = np.diff(self.c) / np.diff(x)
-            self.w_windows = sliding_window_view(self.w, 3)
             self.x_max, self.c_max = np.max(np.abs(x)), np.max(np.abs(self.c))
 
 
@@ -258,7 +257,6 @@ class _Rule:
         self.cost = np.append(beta * side.c, 0.0)
         if side.wide:
             self.slopes = beta * side.slopes
-            self.cost_windows = sliding_window_view(self.cost[:-1], 3)
             # twice the rounding bound E = 4u (|d| max|x| + 2 beta max|c|)
             self.e_d, self.e_0 = 8 * _U * side.x_max, 16 * _U * beta * side.c_max + 2 * _TINY
         else:
@@ -298,9 +296,10 @@ class _Rule:
         """
         k = len(self.side.w)
         lo = np.clip(np.searchsorted(self.slopes, d) - 1, 0, k - 3)
-        values = np.take(self.side.w_windows, lo, axis=0)     # row r: w[lo[r]:lo[r] + 3]
+        cols = lo[:, None] + np.arange(3)       # row r: lo[r] .. lo[r] + 2
+        values = self.side.w[cols]
         values *= d[:, None]
-        values += np.take(self.cost_windows, lo, axis=0)
+        values += self.cost[cols]
         at, low = _best(values)
         two_e = np.abs(d) * self.e_d + self.e_0
         ok = (((lo == 0) | (values[:, 0] - low > two_e))

@@ -1,9 +1,11 @@
 """Explicit policy families that approach the minimum service cost.
 
 Each constructor builds an admissible, stable policy parameterized by a
-scale U > 0; as U drops to 0 the achieved average cost approaches the
-relevant floor while the mean queue length grows at the case's asymptotic
-order:
+scale U, and refuses a U that is not a positive finite number (0,
+negatives, +-inf and NaN alike); mc21 reads U only when its threshold
+q_k is not given.  As U drops to 0 the achieved average cost approaches
+the relevant floor while the mean queue length grows at the case's
+asymptotic order:
 
   mc1_policy        strictly convex cost, three service levels around the
                     arrival rate, queue grows like sqrt(1/V) log(1/V)
@@ -27,6 +29,12 @@ import math
 
 from .birth_death import check_admissible, is_stable, policy_from_pieces
 from .rate_functions import _check_tag
+
+
+def _check_scale(U):
+    # a non-number fails the comparison with a TypeError
+    if not 0 < U < math.inf:
+        raise ValueError("U must be a positive finite number, got %g" % U)
 
 
 def _quotient(num, den, U):
@@ -63,8 +71,7 @@ def mc1_policy(lam, U, K=None, r_max=1.0):
     (otherwise the middle level would overshoot the tail and break service
     monotonicity).
     """
-    if U <= 0:
-        raise ValueError("U must be positive")
+    _check_scale(U)
     eps_u = math.sqrt(U)
     if eps_u >= lam:
         raise ValueError("sqrt(U)=%g must stay below lam=%g" % (eps_u, lam))
@@ -89,8 +96,16 @@ def mc1_policy(lam, U, K=None, r_max=1.0):
     return _finish(p)
 
 
-def mc21_policy(lam, b_lam, r_max, q_k):
-    """Two-level service policy: b_lam up to q_k, then r_max."""
+def mc21_policy(lam, b_lam, r_max, q_k=None, U=None):
+    """Two-level service policy: b_lam up to q_k, then r_max.
+
+    Without q_k the scale U sets it: q_k = max(1, round(log2(1/U))).
+    """
+    if q_k is None:
+        if U is None:
+            raise ValueError("mc21 needs q_k or the scale U")
+        _check_scale(U)
+        q_k = max(1, round(-math.log2(U)))
     if not (0 < lam < b_lam < r_max):
         raise ValueError("need 0 < lam < b_lam < r_max")
     q_k = int(q_k)
@@ -110,8 +125,7 @@ def mc22_policy(lam, a_lam, b_lam, U):
     """
     if not (0 < a_lam < lam < b_lam):
         raise ValueError("need 0 < a_lam < lam < b_lam")
-    if U <= 0:
-        raise ValueError("U must be positive")
+    _check_scale(U)
     q1 = _threshold((lam - a_lam) / lam, lam / a_lam, U)
     p = policy_from_pieces(
         [], lam, [[1, q1, a_lam]], b_lam,
@@ -127,8 +141,9 @@ def mc23_policy(lam, K, U, next_corner=None):
     caps K (lam + K must not cross it, or the tail rate leaves the active
     pair of segments).
     """
-    if U <= 0 or K <= 0:
-        raise ValueError("U and K must be positive")
+    _check_scale(U)
+    if K <= 0:
+        raise ValueError("K must be positive")
     if next_corner is not None and lam + K > next_corner + 1e-12:
         raise ValueError(
             "lam + K = %g overshoots the next corner %g" % (lam + K, next_corner))
@@ -153,8 +168,7 @@ def lambda_mu_policy(u_inv_uc, U, eps=None, K=None, ra_max=1.0, r_max=1.0):
     2 (1 + u^-1(u_c)^2 / eps), which is what makes the average utility
     clear u_c for small U.
     """
-    if U <= 0:
-        raise ValueError("U must be positive")
+    _check_scale(U)
     if eps is None:
         eps = min(0.05, 0.5 * (ra_max - u_inv_uc))
     if eps <= 0:
@@ -195,8 +209,7 @@ def lc_mirror_policy(mu, tag, U):
     plumbing (the tight arrival-side constructions are not reproduced
     here) and the metadata says so.
     """
-    if U <= 0:
-        raise ValueError("U must be positive")
+    _check_scale(U)
     note = "heuristic mirror family; no tightness guarantee"
     fam = tag.family
     if fam not in ("LC1", "LC2-1", "LC2-2"):

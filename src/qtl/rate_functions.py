@@ -153,11 +153,14 @@ def evaluate(f, r):
             if abs(rr - r) <= 1e-12:
                 return vv
         raise ValueError("rate %g is not a sample of the discrete set" % r)
-    if r < f.lo - 1e-12 or r > f.hi + 1e-12:
+    if not f.lo - 1e-12 <= r <= f.hi + 1e-12:
         raise ValueError("rate %g outside domain [%g, %g]" % (r, f.lo, f.hi))
     r = min(max(r, f.lo), f.hi)
     if f.kind == "power":
-        return r ** f.exponent
+        try:
+            return r ** f.exponent
+        except OverflowError:
+            raise ValueError("value at rate %g overflows" % r) from None
     # piecewise: locate the segment, interpolate
     i = bisect.bisect_right(f.br, r) - 1
     if i >= len(f.br) - 1:
@@ -177,7 +180,7 @@ def inverse(f, v):
     if f.kind == "discrete":
         raise ValueError("discrete set has no inverse; take lower_convex_envelope first")
     v_lo, v_hi = evaluate(f, f.lo), evaluate(f, f.hi)
-    if v < v_lo - 1e-12 or v > v_hi + 1e-12:
+    if not v_lo - 1e-12 <= v <= v_hi + 1e-12:
         raise ValueError("value %g outside range [%g, %g]" % (v, v_lo, v_hi))
     lo, hi = f.lo, f.hi
     for _ in range(100):

@@ -87,12 +87,9 @@ def sweep(build, U_grid, c, c_ref, u=None):
             p = build(U)
             sr = stationary(p)
             m = metrics(p, sr, c, u)
+            v = _cost_gap(sr, c, c_ref)
         except ValueError as exc:
             failures.append(SweepFailure(U, str(exc)))
-            continue
-        v = _cost_gap(sr, c, c_ref)
-        if v <= 0:
-            failures.append(SweepFailure(U, "non-positive cost gap %g" % v))
             continue
         samples.append(ScalingSample(U, v, m.qbar, m.ubar, m.cbar))
     return samples, failures
@@ -140,8 +137,12 @@ def classify_regime(samples, tag=None):
 
 def _cost_gap(sr, c, c_ref):
     # V = Cbar - c_ref as one sum of mass (c(mu) - c_ref) over segments: the
-    # difference is taken per segment, so a V far below Cbar keeps its digits
-    return math.fsum(s.mass * (rate_value(c, s.mu) - c_ref) for s in sr.segments)
+    # difference is taken per segment, so a V far below Cbar keeps its digits.
+    # V must be positive (NaN is not)
+    v = math.fsum(s.mass * (rate_value(c, s.mu) - c_ref) for s in sr.segments)
+    if not v > 0:
+        raise ValueError("non-positive cost gap %g" % v)
+    return v
 
 
 def _service_mass_outside(sr, low, high):
@@ -190,8 +191,6 @@ def audit_lower_bound(p, tag, c, u, c_ref):
     sr = stationary(p)
     m = metrics(p, sr, c, u)
     v = _cost_gap(sr, c, c_ref)
-    if v <= 0:
-        raise ValueError("cost gap V = %g is not positive" % v)
     checks = []
     fam = tag.family if tag is not None else None
 

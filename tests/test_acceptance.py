@@ -95,7 +95,7 @@ def families():
             lambda u: mc1_policy(0.5, u, K=0.5),
             CSQ, USQRT, 0.25, classify_case(CSQ, 0.5)),
         "mc21": _family_entry(
-            lambda u: mc21_policy(0.1, 0.2, 1.0, max(1, round(-math.log2(u)))),
+            lambda u: mc21_policy(0.1, 0.2, 1.0, U=u),
             ENV, USQRT, 0.02, classify_case(ENV, 0.1)),
         "lmu": _family_entry(
             lambda u: lambda_mu_policy(0.4, u, eps=0.05, K=10),

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import qtl
-from qtl.cli import main
+from qtl.cli import _strict_json, main
 
 CSQ = '{"kind": "power", "domain": [0, 1], "exponent": 2}'
 USQRT = '{"kind": "power", "domain": [0, 1], "exponent": 0.5}'
@@ -79,6 +79,17 @@ def test_eval_billion_state_policy(runner):
                        "mu": {"pieces": [[1, 10 ** 9, 0.5]], "tail": 0.5}})
     res = invoke(runner, ["eval", "--policy", huge, "--cost", CSQ])
     assert json.loads(res.output)["qbar"] == pytest.approx(4.0, rel=1e-12)
+
+
+def test_eval_without_drift_bound(runner):
+    # state 3 is the one recurrent state (no arrivals, no service there),
+    # and no state serves faster than it admits: no drift bound, infinite delay
+    stuck = json.dumps({"lambda": {"pieces": [[0, 2, 0.5], [3, 3, 0.0]], "tail": 0.5},
+                        "mu": {"pieces": [[0, 0, 0.0], [1, 2, 0.2], [3, 3, 0.0]],
+                               "tail": 0.4}})
+    doc = json.loads(invoke(runner, ["eval", "--policy", stuck, "--cost", CSQ]).output)
+    assert doc["qbar"] == 3.0
+    assert doc["qbar_upper_bound"] is None and doc["dbar"] == "inf"
 
 
 def test_eval_at_file(runner, tmp_path):
@@ -423,6 +434,12 @@ def plateau(n):
     (["construct", "--family", "mc23", "--params", '{"lam": 0.4, "K": 0.1, "U": 5e-324}'], 1),
     (["eval", "--policy", plateau(10 ** 80), "--cost", CSQ], 1),
     (["eval", "--policy", plateau(10 ** 309), "--cost", CSQ], 2),
+    # a rate or value that is NaN lies in no range; a power that overflows
+    (["envelope", "--points", "[[0, 0], [0.5, 0.25], [1, 1]]", "--at", "nan"], 1),
+    (["feasibility", "--cost", CSQ, "--utility", USQRT, "--cc", "nan", "--uc", "0.6"], 1),
+    (["feasibility", "--cost", CSQ, "--utility", USQRT, "--cc", "0.16", "--uc", "nan"], 1),
+    (["feasibility", "--cost", '{"kind": "power", "domain": [0, 1e308], "exponent": 2}',
+      "--utility", USQRT, "--cc", "0.16", "--uc", "0.6"], 1),
 ])
 def test_malformed_input_is_a_json_error(runner, args, code):
     error_of(runner.invoke(main, args, catch_exceptions=False), code)
@@ -518,7 +535,7 @@ def test_audit_geometric_tail(runner, tmp_path):
 def failure_records(res):
     lines = res.stderr.splitlines()
     assert lines[0].endswith("point(s) failed")
-    return [json.loads(line) for line in lines[1:]]
+    return [_strict_json(line) for line in lines[1:]]
 
 
 def test_trace_failures_are_json_records(runner):
@@ -540,6 +557,70 @@ def test_sweep_failures_are_json_records(runner):
     assert [r["U"] for r in records] == [0.0625, 0.03125, 0.015625]
     assert all(r["error"].startswith("non-positive cost gap") for r in records)
 
+
+MC21 = '{"lam": 0.1, "b_lam": 0.2, "r_max": 1.0}'
+MC22 = '{"lam": 0.39, "a_lam": 0.2, "b_lam": 0.4}'
+NOT_A_SCALE = "U must be a positive finite number, got %s"
+# each family's constructor params, all but the scale
+UNSCALED = {
+    "mc1": '{"lam": 0.5, "K": 0.5}',
+    "mc21": MC21,
+    "mc22": MC22,
+    "mc23": '{"lam": 0.4, "K": 0.1}',
+    "lmu": '{"u_inv_uc": 0.5}',
+    "lc": '{"mu": 0.5, "case": {"family": "LC2-1", "window": [0.4, 0.6]}}',
+}
+
+
+def test_non_finite_failure_records_are_json(runner):
+    # a multiplier or scale that overflows to inf fails its point, and the
+    # record names it the way every qtl JSON output does
+    res = invoke(runner, ["trace", "--cost", CSQ, "--service-actions", "[0.5, 1.0]",
+                          "--arrival-actions", "[0.4]", "--beta1-grid", "[1e400, 10]",
+                          "--state-cap", "12"])
+    assert [r["beta1"] for r in failure_records(res)] == ["inf"]
+    res = invoke(runner, ["sweep", "--family", "mc22", "--params", MC22,
+                          "--cost", ENV_SPEC, "--c-ref", "0.154", "--u-grid", "[-1e400, 0.1]"])
+    assert [r["U"] for r in failure_records(res)] == ["-inf"]
+
+
+@pytest.mark.parametrize("family", sorted(UNSCALED))
+@pytest.mark.parametrize("U,shown", [("1e400", "inf"), ("-1e400", "-inf"),
+                                     ("1e-400", "0"), ("-0.5", "-0.5")])
+def test_construct_refuses_a_scale_that_is_not_positive_finite(runner, family, U, shown):
+    params = UNSCALED[family][:-1] + ', "U": %s}' % U
+    res = runner.invoke(main, ["construct", "--family", family, "--params", params],
+                        catch_exceptions=False)
+    assert error_of(res, 1) == NOT_A_SCALE % shown
+
+
+@pytest.mark.parametrize("family,params,c_ref", [("mc21", MC21, "0.02"),
+                                                  ("mc22", MC22, "0.154")])
+def test_sweep_at_an_infinite_scale_fails_that_point(runner, family, params, c_ref):
+    def sweep(grid):
+        return invoke(runner, ["sweep", "--family", family, "--params", params,
+                               "--cost", ENV_SPEC, "--c-ref", c_ref, "--u-grid", grid])
+    res = sweep("[1e400, 0.01]")
+    assert res.stdout.splitlines()[1:] == sweep("[0.01]").stdout.splitlines()[1:]
+    assert failure_records(res) == [{"U": "inf", "error": NOT_A_SCALE % "inf"}]
+
+
+def test_sweep_nan_c_ref_fails_every_point(runner):
+    res = invoke(runner, ["sweep", "--family", "mc22", "--params", MC22,
+                          "--cost", ENV_SPEC, "--c-ref", "nan", "--dyadic", "4", "5"])
+    assert res.stdout.splitlines()[1:] == ["U,V,qbar,ubar,cbar"]
+    assert failure_records(res) == [{"U": u, "error": "non-positive cost gap nan"}
+                                    for u in (0.0625, 0.03125)]
+
+
+@pytest.mark.parametrize("c_ref,message", [("nan", "non-positive cost gap nan"),
+                                           ("1", "non-positive cost gap -0.5")])
+def test_audit_needs_a_positive_cost_gap(runner, c_ref, message):
+    res = runner.invoke(main, ["audit", "--policy", AUDIT_POLICY, "--cost", CSQ,
+                               "--utility", USQRT, "--c-ref", c_ref,
+                               "--case", '{"family": "MC1", "anchor": 0.5}'],
+                        catch_exceptions=False)
+    assert error_of(res, 1) == message
 
 
 @pytest.mark.parametrize("family,params,c_ref,grid,failed", [

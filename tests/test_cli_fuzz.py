@@ -2,10 +2,13 @@
 
 Any manifest, however malformed, ends in exit 0, 1 or 2, never in a
 traceback, and a non-zero exit comes with one JSON error object of type
-``schema`` or ``domain`` on stderr.  Each case starts from a small valid
-manifest of one subcommand and replaces one of its values with arbitrary
-JSON.  Numbers are drawn from small ranges only: a large but valid rate,
-cap or horizon is costly input, not malformed input.
+``schema`` or ``domain`` on stderr.  Every stderr line that opens an
+object, the error or a failure record, is strict JSON.  Each case starts
+from a small valid manifest of one subcommand and replaces one of its
+values with arbitrary JSON.  Numbers are drawn from small ranges only: a
+large but valid rate, cap or horizon is costly input, not malformed
+input.  Strings that overflow to +-inf or underflow to 0 as numbers reach
+the options parsed as floats or JSON lists.
 """
 
 import json
@@ -15,7 +18,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from qtl.cli import main
+from qtl.cli import _strict_json, main
 
 CSQ = {"kind": "power", "domain": [0, 1], "exponent": 2}
 USQRT = {"kind": "power", "domain": [0, 1], "exponent": 0.5}
@@ -54,7 +57,8 @@ KEYS = st.sampled_from(["kind", "domain", "exponent", "points", "lambda", "mu",
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 30)
            | st.sampled_from([-1.5, -0.0, 0.0, 0.1, 0.25, 0.5, 1.0, 2.5])
            | st.sampled_from(["", "mc1", "lc", "MC1", "MC2-3", "LC1", "power",
-                              "piecewise", "discrete", "log", "[", "{}", "x,y"]))
+                              "piecewise", "discrete", "log", "[", "{}", "x,y",
+                              "1e400", "-1e400", "1e-400", "[1e400]"]))
 JSON = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4),
@@ -77,8 +81,11 @@ def check_run(workdir, doc):
     res = CliRunner().invoke(main, ["run", "--manifest", str(manifest)],
                              catch_exceptions=False)
     assert res.exit_code in (0, 1, 2)
+    for line in res.stderr.splitlines():
+        if line.startswith("{"):
+            _strict_json(line)
     if res.exit_code:
-        err = json.loads(res.stderr.splitlines()[-1])["error"]
+        err = _strict_json(res.stderr.splitlines()[-1])["error"]
         assert err["type"] == ("schema" if res.exit_code == 2 else "domain")
         assert isinstance(err["message"], str)
 

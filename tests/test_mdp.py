@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -140,15 +141,21 @@ def test_trace_factors_each_policy_once(monkeypatch):
     keys, factored = [], []
     evaluate, splu = mdp._evaluate_policy, scipy.sparse.linalg.splu
 
+    class Factor:
+        # SuperLU's factor, in an object a weak reference can watch
+        def __init__(self, lu):
+            self.solve = lu.solve
+
     def recording_evaluate(lam, mu, stage, r_u):
         keys.append((lam.tobytes(), mu.tobytes()))
         return evaluate(lam, mu, stage, r_u)
 
     def counting_splu(a):
         # the last factor is released before the next one is built
-        assert mdp._factor is None
-        factored.append(a)
-        return splu(a)
+        assert mdp._factor is None and all(f() is None for f in factored)
+        lu = Factor(splu(a))
+        factored.append(weakref.ref(lu))
+        return lu
 
     monkeypatch.setattr(mdp, "_factor", None)
     monkeypatch.setattr(mdp, "_evaluate_policy", recording_evaluate)
@@ -294,6 +301,17 @@ def test_trace_single_point():
 def test_trace_empty_grid():
     with pytest.raises(ValueError):
         trace_tradeoff(problem(0.0), [], [0.0])
+
+
+def test_mark_dominated():
+    # b beats a in all three coordinates; c trades a lower cost for a
+    # longer queue, and d ties c, so neither of them is dominated
+    point = mdp.TradeoffPoint(0.0, 0.0, 0.3, 0.5, 2.0, None, None)
+    a, b = point, point._replace(c_c=0.2, u_c=0.6, q_star=1.0)
+    c = point._replace(c_c=0.1, q_star=5.0)
+    d = c._replace(beta1=1.0)
+    assert [p.dominated for p in mdp._mark_dominated([a, b, c, d])] == [
+        True, False, False, False]
 
 
 def test_trace_sweep_monotone():

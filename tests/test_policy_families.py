@@ -10,6 +10,7 @@ from qtl import (
     is_stable,
     power_function,
 )
+from qtl.birth_death import policy_to_json
 from qtl.policy_families import (
     lambda_mu_policy,
     lc_mirror_policy,
@@ -69,6 +70,33 @@ def test_mc21_shape_and_errors():
         mc21_policy(0.3, 0.2, 1.0, 3)
     with pytest.raises(ValueError):
         mc21_policy(0.1, 0.2, 1.0, 0)
+
+
+@given(st.floats(min_value=-40.0, max_value=0.0))
+def test_mc21_scale_sets_the_threshold(log2_u):
+    U = 2.0 ** log2_u
+    assert policy_to_json(mc21_policy(0.1, 0.2, 1.0, U=U)) == policy_to_json(
+        mc21_policy(0.1, 0.2, 1.0, max(1, round(-math.log2(U)))))
+
+
+def test_mc21_needs_q_k_or_the_scale():
+    with pytest.raises(ValueError, match="needs q_k or the scale U"):
+        mc21_policy(0.1, 0.2, 1.0)
+    assert mc21_policy(0.1, 0.2, 1.0, 3, U=2.0 ** -10).meta["q_k"] == 3
+
+
+@pytest.mark.parametrize("U", [0.0, -0.5, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("build", [
+    lambda U: mc1_policy(0.5, U, K=0.5),
+    lambda U: mc21_policy(0.1, 0.2, 1.0, U=U),
+    lambda U: mc22_policy(0.39, 0.2, 0.4, U),
+    lambda U: mc23_policy(0.40, 0.1, U, next_corner=0.5),
+    lambda U: lambda_mu_policy(0.4, U, eps=0.05, K=10),
+    lambda U: lc_mirror_policy(0.5, CaseTag("LC2-1", (0.4, 0.6), None, None), U),
+], ids=["mc1", "mc21", "mc22", "mc23", "lmu", "lc"])
+def test_scale_must_be_positive_finite(build, U):
+    with pytest.raises(ValueError, match="U must be a positive finite number"):
+        build(U)
 
 
 def test_mc21_queue_stays_finite():
