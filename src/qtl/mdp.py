@@ -59,7 +59,8 @@ class LagrangianProblem:
 
     service_actions / arrival_actions are finite rate sets, stored in
     ascending order without duplicates, and priced here once: a rate that
-    cost_fn or utility_fn cannot evaluate is a ValueError.  r_u is max
+    cost_fn or utility_fn cannot evaluate is a ValueError, and so is a
+    service set without a positive rate.  r_u is max
     arrival + max service, the smallest valid uniformization rate.
     utility_fn may be None when beta2 == 0.
     """
@@ -81,6 +82,8 @@ class LagrangianProblem:
         self.r_u = service_actions[-1] + arrival_actions[-1]
         self._service = _Side(service_actions, cost_fn, -1.0)
         self._arrival = _Side(arrival_actions[::-1], utility_fn, 1.0)
+        if service_actions[-1] <= 0.0:
+            raise ValueError("service actions must include a positive rate")
 
     def with_multipliers(self, beta1, beta2):
         """This problem at other multipliers, sharing its checked action
@@ -371,8 +374,6 @@ def solve(lp, tol=1e-9, start=None):
     n = lp.state_cap + 1      # states 0..state_cap
     k, m = len(lp.service_actions), len(lp.arrival_actions)
     srv, arr = lp._service.rates, lp._arrival.rates
-    if lp.service_actions[-1] <= 0.0:
-        raise ValueError("service actions must include a positive rate")
 
     try:
         warm = _start_indices(lp, start) if start is not None else None

@@ -21,8 +21,11 @@ asymptotic order:
                     heuristic stand-in, no tightness guarantee, and marked
                     as such in the policy metadata
 
-Threshold positions q1 follow the closed forms; every constructor checks
-its preconditions and the admissibility of what it built.
+Threshold positions q1 follow the closed forms.  Every constructor checks
+its preconditions, then builds through one private builder that also
+checks the result is admissible and stable.  A policy's rate bounds are
+the largest rates it uses, except mc1's r_max and lambda_mu_policy's
+ra_max and r_max, which may exceed them.
 """
 
 import math
@@ -52,7 +55,9 @@ def _threshold(x, ratio, U):
     return max(1, int(math.ceil(_quotient(math.log1p(x / U), math.log(ratio), U))))
 
 
-def _finish(p):
+def _finish(lam_pieces, lam_tail, mu_pieces, mu_tail, meta, ra_max=None, r_max=None):
+    p = policy_from_pieces(lam_pieces, lam_tail, mu_pieces, mu_tail,
+                           ra_max=ra_max, r_max=r_max, meta=meta)
     check_admissible(p)
     if not is_stable(p):
         raise ValueError("constructed policy is unstable")
@@ -87,13 +92,9 @@ def mc1_policy(lam, U, K=None, r_max=1.0):
         math.log1p(_quotient(eps_u, U * lam, U)), math.log(lam / (lam - eps_u)), U)))
     if q1 < 1:
         raise ValueError("U=%g too large, threshold q1 < 1" % U)
-    p = policy_from_pieces(
-        [], lam,
-        [[1, q1, lam - eps_u], [q1 + 1, 2 * q1, lam + eps_pu]], lam + K,
-        ra_max=lam, r_max=r_max,
-        meta={"family": "mc1", "U": U, "K": K, "eps_U": eps_u,
-              "eps_pU": eps_pu, "q1": q1})
-    return _finish(p)
+    return _finish([], lam, [[1, q1, lam - eps_u], [q1 + 1, 2 * q1, lam + eps_pu]], lam + K,
+                   {"family": "mc1", "U": U, "K": K, "eps_U": eps_u, "eps_pU": eps_pu,
+                    "q1": q1}, r_max=r_max)
 
 
 def mc21_policy(lam, b_lam, r_max, q_k=None, U=None):
@@ -111,11 +112,7 @@ def mc21_policy(lam, b_lam, r_max, q_k=None, U=None):
     q_k = int(q_k)
     if q_k < 1:
         raise ValueError("q_k must be at least 1")
-    p = policy_from_pieces(
-        [], lam, [[1, q_k, b_lam]], r_max,
-        ra_max=lam, r_max=r_max,
-        meta={"family": "mc21", "q_k": q_k})
-    return _finish(p)
+    return _finish([], lam, [[1, q_k, b_lam]], r_max, {"family": "mc21", "q_k": q_k})
 
 
 def mc22_policy(lam, a_lam, b_lam, U):
@@ -127,11 +124,7 @@ def mc22_policy(lam, a_lam, b_lam, U):
         raise ValueError("need 0 < a_lam < lam < b_lam")
     _check_scale(U)
     q1 = _threshold((lam - a_lam) / lam, lam / a_lam, U)
-    p = policy_from_pieces(
-        [], lam, [[1, q1, a_lam]], b_lam,
-        ra_max=lam, r_max=b_lam,
-        meta={"family": "mc22", "U": U, "q1": q1})
-    return _finish(p)
+    return _finish([], lam, [[1, q1, a_lam]], b_lam, {"family": "mc22", "U": U, "q1": q1})
 
 
 def mc23_policy(lam, K, U, next_corner=None):
@@ -148,11 +141,8 @@ def mc23_policy(lam, K, U, next_corner=None):
         raise ValueError(
             "lam + K = %g overshoots the next corner %g" % (lam + K, next_corner))
     q1 = int(math.ceil(_quotient(1.0, U, U)))
-    p = policy_from_pieces(
-        [], lam, [[1, q1, lam]], lam + K,
-        ra_max=lam, r_max=lam + K,
-        meta={"family": "mc23", "U": U, "K": K, "q1": q1})
-    return _finish(p)
+    return _finish([], lam, [[1, q1, lam]], lam + K,
+                   {"family": "mc23", "U": U, "K": K, "q1": q1})
 
 
 def lambda_mu_policy(u_inv_uc, U, eps=None, K=None, ra_max=1.0, r_max=1.0):
@@ -181,10 +171,8 @@ def lambda_mu_policy(u_inv_uc, U, eps=None, K=None, ra_max=1.0, r_max=1.0):
     K = int(K)
     if K <= k_min:
         raise ValueError("K=%d must exceed %g" % (K, k_min))
-    mu1 = u_inv_uc - U
-    mu2 = u_inv_uc + U
-    lam1 = u_inv_uc + eps
-    lam2 = u_inv_uc - eps
+    mu1, mu2 = u_inv_uc - U, u_inv_uc + U
+    lam1, lam2 = u_inv_uc + eps, u_inv_uc - eps
     if mu1 <= 0:
         raise ValueError("U=%g at least the anchor rate %g" % (U, u_inv_uc))
     if mu2 > r_max + 1e-12:
@@ -192,13 +180,11 @@ def lambda_mu_policy(u_inv_uc, U, eps=None, K=None, ra_max=1.0, r_max=1.0):
     if lam1 > ra_max + 1e-12:
         raise ValueError("lam1=%g exceeds r_a_max=%g" % (lam1, ra_max))
     q1 = _threshold((lam1 - mu1) / lam1, lam1 / mu1, U)
-    p = policy_from_pieces(
-        [[0, q1 - 1, lam1], [q1, q1 + K, u_inv_uc]], lam2,
-        [[1, q1, mu1]], mu2,
-        ra_max=ra_max, r_max=r_max,
-        meta={"family": "lmu", "U": U, "eps": eps, "K": K, "q1": q1,
-              "mu1": mu1, "mu2": mu2, "lam1": lam1, "lam2": lam2})
-    return _finish(p)
+    return _finish(
+        [[0, q1 - 1, lam1], [q1, q1 + K, u_inv_uc]], lam2, [[1, q1, mu1]], mu2,
+        {"family": "lmu", "U": U, "eps": eps, "K": K, "q1": q1,
+         "mu1": mu1, "mu2": mu2, "lam1": lam1, "lam2": lam2},
+        ra_max=ra_max, r_max=r_max)
 
 
 def lc_mirror_policy(mu, tag, U):
@@ -210,11 +196,11 @@ def lc_mirror_policy(mu, tag, U):
     here) and the metadata says so.
     """
     _check_scale(U)
-    note = "heuristic mirror family; no tightness guarantee"
     fam = tag.family
     if fam not in ("LC1", "LC2-1", "LC2-2"):
         raise ValueError("not an arrival-side case tag: %r" % (fam,))
     _check_tag(tag, "window")
+    # the arrival rate is `head` on states 0..q1-1 and `tail` beyond
     if fam == "LC1":
         eps_u = math.sqrt(U)
         lo, hi = tag.window
@@ -222,34 +208,19 @@ def lc_mirror_policy(mu, tag, U):
             raise ValueError("sqrt(U)=%g must stay below mu=%g" % (eps_u, mu))
         if mu + eps_u > hi + 1e-12:
             raise ValueError("mu + sqrt(U) leaves the utility domain")
-        lam_hi = mu + eps_u
-        lam_lo = mu - eps_u
-        q1 = _threshold(eps_u / lam_hi, lam_hi / mu, U)
-        p = policy_from_pieces(
-            [[0, q1 - 1, lam_hi]], lam_lo, [], mu,
-            ra_max=lam_hi, r_max=mu,
-            meta={"family": "lc-mirror", "case": fam, "U": U, "q1": q1,
-                  "note": note})
-        return _finish(p)
-    if fam == "LC2-1":
-        a_mu, b_mu = tag.window
-        if not (a_mu < mu < b_mu):
+        head, tail = mu + eps_u, mu - eps_u
+        q1 = _threshold(eps_u / head, head / mu, U)
+    elif fam == "LC2-1":
+        tail, head = tag.window
+        if not (tail < mu < head):
             raise ValueError("mu must lie strictly inside the segment")
-        q1 = _threshold((b_mu - mu) / b_mu, b_mu / mu, U)
-        p = policy_from_pieces(
-            [[0, q1 - 1, b_mu]], a_mu, [], mu,
-            ra_max=b_mu, r_max=mu,
-            meta={"family": "lc-mirror", "case": fam, "U": U, "q1": q1,
-                  "note": note})
-        return _finish(p)
-    if fam == "LC2-2":
-        prev_c, next_c = tag.window
-        if not (prev_c < mu < next_c):
+        q1 = _threshold((head - mu) / head, head / mu, U)
+    else:
+        tail, next_c = tag.window
+        if not (tail < mu < next_c):
             raise ValueError("corner window does not bracket mu")
+        head = mu
         q1 = int(math.ceil(_quotient(1.0, U, U)))
-        p = policy_from_pieces(
-            [[0, q1 - 1, mu]], prev_c, [], mu,
-            ra_max=mu, r_max=mu,
-            meta={"family": "lc-mirror", "case": fam, "U": U, "q1": q1,
-                  "note": note})
-        return _finish(p)
+    return _finish([[0, q1 - 1, head]], tail, [], mu,
+                   {"family": "lc-mirror", "case": fam, "U": U, "q1": q1,
+                    "note": "heuristic mirror family; no tightness guarantee"})

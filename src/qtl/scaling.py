@@ -74,8 +74,8 @@ def sweep(build, U_grid, c, c_ref, u=None):
     """Run ``build(U)`` across the grid and collect exact scaling samples.
 
     Returns (samples, failures); a grid point fails (and the sweep
-    continues) when construction raises or the achieved gap V is not
-    positive.
+    continues) when construction raises or the achieved gap V is not a
+    positive finite number.
     """
     grid = list(U_grid)
     if not grid:
@@ -138,10 +138,16 @@ def classify_regime(samples, tag=None):
 def _cost_gap(sr, c, c_ref):
     # V = Cbar - c_ref as one sum of mass (c(mu) - c_ref) over segments: the
     # difference is taken per segment, so a V far below Cbar keeps its digits.
-    # V must be positive (NaN is not)
-    v = math.fsum(s.mass * (rate_value(c, s.mu) - c_ref) for s in sr.segments)
+    # V must be positive (NaN is not) and finite; a sum whose partials
+    # overflow counts as infinite
+    try:
+        v = math.fsum(s.mass * (rate_value(c, s.mu) - c_ref) for s in sr.segments)
+    except OverflowError:
+        v = math.inf
     if not v > 0:
         raise ValueError("non-positive cost gap %g" % v)
+    if v == math.inf:
+        raise ValueError("cost gap %g is not finite" % v)
     return v
 
 
@@ -186,7 +192,7 @@ def audit_lower_bound(p, tag, c, u, c_ref):
     ``tag`` is the operating point's CaseTag (family "LMU" selects the
     joint-choice checks, with the construction margin taken from the
     policy metadata); ``c_ref`` anchors V = Cbar - c_ref, which must be
-    positive.  Returns a list of AuditCheck records.
+    positive and finite.  Returns a list of AuditCheck records.
     """
     sr = stationary(p)
     m = metrics(p, sr, c, u)

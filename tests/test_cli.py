@@ -203,6 +203,21 @@ def test_trace_unpriced_action_domain_error(runner):
                    "message": "rate 0.3 is not a sample of the discrete set"}
 
 
+NO_POSITIVE_SERVICE = ["--cost", CSQ, "--service-actions", "[0]",
+                       "--arrival-actions", "[0.3]", "--state-cap", "20"]
+
+
+def test_trace_without_positive_service_domain_error(runner):
+    # the problem is refused once, before any grid point, not as one
+    # failure record per point under a header-only CSV and exit 0
+    res = runner.invoke(main, ["trace", "--beta1-grid", "[1, 2, 3]"] + NO_POSITIVE_SERVICE)
+    assert res.stdout == ""
+    assert error_of(res, 1) == "service actions must include a positive rate"
+    assert len(res.stderr.splitlines()) == 1
+    res = runner.invoke(main, ["solve", "--beta1", "1"] + NO_POSITIVE_SERVICE)
+    assert error_of(res, 1) == "service actions must include a positive rate"
+
+
 def test_trace_needs_grid(runner):
     res = runner.invoke(main, ["trace", "--cost", CSQ,
                                "--service-actions", "[1.0]",
@@ -539,12 +554,12 @@ def failure_records(res):
 
 
 def test_trace_failures_are_json_records(runner):
-    res = invoke(runner, ["trace", "--cost", CSQ, "--service-actions", "[0]",
-                          "--arrival-actions", "[0.4]", "--beta1-grid", "[0, 5]",
+    res = invoke(runner, ["trace", "--cost", CSQ, "--service-actions", "[0.5, 1.0]",
+                          "--arrival-actions", "[0.4]", "--beta1-grid", "[1e400, 1e401]",
                           "--state-cap", "20"])
     assert res.stdout.splitlines()[1:] == ["beta1,beta2,c_c,u_c,q_star"]
     records = failure_records(res)
-    assert [(r["beta1"], r["beta2"]) for r in records] == [(0.0, 0.0), (5.0, 0.0)]
+    assert [(r["beta1"], r["beta2"]) for r in records] == [("inf", 0.0), ("inf", 0.0)]
     assert all(isinstance(r["error"], str) and r["error"] for r in records)
 
 
@@ -611,6 +626,30 @@ def test_sweep_nan_c_ref_fails_every_point(runner):
     assert res.stdout.splitlines()[1:] == ["U,V,qbar,ubar,cbar"]
     assert failure_records(res) == [{"U": u, "error": "non-positive cost gap nan"}
                                     for u in (0.0625, 0.03125)]
+
+
+NOT_FINITE_GAP = "cost gap inf is not finite"
+
+
+@pytest.mark.parametrize("c_ref,failed", [
+    # every V is +inf; or the sum of V's terms overflows at U = 1/16 only
+    ("-inf", [0.0625, 0.03125]), ("-1.7976931348623157e308", [0.0625])])
+def test_sweep_infinite_cost_gap_fails_per_point(runner, c_ref, failed):
+    res = invoke(runner, ["sweep", "--family", "mc22", "--params", MC22,
+                          "--cost", ENV_SPEC, "--c-ref", c_ref, "--dyadic", "4", "5"])
+    assert failure_records(res) == [{"U": u, "error": NOT_FINITE_GAP} for u in failed]
+    assert len(res.stdout.splitlines()[2:]) == 2 - len(failed)
+
+
+@pytest.mark.parametrize("c_ref", ["-inf", "-1.7976931348623157e308"])
+def test_audit_refuses_an_infinite_cost_gap(runner, c_ref):
+    policy = invoke(runner, ["construct", "--family", "mc22",
+                             "--params", MC22[:-1] + ', "U": 0.01}']).stdout
+    res = runner.invoke(main, ["audit", "--policy", policy, "--cost", ENV_SPEC,
+                               "--c-ref", c_ref,
+                               "--case", '{"family": "MC2-2", "window": [0.2, 0.4]}'],
+                        catch_exceptions=False)
+    assert error_of(res, 1) == NOT_FINITE_GAP and res.stdout == ""
 
 
 @pytest.mark.parametrize("c_ref,message", [("nan", "non-positive cost gap nan"),

@@ -58,7 +58,8 @@ SCALARS = (st.none() | st.booleans() | st.integers(-3, 30)
            | st.sampled_from([-1.5, -0.0, 0.0, 0.1, 0.25, 0.5, 1.0, 2.5])
            | st.sampled_from(["", "mc1", "lc", "MC1", "MC2-3", "LC1", "power",
                               "piecewise", "discrete", "log", "[", "{}", "x,y",
-                              "1e400", "-1e400", "1e-400", "[1e400]"]))
+                              "1e400", "-1e400", "1e-400", "[1e400]",
+                              "-1.7976931348623157e308"]))
 JSON = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4),

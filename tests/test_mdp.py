@@ -279,9 +279,9 @@ def test_cap_state_keeps_positive_service():
 
 
 def test_all_zero_service_rejected():
-    lp = LagrangianProblem(1.0, 0.0, [0.0], [0.3], CDISC, None, state_cap=50)
-    with pytest.raises(ValueError):
-        solve(lp)
+    # the problem refuses it when built, before any solve
+    with pytest.raises(ValueError, match="^service actions must include a positive rate$"):
+        LagrangianProblem(1.0, 0.0, [0.0], [0.3], CDISC, None, state_cap=50)
 
 
 def test_iteration_cap(monkeypatch):
@@ -696,6 +696,10 @@ def test_trace_fuzz(service, arrival, cap, b1, b2, utility):
     # a point fails only where a cold solve fails too, and each point's
     # Lagrangian value is a cold solve's (a tie may pick another optimal
     # policy, so policies are not compared)
+    if max(service) == 0.0:
+        with pytest.raises(ValueError, match="positive rate"):
+            LagrangianProblem(0.0, 0.0, service, arrival, CSQ, utility, state_cap=cap)
+        return
     base = LagrangianProblem(0.0, 0.0, service, arrival, CSQ, utility, state_cap=cap)
     b1, b2 = [0.0] + b1, [0.0] + b2
     pts, fails = trace_tradeoff(base, b1, b2)

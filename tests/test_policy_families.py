@@ -8,6 +8,7 @@ from qtl import (
     exact_metrics,
     is_admissible,
     is_stable,
+    policy_families,
     power_function,
 )
 from qtl.birth_death import policy_to_json
@@ -231,3 +232,34 @@ def test_lambda_mu_always_admissible_stable(k):
 def test_lc_mirror_names_missing_window():
     with pytest.raises(ValueError, match="'window'"):
         lc_mirror_policy(0.5, CaseTag("LC2-1", None, "log", 0.5), 0.01)
+
+
+# every build path at U = 2^-6, with the (r_a_max, r_max) bounds its
+# parameters give: the largest rates the policy uses, except the r_max of
+# mc1 and both bounds of lmu, which are arguments and may exceed them
+BUILDS = {
+    "mc1": (lambda: mc1_policy(0.5, 2.0 ** -6, K=0.3, r_max=1.2), (0.5, 1.2)),
+    "mc21": (lambda: mc21_policy(0.1, 0.2, 1.0, 3), (0.1, 1.0)),
+    "mc22": (lambda: mc22_policy(0.39, 0.2, 0.4, 2.0 ** -6), (0.39, 0.4)),
+    "mc23": (lambda: mc23_policy(0.4, 0.1, 2.0 ** -6), (0.4, 0.4 + 0.1)),
+    "lmu": (lambda: lambda_mu_policy(0.4, 2.0 ** -6, eps=0.05, K=10, ra_max=0.9,
+                                     r_max=0.8), (0.9, 0.8)),
+    "LC1": (lambda: lc_mirror_policy(0.5, MIRROR_TAGS["LC1"], 2.0 ** -6),
+            (0.5 + 0.125, 0.5)),
+    "LC2-1": (lambda: lc_mirror_policy(0.5, MIRROR_TAGS["LC2-1"], 2.0 ** -6), (0.6, 0.5)),
+    "LC2-2": (lambda: lc_mirror_policy(0.5, MIRROR_TAGS["LC2-2"], 2.0 ** -6), (0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_bounds_come_from_the_parameters(name):
+    build, (ra_max, r_max) = BUILDS[name]
+    assert policy_to_json(build())["bounds"] == {
+        "r_a_min": 0.0, "r_a_max": ra_max, "r_min": 0.0, "r_max": r_max}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_every_build_path_checks_stability(name, monkeypatch):
+    monkeypatch.setattr(policy_families, "is_stable", lambda p: False)
+    with pytest.raises(ValueError, match="^constructed policy is unstable$"):
+        BUILDS[name][0]()
