@@ -103,10 +103,8 @@ class RateFunction(object):
         # a function defined at rate 0 must vanish there
         if abs(rs[0]) <= 1e-12 and abs(vs[0]) > 1e-12:
             raise ValueError("value at rate 0 must be 0")
-        if self.kind == "piecewise" and len(rs) > 2:
-            slopes = [
-                (vs[i + 1] - vs[i]) / (rs[i + 1] - rs[i]) for i in range(len(rs) - 1)
-            ]
+        if self.kind == "piecewise":
+            slopes = _segment_slopes(self)[1]
             for i in range(1, len(slopes)):
                 d = slopes[i] - slopes[i - 1]
                 if self.role == "cost" and d <= 0:
@@ -232,8 +230,9 @@ def lower_convex_envelope(f_or_points):
 
 
 def _second_derivative(f, r):
+    # a step whose square underflows to 0 leaves no quotient either
     h = min(FD_STEP, 0.5 * (r - f.lo), 0.5 * (f.hi - r))
-    if h <= 0:
+    if h <= 0 or h * h == 0:
         raise ValueError("rate %g too close to the domain boundary" % r)
     return (evaluate(f, r + h) - 2.0 * evaluate(f, r) + evaluate(f, r - h)) / (h * h)
 

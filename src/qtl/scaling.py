@@ -98,19 +98,34 @@ def sweep(build, U_grid, c, c_ref, u=None):
 def classify_regime(samples, tag=None):
     """Fit the candidate growth models and pick the best.
 
-    Needs at least 5 samples whose V values span two decades.  When a
-    CaseTag is given the verdict says whether the selected model matches
-    the regime the taxonomy predicts.
+    Needs at least 5 samples whose V values span two decades, each with a
+    finite V > 0 whose 1/V is finite and a finite qbar; the ValueError
+    names the first sample that breaks this, or the largest |qbar| when
+    the fit's residual scale overflows.  When a CaseTag is given the
+    verdict says whether the selected model matches the regime the
+    taxonomy predicts.
     """
     if len(samples) < 5:
         raise ValueError("need at least 5 samples, got %d" % len(samples))
     v = np.array([s.V for s in samples], dtype=float)
     q = np.array([s.qbar for s in samples], dtype=float)
-    span = v.max() / v.min()
+    vs = v.tolist()
+    for i, (vi, qi) in enumerate(zip(vs, q.tolist())):
+        if not (0.0 < vi < math.inf and 1.0 / vi < math.inf):
+            raise ValueError("sample %d has V = %g; need a finite V > 0 with a finite 1/V"
+                             % (i, vi))
+        if not math.isfinite(qi):
+            raise ValueError("sample %d has qbar = %g; need a finite qbar" % (i, qi))
+    span = max(vs) / min(vs)
     if span < 100.0:
         raise ValueError("V spans a factor %g, need >= 100 (two decades)" % span)
 
-    scale = float(np.linalg.norm(q))
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(q))
+    if scale == math.inf:
+        i = int(np.argmax(np.abs(q)))
+        raise ValueError("sample %d has qbar = %g; the fit's residual scale overflows"
+                         % (i, q[i]))
     residuals = {}
     fitted = {}
     for name, transform in _MODELS:
@@ -200,52 +215,45 @@ def audit_lower_bound(p, tag, c, u, c_ref):
     checks = []
     fam = tag.family if tag is not None else None
 
-    if fam == "MC1":
+    if fam in ("MC1", "MC2-1", "MC2-2", "MC2-3"):
+        # mass outside [lo - eps, hi + eps] is at most V/(k eps): the family
+        # sets the interval, the half-width eps and the divisor k
         sl = support_line(c, tag)
-        a1 = sl.a1
-        anchor = tag.anchor
-        a2 = 2.0 / math.sqrt(a1)
-        eps_v = a2 * math.sqrt(v)
-        lhs = _service_mass_outside(sr, anchor - eps_v, anchor + eps_v)
-        checks.append(_check(
-            "rate-mass", lhs, v / (a1 * eps_v * eps_v),
-            "eps_V = %g = (2/sqrt(a1)) sqrt(V)" % eps_v))
+        lo = hi = tag.anchor
+        k = sl.m_a
+        if fam == "MC1":
+            eps = 2.0 / math.sqrt(sl.a1) * math.sqrt(v)
+            k = sl.a1 * eps
+            note = "eps_V = %g = (2/sqrt(a1)) sqrt(V)" % eps
+        elif fam == "MC2-3":
+            eps = 4.0 / k * v
+            note = "eps_V = %g = (4/m_a) V" % eps
+        elif k is not None:
+            lo, hi = tag.window
+            eps = 0.25 * (hi - lo)
+            note = "fixed eps = %g, m_a = %g" % (eps, k)
+        if k is None:
+            checks.append(_skip("rate-mass", "no adjacent segment slope gap"))
+        else:
+            lhs = _service_mass_outside(sr, lo - eps, hi + eps)
+            checks.append(_check("rate-mass", lhs, v / (k * eps), note))
+    if fam == "MC1":
         lam0 = p.arrival(0)
-        constant_arrival = all(x == lam0 for x in p.runs("lam")[1])
-        if not constant_arrival:
+        if any(x != lam0 for x in p.runs("lam")[1]):
             checks.append(_skip("boundary-mass", "needs constant arrivals"))
-        elif eps_v >= anchor:
+        elif eps >= tag.anchor:
             checks.append(_skip(
                 "boundary-mass",
-                "eps_V = %g >= anchor rate; threshold undefined" % eps_v))
+                "eps_V = %g >= anchor rate; threshold undefined" % eps))
         else:
-            q_star = _first_service_at_least(p, anchor - eps_v)
+            q_star = _first_service_at_least(p, tag.anchor - eps)
             if q_star is None:
                 checks.append(_skip(
                     "boundary-mass", "no state serves within eps_V of the anchor"))
             else:
                 lhs = (lam0 * pi_at(sr, q_star - 1)) ** 2
                 checks.append(_check(
-                    "boundary-mass", lhs, v / a1, "q* = %d" % q_star))
-    elif fam in ("MC2-1", "MC2-2"):
-        sl = support_line(c, tag)
-        if sl.m_a is None:
-            checks.append(_skip("rate-mass", "no adjacent segment slope gap"))
-        else:
-            a, b = tag.window
-            eps = 0.25 * (b - a)
-            lhs = _service_mass_outside(sr, a - eps, b + eps)
-            checks.append(_check(
-                "rate-mass", lhs, v / (sl.m_a * eps),
-                "fixed eps = %g, m_a = %g" % (eps, sl.m_a)))
-    elif fam == "MC2-3":
-        sl = support_line(c, tag)
-        a2 = 4.0 / sl.m_a
-        eps_v = a2 * v
-        lhs = _service_mass_outside(sr, tag.anchor - eps_v, tag.anchor + eps_v)
-        checks.append(_check(
-            "rate-mass", lhs, v / (sl.m_a * eps_v),
-            "eps_V = %g = (4/m_a) V" % eps_v))
+                    "boundary-mass", lhs, v / sl.a1, "q* = %d" % q_star))
     elif fam == "LMU":
         eps = p.meta.get("eps")
         if eps is None:

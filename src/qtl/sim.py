@@ -12,7 +12,8 @@ first, each block is sized from the event rate so far to end just past the
 horizon, since the walk runs to the end of a block.  A Python loop walks the
 jump chain over the policy's runs of constant rate, which it enters and
 leaves one state at a time, so it never looks a rate up; numpy then draws
-the block's holding times and integrates q, c and u over them.  Either
+the block's holding times and integrates q, c and u over them.  A state
+with no arrivals and no service holds the walk until the horizon.  Either
 stream yields the same draws at any block size, so the block size moves
 only the rounding of the integrals.
 """
@@ -88,10 +89,14 @@ def _replicate(runs, cfg, seq):
         acc[0] += seg @ states
         acc[1:] += cu.take(k, axis=1) @ seg
         t = edges[-1]
+        if rate <= 0.0 and t < cfg.horizon:
+            # no arrivals and no service: the walk stays in q to the horizon
+            seg = cfg.horizon - max(t, warmup_end)
+            acc[0] += q * seg
+            acc[1:] += cu[:, i] * seg
+            t = cfg.horizon
         if t >= cfg.horizon:
             return tuple(acc / (cfg.horizon - warmup_end))
-        if rate <= 0.0:
-            raise ValueError("absorbing state q=%d: no arrivals, no service" % q)
         events += len(path)
         size = min(BLOCK, int(MARGIN * (cfg.horizon - t) * events / t) + SLACK)
 

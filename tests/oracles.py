@@ -150,7 +150,7 @@ def loop_replicate(p, horizon, warmup_fraction, seq, c, u):
     it ends before ``horizon``, its direction from the other.  The rates
     come from arrival(q) and service(q) at every event.  ``c`` and ``u``
     are plain callables as in loop_metrics.  A state with no arrivals and
-    no service reached before ``horizon`` is a ValueError naming it.
+    no service holds the walk until ``horizon``.
     """
     jump, hold = (np.random.default_rng(s) for s in seq.spawn(2))
     warmup_end = warmup_fraction * horizon
@@ -161,8 +161,9 @@ def loop_replicate(p, horizon, warmup_fraction, seq, c, u):
         lam, mu = p.arrival(q), p.service(q)
         total = lam + mu
         if total <= 0.0:
-            raise ValueError("absorbing state q=%d: no arrivals, no service" % q)
-        t_next = t + hold.standard_exponential() / total
+            t_next = horizon
+        else:
+            t_next = t + hold.standard_exponential() / total
         seg = min(t_next, horizon) - max(t, warmup_end)
         if seg > 0.0:
             acc_q += q * seg

@@ -733,3 +733,77 @@ def test_singular_evaluation_leaves_only_the_json_error(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert json.loads(proc.stderr)["error"]["type"] == "domain"
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("family,params", [("mc1", '{"lam": 0.5, "K": 0.5, "U": 0.01}'),
+                                           ("lmu", '{"u_inv_uc": 0.5, "U": 0.01}')])
+def test_audit_anchor_too_close_to_zero_is_domain_error(runner, family, params):
+    # the curvature step at anchor 1e-300 squares to 0
+    policy = invoke(runner, ["construct", "--family", family, "--params", params]).stdout
+    case = {"family": family.upper(), "anchor": 1e-300}
+    res = runner.invoke(main, ["audit", "--policy", policy, "--cost", CSQ,
+                               "--c-ref", "0.01", "--case", json.dumps(case)],
+                        catch_exceptions=False)
+    assert error_of(res, 1) == "rate 1e-300 too close to the domain boundary"
+    assert res.stdout == ""
+
+
+def test_simulate_policy_that_stays_in_one_state(runner):
+    # no arrivals at state 0, where nothing is served: the queue stays empty
+    idle = json.dumps({"lambda": {"pieces": [[0, 0, 0.0]], "tail": 0.4},
+                       "mu": {"pieces": [[0, 0, 0.0]], "tail": 1.0},
+                       "bounds": {"r_a_max": 0.4}})
+    res = invoke(runner, ["simulate", "--policy", idle, "--cost", CSQ,
+                          "--horizon", "100", "--replications", "2"])
+    doc = json.loads(res.stdout)
+    assert doc == {"qbar": 0.0, "qbar_halfwidth": 0.0, "cbar": 0.0, "cbar_halfwidth": 0.0,
+                   "ubar": 0.0, "ubar_halfwidth": 0.0, "replications": 2}
+
+
+# runs each command line of argv[1] in one interpreter and prints one JSON
+# line of [exit code, stdout, stderr] per command; whatever a C library
+# writes to the process's own stdout or stderr lands outside that line
+ISOLATED_SCRIPT = """
+import json, sys
+from click.testing import CliRunner
+from qtl.cli import main
+runs = [CliRunner().invoke(main, args, catch_exceptions=False)
+        for args in json.loads(sys.argv[1])]
+print(json.dumps([[r.exit_code, r.stdout, r.stderr] for r in runs]))
+"""
+
+
+def test_classify_refuses_samples_it_cannot_fit(tmp_path):
+    def table(row=None, V=None, qbar=None):
+        rows = [[1.0, 10.0 ** -k, k + 1.0, 0.0, 0.0] for k in range(5)]
+        for i in range(5) if row is None else [row]:
+            rows[i][1:3] = [rows[i][1] if V is None else V,
+                            rows[i][2] if qbar is None else qbar]
+        return rows
+
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("U,V,qbar,ubar,cbar\n" + "".join(
+        "1,%r,%s,0,0\n" % (10.0 ** -k, "nan" if k == 2 else k) for k in range(5)))
+    cases = [
+        ("[[1,1,1e400,0,0],[1,0.1,2,0,0],[1,0.01,3,0,0],[1,0.001,4,0,0],"
+         "[1,0.0001,5,0,0]]", "sample 0 has qbar = inf; need a finite qbar"),
+        (json.dumps(table(qbar=1e200)),
+         "sample 0 has qbar = 1e+200; the fit's residual scale overflows"),
+        (str(nan_csv), "sample 2 has qbar = nan; need a finite qbar"),
+        (json.dumps(table(3, V=0)), "sample 3 has V = 0; need a finite V > 0 with a finite 1/V"),
+        (json.dumps(table(3, V=-1)), "sample 3 has V = -1; need a finite V > 0 with a finite 1/V"),
+        (json.dumps(table(3, V=1e-320)),
+         "sample 3 has V = 9.99989e-321; need a finite V > 0 with a finite 1/V"),
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qtl.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    commands = [["classify", "--samples", samples] for samples, _ in cases]
+    proc = subprocess.run([sys.executable, "-c", ISOLATED_SCRIPT, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert len(proc.stdout.splitlines()) == 1, proc.stdout
+    for (code, out, err), (_, message) in zip(json.loads(proc.stdout), cases):
+        assert (code, out, len(err.splitlines())) == (1, "", 1), err
+        assert json.loads(err) == {"error": {"type": "domain", "message": message}}

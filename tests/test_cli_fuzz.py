@@ -8,7 +8,9 @@ from a small valid manifest of one subcommand and replaces one of its
 values with arbitrary JSON.  Numbers are drawn from small ranges only: a
 large but valid rate, cap or horizon is costly input, not malformed
 input.  Strings that overflow to +-inf or underflow to 0 as numbers reach
-the options parsed as floats or JSON lists.
+the options parsed as floats or JSON lists, 1e-300 can become an anchor
+or a rate next to 0, and one string is a sample table with an infinite
+qbar.
 """
 
 import json
@@ -28,6 +30,9 @@ POLICY = {"lambda": {"pieces": [[0, 0, 0.5]], "tail": 0.5},
           "mu": {"pieces": [[0, 0, 0.0]], "tail": 1.0}}
 MC22 = {"lam": 0.39, "a_lam": 0.2, "b_lam": 0.4, "U": 0.25}
 SAMPLES = [[v, v, 1.0 / v, 0.0, 0.0] for v in (0.1, 0.03, 0.01, 0.003, 0.001)]
+# a sample table whose first qbar overflows to inf
+INF_QBAR_SAMPLES = ("[[1,1,1e400,0,0],[1,0.1,2,0,0],[1,0.01,3,0,0],[1,0.001,4,0,0],"
+                    "[1,0.0001,5,0,0]]")
 
 BASES = {
     "envelope": {"points": [[0, 0], [0.5, 0.25], [1, 1]], "at": [0.5]},
@@ -55,11 +60,11 @@ KEYS = st.sampled_from(["kind", "domain", "exponent", "points", "lambda", "mu",
                         "anchor", "lam", "a_lam", "b_lam", "U", "K", "q_k",
                         "case"]) | st.text("abkmpqU_", max_size=4)
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 30)
-           | st.sampled_from([-1.5, -0.0, 0.0, 0.1, 0.25, 0.5, 1.0, 2.5])
+           | st.sampled_from([-1.5, -0.0, 0.0, 1e-300, 0.1, 0.25, 0.5, 1.0, 2.5])
            | st.sampled_from(["", "mc1", "lc", "MC1", "MC2-3", "LC1", "power",
                               "piecewise", "discrete", "log", "[", "{}", "x,y",
                               "1e400", "-1e400", "1e-400", "[1e400]",
-                              "-1.7976931348623157e308"]))
+                              "-1.7976931348623157e308", INF_QBAR_SAMPLES]))
 JSON = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4),

@@ -15,6 +15,7 @@ from qtl import (
     piecewise_function,
     policy_from_pieces,
     power_function,
+    support_line,
     sweep,
 )
 from qtl.policy_families import (
@@ -27,6 +28,7 @@ from qtl.policy_families import (
 )
 from qtl.rate_functions import evaluate
 from qtl.scaling import SweepFailure
+import oracles
 from oracles import GROWTH_MODELS, MpChain, synthetic_growth
 
 S = [0, 0.2, 0.4, 0.5, 0.6, 0.8, 1]
@@ -128,6 +130,43 @@ def test_classify_needs_samples_and_span():
         classify_regime(s)
 
 
+def sample_table(row=None, V=None, qbar=None):
+    # five samples with V = 1 .. 1e-4; the given row, or every row, takes
+    # the given V and qbar
+    rows = [[1.0, 10.0 ** -k, k + 1.0, 0.0, 0.0] for k in range(5)]
+    for i in range(5) if row is None else [row]:
+        rows[i][1] = rows[i][1] if V is None else V
+        rows[i][2] = rows[i][2] if qbar is None else qbar
+    return [ScalingSample(*r) for r in rows]
+
+
+@pytest.mark.parametrize("samples,message", [
+    (sample_table(0, qbar=1e400), "sample 0 has qbar = inf; need a finite qbar"),
+    (sample_table(2, qbar=math.nan), "sample 2 has qbar = nan; need a finite qbar"),
+    (sample_table(qbar=1e200),
+     "sample 0 has qbar = 1e+200; the fit's residual scale overflows"),
+    (sample_table(3, V=0.0), "sample 3 has V = 0; need a finite V > 0 with a finite 1/V"),
+    (sample_table(3, V=-1.0), "sample 3 has V = -1; need a finite V > 0"),
+    (sample_table(1, V=1e-320), "sample 1 has V = 9.99989e-321; need a finite V > 0"),
+    (sample_table(4, V=math.inf), "sample 4 has V = inf; need a finite V > 0"),
+    (sample_table(0, V=math.nan), "sample 0 has V = nan; need a finite V > 0"),
+], ids=["qbar-inf", "qbar-nan", "qbar-huge", "V-0", "V-negative", "V-subnormal", "V-inf",
+        "V-nan"])
+def test_classify_refuses_samples_it_cannot_fit(samples, message):
+    with pytest.raises(ValueError) as err:
+        classify_regime(samples)
+    assert str(err.value).startswith(message)
+
+
+def test_classify_fits_extreme_but_finite_samples():
+    # V from 1e300 down to 1e-300 spans an infinite factor, and qbar near
+    # 1e150 squares to 1e300: both still fit
+    samples = [ScalingSample(1.0, 10.0 ** (300 - 150 * k), 1e150 * k, 0.0, 0.0)
+               for k in range(5)]
+    fit = classify_regime(samples)
+    assert fit.model == "log-inv" and fit.residual < 1e-12
+
+
 def test_classify_verdicts():
     samples = growth_samples("log-inv")
     log_tag = CaseTag("MC2-2", (0.2, 0.4), "log", 0.39)
@@ -186,6 +225,50 @@ def test_audit_segment_anchor():
     got = check_map(audit_lower_bound(p, tag, ENV, USQRT, 0.01))
     assert got["rate-mass"].applicable and got["rate-mass"].passed
     assert got["pi-zero"].passed
+
+
+def test_audit_segment_without_slope_gap_skips_rate_mass():
+    # a one-segment cost has no adjacent slope, so the rate-mass check has no m_a
+    line = piecewise_function([(0.0, 0.0), (1.0, 1.0)])
+    for tag in (CaseTag("MC2-1", (0.0, 1.0), "finite", 0.4),
+                CaseTag("MC2-2", (0.0, 1.0), "log", None)):
+        got = check_map(audit_lower_bound(constant_policy(0.4, 1.0), tag, line, None, 0.1))
+        assert got["rate-mass"] == (
+            "rate-mass", False, None, None, None, None, "no adjacent segment slope gap")
+
+
+# (policy, cost, c_ref, case tag, interval, eps from V, k from eps): the
+# paper's constants per regime, with a1 = 1 for c = r^2 and the slope gaps
+# of ENV, whose segment slopes are 0.2, 0.6, 0.9, 1.1, 1.4, 1.8
+RATE_MASS_CASES = {
+    "MC1": (mc1_policy(0.5, 0.01, K=0.5), CSQ, 0.25, classify_case(CSQ, 0.5),
+            (0.5, 0.5), lambda v: 2.0 * math.sqrt(v), lambda eps: eps),
+    "MC2-1": (mc21_policy(0.1, 0.2, 1.0, 8), ENV, 0.01, classify_case(ENV, 0.1),
+              (0.0, 0.2), lambda v: 0.05, lambda eps: 0.4),
+    "MC2-2": (mc22_policy(0.39, 0.2, 0.4, 0.01), ENV, 0.154, classify_case(ENV, 0.39),
+              (0.2, 0.4), lambda v: 0.05, lambda eps: 0.3),
+    "MC2-3": (mc23_policy(0.40, 0.1, 0.02, next_corner=0.5), ENV, 0.16,
+              classify_case(ENV, 0.40), (0.4, 0.4), lambda v: 4.0 / 0.15 * v,
+              lambda eps: 0.15),
+}
+
+
+@pytest.mark.parametrize("family", sorted(RATE_MASS_CASES))
+def test_audit_rate_mass_matches_its_inequality(family):
+    # mass outside [lo - eps, hi + eps] <= V/(k eps), each side recomputed from
+    # a state-by-state stationary vector and a 50-digit cost gap
+    p, c, c_ref, tag, (lo, hi), eps_of, k_of = RATE_MASS_CASES[family]
+    assert tag.family == family
+    runs = [(end - first, lam, mu) for first, end, lam, mu in p.joint_runs()][:-1]
+    v = MpChain(runs, p.lam_tail, p.mu_tail).cost_gap(
+        lambda r: evaluate(c, float(r)), c_ref)
+    eps = eps_of(v)
+    mass = oracles.loop_service_mass_outside(p, oracles.loop_stationary(p),
+                                             lo - eps, hi + eps)
+    got = check_map(audit_lower_bound(p, tag, c, None, c_ref))["rate-mass"]
+    assert got.lhs == pytest.approx(mass, rel=1e-9, abs=1e-15)
+    assert got.rhs == pytest.approx(v / (k_of(eps) * eps), rel=1e-9, abs=0)
+    assert got.passed and got.margin > 0
 
 
 def test_audit_corner_anchor():
@@ -251,6 +334,19 @@ def test_audit_joint_family_names_missing_anchor():
     p = lambda_mu_policy(0.4, 0.01, eps=0.05, K=10)
     with pytest.raises(ValueError, match="'anchor'"):
         audit_lower_bound(p, CaseTag("LMU", None, "log", None), CSQ, IDENT, 0.16)
+
+
+@pytest.mark.parametrize("tag,p,c", [
+    (CaseTag("MC1", (0.0, 1.0), "inv-sqrt", 1e-300), mc1_policy(0.5, 0.01, K=0.5), CSQ),
+    (CaseTag("LMU", None, "log", 1e-300), lambda_mu_policy(0.4, 0.01, eps=0.05, K=10),
+     CSQ),
+])
+def test_audit_anchor_too_close_to_zero_for_a_curvature_step(tag, p, c):
+    # the finite-difference step 5e-301 squares to 0
+    with pytest.raises(ValueError, match="rate 1e-300 too close to the domain boundary"):
+        audit_lower_bound(p, tag, c, None, 0.01)
+    with pytest.raises(ValueError, match="too close to the domain boundary"):
+        support_line(c, CaseTag("MC1", (0.0, 1.0), "inv-sqrt", 1e-300))
 
 
 MIRROR_TAGS = {

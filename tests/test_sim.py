@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qtl import (
+    LagrangianProblem,
     SimConfig,
     constant_policy,
     discrete_function,
@@ -14,6 +15,8 @@ from qtl import (
     power_function,
     sim,
     simulate,
+    solve,
+    uniform_actions,
 )
 from qtl.policy_families import (
     lambda_mu_policy,
@@ -89,13 +92,6 @@ def test_single_replication_infinite_halfwidth():
     assert est.replications == 1
 
 
-def test_absorbing_state_rejected():
-    # zero arrivals at 0 and zero service everywhere traps the chain
-    p = policy_from_pieces([[0, 0, 0.0]], 0.4, [], 1.0, ra_max=0.4)
-    with pytest.raises(ValueError):
-        simulate(p, SimConfig(100.0, 2, 0, 0.1), CSQ)
-
-
 def test_unstable_policy_refused():
     # lambda >= mu at the tail: the queue drifts off and has no averages
     for lam, mu in ((0.6, 0.5), (0.5, 0.5)):
@@ -138,10 +134,37 @@ def test_block_kernel_matches_event_loop(monkeypatch, block):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+# stable policies whose recurrent class is one state with no arrivals and no
+# service: state 0 (arrivals 0 there, mu(0) = 0), and q = 3 reached mid-path,
+# before the warmup ends (seed 1) and after it (seed 2)
+ONE_STATE_CASES = [
+    (policy_from_pieces([[0, 0, 0.0]], 0.4, [], 1.0, ra_max=0.4), 100.0, 0.1),
+    (policy_from_pieces([[3, 3, 0.0]], 0.4, [[3, 3, 0.0]], 1.0), 1000.0, 0.1),
+    (policy_from_pieces([[3, 3, 0.0]], 0.4, [[3, 3, 0.0]], 1.0), 50.0, 0.5),
+]
+
+
 @pytest.mark.parametrize("block", BLOCKS)
-def test_absorbing_state_mid_path_rejected(monkeypatch, block):
-    # no arrivals and no service at q=3 traps the chain there; the tail is stable
+def test_one_state_class_matches_event_loop(monkeypatch, block):
+    # the walk stays in the trapping state until the horizon, as in the oracle
     monkeypatch.setattr(sim, "BLOCK", block)
-    p = policy_from_pieces([[3, 3, 0.0]], 0.4, [[3, 3, 0.0]], 1.0)
-    with pytest.raises(ValueError, match="absorbing state q=3"):
-        simulate(p, SimConfig(1000.0, 2, 0, 0.1), CSQ)
+    for i, (p, horizon, warmup) in enumerate(ONE_STATE_CASES):
+        got = sim._replicate(sim._runs(p, CSQ, USQRT), SimConfig(horizon, 1, 0, warmup),
+                             np.random.SeedSequence(i))
+        want = oracles.loop_replicate(p, horizon, warmup, np.random.SeedSequence(i),
+                                      _plain(CSQ), _plain(USQRT))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert simulate(ONE_STATE_CASES[1][0], SimConfig(1000.0, 2, 0, 0.1), CSQ).qbar > 2.9
+
+
+def test_policy_that_admits_nothing_simulates_to_zero():
+    # solve's policy at beta1 = 1000, beta2 = 10^0.5 admits nothing, so the
+    # queue stays empty: every average and half-width is 0, as exact_metrics says
+    acts = uniform_actions(1.0, 21)
+    lp = LagrangianProblem(1000.0, 10 ** 0.5, acts, acts, CSQ, USQRT, state_cap=60)
+    p = solve(lp).policy
+    assert p.runs("lam") == ([0, 61], [0.0, 0.0])
+    est = simulate(p, SimConfig(200.0, 3, 0, 0.1), CSQ, USQRT)
+    m = exact_metrics(p, CSQ, USQRT)
+    assert (m.qbar, m.cbar, m.ubar) == (0.0, 0.0, 0.0)
+    assert est == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3)
