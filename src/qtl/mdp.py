@@ -167,10 +167,9 @@ def _factorize(lam, mu, r_u):
     """
     global _factor
     key = (lam.tobytes(), mu.tobytes(), r_u)
-    last = _factor      # read the slot once: another thread may replace it
-    if last is not None and last[0] == key:
-        return last[1]
-    _factor = last = None
+    if _factor is not None and _factor[0] == key:
+        return _factor[1]
+    _factor = None
     from scipy.sparse.linalg import splu
 
     a = _poisson_matrix(lam, mu, r_u)
@@ -255,23 +254,16 @@ class _Rule:
     ``_best`` on the full table.  ``cost`` holds the weighted column costs,
     the zero-rate column's 0 last."""
 
-    def __init__(self, side, beta, rows):
+    def __init__(self, side, beta):
         self.side = side
         self.cost = np.append(beta * side.c, 0.0)
         if side.wide:
             self.slopes = beta * side.slopes
             # twice the rounding bound E = 4u (|d| max|x| + 2 beta max|c|)
             self.e_d, self.e_0 = 8 * _U * side.x_max, 16 * _U * beta * side.c_max + 2 * _TINY
-        else:
-            self.values = np.empty((rows, len(side.w)))
 
     def best(self, d):
-        if self.side.wide:
-            return self.window(d)[:2]
-        values = self.values
-        np.multiply.outer(d, self.side.w, out=values)
-        np.add(values, self.cost[:-1], out=values)
-        return _best(values)
+        return self.window(d)[:2] if self.side.wide else self.full(d)
 
     def full(self, d, first=0):
         """Each row's pick among the rate columns first.. and its minimum,
@@ -359,10 +351,10 @@ def solve(lp, tol=1e-9, start=None):
     (``_Side``) evaluates each row's three columns around the one its slope
     selects, keeps their first minimizer when the window edges prove every
     column beyond them worse, and evaluates in full the rows where that
-    proof fails (see ``_Rule.window``); any other rule fills its full table
-    in place.  Either way the picks and minima are bit for bit the full
-    table's.  The cap state, whose arrivals are off, picks among the
-    positive service rates only.
+    proof fails (see ``_Rule.window``); any other rule evaluates every row
+    in full (``_Rule.full``).  Either way the picks and minima are bit for
+    bit the full table's.  The cap state, whose arrivals are off, picks
+    among the positive service rates only.
 
     Each evaluation solves the Poisson system with SuperLU, reusing the
     factor of the previous evaluation when the policy and r_u are the same
@@ -379,11 +371,10 @@ def solve(lp, tol=1e-9, start=None):
         warm = _start_indices(lp, start) if start is not None else None
         # serve and admit at the largest rates
         cold = np.append(k, np.full(n - 1, k - 1)), np.append(np.zeros(n - 1, dtype=int), m)
-        srv_rule = _Rule(lp._service, lp.beta1, n - 1)
-        arr_rule = _Rule(lp._arrival, lp.beta2, n - 1)
     except MemoryError:
         raise ValueError("state_cap %d is too large: its arrays do not fit in memory"
                          % lp.state_cap) from None
+    srv_rule, arr_rule = _Rule(lp._service, lp.beta1), _Rule(lp._arrival, lp.beta2)
 
     states = np.arange(n)
     steps = 0     # improvement steps of every run, an abandoned warm one included
@@ -452,18 +443,11 @@ def solve(lp, tol=1e-9, start=None):
 
 
 def _mark_dominated(points):
-    out = []
-    for i, p in enumerate(points):
-        dom = False
-        for j, o in enumerate(points):
-            if j == i:
-                continue
-            if (o.c_c <= p.c_c and o.u_c >= p.u_c and o.q_star <= p.q_star
-                    and (o.c_c < p.c_c or o.u_c > p.u_c or o.q_star < p.q_star)):
-                dom = True
-                break
-        out.append(p._replace(dominated=dom))
-    return out
+    # dominance needs one strict inequality, so no point dominates itself
+    return [p._replace(dominated=any(
+        o.c_c <= p.c_c and o.u_c >= p.u_c and o.q_star <= p.q_star
+        and (o.c_c < p.c_c or o.u_c > p.u_c or o.q_star < p.q_star) for o in points))
+        for p in points]
 
 
 def trace_tradeoff(base, beta1_grid, beta2_grid, tol=1e-9):

@@ -25,11 +25,11 @@ and the curvature constant a1 where those are defined.
 """
 
 import bisect
+import math
 import numbers
 from collections import namedtuple
 
 CORNER_TOL = 1e-9
-FD_STEP = 1e-4          # central-difference step for curvature, fixed
 CURVATURE_FLOOR = 1e-6  # below this the analytic kind has no usable curvature
 
 
@@ -229,12 +229,41 @@ def lower_convex_envelope(f_or_points):
                               role="cost")
 
 
-def _second_derivative(f, r):
-    # a step whose square underflows to 0 leaves no quotient either
-    h = min(FD_STEP, 0.5 * (r - f.lo), 0.5 * (f.hi - r))
-    if h <= 0 or h * h == 0:
-        raise ValueError("rate %g too close to the domain boundary" % r)
-    return (evaluate(f, r + h) - 2.0 * evaluate(f, r) + evaluate(f, r - h)) / (h * h)
+def _power_derivative(f, r, k):
+    # |d^k/dr^k r^p| = |p (p - 1) ... (p - k + 1)| r^(p - k) of a power
+    # function, refused when it overflows
+    p = f.exponent
+    coef = abs(math.prod(p - i for i in range(k)))
+    try:
+        d = coef * r ** (p - k) if coef else 0.0
+    except OverflowError:
+        d = math.inf
+    if not d < math.inf:  # inf, or NaN from an infinite coefficient times 0
+        raise ValueError("derivative %d at rate %g overflows" % (k, r))
+    return d
+
+
+def _curvature(f, r):
+    """|f''(r)| at a rate strictly inside the domain: closed form for the
+    power kind, 0 for piecewise and discrete functions, which are linear
+    between their points."""
+    if not f.lo < r < f.hi:
+        raise ValueError("rate %g is not strictly inside the domain [%g, %g]" % (r, f.lo, f.hi))
+    return _power_derivative(f, r, 2) if f.kind == "power" else 0.0
+
+
+def _left_slope(f, r):
+    """Slope of f just below rate r: f'(r) for the power kind, the slope of
+    the segment that ends at or contains r otherwise.  For a utility, the
+    line through (r, u(r)) with this slope stays above u on [0, r] by
+    concavity."""
+    if f.kind == "power":
+        return _power_derivative(f, r, 1)
+    rs, slopes = _segment_slopes(f)
+    if r <= rs[0]:
+        raise ValueError("rate %g at or below the %s domain" % (r, f.role))
+    i = bisect.bisect_left(rs, r) - 1
+    return slopes[min(i, len(slopes) - 1)]
 
 
 def classify_case(f, rate):
@@ -250,8 +279,8 @@ def classify_case(f, rate):
     if rate <= f.lo + CORNER_TOL or rate >= f.hi - CORNER_TOL:
         raise ValueError("operating rate %g is at the domain boundary" % rate)
     if f.kind == "power":
-        d2 = _second_derivative(f, rate)
-        if abs(d2) < CURVATURE_FLOOR:
+        d2 = _curvature(f, rate)
+        if d2 < CURVATURE_FLOOR:
             raise ValueError("second derivative %g below curvature floor" % d2)
         if f.role == "cost":
             return CaseTag("MC1", (f.lo, f.hi), "inv-sqrt", rate)
@@ -303,13 +332,12 @@ def support_line(f, tag):
         _check_tag(tag, "anchor")
         if f.kind != "power":
             raise ValueError("%s needs a power function" % fam)
-        d2 = _second_derivative(f, tag.anchor)
-        if abs(d2) < CURVATURE_FLOOR:
+        d2 = _curvature(f, tag.anchor)
+        if d2 < CURVATURE_FLOOR:
             raise ValueError("second derivative %g below curvature floor" % d2)
-        p = f.exponent
-        slope = p * tag.anchor ** (p - 1.0)
-        a1 = 0.5 * abs(d2)
-        return SupportLine(slope, evaluate(f, tag.anchor) - slope * tag.anchor, tag.anchor, None, a1)
+        slope = _left_slope(f, tag.anchor)
+        return SupportLine(slope, evaluate(f, tag.anchor) - slope * tag.anchor, tag.anchor,
+                           None, 0.5 * d2)
     if fam in ("MC2-3", "LC2-2"):
         _check_tag(tag, "window", "anchor")
         p0, p1 = tag.window
@@ -331,22 +359,16 @@ def support_line(f, tag):
     va, vb = evaluate(f, a), evaluate(f, b)
     slope = (vb - va) / (b - a)
     rs, slopes = _segment_slopes(f)
-    idx = None
-    for i in range(len(rs) - 1):
-        if abs(rs[i] - a) <= 1e-12 and abs(rs[i + 1] - b) <= 1e-12:
-            idx = i
-            break
+    idx = next((i for i in range(len(rs) - 1)
+                if abs(rs[i] - a) <= 1e-12 and abs(rs[i + 1] - b) <= 1e-12), None)
     gaps = []
     if idx is not None:
-        if idx > 0:
+        # MC2-1's left corner sits at rate 0: an upper gap alone constrains
+        if idx > 0 and (fam != "MC2-1" or idx + 1 == len(slopes)):
             gaps.append(abs(slope - slopes[idx - 1]))
         if idx + 1 < len(slopes):
             gaps.append(abs(slopes[idx + 1] - slope))
-    if fam == "MC2-1" and idx is not None and idx + 1 < len(slopes):
-        # left corner sits at rate 0: only the upper gap constrains
-        m_a = abs(slopes[idx + 1] - slope)
-    else:
-        m_a = min(gaps) if gaps else None
+    m_a = min(gaps) if gaps else None
     return SupportLine(slope, va - slope * a, a, m_a, None)
 
 

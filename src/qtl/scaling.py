@@ -32,7 +32,6 @@ Each check reports both sides and its margin; checks whose premises fail
 are marked inapplicable rather than silently passed.
 """
 
-import bisect
 import math
 from collections import namedtuple
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from .birth_death import mass_below, metrics, pi_at, rate_value, stationary
 from .rate_functions import (
-    _check_tag, _second_derivative, _segment_slopes, evaluate, support_line)
+    CURVATURE_FLOOR, _check_tag, _curvature, _left_slope, evaluate, support_line)
 
 ScalingSample = namedtuple("ScalingSample", ["U", "V", "qbar", "ubar", "cbar"])
 SweepFailure = namedtuple("SweepFailure", ["U", "error"])
@@ -181,18 +180,6 @@ def _first_service_at_least(p, threshold, strict=False):
     return None
 
 
-def _left_slope(u, r):
-    # slope of u just below r; the support line at r with this slope
-    # stays above u on [0, r] by concavity
-    if u.kind == "power":
-        return u.exponent * r ** (u.exponent - 1.0)
-    rs, slopes = _segment_slopes(u)
-    if r <= rs[0]:
-        raise ValueError("rate %g at or below the utility domain" % r)
-    i = bisect.bisect_left(rs, r) - 1
-    return slopes[min(i, len(slopes) - 1)]
-
-
 def _check(name, lhs, rhs, note):
     return AuditCheck(name, True, lhs, rhs, rhs - lhs, lhs <= rhs, note)
 
@@ -261,13 +248,12 @@ def audit_lower_bound(p, tag, c, u, c_ref):
                 "low-rate-mass", "construction margin 'eps' missing from policy meta"))
         else:
             _check_tag(tag, "anchor")
-            anchor = tag.anchor
-            a1 = 0.5 * abs(_second_derivative(c, anchor))
-            if a1 < 1e-12:
+            d2 = _curvature(c, tag.anchor)
+            if d2 < CURVATURE_FLOOR:
                 checks.append(_skip("low-rate-mass", "no curvature at the anchor"))
             else:
-                rhs = v / (a1 * eps * eps)
-                q_star = _first_service_at_least(p, anchor - eps, strict=True)
+                rhs = v / (0.5 * d2 * eps * eps)
+                q_star = _first_service_at_least(p, tag.anchor - eps, strict=True)
                 if q_star is None:
                     checks.append(_skip(
                         "low-rate-mass", "every state serves below anchor - eps"))

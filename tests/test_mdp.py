@@ -520,7 +520,7 @@ def test_window_matches_full_table():
             if not side.wide:
                 continue
             beta = data.draw(st.sampled_from([0.0, 0.01, 1.0, 30.0, 1e4]))
-            rule = mdp._Rule(side, beta, 0)
+            rule = mdp._Rule(side, beta)
             kinks = rule.slopes[data.draw(st.lists(st.integers(0, len(rule.slopes) - 1),
                                                    max_size=10))]
             d = np.concatenate([

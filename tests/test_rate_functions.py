@@ -16,6 +16,7 @@ from qtl import (
     power_function,
     support_line,
 )
+from qtl.rate_functions import CURVATURE_FLOOR, _curvature
 
 SQUARES = [(s, s * s) for s in (0, 0.2, 0.4, 0.5, 0.6, 0.8, 1)]
 
@@ -154,8 +155,40 @@ def test_support_line_tangent():
     sl = support_line(c, classify_case(c, 0.5))
     assert abs(sl.slope - 1.0) < 1e-9
     assert abs(sl.intercept - (-0.25)) < 1e-9
-    # half the second derivative, by central difference
+    # half the second derivative
     assert abs(sl.a1 - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("r", [1e-8, 1e-4, 0.5])
+def test_a1_is_the_closed_form(p, r):
+    # a1 = c''(r)/2 = p(p-1)/2 r^(p-2) exactly, also at anchors far below 1e-4
+    c = power_function(p)
+    want = p * (p - 1.0) / 2.0 * r ** (p - 2.0)
+    assert 0.5 * _curvature(c, r) == want
+    tag = CaseTag("MC1", (0.0, 1.0), "inv-sqrt", r)
+    if 2.0 * want < CURVATURE_FLOOR:
+        with pytest.raises(ValueError, match="below curvature floor"):
+            support_line(c, tag)
+    else:
+        assert support_line(c, tag).a1 == want
+
+
+def test_curvature_of_linear_pieces_is_zero(env):
+    assert _curvature(env, 0.4) == 0.0 and _curvature(env, 0.3) == 0.0
+    assert _curvature(discrete_function(SQUARES), 0.4) == 0.0
+    assert _curvature(power_function(1.0), 5e-324) == 0.0
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0, -0.5, math.nan])
+def test_curvature_refuses_a_rate_not_inside_the_domain(r):
+    with pytest.raises(ValueError, match="rate %g is not strictly inside" % r):
+        _curvature(power_function(2.0), r)
+
+
+def test_curvature_refuses_an_overflow():
+    with pytest.raises(ValueError, match="derivative 2 at rate 4.94066e-324 overflows"):
+        _curvature(power_function(1.01), 5e-324)
 
 
 @pytest.mark.parametrize("rate", [0.39, 0.40, 0.41])

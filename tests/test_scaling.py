@@ -341,12 +341,48 @@ def test_audit_joint_family_names_missing_anchor():
     (CaseTag("LMU", None, "log", 1e-300), lambda_mu_policy(0.4, 0.01, eps=0.05, K=10),
      CSQ),
 ])
-def test_audit_anchor_too_close_to_zero_for_a_curvature_step(tag, p, c):
-    # the finite-difference step 5e-301 squares to 0
-    with pytest.raises(ValueError, match="rate 1e-300 too close to the domain boundary"):
-        audit_lower_bound(p, tag, c, None, 0.01)
-    with pytest.raises(ValueError, match="too close to the domain boundary"):
-        support_line(c, CaseTag("MC1", (0.0, 1.0), "inv-sqrt", 1e-300))
+def test_audit_anchor_near_zero_has_exact_curvature(tag, p, c):
+    # c = r^2 has a1 = 1 at every anchor, 1e-300 included
+    assert support_line(c, CaseTag("MC1", (0.0, 1.0), "inv-sqrt", 1e-300)).a1 == 1.0
+    checks = [ch for ch in audit_lower_bound(p, tag, c, None, 0.01) if ch.applicable]
+    assert checks
+    assert all(math.isfinite(x) for ch in checks for x in (ch.lhs, ch.rhs, ch.margin))
+
+
+def test_audit_joint_family_piecewise_cost_has_no_curvature():
+    # the envelope is linear between its corners, so the corner 0.4 has no
+    # curvature either
+    p = lambda_mu_policy(0.4, 0.01, eps=0.05, K=10)
+    got = check_map(audit_lower_bound(p, CaseTag("LMU", None, "log", 0.4), ENV, IDENT, 0.154))
+    assert not got["low-rate-mass"].applicable
+    assert got["low-rate-mass"].note == "no curvature at the anchor"
+    assert "boundary-state" not in got and got["pi-zero"].applicable
+
+
+FUZZ_EXPONENTS = [0.5, 0.99, 1.0, 1.01, 1.5, 2.0, 3.0]
+FUZZ_RATES = [0.0, -0.0, 5e-324, 1e-300, 1e-4, 0.5, 1.0, 1e308, math.inf, -math.inf, math.nan]
+FUZZ_POLICIES = {"MC1": mc1_policy(0.5, 0.01, K=0.5),
+                 "LMU": lambda_mu_policy(0.4, 0.01, eps=0.05, K=10)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from(FUZZ_EXPONENTS), r=st.sampled_from(FUZZ_RATES),
+       hi=st.sampled_from([1.0, math.inf]), fam=st.sampled_from(sorted(FUZZ_POLICIES)))
+def test_curvature_contract_fuzz(p, r, hi, fam):
+    # classify_case, the MC1/LC1 tangent and the MC1/LMU audits refuse with
+    # a ValueError or return; any other exception fails the test
+    cost = p >= 1.0
+    f = power_function(p, (0.0, hi), "cost" if cost else "utility")
+    calls = [lambda: classify_case(f, r),
+             lambda: support_line(f, CaseTag("MC1" if cost else "LC1", (0.0, hi), "inv-sqrt", r))]
+    if cost:
+        calls.append(lambda: audit_lower_bound(
+            FUZZ_POLICIES[fam], CaseTag(fam, (0.0, hi), "inv-sqrt", r), f, None, 0.0))
+    for call in calls:
+        try:
+            call()
+        except ValueError:
+            pass
 
 
 MIRROR_TAGS = {
