@@ -62,13 +62,15 @@ class Policy(object):
     rule takes its tail value.  Starts begin at 0 and increase within the
     horizon, which lies below the largest double; neighbouring runs of
     equal rate are merged.  Rate bounds default to the largest rates the
-    policy uses.  Every rate, tail and bound must be a finite int or float;
-    a bool, a string or a NaN is refused, not converted.
+    policy uses; a declared bound below the largest rate of its side, by
+    more than 1e-12, is refused, so every Policy holds its bounds.  Every
+    rate, tail and bound must be a finite int or float; a bool, a string or
+    a NaN is refused, not converted.
     """
 
     def __init__(self, lam, mu, lam_tail, mu_tail, horizon, ra_max=None,
                  r_max=None, meta=None):
-        self.horizon = int(horizon)
+        self.horizon = _count(horizon, "horizon")
         if self.horizon >= _MAX_DOUBLE:
             # stationary() and the simulator count states in doubles
             raise ValueError("the horizon must lie below the largest double, "
@@ -82,8 +84,8 @@ class Policy(object):
             raise ValueError("mu(0) must be 0")
         if min(lam_rates + mu_rates) < 0:
             raise ValueError("rates are non-negative")
-        self.ra_max = _finite(ra_max, "ra_max") if ra_max is not None else max(lam_rates)
-        self.r_max = _finite(r_max, "r_max") if r_max is not None else max(mu_rates)
+        self.ra_max = _bound(ra_max, "ra_max", max(lam_rates), "arrival")
+        self.r_max = _bound(r_max, "r_max", max(mu_rates), "service")
         self.meta = dict(meta) if meta else {}
 
     def runs(self, rule):
@@ -127,6 +129,20 @@ def _finite(x, what):
     if not (_is_number(x) and math.isfinite(x)):
         raise ValueError("%s must be a finite number, got %r" % (what, x))
     return float(x)
+
+
+def _count(x, what):
+    # int(x), but a float that is not finite is refused by name: int() would
+    # raise OverflowError, or a ValueError that names nothing
+    return int(_finite(x, what) if isinstance(x, float) else x)
+
+
+def _bound(bound, what, top, side):
+    # a declared bound covers the side's largest rate, to 1e-12
+    bound = top if bound is None else _finite(bound, what)
+    if top > bound + 1e-12:
+        raise ValueError("%s rate %r exceeds the declared bound %s=%r" % (side, top, what, bound))
+    return bound
 
 
 def _merged_runs(runs, horizon, tail):
@@ -231,7 +247,7 @@ def policy_from_json(d):
 
 
 def check_admissible(p):
-    """Raise unless mu is non-decreasing, lambda non-increasing, bounds hold.
+    """Raise unless mu is non-decreasing and lambda non-increasing.
 
     Rates change only where a run starts, so only run starts are checked.
     """
@@ -244,8 +260,6 @@ def check_admissible(p):
     if bad:
         q, _, msg = min(bad)
         raise ValueError(msg % q)
-    if max(lam) > p.ra_max + 1e-12 or max(mu) > p.r_max + 1e-12:
-        raise ValueError("rates exceed declared bounds")
 
 
 def is_admissible(p):

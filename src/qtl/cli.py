@@ -50,6 +50,18 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def _text(value):
+    """The text of an option given inline, or of the file it names as
+    ``@path``."""
+    if not value.startswith("@"):
+        return value
+    path = value[1:]
+    if not os.path.isfile(path):
+        raise SchemaError("file not found: %s" % path)
+    with open(path) as fh:
+        return fh.read()
+
+
 def _decode(text, what, fn, parse=_strict_json):
     """``fn`` of the JSON in ``text``, given inline or as ``@path``.
 
@@ -57,13 +69,7 @@ def _decode(text, what, fn, parse=_strict_json):
     input.
     """
     try:
-        if text.startswith("@"):
-            path = text[1:]
-            if not os.path.isfile(path):
-                raise SchemaError("file not found: %s" % path)
-            with open(path) as fh:
-                text = fh.read()
-        return fn(parse(text))
+        return fn(parse(_text(text)))
     except (OSError, ValueError) as exc:
         raise SchemaError("bad %s: %s" % (what, exc))
 
@@ -127,6 +133,8 @@ def _emit_json(obj, out):
 
 
 def _provenance(payload):
+    # an @path input counts by its file's text, an inline one by itself
+    payload = {k: _text(v) if isinstance(v, str) else v for k, v in payload.items()}
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()
     return digest[:12]
@@ -222,10 +230,7 @@ def eval_cmd(policy, cost, utility, out):
         bound = qlength_upper_bound(p)
     except ValueError:
         bound = None
-    _emit_json({"qbar": m.qbar, "cbar": m.cbar, "ubar": m.ubar,
-                "dbar": m.dbar, "mean_arrival": m.mean_arrival,
-                "mean_service": m.mean_service,
-                "qbar_upper_bound": bound}, out)
+    _emit_json(dict(m._asdict(), qbar_upper_bound=bound), out)
 
 
 def _problem(cost, utility, service_actions, arrival_actions, state_cap,
@@ -411,9 +416,7 @@ def classify(samples_in, regime, out):
     rows = _decode(samples_in, "samples", lambda v: _rows(v, 5), parse=_sample_table)
     tag = CaseTag("", None, regime, None) if regime else None
     fit = classify_regime([ScalingSample(*row) for row in rows], tag)
-    _emit_json({"model": fit.model, "coefficients": fit.coefficients,
-                "residual": fit.residual, "verdict": fit.verdict,
-                "residuals": fit.residuals}, out)
+    _emit_json(fit._asdict(), out)
 
 
 @main.command()

@@ -36,7 +36,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .birth_death import Policy, exact_metrics, is_admissible, rate_value
+from .birth_death import Policy, _count, exact_metrics, is_admissible, rate_value
 
 MAX_ITERATIONS = 500
 WINDOW_MIN_RATES = 17     # a smaller action set keeps the full improvement table
@@ -78,7 +78,7 @@ class LagrangianProblem:
         self.arrival_actions = arrival_actions
         self.cost_fn = cost_fn
         self.utility_fn = utility_fn
-        self.state_cap = int(state_cap)
+        self.state_cap = _count(state_cap, "state_cap")
         self.r_u = service_actions[-1] + arrival_actions[-1]
         self._service = _Side(service_actions, cost_fn, -1.0)
         self._arrival = _Side(arrival_actions[::-1], utility_fn, 1.0)
@@ -99,7 +99,11 @@ def _check_multipliers(beta1, beta2, utility_fn):
         if not (math.isfinite(beta) and beta >= 0):
             raise ValueError("multiplier %s must be finite and non-negative, "
                              "got %r" % (name, beta))
-    if beta2 > 0 and utility_fn is None:
+    _check_utility([beta2], utility_fn)
+
+
+def _check_utility(beta2s, utility_fn):
+    if utility_fn is None and any(b > 0 for b in beta2s):
         raise ValueError("beta2 > 0 needs a utility function")
 
 
@@ -465,7 +469,8 @@ def trace_tradeoff(base, beta1_grid, beta2_grid, tol=1e-9):
     distribution (the DP's internal gain is not trusted for reporting).
     Returns (points, failures): points sorted by achieved cost with
     dominated ones flagged, failures as (beta1, beta2, error) records for
-    grid points whose solve raised.
+    grid points whose solve raised.  A grid with a beta2 > 0 and a problem
+    without a utility is refused before any point.
     """
     _checked_tol(tol)
     b1 = [float(b) for b in beta1_grid]
@@ -474,6 +479,7 @@ def trace_tradeoff(base, beta1_grid, beta2_grid, tol=1e-9):
         raise ValueError("multiplier grids must be non-empty")
     if any(b < 0 for b in b1 + b2):
         raise ValueError("multipliers must be non-negative")
+    _check_utility(b2, base.utility_fn)
 
     points = []
     failures = []

@@ -22,15 +22,16 @@ asymptotic order:
                     as such in the policy metadata
 
 Threshold positions q1 follow the closed forms.  Every constructor checks
-its preconditions, then builds through one private builder that also
-checks the result is admissible and stable.  A policy's rate bounds are
+its preconditions, then builds through one private builder; the built
+Policy refuses rates above its declared bounds, and the builder checks
+that it is admissible and stable.  A policy's rate bounds are
 the largest rates it uses, except mc1's r_max and lambda_mu_policy's
 ra_max and r_max, which may exceed them.
 """
 
 import math
 
-from .birth_death import check_admissible, is_stable, policy_from_pieces
+from .birth_death import _count, check_admissible, is_stable, policy_from_pieces
 from .rate_functions import _check_tag
 
 
@@ -74,7 +75,8 @@ def mc1_policy(lam, U, K=None, r_max=1.0):
     then lam + eps'_U with eps'_U = lam eps_U/(lam - eps_U) up to 2 q1, and
     lam + K beyond.  Needs eps_U < lam, lam + K <= r_max, and eps'_U <= K
     (otherwise the middle level would overshoot the tail and break service
-    monotonicity).
+    monotonicity); the built policy's bound and monotonicity checks refuse
+    the last two.
     """
     _check_scale(U)
     eps_u = math.sqrt(U)
@@ -82,12 +84,7 @@ def mc1_policy(lam, U, K=None, r_max=1.0):
         raise ValueError("sqrt(U)=%g must stay below lam=%g" % (eps_u, lam))
     if K is None:
         K = 0.5 * (r_max - lam)
-    if K <= 0 or lam + K > r_max + 1e-12:
-        raise ValueError("need 0 < K with lam + K <= r_max")
     eps_pu = lam * eps_u / (lam - eps_u)
-    if eps_pu > K + 1e-12:
-        raise ValueError(
-            "middle level offset %g exceeds K=%g; service would decrease" % (eps_pu, K))
     q1 = int(math.floor(_quotient(
         math.log1p(_quotient(eps_u, U * lam, U)), math.log(lam / (lam - eps_u)), U)))
     if q1 < 1:
@@ -109,7 +106,7 @@ def mc21_policy(lam, b_lam, r_max, q_k=None, U=None):
         q_k = max(1, round(-math.log2(U)))
     if not (0 < lam < b_lam < r_max):
         raise ValueError("need 0 < lam < b_lam < r_max")
-    q_k = int(q_k)
+    q_k = _count(q_k, "q_k")
     if q_k < 1:
         raise ValueError("q_k must be at least 1")
     return _finish([], lam, [[1, q_k, b_lam]], r_max, {"family": "mc21", "q_k": q_k})
@@ -168,17 +165,13 @@ def lambda_mu_policy(u_inv_uc, U, eps=None, K=None, ra_max=1.0, r_max=1.0):
     k_min = 2.0 * (1.0 + u_inv_uc ** 2 / eps)
     if K is None:
         K = int(math.ceil(k_min)) + 1
-    K = int(K)
+    K = _count(K, "K")
     if K <= k_min:
         raise ValueError("K=%d must exceed %g" % (K, k_min))
     mu1, mu2 = u_inv_uc - U, u_inv_uc + U
     lam1, lam2 = u_inv_uc + eps, u_inv_uc - eps
     if mu1 <= 0:
         raise ValueError("U=%g at least the anchor rate %g" % (U, u_inv_uc))
-    if mu2 > r_max + 1e-12:
-        raise ValueError("mu2=%g exceeds r_max=%g" % (mu2, r_max))
-    if lam1 > ra_max + 1e-12:
-        raise ValueError("lam1=%g exceeds r_a_max=%g" % (lam1, ra_max))
     q1 = _threshold((lam1 - mu1) / lam1, lam1 / mu1, U)
     return _finish(
         [[0, q1 - 1, lam1], [q1, q1 + K, u_inv_uc]], lam2, [[1, q1, mu1]], mu2,

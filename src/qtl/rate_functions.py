@@ -140,6 +140,11 @@ def discrete_function(points, role="cost"):
     return RateFunction("discrete", role, rs[0], rs[-1], br=rs, bv=vs)
 
 
+def _in_domain(f, r):
+    """Whether ``evaluate`` takes rate r as inside f's domain, to 1e-12."""
+    return f.lo - 1e-12 <= r <= f.hi + 1e-12
+
+
 def evaluate(f, r):
     """Value of the function at rate ``r``.
 
@@ -151,7 +156,7 @@ def evaluate(f, r):
             if abs(rr - r) <= 1e-12:
                 return vv
         raise ValueError("rate %g is not a sample of the discrete set" % r)
-    if not f.lo - 1e-12 <= r <= f.hi + 1e-12:
+    if not _in_domain(f, r):
         raise ValueError("rate %g outside domain [%g, %g]" % (r, f.lo, f.hi))
     r = min(max(r, f.lo), f.hi)
     if f.kind == "power":

@@ -39,7 +39,7 @@ import numpy as np
 
 from .birth_death import mass_below, metrics, pi_at, rate_value, stationary
 from .rate_functions import (
-    CURVATURE_FLOOR, _check_tag, _curvature, _left_slope, evaluate, support_line)
+    CURVATURE_FLOOR, _check_tag, _curvature, _in_domain, _left_slope, evaluate, support_line)
 
 ScalingSample = namedtuple("ScalingSample", ["U", "V", "qbar", "ubar", "cbar"])
 SweepFailure = namedtuple("SweepFailure", ["U", "error"])
@@ -269,9 +269,7 @@ def audit_lower_bound(p, tag, c, u, c_ref):
         checks.append(_skip("pi-zero", "no utility function supplied"))
     else:
         mu_top = max(p.runs("mu")[1])
-        if mu_top <= 0:
-            checks.append(_skip("pi-zero", "policy never serves"))
-        elif mu_top > u.hi + 1e-9:
+        if not _in_domain(u, mu_top):
             checks.append(_skip(
                 "pi-zero", "top service rate %g outside the utility domain" % mu_top))
         else:

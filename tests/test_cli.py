@@ -117,6 +117,25 @@ def test_eval_domain_error(runner):
     assert json.loads(res.stderr)["error"]["type"] == "domain"
 
 
+# the drift bound needs the declared caps: for this policy it would read 1.2
+# against an exact qbar of 9.0
+OVER_BOUNDS = json.dumps({"lambda": {"pieces": [[0, 0, 0.9]], "tail": 0.9},
+                          "mu": {"pieces": [[0, 0, 0.0]], "tail": 1.0},
+                          "bounds": {"r_a_max": 0.01, "r_max": 0.01}})
+
+
+@pytest.mark.parametrize("args", [
+    ["eval"],
+    ["audit", "--case", '{"family": "LC1"}', "--c-ref", "0.1"],
+    ["simulate", "--horizon", "10"],
+], ids=["eval", "audit", "simulate"])
+def test_rates_above_declared_bounds_do_not_load(runner, args):
+    res = runner.invoke(main, args + ["--policy", OVER_BOUNDS, "--cost", CSQ])
+    assert res.stdout == "" and len(res.stderr.splitlines()) == 1
+    assert error_of(res, 2) == ("bad policy: arrival rate 0.9 exceeds the declared "
+                                "bound ra_max=0.01")
+
+
 @pytest.mark.parametrize("piece", [
     ["a", 2, 0.3], [0, 2.7, 0.3], [True, 2, 0.3], [0, 2], [0, 2, 0.3, 4], [0, 2, None]])
 def test_eval_bad_piece_schema_error(runner, piece):
@@ -218,6 +237,39 @@ def test_trace_without_positive_service_domain_error(runner):
     assert error_of(res, 1) == "service actions must include a positive rate"
 
 
+def test_trace_beta2_without_utility_fails_once(runner, tmp_path):
+    # one domain error and no CSV, not a header-only CSV with one identical
+    # failure record per grid point and exit 0
+    out = tmp_path / "trace.csv"
+    res = runner.invoke(main, ["trace", "--cost", CSQ, "--service-actions", "[0.5, 1.0]",
+                               "--arrival-actions", "[0.4]", "--beta1-grid", "[1, 2, 3]",
+                               "--beta2-grid", "[1]", "--state-cap", "20", "--out", str(out)])
+    assert len(res.stderr.splitlines()) == 1 and not out.exists()
+    assert error_of(res, 1) == "beta2 > 0 needs a utility function"
+
+
+@pytest.mark.parametrize("command", ["trace", "sweep"])
+def test_provenance_hashes_the_text_of_file_inputs(runner, tmp_path, command):
+    # an @file input hashes as its text inline would, so a changed file
+    # changes the provenance line
+    def provenance(cost):
+        if command == "trace":
+            args = ["trace", "--service-actions", "[0.5, 1.0]", "--arrival-actions", "[0.4]",
+                    "--beta1-grid", "[1]", "--state-cap", "20"]
+        else:
+            args = ["sweep", "--family", "mc22", "--params", MC22, "--c-ref", "0.0",
+                    "--dyadic", "4", "4"]
+        return invoke(runner, args + ["--cost", cost]).stdout.splitlines()[0]
+
+    cube = CSQ.replace('"exponent": 2', '"exponent": 3')
+    spec = tmp_path / "c.json"
+    spec.write_text(CSQ)
+    square = provenance("@%s" % spec)
+    spec.write_text(cube)
+    assert square == provenance(CSQ)
+    assert provenance("@%s" % spec) == provenance(cube) != square
+
+
 def test_trace_needs_grid(runner):
     res = runner.invoke(main, ["trace", "--cost", CSQ,
                                "--service-actions", "[1.0]",
@@ -311,6 +363,26 @@ def test_audit(runner):
     checks = {c["name"]: c for c in json.loads(res.output)["checks"]}
     assert checks["rate-mass"]["passed"] is True
     assert checks["pi-zero"]["applicable"] is False
+
+
+def test_audit_case_anchor_must_be_a_number(runner):
+    res = runner.invoke(main, ["audit", "--policy", MM1, "--cost", CSQ, "--c-ref", "0.1",
+                               "--case", '{"family": "MC1", "anchor": "0.5"}'])
+    assert error_of(res, 2) == "case 'anchor' must be a number"
+
+
+@pytest.mark.parametrize("tail", ["1.0000000005", "1.000000005"])
+def test_audit_skips_pi_zero_outside_the_utility_domain(runner, tail):
+    # evaluate takes rates up to 1e-12 past the domain; the skip reads the
+    # same rule, so a top rate 5e-10 past it is skipped, not exit 1
+    pol = json.dumps({"lambda": {"pieces": [], "tail": 0.4},
+                      "mu": {"pieces": [[0, 0, 0.0]], "tail": float(tail)}})
+    wide = '{"kind": "power", "domain": [0, 2], "exponent": 2}'
+    res = invoke(runner, ["audit", "--policy", pol, "--cost", wide, "--utility", IDENT,
+                          "--case", '{"family": "LC1"}', "--c-ref", "0.1"])
+    (check,) = json.loads(res.stdout)["checks"]
+    assert check["name"] == "pi-zero" and check["applicable"] is False
+    assert check["note"] == "top service rate 1 outside the utility domain"
 
 
 def test_simulate_deterministic(runner):
@@ -561,6 +633,31 @@ def test_trace_failures_are_json_records(runner):
     records = failure_records(res)
     assert [(r["beta1"], r["beta2"]) for r in records] == [("inf", 0.0), ("inf", 0.0)]
     assert all(isinstance(r["error"], str) and r["error"] for r in records)
+
+
+# a count that is not finite is a domain error naming it, not an
+# OverflowError traceback from int()
+INFINITE_Q_K = '{"lam": 0.3, "b_lam": 0.4, "r_max": 1.0, "q_k": 1e400}'
+
+
+@pytest.mark.parametrize("family,params,name", [
+    ("mc21", INFINITE_Q_K, "q_k"),
+    ("lmu", '{"u_inv_uc": 0.4, "U": 0.01, "K": 1e400}', "K"),
+])
+def test_construct_refuses_an_infinite_count(runner, family, params, name):
+    res = runner.invoke(main, ["construct", "--family", family, "--params", params],
+                        catch_exceptions=False)
+    assert res.stdout == ""
+    assert error_of(res, 1) == "%s must be a finite number, got inf" % name
+
+
+def test_sweep_records_an_infinite_count(runner):
+    res = invoke(runner, ["sweep", "--family", "mc21", "--params", INFINITE_Q_K,
+                          "--cost", CSQ, "--c-ref", "0.1", "--dyadic", "4", "5"])
+    assert res.stdout.splitlines()[1:] == ["U,V,qbar,ubar,cbar"]
+    assert [(r["U"], r["error"]) for r in failure_records(res)] == [
+        (0.0625, "q_k must be a finite number, got inf"),
+        (0.03125, "q_k must be a finite number, got inf")]
 
 
 def test_sweep_failures_are_json_records(runner):

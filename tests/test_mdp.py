@@ -179,6 +179,21 @@ def test_problem_validation():
         LagrangianProblem(0.0, 1.0, S, [0.4], CDISC, None)
 
 
+@pytest.mark.parametrize("cap", [math.inf, math.nan])
+def test_state_cap_must_be_finite(cap):
+    # int() would raise OverflowError, or a ValueError that names nothing
+    with pytest.raises(ValueError, match="^state_cap must be a finite number, got"):
+        LagrangianProblem(0.0, 0.0, S, [0.4], CDISC, None, state_cap=cap)
+
+
+def test_trace_without_utility_refuses_beta2_once():
+    # refused before any point, not once per point; a grid of zeros still runs
+    with pytest.raises(ValueError, match="^beta2 > 0 needs a utility function$"):
+        trace_tradeoff(problem(0.0, cap=50), [1.0, 2.0, 3.0], [0.0, 1.0])
+    pts, fails = trace_tradeoff(problem(0.0, cap=50), [1.0], [0.0])
+    assert len(pts) == 1 and not fails
+
+
 def test_unpriced_action_refused():
     # a rate the cost or the utility cannot price is refused when the
     # problem is built, not at each solve, and the error names it

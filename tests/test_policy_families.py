@@ -55,6 +55,44 @@ def test_mc1_errors():
         mc1_policy(0.5, -1.0)
 
 
+def test_mc1_default_k_is_half_the_headroom():
+    p = mc1_policy(0.4, 2.0 ** -10)
+    assert p.meta["K"] == 0.5 * (1.0 - 0.4)
+    assert p.mu_tail == 0.4 + 0.5 * (1.0 - 0.4) and p.r_max == 1.0
+
+
+# (d, builds): a 1e-12 slack decides each edge, so a rate d = 5e-13 over
+# its bound builds and one 2e-12 over is refused
+BOUND_EDGES = [(-2e-12, True), (-5e-13, True), (5e-13, True), (2e-12, False)]
+
+
+@pytest.mark.parametrize("d,builds", BOUND_EDGES)
+def test_mc1_tail_at_r_max_edges(d, builds):
+    lam, K = 0.5, 0.5 + d    # the tail lam + K sits d above r_max = 1
+    if builds:
+        p = mc1_policy(lam, 2.0 ** -10, K=K)
+        assert p.mu_tail == lam + K and p.r_max == 1.0
+    else:
+        with pytest.raises(ValueError):
+            mc1_policy(lam, 2.0 ** -10, K=K)
+
+
+@pytest.mark.parametrize("d,builds", BOUND_EDGES)
+@pytest.mark.parametrize("side", ["r_max", "ra_max"])
+def test_lambda_mu_top_rates_at_bound_edges(side, d, builds):
+    # mu2 = anchor + U and lam1 = anchor + eps are the largest rates of
+    # their sides; the bound sits d below the one under test
+    anchor, U, eps = 0.5, 2.0 ** -10, 0.05
+    top = anchor + U if side == "r_max" else anchor + eps
+    kw = {"ra_max": 1.0, "r_max": 1.0, side: top - d}
+    if builds:
+        p = lambda_mu_policy(anchor, U, eps=eps, K=20, **kw)
+        assert (p.ra_max, p.r_max) == (kw["ra_max"], kw["r_max"])
+    else:
+        with pytest.raises(ValueError):
+            lambda_mu_policy(anchor, U, eps=eps, K=20, **kw)
+
+
 def test_mc1_cost_gap_scales_with_u():
     # V = Cbar - c(lam) stays within two decades of U itself
     for k in range(4, 11):
@@ -131,6 +169,12 @@ def test_mc23_plateau():
     assert mc23_policy(0.40, 0.1, 1.0, next_corner=0.5).meta["q1"] == 1
 
 
+@pytest.mark.parametrize("K", [0.0, -0.1])
+def test_mc23_k_must_be_positive(K):
+    with pytest.raises(ValueError, match="^K must be positive$"):
+        mc23_policy(0.4, K, 0.01)
+
+
 def test_mc23_errors():
     with pytest.raises(ValueError):
         mc23_policy(0.40, 0.2, 0.01, next_corner=0.5)
@@ -164,6 +208,20 @@ def test_lambda_mu_errors():
         lambda_mu_policy(0.96, 0.01, eps=0.05, K=500, ra_max=1.0)  # lam1 over cap
 
 
+def test_lambda_mu_eps_above_the_anchor():
+    with pytest.raises(ValueError, match="^eps=0.05 exceeds the anchor rate 0.04$"):
+        lambda_mu_policy(0.04, 0.01, eps=0.05, K=10)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_counts_must_be_finite(bad):
+    # int() would raise OverflowError, or a ValueError that names nothing
+    with pytest.raises(ValueError, match="^q_k must be a finite number, got"):
+        mc21_policy(0.3, 0.4, 1.0, q_k=bad)
+    with pytest.raises(ValueError, match="^K must be a finite number, got"):
+        lambda_mu_policy(0.4, 0.01, K=bad)
+
+
 def test_lambda_mu_clears_utility_floor():
     for k in range(4, 10):
         p = lambda_mu_policy(0.4, 2.0 ** -k, eps=0.05, K=10)
@@ -189,6 +247,15 @@ def test_lc_mirror_utility_approaches_floor(fam):
     assert all(g > 0 for g in gaps)
     assert gaps[2] < gaps[1] < gaps[0]
     assert gaps[2] < 0.01
+
+
+def test_lc_mirror_window_refusals():
+    lc1 = CaseTag("LC1", (0.0, 1.0), "inv-sqrt", 0.95)
+    with pytest.raises(ValueError, match="^mu \\+ sqrt\\(U\\) leaves the utility domain$"):
+        lc_mirror_policy(0.95, lc1, 0.01)
+    corner = CaseTag("LC2-2", (0.6, 0.8), "inv", None)
+    with pytest.raises(ValueError, match="^corner window does not bracket mu$"):
+        lc_mirror_policy(0.5, corner, 0.01)
 
 
 def test_lc_mirror_rejects_service_tags():

@@ -16,7 +16,7 @@ from qtl import (
     power_function,
     support_line,
 )
-from qtl.rate_functions import CURVATURE_FLOOR, _curvature
+from qtl.rate_functions import CURVATURE_FLOOR, _curvature, _in_domain
 
 SQUARES = [(s, s * s) for s in (0, 0.2, 0.4, 0.5, 0.6, 0.8, 1)]
 
@@ -247,6 +247,39 @@ def test_shape_validation():
         discrete_function([(0, 0), (0.5, 0.3), (0.5, 0.4)])  # duplicate rate
     with pytest.raises(ValueError):
         discrete_function([(0, 0), (0.5, 0.4), (1, 0.2)])  # values decrease
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: power_function(2.0, role="x"), "role must be 'cost' or 'utility'"),
+    (lambda: power_function(2.0, domain=(1.0, 0.0)), "empty rate domain [1, 0]"),
+    (lambda: power_function(0.0), "power kind needs a positive exponent"),
+    (lambda: power_function(2.0, domain=(-1.0, 1.0)), "rates are non-negative"),
+    (lambda: piecewise_function([(0, 0), (0.5, 0.2), (1, 0.6)], role="utility"),
+     "utility segment slopes must strictly decrease"),
+    (lambda: discrete_function([(0.5, 0.25)]), "need at least 2 sample points"),
+    (lambda: lower_convex_envelope([(0, 0), (0.5, 0.2), (0.5, 0.3)]),
+     "duplicate rates in point set"),
+    (lambda: function_from_spec({"kind": "piecewise"}, "cost"),
+     "piecewise kind needs 'points'"),
+])
+def test_construction_refusals(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("r,inside", [
+    (-1e-12, True), (-2e-12, False), (1.0 + 1e-12, True), (1.0 + 2e-12, False),
+    (math.nan, False)])
+def test_evaluate_and_in_domain_agree(r, inside):
+    # the audit's pi-zero skip reads the same domain rule as evaluate
+    c = power_function(2.0)
+    assert _in_domain(c, r) is inside
+    if inside:
+        assert evaluate(c, r) == min(max(r, 0.0), 1.0) ** 2
+    else:
+        with pytest.raises(ValueError, match="outside domain"):
+            evaluate(c, r)
 
 
 @pytest.mark.parametrize("spec", [

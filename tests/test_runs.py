@@ -19,6 +19,7 @@ import oracles
 from qtl import (
     CaseTag,
     LagrangianProblem,
+    Policy,
     check_admissible,
     discrete_function,
     exact_metrics,
@@ -93,8 +94,37 @@ def _rough_cases():
                                          0.2, 1.0)),
         ("rough-same-q", dense_policy([0.5, 0.3, 0.6], [0.0, 0.9, 0.4], 0.3, 1.0)),
         ("rough-tail", dense_policy([0.2, 0.2], [0.0, 0.9], 0.3, 0.5)),
-        ("rough-bounds", policy_from_pieces([], 0.3, [[1, 4, 0.5]], 0.9, ra_max=0.2)),
     ]
+
+
+# a declared bound below the largest rate of its side is refused when the
+# policy is built, so no policy with broken bounds reaches the readers
+@pytest.mark.parametrize("build,message", [
+    (lambda: policy_from_pieces([], 0.3, [[1, 4, 0.5]], 0.9, ra_max=0.2),
+     "arrival rate 0.3 exceeds the declared bound ra_max=0.2"),
+    (lambda: policy_from_pieces([], 0.3, [[1, 4, 0.5]], 0.9, r_max=0.8),
+     "service rate 0.9 exceeds the declared bound r_max=0.8"),
+    (lambda: Policy([(0, 0.3)], [(0, 0.0), (1, 0.5)], 0.3, 0.9, 4, r_max=0.5),
+     "service rate 0.9 exceeds the declared bound r_max=0.5"),
+], ids=["pieces-ra-max", "pieces-r-max", "direct-r-max"])
+def test_rates_above_declared_bounds_are_refused(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_horizon_must_be_finite(horizon):
+    with pytest.raises(ValueError, match="^horizon must be a finite number, got"):
+        Policy([(0, 0.3)], [(0, 0.0)], 0.3, 0.9, horizon)
+
+
+def test_declared_bounds_keep_their_slack():
+    # 1e-12 above a bound still builds, and the policy keeps the bound
+    p = policy_from_pieces([], 0.3 + 1e-12, [[1, 4, 0.5]], 0.9, ra_max=0.3)
+    assert (p.ra_max, p.r_max) == (0.3, 0.9)
+    with pytest.raises(ValueError, match="exceeds the declared bound ra_max"):
+        policy_from_pieces([], 0.3 + 2e-12, [[1, 4, 0.5]], 0.9, ra_max=0.3)
 
 
 CASES = _random_cases() + _family_cases() + _solve_cases() + _rough_cases()

@@ -309,6 +309,18 @@ def test_audit_pi_zero_skips():
     assert "domain" in got["pi-zero"].note
 
 
+@pytest.mark.parametrize("over,applicable", [(5e-13, True), (5e-10, False), (5e-9, False)])
+def test_audit_pi_zero_uses_the_evaluate_domain(over, applicable):
+    # a top service rate just above the utility's domain is checked where
+    # evaluate takes it (1e-12) and skipped beyond, never refused
+    c = power_function(2.0, domain=(0.0, 2.0))
+    p = constant_policy(0.4, 1.0 + over)
+    got = check_map(audit_lower_bound(p, None, c, IDENT, 0.1))["pi-zero"]
+    assert got.applicable is applicable
+    if not applicable:
+        assert "outside the utility domain" in got.note
+
+
 def test_audit_pi_zero_piecewise_utility():
     u = piecewise_function([(0.0, 0.0), (0.3, 0.3), (1.0, 0.65)],
                            role="utility")
