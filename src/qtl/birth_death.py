@@ -33,14 +33,12 @@ import numbers
 import sys
 from collections import namedtuple
 
-from .rate_functions import _is_number, evaluate
+from .rate_functions import _is_number, evaluate, inverse
 
-# segments cover the recurrent window (q_lo, q_ru) = window in state order;
-# q_max is the last state before the geometric tail of ratio tail_ratio and
-# tail_mass the tail's mass (q_ru, 0 and 0 for a finite window)
-StationaryResult = namedtuple(
-    "StationaryResult",
-    ["segments", "q_lo", "q_max", "tail_mass", "tail_ratio", "window"])
+# segments cover the recurrent window from q_lo in state order; q_max is the
+# last state before the geometric tail, whose ratio is its segment's
+# log_ratio, and tail_mass the tail's mass (q_ru and 0 for a finite window)
+StationaryResult = namedtuple("StationaryResult", ["segments", "q_lo", "q_max", "tail_mass"])
 
 # a joint run of constant (lam, mu) within the recurrent window: pi(q) =
 # exp(log_pi + (q - first) log_ratio) for first <= q < first + length
@@ -146,7 +144,7 @@ def _bound(bound, what, top, side):
 
 
 def _merged_runs(runs, horizon, tail):
-    runs = [(int(s), _finite(r, "rate")) for s, r in runs]
+    runs = [(_count(s, "run start"), _finite(r, "rate")) for s, r in runs]
     starts = [s for s, _ in runs]
     if starts[:1] != [0] or starts != sorted(set(starts)) or starts[-1] > horizon:
         raise ValueError("runs must start at q=0 and increase within the horizon")
@@ -208,9 +206,9 @@ def policy_from_pieces(lam_pieces, lam_tail, mu_pieces, mu_tail,
                   ra_max=ra_max, r_max=r_max, meta=meta)
 
 
-def constant_policy(lam, mu, ra_max=None, r_max=None):
+def constant_policy(lam, mu):
     """M/M/1 with fixed rates; mu applies from q = 1 on."""
-    return Policy([(0, lam)], [(0, 0.0)], lam, mu, 0, ra_max=ra_max, r_max=r_max)
+    return Policy([(0, lam)], [(0, 0.0)], lam, mu, 0)
 
 
 def policy_to_json(p):
@@ -339,10 +337,9 @@ def stationary(p):
     segments = [Segment(first, n, lam, mu, w - log_z, x, math.exp(m - log_z))
                 for (first, n, lam, mu, w, x), m in zip(runs, log_mass)]
     if not math.isinf(q_ru):
-        return StationaryResult(segments, q_rl, q_ru, 0.0, 0.0, (q_rl, q_ru))
+        return StationaryResult(segments, q_rl, q_ru, 0.0)
     tail = segments[-1]
-    return StationaryResult(segments, q_rl, tail.first - 1, tail.mass,
-                            p.lam_tail / p.mu_tail, (q_rl, q_ru))
+    return StationaryResult(segments, q_rl, tail.first - 1, tail.mass)
 
 
 def _log_ratio(a, b):
@@ -406,8 +403,9 @@ def rate_value(fn, r):
     return 0.0 if (fn is None or r == 0.0) else evaluate(fn, r)
 
 
-def metrics(p, sr, c, u):
-    """Performance triple and delay for a policy under cost c and utility u.
+def metrics(sr, c, u):
+    """Performance triple and delay of a stationary result ``sr`` under cost
+    c and utility u.
 
     Each segment contributes its mass times its rates' values, and its mass
     times its mean state to Qbar, so transient states and the geometric
@@ -430,21 +428,19 @@ def metrics(p, sr, c, u):
 
 
 def exact_metrics(p, c, u=None):
-    return metrics(p, stationary(p), c, u)
+    return metrics(stationary(p), c, u)
 
 
-def feasibility(c, u, c_c, u_c, tol=1e-12):
+def feasibility(c, u, c_c, u_c):
     """Constraint-pair status from the inverse-rate comparison.
 
     The pair (c_c, u_c) is servable iff the cheapest rate meeting the
     utility floor costs no more than the ceiling, i.e.
-    u^-1(u_c) <= c^-1(c_c).
+    u^-1(u_c) <= c^-1(c_c); rates within 1e-12 are the boundary.
     """
-    from .rate_functions import inverse
-
     rc = inverse(c, c_c)
     ru = inverse(u, u_c)
-    if abs(rc - ru) <= tol:
+    if abs(rc - ru) <= 1e-12:
         return "boundary"
     return "feasible" if rc > ru else "infeasible"
 

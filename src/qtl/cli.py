@@ -28,7 +28,7 @@ import click
 from . import __version__
 from .birth_death import (
     exact_metrics, policy_from_json, policy_to_json, qlength_upper_bound)
-from .mdp import LagrangianProblem, solve as mdp_solve, trace_tradeoff
+from .mdp import TOL, LagrangianProblem, solve as mdp_solve, trace_tradeoff
 from .policy_families import (
     lambda_mu_policy, lc_mirror_policy, mc1_policy, mc21_policy, mc22_policy,
     mc23_policy)
@@ -249,14 +249,13 @@ def _problem(cost, utility, service_actions, arrival_actions, state_cap,
 @click.option("--beta1", type=float, default=0.0, show_default=True)
 @click.option("--beta2", type=float, default=0.0, show_default=True)
 @click.option("--state-cap", type=int, default=500, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--out", default=None)
 def solve(cost, utility, service_actions, arrival_actions, beta1, beta2,
-          state_cap, tol, out):
+          state_cap, out):
     """Solve one relaxed problem; JSON with gain, policy, exact metrics."""
     lp = _problem(cost, utility, service_actions, arrival_actions, state_cap,
                   beta1, beta2)
-    res = mdp_solve(lp, tol)
+    res = mdp_solve(lp)
     m = exact_metrics(res.policy, lp.cost_fn, lp.utility_fn)
     _emit_json({"gain": res.gain, "iterations": res.iterations,
                 "monotone": res.monotone,
@@ -289,20 +288,20 @@ def _beta_grid(grid_json, log_triplet, fallback):
 @click.option("--beta2-grid", default=None)
 @click.option("--beta2-log", nargs=3, type=float, default=None)
 @click.option("--state-cap", type=int, default=500, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--out", default=None)
 def trace(cost, utility, service_actions, arrival_actions, beta1_grid,
-          beta1_log, beta2_grid, beta2_log, state_cap, tol, out):
+          beta1_log, beta2_grid, beta2_log, state_cap, out):
     """Sweep multipliers; CSV beta1,beta2,c_c,u_c,q_star sorted by c_c."""
     b1 = _beta_grid(beta1_grid, beta1_log, None)
     if b1 is None:
         raise SchemaError("need --beta1-grid or --beta1-log")
     b2 = _beta_grid(beta2_grid, beta2_log, [0.0])
     lp = _problem(cost, utility, service_actions, arrival_actions, state_cap)
-    points, failures = trace_tradeoff(lp, b1, b2, tol)
+    points, failures = trace_tradeoff(lp, b1, b2)
+    # the tolerance stays in the hash, so a change to it would change the hash
     prov = _provenance({"cmd": "trace", "cost": cost, "utility": utility,
                         "service": service_actions, "arrival": arrival_actions,
-                        "beta1": b1, "beta2": b2, "cap": state_cap, "tol": tol})
+                        "beta1": b1, "beta2": b2, "cap": state_cap, "tol": TOL})
     _emit_csv(["beta1", "beta2", "c_c", "u_c", "q_star"],
               [(p.beta1, p.beta2, p.c_c, p.u_c, p.q_star) for p in points],
               prov, out)
@@ -334,6 +333,17 @@ _FAMILIES = {
 }
 
 
+def _params(text, family):
+    """(params, U) of a family from the JSON in ``text``.  Each value must be
+    a number or null (the constructor's default), but for lc's case tag."""
+    def check(obj):
+        for k, v in _object(obj).items():
+            if not (v is None or _is_number(v) or (family, k) == ("lc", "case")):
+                raise ValueError("param %r must be a number or null: %.60s" % (k, json.dumps(v)))
+        return obj, obj.pop("U", None)
+    return _decode(text, "params", check)
+
+
 def _build(family, params, U):
     try:
         return _FAMILIES[family](U=U, **params)
@@ -347,8 +357,7 @@ def _build(family, params, U):
 @click.option("--out", default=None)
 def construct(family, params, out):
     """Build one family policy; emits Policy JSON."""
-    kw = _decode(params, "params", _object)
-    U = kw.pop("U", None)
+    kw, U = _params(params, family)
     if family != "mc21" and U is None:
         raise SchemaError("params need the scale U")
     _emit_json(policy_to_json(_build(family, kw, U)), out)
@@ -378,8 +387,7 @@ def _u_grid(u_grid, dyadic):
 @click.option("--out", default=None)
 def sweep_cmd(family, params, cost, utility, c_ref, u_grid, dyadic, out):
     """Sweep a family over U; CSV U,V,qbar,ubar,cbar."""
-    kw = _decode(params, "params", _object)
-    kw.pop("U", None)
+    kw, _ = _params(params, family)
     c, u = _functions(cost, utility)
     grid = _u_grid(u_grid, dyadic)
     samples, failures = sweep(functools.partial(_build, family, kw), grid, c, c_ref, u)

@@ -39,6 +39,7 @@ import numpy as np
 from .birth_death import Policy, _count, exact_metrics, is_admissible, rate_value
 
 MAX_ITERATIONS = 500
+TOL = 1e-9                # stop once the Bellman residual's span falls below this
 WINDOW_MIN_RATES = 17     # a smaller action set keeps the full improvement table
 _U = 2.0 ** -53           # unit roundoff of a double
 _TINY = 2.0 ** -1022      # smallest normal double: covers underflow in the bound
@@ -330,21 +331,16 @@ def _start_indices(lp, start):
     return np.append(k, at[0]), np.append(m - 1 - at[1], m)
 
 
-def _checked_tol(tol):
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError("tol must be finite and non-negative, got %r" % (tol,))
-
-
-def solve(lp, tol=1e-9, start=None):
+def solve(lp, *, start=None):
     """Policy iteration for the relaxed problem.  Returns a SolveResult.
 
-    Starts from the largest rates, or from ``start``, a Policy on states
-    0..state_cap whose rates are all in the action sets; if policy
-    iteration from ``start`` raises, it runs again from the largest rates,
-    and ``iterations`` counts the improvement steps of both runs while
-    ``gain_history`` is the returned run's.  Stops when the improvement
+    Starts from the largest rates, or from the keyword-only ``start``, a
+    Policy on states 0..state_cap whose rates are all in the action sets;
+    if policy iteration from ``start`` raises, it runs again from the
+    largest rates, and ``iterations`` counts the improvement steps of both
+    runs while ``gain_history`` is the returned run's.  Stops when the improvement
     step leaves the policy unchanged or the span of the Bellman residual
-    drops below tol (the improved policy is then evaluated once more);
+    drops below TOL (the improved policy is then evaluated once more);
     raises after MAX_ITERATIONS improvement steps in one run.  The
     returned Policy lives on states 0..state_cap with arrivals off at the
     cap, so its stationary window is finite and exact re-evaluation is
@@ -366,7 +362,6 @@ def solve(lp, tol=1e-9, start=None):
     solve returned); a multi-class policy, or a numerically singular
     system, is a ValueError, not a warning.
     """
-    _checked_tol(tol)
     n = lp.state_cap + 1      # states 0..state_cap
     k, m = len(lp.service_actions), len(lp.arrival_actions)
     srv, arr = lp._service.rates, lp._arrival.rates
@@ -390,13 +385,13 @@ def solve(lp, tol=1e-9, start=None):
         iterations = 0
         span = math.inf
         while True:
-            if iterations == MAX_ITERATIONS and not span < tol:
+            if iterations == MAX_ITERATIONS and not span < TOL:
                 raise ValueError(
                     "policy iteration did not converge in %d iterations" % MAX_ITERATIONS)
             stage = (states + srv_rule.cost[mu_at] + arr_rule.cost[lam_at]) / lp.r_u
             h, g = _evaluate_policy(arr[lam_at], srv[mu_at], stage, lp.r_u)
             gain_history.append(g)
-            if span < tol:
+            if span < TOL:
                 return mu_at, lam_at, g, gain_history
             iterations += 1
             steps += 1
@@ -454,7 +449,7 @@ def _mark_dominated(points):
         for p in points]
 
 
-def trace_tradeoff(base, beta1_grid, beta2_grid, tol=1e-9):
+def trace_tradeoff(base, beta1_grid, beta2_grid):
     """Sweep the multiplier grid (Cartesian product) and collect the curve.
 
     Along each beta1 row, policy iteration at a beta2 point starts from the
@@ -464,7 +459,7 @@ def trace_tradeoff(base, beta1_grid, beta2_grid, tol=1e-9):
     and only the first point and a point after a failed one start cold.
     A grid with several beta2 is not chained along beta1: on the admission
     benchmark grid such a chain ends at another policy among exact ties
-    that rounding decides.
+    that rounding decides.  Every solve stops at the one tolerance TOL.
     Each policy is re-evaluated exactly through the stationary
     distribution (the DP's internal gain is not trusted for reporting).
     Returns (points, failures): points sorted by achieved cost with
@@ -472,7 +467,6 @@ def trace_tradeoff(base, beta1_grid, beta2_grid, tol=1e-9):
     grid points whose solve raised.  A grid with a beta2 > 0 and a problem
     without a utility is refused before any point.
     """
-    _checked_tol(tol)
     b1 = [float(b) for b in beta1_grid]
     b2 = [float(b) for b in beta2_grid]
     if not b1 or not b2:
@@ -489,7 +483,7 @@ def trace_tradeoff(base, beta1_grid, beta2_grid, tol=1e-9):
             start = None
         for beta2 in b2:
             try:
-                res = solve(base.with_multipliers(beta1, beta2), tol, start=start)
+                res = solve(base.with_multipliers(beta1, beta2), start=start)
                 m = exact_metrics(res.policy, base.cost_fn, base.utility_fn)
             except ValueError as exc:
                 failures.append(TraceFailure(beta1, beta2, str(exc)))

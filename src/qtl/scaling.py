@@ -85,7 +85,7 @@ def sweep(build, U_grid, c, c_ref, u=None):
         try:
             p = build(U)
             sr = stationary(p)
-            m = metrics(p, sr, c, u)
+            m = metrics(sr, c, u)
             v = _cost_gap(sr, c, c_ref)
         except ValueError as exc:
             failures.append(SweepFailure(U, str(exc)))
@@ -197,7 +197,7 @@ def audit_lower_bound(p, tag, c, u, c_ref):
     positive and finite.  Returns a list of AuditCheck records.
     """
     sr = stationary(p)
-    m = metrics(p, sr, c, u)
+    m = metrics(sr, c, u)
     v = _cost_gap(sr, c, c_ref)
     checks = []
     fam = tag.family if tag is not None else None
@@ -271,7 +271,7 @@ def audit_lower_bound(p, tag, c, u, c_ref):
         mu_top = max(p.runs("mu")[1])
         if not _in_domain(u, mu_top):
             checks.append(_skip(
-                "pi-zero", "top service rate %g outside the utility domain" % mu_top))
+                "pi-zero", "top service rate %r outside the utility domain" % mu_top))
         else:
             slope = _left_slope(u, min(mu_top, u.hi))
             rhs = (evaluate(u, mu_top) - m.ubar) / (slope * mu_top)

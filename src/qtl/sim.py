@@ -32,8 +32,8 @@ BLOCK = 2 ** 12
 MARGIN = 1.05
 SLACK = 16
 
+# every field is required: the CLI's simulate options hold the defaults
 SimConfig = namedtuple("SimConfig", ["horizon", "replications", "seed", "warmup_fraction"])
-SimConfig.__new__.__defaults__ = (10000.0, 10, 0, 0.1)
 
 SimEstimate = namedtuple(
     "SimEstimate",

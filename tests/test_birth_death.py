@@ -151,7 +151,7 @@ def test_near_critical_tail_refused_everywhere():
         stationary(p)
     assert str(exc.value) == "unstable tail: lambda=%r >= mu=0.4" % lam
     with pytest.raises(ValueError, match="unstable policy"):
-        simulate(p, SimConfig(100.0, 2), CSQ)
+        simulate(p, SimConfig(100.0, 2, 0, 0.1), CSQ)
 
 
 def test_stationary_geometric():
@@ -187,8 +187,8 @@ def _assert_matches_loop(p, sr):
     """pi at rtol 1e-10 and the metrics at rtol 1e-12 against the loop oracle,
     whose sums run state by state."""
     ref = oracles.loop_stationary(p)
-    pi, q_lo, q_max, tail_mass, rho = ref
-    assert (sr.q_lo, sr.tail_ratio) == (q_lo, rho)
+    pi, q_lo, q_max, tail_mass, _ = ref
+    assert sr.q_lo == q_lo
     got = [pi_at(sr, q) for q in range(q_lo, q_max + 1)]
     # subnormal values carry fewer than 16 digits, so atol is the smallest
     # normal float
@@ -198,7 +198,7 @@ def _assert_matches_loop(p, sr):
     assert sr.tail_mass == pytest.approx(
         math.fsum(pi[sr.q_max + 1 - q_lo:]) + tail_mass, rel=1e-10, abs=0.0)
     for u in (None, IDENT):
-        got = metrics(p, sr, CSQ, u)
+        got = metrics(sr, CSQ, u)
         want = oracles.loop_metrics(
             p, ref, functools.partial(evaluate, CSQ),
             None if u is None else functools.partial(evaluate, u))
@@ -211,7 +211,7 @@ def test_near_unit_tail_ratio():
     p = constant_policy(0.499999999, 0.5)
     rho = 0.499999999 / 0.5
     sr = stationary(p)
-    assert sr.tail_ratio == rho
+    assert sr.segments[-1].log_ratio == math.log1p((0.499999999 - 0.5) / 0.5)
     assert abs(pi_at(sr, 0) - (1.0 - rho)) <= 1e-12 * (1.0 - rho)
     m = exact_metrics(p, CSQ)
     assert m.qbar == pytest.approx(rho / (1.0 - rho), rel=1e-12)
@@ -329,7 +329,7 @@ def test_stationary_invariants(seed):
     rng = np.random.default_rng(40 + seed)
     p = random_policy(rng, transient=seed % 2 == 0, finite=seed % 3 == 0)
     sr = stationary(p)
-    lo, hi = sr.window
+    lo = sr.q_lo
     assert mass_below(sr, sr.q_max + 1) + sr.tail_mass == pytest.approx(1.0, abs=1e-12)
     # detailed balance on the stored window
     for q in range(lo, sr.q_max):
@@ -440,6 +440,6 @@ def test_segments_match_mpmath(runs, lam_tail, mu_tail):
         assert pi_at(sr, s) == pytest.approx(ref.pi(s), rel=1e-12, abs=tiny), s
         assert mass_below(sr, s) == pytest.approx(ref.mass_below(s), rel=1e-12, abs=tiny), s
     for u, mp_u in ((None, None), (IDENT, lambda r: r)):
-        got = metrics(p, sr, CSQ, u)
+        got = metrics(sr, CSQ, u)
         np.testing.assert_allclose(tuple(got), ref.metrics(lambda r: r * r, mp_u),
                                    rtol=1e-12, atol=0.0)

@@ -309,6 +309,34 @@ def test_construct_bad_params(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args,name", [
+    (["construct", "--family", "mc1", "--params",
+      '{"lam": 0.5, "K": 0.3, "r_max": "x", "U": 0.01}'], "r_max"),
+    (["construct", "--family", "mc1", "--params", '{"lam": 0.5, "r_max": "x", "U": 0.01}'],
+     "r_max"),
+    (["construct", "--family", "mc1", "--params", '{"lam": true, "K": 0.3, "U": 0.01}'],
+     "lam"),
+    (["sweep", "--family", "mc1", "--params", '{"lam": 0.5, "K": 0.3, "r_max": "x"}',
+      "--cost", CSQ, "--c-ref", "0.25", "--dyadic", "4", "6"], "r_max"),
+])
+def test_family_params_must_be_numbers(runner, args, name):
+    # one schema error before any point is built, wherever the value is used
+    res = runner.invoke(main, args, catch_exceptions=False)
+    assert res.stdout == ""
+    assert error_of(res, 2).startswith("bad params: param '%s' must be a number" % name)
+
+
+def test_family_params_null_and_lc_case(runner):
+    # null is the constructor's default; lc's case is the one object param
+    mc1 = json.loads(invoke(runner, ["construct", "--family", "mc1", "--params",
+                                     '{"lam": 0.5, "K": null, "U": 0.01}']).stdout)
+    assert mc1["meta"]["K"] == 0.25
+    lc = json.loads(invoke(runner, ["construct", "--family", "lc", "--params",
+                                    '{"mu": 0.5, "U": 0.01, "case": '
+                                    '{"family": "LC2-1", "window": [0.4, 0.6]}}']).stdout)
+    assert lc["meta"]["case"] == "LC2-1"
+
+
 def test_sweep_csv(runner, tmp_path):
     out = tmp_path / "sweep.csv"
     env = json.dumps({"kind": "piecewise", "points": json.loads(POINTS)})
@@ -382,7 +410,7 @@ def test_audit_skips_pi_zero_outside_the_utility_domain(runner, tail):
                           "--case", '{"family": "LC1"}', "--c-ref", "0.1"])
     (check,) = json.loads(res.stdout)["checks"]
     assert check["name"] == "pi-zero" and check["applicable"] is False
-    assert check["note"] == "top service rate 1 outside the utility domain"
+    assert check["note"] == "top service rate %s outside the utility domain" % tail
 
 
 def test_simulate_deterministic(runner):
@@ -509,9 +537,8 @@ def plateau(n):
     (["eval", "--policy", mm1(r_max="inf"), "--cost", CSQ], 2),
     (["simulate", "--policy", mm1(rate="nan"), "--cost", CSQ, "--horizon", "10"], 2),
     (["solve", "--cost", CSQ] + LOG_GRID + ["--state-cap", "1000000000000"], 1),
-    (["solve", "--cost", CSQ] + LOG_GRID + ["--tol", "inf"], 1),
-    (["solve", "--cost", CSQ] + LOG_GRID + ["--tol", "nan"], 1),
-    (["trace", "--cost", CSQ] + LOG_GRID + ["--beta1-grid", "[0, 1]", "--tol", "-1"], 1),
+    (["solve", "--cost", CSQ] + LOG_GRID + ["--tol", "1e-9"], 2),
+    (["trace", "--cost", CSQ] + LOG_GRID + ["--beta1-grid", "[0, 1]", "--tol", "1e-9"], 2),
     # scales so small that a family's threshold q1, or the mean of a run of
     # states, is no finite double
     (["construct", "--family", "mc1", "--params", '{"lam": 0.5, "K": 0.5, "U": 1e-300}'], 1),
@@ -520,9 +547,11 @@ def plateau(n):
     (["construct", "--family", "lmu", "--params", '{"u_inv_uc": 0.5, "U": 5e-324}'], 1),
     (["construct", "--family", "mc23", "--params", '{"lam": 0.4, "K": 0.1, "U": 5e-324}'], 1),
     (["eval", "--policy", plateau(10 ** 80), "--cost", CSQ], 1),
-    (["eval", "--policy", plateau(10 ** 309), "--cost", CSQ], 2),
-    # a rate or value that is NaN lies in no range; a power that overflows
+    # a rate that is NaN lies in no range
     (["envelope", "--points", "[[0, 0], [0.5, 0.25], [1, 1]]", "--at", "nan"], 1),
+    # a horizon past the largest double is malformed
+    (["eval", "--policy", plateau(10 ** 309), "--cost", CSQ], 2),
+    # a value that is NaN lies in no range; a power that overflows
     (["feasibility", "--cost", CSQ, "--utility", USQRT, "--cc", "nan", "--uc", "0.6"], 1),
     (["feasibility", "--cost", CSQ, "--utility", USQRT, "--cc", "0.16", "--uc", "nan"], 1),
     (["feasibility", "--cost", '{"kind": "power", "domain": [0, 1e308], "exponent": 2}',

@@ -367,14 +367,11 @@ def test_bad_action_rates_refused(bad):
         LagrangianProblem(1.0, 0.0, S, [0.4, bad], CDISC)
 
 
-@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9])
-def test_bad_tol_refused(tol):
-    # tol = inf stopped after one improvement step with a non-optimal policy
-    # marked converged
-    with pytest.raises(ValueError, match="tol"):
-        solve(problem(1000.0, cap=50), tol)
-    with pytest.raises(ValueError, match="tol"):
-        trace_tradeoff(problem(0.0, cap=50), [0.0, 1000.0], [0.0], tol)
+def test_positional_tol_refused():
+    # the tolerance is mdp.TOL, and start is keyword-only, so an old
+    # positional tol is not read as a start policy
+    with pytest.raises(TypeError):
+        solve(problem(1000.0, cap=50), 1e-9)
 
 
 def test_duplicate_rates_dropped():
@@ -640,9 +637,9 @@ def test_trace_warm_starts_change_nothing(monkeypatch):
     b1, b2 = [0.5, 5.0, 40.0], [0.0, 0.7, 3.0, 12.0]
     warm, solved = [], {}
 
-    def recording_solve(lp, tol, start=None):
+    def recording_solve(lp, start=None):
         warm.append(start is not None)
-        res = solved[lp.beta1, lp.beta2] = solve(lp, tol, start=start)
+        res = solved[lp.beta1, lp.beta2] = solve(lp, start=start)
         return res
 
     monkeypatch.setattr(mdp, "solve", recording_solve)
@@ -676,9 +673,9 @@ def test_trace_chains_beta1_with_one_beta2(monkeypatch, b2):
     b1 = np.geomspace(10.0, 1.2e4, 8).tolist()
     starts, solved = [], {}
 
-    def recording_solve(lp, tol, start=None):
+    def recording_solve(lp, start=None):
         starts.append(start)
-        res = solved[lp.beta1, lp.beta2] = solve(lp, tol, start=start)
+        res = solved[lp.beta1, lp.beta2] = solve(lp, start=start)
         return res
 
     monkeypatch.setattr(mdp, "solve", recording_solve)

@@ -119,6 +119,13 @@ def test_horizon_must_be_finite(horizon):
         Policy([(0, 0.3)], [(0, 0.0)], 0.3, 0.9, horizon)
 
 
+@pytest.mark.parametrize("start", [math.inf, math.nan])
+def test_run_start_must_be_finite(start):
+    # int() would raise OverflowError, or a ValueError that names nothing
+    with pytest.raises(ValueError, match="^run start must be a finite number, got"):
+        Policy([(0, 0.3), (start, 0.2)], [(0, 0.0)], 0.2, 1.0, 5)
+
+
 def test_declared_bounds_keep_their_slack():
     # 1e-12 above a bound still builds, and the policy keeps the bound
     p = policy_from_pieces([], 0.3 + 1e-12, [[1, 4, 0.5]], 0.9, ra_max=0.3)
