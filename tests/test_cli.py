@@ -556,6 +556,8 @@ def plateau(n):
     (["feasibility", "--cost", CSQ, "--utility", USQRT, "--cc", "0.16", "--uc", "nan"], 1),
     (["feasibility", "--cost", '{"kind": "power", "domain": [0, 1e308], "exponent": 2}',
       "--utility", USQRT, "--cc", "0.16", "--uc", "0.6"], 1),
+    # a multiplier grid with a negative value is a domain error
+    (["trace", "--cost", CSQ] + LOG_GRID + ["--beta1-grid", "[0, -1]"], 1),
 ])
 def test_malformed_input_is_a_json_error(runner, args, code):
     error_of(runner.invoke(main, args, catch_exceptions=False), code)
