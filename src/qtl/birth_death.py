@@ -62,8 +62,9 @@ class Policy(object):
     equal rate are merged.  Rate bounds default to the largest rates the
     policy uses; a declared bound below the largest rate of its side, by
     more than 1e-12, is refused, so every Policy holds its bounds.  Every
-    rate, tail and bound must be a finite int or float; a bool, a string or
-    a NaN is refused, not converted.
+    rate, tail and bound must be a finite int or float, and the horizon and
+    every run start an int or an integral float; a bool, a string, a NaN
+    or 2.7 is refused, not converted.
     """
 
     def __init__(self, lam, mu, lam_tail, mu_tail, horizon, ra_max=None,
@@ -130,9 +131,12 @@ def _finite(x, what):
 
 
 def _count(x, what):
-    # int(x), but a float that is not finite is refused by name: int() would
-    # raise OverflowError, or a ValueError that names nothing
-    return int(_finite(x, what) if isinstance(x, float) else x)
+    # an int, or a finite float with an integral value; anything else (a
+    # bool, a string, 2.7, inf) is refused by name, never truncated or converted
+    if not (_is_number(x) and (isinstance(x, (int, numbers.Integral))
+                               or _finite(x, what).is_integer())):
+        raise ValueError("%s must be an integer, got %r" % (what, x))
+    return int(x)
 
 
 def _bound(bound, what, top, side):

@@ -269,8 +269,8 @@ def _beta_grid(grid_json, log_triplet, fallback):
         return _decode(grid_json, "multiplier grid", _numbers)
     if log_triplet:
         lo, hi, n = log_triplet
-        if not (0 < lo < hi < math.inf and 2 <= n < math.inf):
-            raise SchemaError("log grid needs 0 < lo < hi and n >= 2, all finite")
+        if not (0 < lo < hi < math.inf and 2 <= n < math.inf and n.is_integer()):
+            raise SchemaError("log grid needs 0 < lo < hi and an integer n >= 2, all finite")
         n = int(n)
         step = (math.log(hi) - math.log(lo)) / (n - 1)
         return [math.exp(math.log(lo) + i * step) for i in range(n)]

@@ -18,16 +18,16 @@ Policy evaluation solves the (N+2)-unknown linear system
     (lam_q + mu_q)/r_u h(q) - lam_q/r_u h(q+1) - mu_q/r_u h(q-1) + g = cost(q)
     h(0) = 0
 
-by sparse LU (``_factorize``); ``scipy.sparse`` is imported only then, so
+by sparse LU (``_evaluate_policy``); ``scipy.sparse`` is imported only then, so
 importing this module (and ``qtl`` or ``qtl.cli``) does not load it.
 
 Policy iteration keeps one array of action indices per rule.  Each action
-set is a ``_Side``, built with the problem: its columns, service rates
-ascending and arrival rates descending, end in a zero-rate, zero-cost
-column for state 0's service and the cap's arrival.  Every pick of the
-improvement step is made by ``_best``, which takes each row's first exact
-minimizer, so every tie goes to the smallest service rate and the largest
-arrival rate.
+set is a ``_Side``, built with the problem and priced at a multiplier
+when a solve applies it: its columns, service rates ascending and arrival
+rates descending, end in a zero-rate, zero-cost column for state 0's
+service and the cap's arrival.  Every pick of the improvement step is
+made by ``_best``, which takes each row's first exact minimizer, so every
+tie goes to the smallest service rate and the largest arrival rate.
 """
 
 import copy
@@ -71,7 +71,8 @@ class LagrangianProblem:
         _check_multipliers(beta1, beta2, utility_fn)
         service_actions = _rates(service_actions, "service")
         arrival_actions = _rates(arrival_actions, "arrival")
-        if state_cap < 10:
+        self.state_cap = _count(state_cap, "state_cap")
+        if self.state_cap < 10:
             raise ValueError("state_cap must be at least 10")
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
@@ -79,7 +80,6 @@ class LagrangianProblem:
         self.arrival_actions = arrival_actions
         self.cost_fn = cost_fn
         self.utility_fn = utility_fn
-        self.state_cap = _count(state_cap, "state_cap")
         self.r_u = service_actions[-1] + arrival_actions[-1]
         self._service = _Side(service_actions, cost_fn, -1.0)
         self._arrival = _Side(arrival_actions[::-1], utility_fn, 1.0)
@@ -161,8 +161,9 @@ _SINGULAR = ("policy evaluation is singular: the Poisson system of this "
 _factor = None      # (key, SuperLU factor) of the last Poisson matrix factored
 
 
-def _factorize(lam, mu, r_u):
-    """SuperLU factor of the Poisson matrix of (lam, mu, r_u).
+def _evaluate_policy(lam, mu, stage, r_u):
+    """Relative values h (h(0) = 0) and gain g of the chain (lam, mu) at
+    stage costs ``stage``, by SuperLU.
 
     The last factor is kept, keyed by the matrix contents, like an
     ``lru_cache(maxsize=1)``: a warm-started solve first evaluates the
@@ -172,33 +173,27 @@ def _factorize(lam, mu, r_u):
     """
     global _factor
     key = (lam.tobytes(), mu.tobytes(), r_u)
-    if _factor is not None and _factor[0] == key:
-        return _factor[1]
-    _factor = None
-    from scipy.sparse.linalg import splu
+    if _factor is None or _factor[0] != key:
+        _factor = None
+        from scipy.sparse.linalg import splu
 
-    a = _poisson_matrix(lam, mu, r_u)
-    # the rule of birth_death.recurrent_window: one recurrent class needs
-    # the first zero-arrival state at or above the last zero-service state
-    # (rates are non-negative and lam(n-1) = mu(0) = 0, so argmin finds them)
-    q_ru = int(lam.argmin())
-    q_rl = len(mu) - 1 - int(mu[::-1].argmin())
-    if q_ru < q_rl:
-        raise ValueError(
-            "policy evaluation is singular: the first zero-arrival state q=%d "
-            "lies below the last zero-service state q=%d, so the chain under "
-            "this policy has more than one recurrent class" % (q_ru, q_rl))
-    try:
-        lu = splu(a)
-    except RuntimeError:
-        # SuperLU's "Factor is exactly singular"
-        raise ValueError(_SINGULAR) from None
-    _factor = key, lu
-    return lu
-
-
-def _evaluate_policy(lam, mu, stage, r_u):
-    x = _factorize(lam, mu, r_u).solve(np.append(stage, 0.0))
+        a = _poisson_matrix(lam, mu, r_u)
+        # the rule of birth_death.recurrent_window: one recurrent class needs
+        # the first zero-arrival state at or above the last zero-service state
+        # (rates are non-negative and lam(n-1) = mu(0) = 0, so argmin finds them)
+        q_ru = int(lam.argmin())
+        q_rl = len(mu) - 1 - int(mu[::-1].argmin())
+        if q_ru < q_rl:
+            raise ValueError(
+                "policy evaluation is singular: the first zero-arrival state q=%d "
+                "lies below the last zero-service state q=%d, so the chain under "
+                "this policy has more than one recurrent class" % (q_ru, q_rl))
+        try:
+            _factor = key, splu(a)
+        except RuntimeError:
+            # SuperLU's "Factor is exactly singular"
+            raise ValueError(_SINGULAR) from None
+    x = _factor[1].solve(np.append(stage, 0.0))
     if not np.all(np.isfinite(x)):
         raise ValueError(_SINGULAR)
     return x[:-1], x[-1]
@@ -227,18 +222,20 @@ def _convex(x, c):
 
 
 class _Side:
-    """The columns of one improvement rule, whatever the multiplier.
+    """The columns of one improvement rule, priced at the multiplier that
+    each pick passes.
 
     ``rates`` holds the column rates in the given order followed by the
     zero-rate column.  Row slope d and multiplier beta price column j at
     d*w[j] + beta*c[j], with w = sign*rate and c = -sign*fn(rate): sign -1
     makes the service side (rates ascending, c = c(rate)), sign +1 the
     arrival side (rates descending, c = -u(rate)), so x = -w ascends on
-    both.  A side is ``wide`` when it has at least WINDOW_MIN_RATES rates
-    and its points (x, c) are convex in exact arithmetic, as a convex cost
-    and a concave utility make them; it then keeps what the windowed step
-    needs (``_Rule.window``): the slopes between consecutive columns and
-    the largest |x| and |c|.  Any other side fills the full table.
+    both.  The zero-rate column's price is 0.  A side is ``wide`` when it
+    has at least WINDOW_MIN_RATES rates and its points (x, c) are convex in
+    exact arithmetic, as a convex cost and a concave utility make them; it
+    then keeps what ``window`` needs: the slopes between consecutive
+    columns and the largest |x| and |c|.  Any other side fills the full
+    table.
     """
 
     def __init__(self, rates, fn, sign):
@@ -252,31 +249,18 @@ class _Side:
             self.slopes = np.diff(self.c) / np.diff(x)
             self.x_max, self.c_max = np.max(np.abs(x)), np.max(np.abs(self.c))
 
+    def best(self, d, beta):
+        """Each row's pick and minimum of d*w + beta*c for the row slopes d,
+        bit for bit those of ``_best`` on the full table."""
+        return self.window(d, beta)[:2] if self.wide else self.full(d, beta)
 
-class _Rule:
-    """One improvement rule of a solve: ``best(d)`` returns each row's pick
-    and minimum of d*w + cost for the row slopes d, bit for bit those of
-    ``_best`` on the full table.  ``cost`` holds the weighted column costs,
-    the zero-rate column's 0 last."""
-
-    def __init__(self, side, beta):
-        self.side = side
-        self.cost = np.append(beta * side.c, 0.0)
-        if side.wide:
-            self.slopes = beta * side.slopes
-            # twice the rounding bound E = 4u (|d| max|x| + 2 beta max|c|)
-            self.e_d, self.e_0 = 8 * _U * side.x_max, 16 * _U * beta * side.c_max + 2 * _TINY
-
-    def best(self, d):
-        return self.window(d)[:2] if self.side.wide else self.full(d)
-
-    def full(self, d, first=0):
+    def full(self, d, beta, first=0):
         """Each row's pick among the rate columns first.. and its minimum,
         from a table of those columns."""
-        pick, low = _best(np.multiply.outer(d, self.side.w[first:]) + self.cost[first:-1])
+        pick, low = _best(np.multiply.outer(d, self.w[first:]) + beta * self.c[first:])
         return pick + first, low
 
-    def window(self, d):
+    def window(self, d, beta):
         """(pick, low, full): each row's pick and minimum, found among three
         columns, and the rows evaluated in full instead.
 
@@ -294,20 +278,20 @@ class _Rule:
         window's first minimizer is the table's; a row that fails is
         evaluated in full.
         """
-        k = len(self.side.w)
-        lo = np.clip(np.searchsorted(self.slopes, d) - 1, 0, k - 3)
+        k = len(self.w)
+        lo = np.clip(np.searchsorted(beta * self.slopes, d) - 1, 0, k - 3)
         cols = lo[:, None] + np.arange(3)       # row r: lo[r] .. lo[r] + 2
-        values = self.side.w[cols]
+        values = self.w[cols]
         values *= d[:, None]
-        values += self.cost[cols]
+        values += (beta * self.c)[cols]
         at, low = _best(values)
-        two_e = np.abs(d) * self.e_d + self.e_0
+        two_e = np.abs(d) * (8 * _U * self.x_max) + (16 * _U * beta * self.c_max + 2 * _TINY)
         ok = (((lo == 0) | (values[:, 0] - low > two_e))
               & ((lo == k - 3) | (values[:, 2] - low > two_e)))
         pick = lo + at
         full = np.flatnonzero(~ok)
         if full.size:
-            pick[full], low[full] = self.full(d[full])
+            pick[full], low[full] = self.full(d[full], beta)
         return pick, low, full
 
 
@@ -347,12 +331,13 @@ def solve(lp, *, start=None):
     cheap.
 
     Each improvement step picks, per state, the first minimizing column of
-    each rule, always through ``_best``.  A rule on a windowed side
-    (``_Side``) evaluates each row's three columns around the one its slope
-    selects, keeps their first minimizer when the window edges prove every
-    column beyond them worse, and evaluates in full the rows where that
-    proof fails (see ``_Rule.window``); any other rule evaluates every row
-    in full (``_Rule.full``).  Either way the picks and minima are bit for
+    each side, always through ``_best``, with the side's columns priced at
+    its multiplier.  A windowed side (``_Side``) evaluates each row's three
+    columns around the one its slope selects, keeps their first minimizer
+    when the window edges prove every column beyond them worse, and
+    evaluates in full the rows where that proof fails (see
+    ``_Side.window``); any other side evaluates every row in full
+    (``_Side.full``).  Either way the picks and minima are bit for
     bit the full table's.  The cap state, whose arrivals are off, picks
     among the positive service rates only.
 
@@ -364,7 +349,8 @@ def solve(lp, *, start=None):
     """
     n = lp.state_cap + 1      # states 0..state_cap
     k, m = len(lp.service_actions), len(lp.arrival_actions)
-    srv, arr = lp._service.rates, lp._arrival.rates
+    service, arrival = lp._service, lp._arrival
+    srv, arr = service.rates, arrival.rates
 
     try:
         warm = _start_indices(lp, start) if start is not None else None
@@ -373,14 +359,15 @@ def solve(lp, *, start=None):
     except MemoryError:
         raise ValueError("state_cap %d is too large: its arrays do not fit in memory"
                          % lp.state_cap) from None
-    srv_rule, arr_rule = _Rule(lp._service, lp.beta1), _Rule(lp._arrival, lp.beta2)
+    # the weighted column costs, the zero-rate column's 0 last
+    srv_cost = np.append(lp.beta1 * service.c, 0.0)
+    arr_cost = np.append(lp.beta2 * arrival.c, 0.0)
 
     states = np.arange(n)
     steps = 0     # improvement steps of every run, an abandoned warm one included
 
     def iterate(mu_at, lam_at):
         nonlocal steps
-        residual = np.empty(n)      # filled in place by each improvement step
         gain_history = []
         iterations = 0
         span = math.inf
@@ -388,7 +375,7 @@ def solve(lp, *, start=None):
             if iterations == MAX_ITERATIONS and not span < TOL:
                 raise ValueError(
                     "policy iteration did not converge in %d iterations" % MAX_ITERATIONS)
-            stage = (states + srv_rule.cost[mu_at] + arr_rule.cost[lam_at]) / lp.r_u
+            stage = (states + srv_cost[mu_at] + arr_cost[lam_at]) / lp.r_u
             h, g = _evaluate_policy(arr[lam_at], srv[mu_at], stage, lp.r_u)
             gain_history.append(g)
             if span < TOL:
@@ -398,34 +385,29 @@ def solve(lp, *, start=None):
             d = np.diff(h)        # d[q] = h(q+1) - h(q), q = 0..n-2
             # service at q = 1..n-1 minimizes beta1 c(a) - a d(q-1), arrival
             # at q = 0..n-2 minimizes -beta2 u(a) + a d(q)
-            srv_pick, srv_min = srv_rule.best(d)
-            arr_pick, arr_min = arr_rule.best(d)
+            srv_pick, srv_min = service.best(d, lp.beta1)
+            arr_pick, arr_min = arrival.best(d, lp.beta2)
             if srv_pick[-1] == 0 and srv[0] == 0.0:
                 # with arrivals already off at the cap, zero service there
                 # would absorb the chain at its most expensive state -- a
                 # truncation artifact the unbounded problem has no
                 # counterpart for; the cap picks again among columns
                 # 1..k-1, the positive rates (rates are distinct)
-                srv_pick[-1:], srv_min[-1:] = srv_rule.full(d[-1:], 1)
-            residual[:] = states
-            residual[1:] += srv_min
-            residual[:-1] += arr_min
-            residual /= lp.r_u
-            residual -= g
+                srv_pick[-1:], srv_min[-1:] = service.full(d[-1:], lp.beta1, 1)
+            residual = (states + np.append(0.0, srv_min) + np.append(arr_min, 0.0)) / lp.r_u - g
             span = float(np.max(residual) - np.min(residual))
             if np.array_equal(srv_pick, mu_at[1:]) and np.array_equal(arr_pick, lam_at[:-1]):
                 return mu_at, lam_at, g, gain_history
             mu_at[1:], lam_at[:-1] = srv_pick, arr_pick
 
-    found = None
-    if warm is not None:
-        try:
-            found = iterate(*warm)
-        except ValueError:
-            # a start can lead policy iteration into a multi-class policy,
-            # or a cycle, that the largest rates avoid
-            pass
-    mu_at, lam_at, g, gain_history = found or iterate(*cold)
+    try:
+        mu_at, lam_at, g, gain_history = iterate(*(warm or cold))
+    except ValueError:
+        if warm is None:
+            raise
+        # a start can lead policy iteration into a multi-class policy, or a
+        # cycle, that the largest rates avoid
+        mu_at, lam_at, g, gain_history = iterate(*cold)
     mu, lam = srv[mu_at], arr[lam_at]
 
     # the states where an action changes start the policy's runs

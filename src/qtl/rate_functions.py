@@ -81,6 +81,8 @@ class RateFunction(object):
             p = self.exponent
             if p is None or p <= 0:
                 raise ValueError("power kind needs a positive exponent")
+            if not math.isfinite(p):
+                raise ValueError("power kind needs a finite exponent, got %r" % p)
             if self.role == "cost" and p < 1:
                 raise ValueError("cost with exponent %g is concave" % p)
             if self.role == "utility" and p > 1:

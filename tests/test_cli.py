@@ -563,6 +563,23 @@ def test_malformed_input_is_a_json_error(runner, args, code):
     error_of(runner.invoke(main, args, catch_exceptions=False), code)
 
 
+@pytest.mark.parametrize("grids", [["--beta1-log", "1", "10", "2.9"],
+                                   ["--beta1-grid", "[1]", "--beta2-log", "1", "10", "2.9"]])
+def test_log_grid_needs_an_integer_count(runner, grids):
+    # int() would truncate 2.9 to a 2-point grid and exit 0
+    res = runner.invoke(main, ["trace", "--cost", CSQ, "--utility", USQRT] + LOG_GRID + grids,
+                        catch_exceptions=False)
+    assert error_of(res, 2) == "log grid needs 0 < lo < hi and an integer n >= 2, all finite"
+
+
+def test_power_exponent_must_be_finite(runner):
+    # 1e400 parses as inf, which evaluated every cost as 0
+    cost = '{"kind": "power", "domain": [0, 1], "exponent": 1e400}'
+    res = runner.invoke(main, ["eval", "--policy", MM1, "--cost", cost],
+                        catch_exceptions=False)
+    assert error_of(res, 2) == "bad cost spec: power kind needs a finite exponent, got inf"
+
+
 @pytest.mark.parametrize("flag", ["--beta1", "--beta2"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_solve_non_finite_multiplier_named(runner, flag, value):

@@ -532,16 +532,15 @@ def test_window_matches_full_table():
             if not side.wide:
                 continue
             beta = data.draw(st.sampled_from([0.0, 0.01, 1.0, 30.0, 1e4]))
-            rule = mdp._Rule(side, beta)
-            kinks = rule.slopes[data.draw(st.lists(st.integers(0, len(rule.slopes) - 1),
-                                                   max_size=10))]
+            kinks = beta * side.slopes[data.draw(st.lists(
+                st.integers(0, len(side.slopes) - 1), max_size=10))]
             d = np.concatenate([
                 kinks, np.nextafter(kinks, np.inf), np.nextafter(kinks, -np.inf),
                 [0.0, -0.0, 1e12, -1e12],
                 data.draw(st.lists(st.floats(-1e4, 1e4), max_size=20))])
-            table = np.multiply.outer(d, side.w) + rule.cost[:-1]
+            table = np.multiply.outer(d, side.w) + beta * side.c
             want = np.argmin(table, axis=1)
-            pick, low, full = rule.window(d)
+            pick, low, full = side.window(d, beta)
             assert pick.tolist() == want.tolist()
             assert low.tobytes() == table[np.arange(len(d)), want].tobytes()
             full_rows.append(len(full))

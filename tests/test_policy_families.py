@@ -102,6 +102,12 @@ def test_mc1_cost_gap_scales_with_u():
         assert 0.01 <= v / u <= 100.0
 
 
+def test_mc1_refuses_a_scale_without_a_threshold():
+    # at U = 0.2 the threshold formula gives q1 = 0: no state serves below r_max
+    with pytest.raises(ValueError, match=r"^U=0.2 too large, threshold q1 < 1$"):
+        mc1_policy(0.5, 0.2)
+
+
 def test_mc21_shape_and_errors():
     p = mc21_policy(0.1, 0.2, 1.0, 3)
     assert p.service(3) == 0.2 and p.service(4) == 1.0

@@ -16,7 +16,7 @@ from qtl import (
     power_function,
     support_line,
 )
-from qtl.rate_functions import CURVATURE_FLOOR, _curvature, _in_domain
+from qtl.rate_functions import CURVATURE_FLOOR, _curvature, _in_domain, _left_slope
 
 SQUARES = [(s, s * s) for s in (0, 0.2, 0.4, 0.5, 0.6, 0.8, 1)]
 
@@ -261,6 +261,8 @@ def test_shape_validation():
      "duplicate rates in point set"),
     (lambda: function_from_spec({"kind": "piecewise"}, "cost"),
      "piecewise kind needs 'points'"),
+    (lambda: power_function(math.inf), "power kind needs a finite exponent, got inf"),
+    (lambda: power_function(math.nan), "power kind needs a finite exponent, got nan"),
 ])
 def test_construction_refusals(build, message):
     with pytest.raises(ValueError) as err:
@@ -306,3 +308,18 @@ def test_support_line_names_missing_tag_field(env, tag, field):
     f = power_function(2.0) if tag.family == "MC1" else env
     with pytest.raises(ValueError, match=repr(field)):
         support_line(f, tag)
+
+
+def test_piecewise_rates_are_non_negative():
+    with pytest.raises(ValueError, match="^rates are non-negative$"):
+        piecewise_function([(-0.1, 0), (1, 1)])
+
+
+def test_left_slope_needs_a_segment_below_the_rate():
+    # a piecewise utility's first segment ends at 0.5, so no segment lies
+    # below its first breakpoint
+    u = piecewise_function([(0, 0), (0.5, 0.4), (1, 0.6)], role="utility")
+    assert _left_slope(u, 0.5) == 0.8 and _left_slope(u, 1.0) == _left_slope(u, 0.7)
+    for r in (0.0, -0.1):
+        with pytest.raises(ValueError, match="^rate %g at or below the utility domain$" % r):
+            _left_slope(u, r)

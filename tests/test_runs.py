@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from qtl import (
@@ -124,6 +125,72 @@ def test_run_start_must_be_finite(start):
     # int() would raise OverflowError, or a ValueError that names nothing
     with pytest.raises(ValueError, match="^run start must be a finite number, got"):
         Policy([(0, 0.3), (start, 0.2)], [(0, 0.0)], 0.2, 1.0, 5)
+
+
+# counts drawn by the contract fuzz: integral ints and floats, and values
+# that a bare int() would truncate or convert
+COUNTS = [2.7, True, "5", 20.7, math.nan, math.inf, 1e400, -1, 5, 5.0]
+
+# one builder per callable that takes counts, with one argument per count
+COUNT_BUILDERS = {
+    "Policy": lambda horizon, start: Policy([(0, 0.3), (start, 0.2)], [(0, 0.0)],
+                                            0.2, 1.0, horizon),
+    "LagrangianProblem": lambda cap: LagrangianProblem(0.0, 0.0, S, [0.4], CDISC, None,
+                                                       state_cap=cap),
+    "mc21_policy": lambda q_k: mc21_policy(0.1, 0.2, 1.0, q_k),
+    "lambda_mu_policy": lambda K: lambda_mu_policy(0.4, 0.01, eps=0.3, K=K),
+}
+
+
+def _integral(x):
+    return ((isinstance(x, int) and not isinstance(x, bool))
+            or (isinstance(x, float) and math.isfinite(x) and x.is_integer()))
+
+
+@settings(max_examples=200)
+@given(name=st.sampled_from(sorted(COUNT_BUILDERS)),
+       counts=st.lists(st.sampled_from(COUNTS), min_size=2, max_size=2))
+def test_counts_build_or_are_refused(name, counts):
+    # every count either builds or is a ValueError, never another exception;
+    # a count that is not an integral int or float never builds
+    build = COUNT_BUILDERS[name]
+    counts = counts[:build.__code__.co_argcount]
+    try:
+        build(*counts)
+    except ValueError:
+        return
+    assert all(map(_integral, counts)), "%s built from %r" % (name, counts)
+
+
+def test_integral_float_counts_build_unchanged():
+    p = Policy([(0, 0.3), (2.0, 0.2)], [(0, 0.0)], 0.2, 1.0, 5.0)
+    assert p == Policy([(0, 0.3), (2, 0.2)], [(0, 0.0)], 0.2, 1.0, 5)
+    assert type(p.horizon) is int and p.runs("lam")[0] == [0, 2, 6]
+    lp = LagrangianProblem(0.0, 0.0, S, [0.4], CDISC, None, state_cap=20.0)
+    assert lp.state_cap == 20 and type(lp.state_cap) is int
+    assert mc21_policy(0.1, 0.2, 1.0, 5.0) == mc21_policy(0.1, 0.2, 1.0, 5)
+    assert (lambda_mu_policy(0.4, 0.01, eps=0.05, K=10.0)
+            == lambda_mu_policy(0.4, 0.01, eps=0.05, K=10))
+
+
+@pytest.mark.parametrize("build,message", [
+    # int() would put the run at 2, or at 1, or read the string
+    (lambda: Policy([(0, 0.3), (2.7, 0.2)], [(0, 0.0)], 0.2, 1.0, 5),
+     "run start must be an integer, got 2.7"),
+    (lambda: Policy([(0, 0.3), (True, 0.2)], [(0, 0.0)], 0.2, 1.0, 5),
+     "run start must be an integer, got True"),
+    (lambda: Policy([(0, 0.3)], [(0, 0.0)], 0.2, 1.0, "5"), "horizon must be an integer, got '5'"),
+    (lambda: LagrangianProblem(0.0, 0.0, S, [0.4], CDISC, None, state_cap=20.7),
+     "state_cap must be an integer, got 20.7"),
+    (lambda: LagrangianProblem(0.0, 0.0, S, [0.4], CDISC, None, state_cap="20"),
+     "state_cap must be an integer, got '20'"),
+    (lambda: mc21_policy(0.1, 0.2, 1.0, 5.5), "q_k must be an integer, got 5.5"),
+    (lambda: lambda_mu_policy(0.4, 0.01, eps=0.05, K=10.9), "K must be an integer, got 10.9"),
+])
+def test_non_integral_counts_refused_by_name(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_declared_bounds_keep_their_slack():

@@ -218,6 +218,17 @@ def test_audit_boundary_mass_wide_eps_skipped():
     assert not got["boundary-mass"].applicable
 
 
+def test_audit_boundary_mass_skipped_when_no_state_serves_near_the_anchor():
+    # eps_V = 0.2 < anchor 0.5, but the policy serves at 0.2 < 0.5 - eps_V
+    # in every state, so the boundary state q* does not exist
+    p = constant_policy(0.1, 0.2)
+    got = check_map(audit_lower_bound(p, classify_case(CSQ, 0.5), CSQ, None, 0.01))
+    assert got["rate-mass"].applicable
+    check = got["boundary-mass"]
+    assert not check.applicable and check.passed is None
+    assert check.note == "no state serves within eps_V of the anchor"
+
+
 def test_audit_segment_anchor():
     tag = classify_case(ENV, 0.1)
     assert tag.family == "MC2-1"
