@@ -105,11 +105,8 @@ def _functions(cost, utility):
 
 def _round12(obj):
     if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-        return float("%.12g" % obj)
+        # "inf", "-inf" or "nan" for a value that is not finite
+        return float("%.12g" % obj) if math.isfinite(obj) else str(obj)
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -159,29 +156,24 @@ def _fail(kind, code, message):
     sys.exit(code)
 
 
-# click >= 8.2 shows the help for a bare ``qtl`` by raising this usage error
-_NO_ARGS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
-
-
 class _Main(click.Group):
     """The qtl group: any failure in its own options or below it ends as
     one JSON error object."""
 
-    def make_context(self, info_name, args, parent=None, **extra):
+    def main(self, args=None, **extra):
         try:
-            return super().make_context(info_name, args, parent=parent, **extra)
-        except click.ClickException as exc:
-            if isinstance(exc, _NO_ARGS_HELP):
-                raise
-            _fail("schema", 2, exc.format_message())
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
+            return super().main(args, standalone_mode=False, **extra)
+        # click >= 8.2 shows the help for a bare ``qtl`` by raising this usage error
+        except getattr(click.exceptions, "NoArgsIsHelpError", ()) as exc:
+            exc.show()
+            sys.exit(exc.exit_code)
         except click.ClickException as exc:
             _fail("schema", 2, exc.format_message())
         except ValueError as exc:
             _fail("domain", 1, str(exc))
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
 
 
 @click.group(cls=_Main)
@@ -264,17 +256,28 @@ def solve(cost, utility, service_actions, arrival_actions, beta1, beta2,
                out)
 
 
-def _beta_grid(grid_json, log_triplet, fallback):
+def _grid(flags, grid_json, spec, what, make, default=None):
+    """A grid given as a JSON list, or made by ``make`` from the values of
+    its generator option; ``default`` without either.  ``flags`` names the
+    list option and the generator option, which exclude each other."""
+    if grid_json and spec:
+        raise SchemaError("give %s or %s, not both" % flags)
     if grid_json:
-        return _decode(grid_json, "multiplier grid", _numbers)
-    if log_triplet:
-        lo, hi, n = log_triplet
-        if not (0 < lo < hi < math.inf and 2 <= n < math.inf and n.is_integer()):
-            raise SchemaError("log grid needs 0 < lo < hi and an integer n >= 2, all finite")
-        n = int(n)
-        step = (math.log(hi) - math.log(lo)) / (n - 1)
-        return [math.exp(math.log(lo) + i * step) for i in range(n)]
-    return fallback
+        return _decode(grid_json, what, _numbers)
+    return make(*spec) if spec else default
+
+
+def _log_grid(lo, hi, n):
+    if not (0 < lo < hi < math.inf and 2 <= n < math.inf and n.is_integer()):
+        raise SchemaError("log grid needs 0 < lo < hi and an integer n >= 2, all finite")
+    step = (math.log(hi) - math.log(lo)) / (int(n) - 1)
+    return [math.exp(math.log(lo) + i * step) for i in range(int(n))]
+
+
+def _dyadic_grid(k0, k1):
+    if not 0 <= k0 <= k1:
+        raise SchemaError("dyadic range needs 0 <= k0 <= k1")
+    return [2.0 ** -k for k in range(k0, k1 + 1)]
 
 
 @main.command()
@@ -292,10 +295,12 @@ def _beta_grid(grid_json, log_triplet, fallback):
 def trace(cost, utility, service_actions, arrival_actions, beta1_grid,
           beta1_log, beta2_grid, beta2_log, state_cap, out):
     """Sweep multipliers; CSV beta1,beta2,c_c,u_c,q_star sorted by c_c."""
-    b1 = _beta_grid(beta1_grid, beta1_log, None)
+    b1 = _grid(("--beta1-grid", "--beta1-log"), beta1_grid, beta1_log,
+               "multiplier grid", _log_grid)
     if b1 is None:
         raise SchemaError("need --beta1-grid or --beta1-log")
-    b2 = _beta_grid(beta2_grid, beta2_log, [0.0])
+    b2 = _grid(("--beta2-grid", "--beta2-log"), beta2_grid, beta2_log,
+               "multiplier grid", _log_grid, [0.0])
     lp = _problem(cost, utility, service_actions, arrival_actions, state_cap)
     points, failures = trace_tradeoff(lp, b1, b2)
     # the tolerance stays in the hash, so a change to it would change the hash
@@ -363,17 +368,6 @@ def construct(family, params, out):
     _emit_json(policy_to_json(_build(family, kw, U)), out)
 
 
-def _u_grid(u_grid, dyadic):
-    if u_grid:
-        return _decode(u_grid, "U grid", _numbers)
-    if dyadic:
-        k0, k1 = dyadic
-        if not 0 <= k0 <= k1:
-            raise SchemaError("dyadic range needs 0 <= k0 <= k1")
-        return [2.0 ** -k for k in range(k0, k1 + 1)]
-    return [2.0 ** -k for k in range(4, 15)]
-
-
 @main.command("sweep")
 @click.option("--family", type=click.Choice(list(_FAMILIES)), required=True)
 @click.option("--params", required=True)
@@ -389,7 +383,8 @@ def sweep_cmd(family, params, cost, utility, c_ref, u_grid, dyadic, out):
     """Sweep a family over U; CSV U,V,qbar,ubar,cbar."""
     kw, _ = _params(params, family)
     c, u = _functions(cost, utility)
-    grid = _u_grid(u_grid, dyadic)
+    grid = _grid(("--u-grid", "--dyadic"), u_grid, dyadic, "U grid", _dyadic_grid,
+                 _dyadic_grid(4, 14))
     samples, failures = sweep(functools.partial(_build, family, kw), grid, c, c_ref, u)
     prov = _provenance({"cmd": "sweep", "family": family, "params": kw,
                         "cost": cost, "utility": utility, "c_ref": c_ref,

@@ -119,8 +119,11 @@ def _rates(actions, name):
 
 def uniform_actions(r_max, n=201):
     """Uniform discretization of the continuous action set [0, r_max]."""
-    if n < 2 or r_max <= 0:
-        raise ValueError("need n >= 2 and r_max > 0")
+    n = _count(n, "n")
+    # r_max * i overflows for an r_max near the largest double
+    if not (n >= 2 and 0 < r_max * (n - 1) < math.inf):
+        raise ValueError("need n >= 2 and an r_max > 0 with a finite r_max * (n - 1), "
+                         "got n=%d, r_max=%r" % (n, r_max))
     return [r_max * i / (n - 1) for i in range(n)]
 
 

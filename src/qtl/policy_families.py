@@ -3,9 +3,10 @@
 Each constructor builds an admissible, stable policy parameterized by a
 scale U, and refuses a U that is not a positive finite number (0,
 negatives, +-inf and NaN alike); mc21 reads U only when its threshold
-q_k is not given.  As U drops to 0 the achieved average cost approaches
-the relevant floor while the mean queue length grows at the case's
-asymptotic order:
+q_k is not given.  A rate param that is not a finite number is refused
+too, before any threshold is computed.  As U drops to 0 the achieved
+average cost approaches the relevant floor while the mean queue length
+grows at the case's asymptotic order:
 
   mc1_policy        strictly convex cost, three service levels around the
                     arrival rate, queue grows like sqrt(1/V) log(1/V)
@@ -35,10 +36,13 @@ from .birth_death import _count, check_admissible, is_stable, policy_from_pieces
 from .rate_functions import _check_tag
 
 
-def _check_scale(U):
-    # a non-number fails the comparison with a TypeError
-    if not 0 < U < math.inf:
-        raise ValueError("U must be a positive finite number, got %g" % U)
+def _check_positive(**params):
+    # each param given must be a positive finite number, else it is named
+    # (None is a default the constructor fills in); a non-number fails the
+    # comparison with a TypeError
+    for name, x in params.items():
+        if x is not None and not 0 < x < math.inf:
+            raise ValueError("%s must be a positive finite number, got %g" % (name, x))
 
 
 def _quotient(num, den, U):
@@ -78,7 +82,7 @@ def mc1_policy(lam, U, K=None, r_max=1.0):
     monotonicity); the built policy's bound and monotonicity checks refuse
     the last two.
     """
-    _check_scale(U)
+    _check_positive(U=U, lam=lam, K=K, r_max=r_max)
     eps_u = math.sqrt(U)
     if eps_u >= lam:
         raise ValueError("sqrt(U)=%g must stay below lam=%g" % (eps_u, lam))
@@ -102,10 +106,10 @@ def mc21_policy(lam, b_lam, r_max, q_k=None, U=None):
     if q_k is None:
         if U is None:
             raise ValueError("mc21 needs q_k or the scale U")
-        _check_scale(U)
+        _check_positive(U=U)
         q_k = max(1, round(-math.log2(U)))
-    if not (0 < lam < b_lam < r_max):
-        raise ValueError("need 0 < lam < b_lam < r_max")
+    if not (0 < lam < b_lam < r_max < math.inf):
+        raise ValueError("need 0 < lam < b_lam < r_max, all finite")
     q_k = _count(q_k, "q_k")
     if q_k < 1:
         raise ValueError("q_k must be at least 1")
@@ -117,9 +121,9 @@ def mc22_policy(lam, a_lam, b_lam, U):
 
     q1 = ceil( log_{lam/a_lam} (1 + ((lam - a_lam)/lam) / U) ).
     """
-    if not (0 < a_lam < lam < b_lam):
-        raise ValueError("need 0 < a_lam < lam < b_lam")
-    _check_scale(U)
+    if not (0 < a_lam < lam < b_lam < math.inf):
+        raise ValueError("need 0 < a_lam < lam < b_lam, all finite")
+    _check_positive(U=U)
     q1 = _threshold((lam - a_lam) / lam, lam / a_lam, U)
     return _finish([], lam, [[1, q1, a_lam]], b_lam, {"family": "mc22", "U": U, "q1": q1})
 
@@ -131,9 +135,9 @@ def mc23_policy(lam, K, U, next_corner=None):
     caps K (lam + K must not cross it, or the tail rate leaves the active
     pair of segments).
     """
-    _check_scale(U)
     if K <= 0:
         raise ValueError("K must be positive")
+    _check_positive(U=U, lam=lam, K=K, next_corner=next_corner)
     if next_corner is not None and lam + K > next_corner + 1e-12:
         raise ValueError(
             "lam + K = %g overshoots the next corner %g" % (lam + K, next_corner))
@@ -155,17 +159,19 @@ def lambda_mu_policy(u_inv_uc, U, eps=None, K=None, ra_max=1.0, r_max=1.0):
     2 (1 + u^-1(u_c)^2 / eps), which is what makes the average utility
     clear u_c for small U.
     """
-    _check_scale(U)
+    _check_positive(U=U, u_inv_uc=u_inv_uc, eps=eps, ra_max=ra_max, r_max=r_max)
     if eps is None:
         eps = min(0.05, 0.5 * (ra_max - u_inv_uc))
     if eps <= 0:
         raise ValueError("eps must be positive")
     if u_inv_uc - eps < 0:
         raise ValueError("eps=%g exceeds the anchor rate %g" % (eps, u_inv_uc))
-    k_min = 2.0 * (1.0 + u_inv_uc ** 2 / eps)
-    if K is None:
-        K = int(math.ceil(k_min)) + 1
-    K = _count(K, "K")
+    try:
+        k_min = 2.0 * (1.0 + u_inv_uc ** 2 / eps)
+        K = _count(int(math.ceil(k_min)) + 1 if K is None else K, "K")
+    except OverflowError:
+        raise ValueError("the plateau bound 2 (1 + u_inv_uc^2 / eps) is not finite at "
+                         "u_inv_uc=%g, eps=%g" % (u_inv_uc, eps)) from None
     if K <= k_min:
         raise ValueError("K=%d must exceed %g" % (K, k_min))
     mu1, mu2 = u_inv_uc - U, u_inv_uc + U
@@ -188,11 +194,11 @@ def lc_mirror_policy(mu, tag, U):
     plumbing (the tight arrival-side constructions are not reproduced
     here) and the metadata says so.
     """
-    _check_scale(U)
     fam = tag.family
     if fam not in ("LC1", "LC2-1", "LC2-2"):
         raise ValueError("not an arrival-side case tag: %r" % (fam,))
     _check_tag(tag, "window")
+    _check_positive(U=U, mu=mu, window_hi=tag.window[1])
     # the arrival rate is `head` on states 0..q1-1 and `tail` beyond
     if fam == "LC1":
         eps_u = math.sqrt(U)

@@ -64,8 +64,6 @@ class RateFunction(object):
     def __init__(self, kind, role, lo, hi, exponent=None, br=None, bv=None):
         if role not in ("cost", "utility"):
             raise ValueError("role must be 'cost' or 'utility'")
-        if not (lo < hi):
-            raise ValueError("empty rate domain [%g, %g]" % (lo, hi))
         self.kind = kind
         self.role = role
         self.lo = float(lo)
@@ -74,6 +72,11 @@ class RateFunction(object):
         # br/bv: breakpoints for 'piecewise', sample points for 'discrete'
         self.br = None if br is None else [float(r) for r in br]
         self.bv = None if bv is None else [float(v) for v in bv]
+        for x in [self.lo, self.hi] + (self.br or []) + (self.bv or []):
+            if not math.isfinite(x):
+                raise ValueError("bounds, breakpoints and values must be finite, got %r" % x)
+        if not (lo < hi):
+            raise ValueError("empty rate domain [%g, %g]" % (lo, hi))
         self._validate()
 
     def _validate(self):
@@ -127,19 +130,21 @@ def power_function(exponent, domain=(0.0, 1.0), role="cost"):
     return RateFunction("power", role, domain[0], domain[1], exponent=float(exponent))
 
 
-def piecewise_function(points, role="cost"):
+def _point_set(kind, points, role):
+    # a piecewise or discrete function through its (rate, value) points
+    if len(points) < 2:
+        raise ValueError("need at least 2 sample points")
     rs = [p[0] for p in points]
     vs = [p[1] for p in points]
-    return RateFunction("piecewise", role, rs[0], rs[-1], br=rs, bv=vs)
+    return RateFunction(kind, role, rs[0], rs[-1], br=rs, bv=vs)
+
+
+def piecewise_function(points, role="cost"):
+    return _point_set("piecewise", points, role)
 
 
 def discrete_function(points, role="cost"):
-    pts = sorted((float(r), float(v)) for r, v in points)
-    rs = [p[0] for p in pts]
-    vs = [p[1] for p in pts]
-    if len(rs) < 2:
-        raise ValueError("need at least 2 sample points")
-    return RateFunction("discrete", role, rs[0], rs[-1], br=rs, bv=vs)
+    return _point_set("discrete", sorted((float(r), float(v)) for r, v in points), role)
 
 
 def _in_domain(f, r):

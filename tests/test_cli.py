@@ -558,6 +558,9 @@ def plateau(n):
       "--utility", USQRT, "--cc", "0.16", "--uc", "0.6"], 1),
     # a multiplier grid with a negative value is a domain error
     (["trace", "--cost", CSQ] + LOG_GRID + ["--beta1-grid", "[0, -1]"], 1),
+    # the lc family divided by mu = 0 (a ZeroDivisionError)
+    (["construct", "--family", "lc", "--params",
+      '{"mu": 0, "U": 0.01, "case": {"family": "LC2-1", "window": [-1, 0.1]}}'], 1),
 ])
 def test_malformed_input_is_a_json_error(runner, args, code):
     error_of(runner.invoke(main, args, catch_exceptions=False), code)
@@ -596,6 +599,47 @@ def test_unknown_group_option_is_a_json_error(runner):
 def test_bare_group_still_shows_help(runner):
     res = runner.invoke(main, [], catch_exceptions=False)
     assert "Usage:" in res.output and '"error"' not in res.output
+
+
+TRACE = ["trace", "--cost", CSQ, "--utility", USQRT] + LOG_GRID
+SWEEP = ["sweep", "--family", "mc22", "--params", '{"lam": 0.39, "a_lam": 0.2, "b_lam": 0.4}',
+         "--cost", CSQ, "--c-ref", "0.1"]
+
+
+@pytest.mark.parametrize("args,flags", [
+    (TRACE + ["--beta1-grid", "[1]", "--beta1-log", "1", "10", "3"],
+     ("--beta1-grid", "--beta1-log")),
+    (TRACE + ["--beta1-grid", "[1]", "--beta2-grid", "[0]", "--beta2-log", "1", "10", "3"],
+     ("--beta2-grid", "--beta2-log")),
+    (SWEEP + ["--u-grid", "[0.25]", "--dyadic", "4", "5"], ("--u-grid", "--dyadic")),
+])
+def test_grid_given_twice_is_refused(runner, tmp_path, args, flags):
+    # the generator was dropped without a word
+    out = tmp_path / "out.csv"
+    res = runner.invoke(main, args + ["--out", str(out)], catch_exceptions=False)
+    assert all(flag in error_of(res, 2) for flag in flags)
+    assert len(res.stderr.splitlines()) == 1 and res.stdout == "" and not out.exists()
+
+
+def test_interrupt_inside_a_command_aborts(runner, monkeypatch):
+    def interrupt(points):
+        raise KeyboardInterrupt
+    monkeypatch.setattr("qtl.cli.lower_convex_envelope", interrupt)
+    res = runner.invoke(main, ["envelope", "--points", "[[0, 0], [1, 1]]"],
+                        catch_exceptions=False)
+    assert res.exit_code == 1 and res.stderr.endswith("Aborted!\n") and res.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    # cbar read 0.0, and a domain up to inf found this pair feasible
+    ["eval", "--policy", '{"lambda": {"tail": 0.4}, "mu": {"tail": 1.0}}',
+     "--cost", '{"kind": "piecewise", "points": [[0, 0], [1e400, 1]]}'],
+    ["feasibility", "--cost", '{"kind": "power", "domain": [0, 1e400], "exponent": 2}',
+     "--utility", USQRT, "--cc", "0.16", "--uc", "0.9"],
+])
+def test_non_finite_function_points_are_a_bad_spec(runner, args):
+    assert error_of(runner.invoke(main, args, catch_exceptions=False), 2) == (
+        "bad cost spec: bounds, breakpoints and values must be finite, got inf")
 
 
 ENV_SPEC = json.dumps({"kind": "piecewise", "points": json.loads(POINTS)})

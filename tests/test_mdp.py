@@ -233,6 +233,25 @@ def test_uniform_actions():
         uniform_actions(1.0, n=1)
 
 
+REFUSED = "need n >= 2 and an r_max > 0 with a finite r_max * (n - 1), got n=3, r_max=%s"
+
+
+@pytest.mark.parametrize("r_max,n,message", [
+    # range() raised a TypeError on these counts
+    (1.0, 2.5, "n must be an integer, got 2.5"),
+    (1.0, math.nan, "n must be a finite number, got nan"),
+    (1.0, True, "n must be an integer, got True"),
+    # an infinite r_max gave [nan, inf, inf], and 1e308 * i overflows
+    (math.inf, 3, REFUSED % "inf"),
+    (1e308, 3, REFUSED % "1e+308"),
+    (math.nan, 3, REFUSED % "nan"),
+])
+def test_uniform_actions_refusals_name_the_argument(r_max, n, message):
+    with pytest.raises(ValueError) as err:
+        uniform_actions(r_max, n)
+    assert str(err.value) == message
+
+
 def test_zero_cost_weight_serves_at_max():
     r = solve(problem(0.0))
     assert r.monotone

@@ -336,3 +336,38 @@ def test_every_build_path_checks_stability(name, monkeypatch):
     monkeypatch.setattr(policy_families, "is_stable", lambda p: False)
     with pytest.raises(ValueError, match="^constructed policy is unstable$"):
         BUILDS[name][0]()
+
+
+LC1_TAG = CaseTag("LC1", (0, 1), "inv-sqrt", 0.5)
+
+
+@pytest.mark.parametrize("build,message", [
+    # each of these blamed U, named nothing, divided by zero or built
+    (lambda: mc1_policy(math.nan, 0.01), "lam must be a positive finite number, got nan"),
+    (lambda: mc1_policy(math.inf, 0.01), "lam must be a positive finite number, got inf"),
+    (lambda: lambda_mu_policy(math.nan, 0.01),
+     "u_inv_uc must be a positive finite number, got nan"),
+    (lambda: lambda_mu_policy(0.4, 0.01, eps=math.nan),
+     "eps must be a positive finite number, got nan"),
+    (lambda: lambda_mu_policy(math.inf, 0.01),
+     "u_inv_uc must be a positive finite number, got inf"),
+    (lambda: lc_mirror_policy(math.nan, LC1_TAG, 0.01),
+     "mu must be a positive finite number, got nan"),
+    (lambda: lc_mirror_policy(0.0, CaseTag("LC2-1", (-1.0, 0.1), "log", 0.5), 0.01),
+     "mu must be a positive finite number, got 0"),
+    (lambda: lc_mirror_policy(0.5, CaseTag("LC1", (0, math.nan), "inv-sqrt", 0.5), 0.01),
+     "window_hi must be a positive finite number, got nan"),
+    (lambda: mc23_policy(0.4, 0.1, 0.01, next_corner=math.nan),
+     "next_corner must be a positive finite number, got nan"),
+    (lambda: mc22_policy(0.39, 0.2, math.inf, 0.01), "need 0 < a_lam < lam < b_lam, all finite"),
+    (lambda: mc21_policy(0.1, 0.2, math.inf, q_k=3), "need 0 < lam < b_lam < r_max, all finite"),
+    # the plateau bound overflowed: an OverflowError from ** or from int()
+    (lambda: lambda_mu_policy(1e200, 0.01, eps=0.1),
+     "the plateau bound 2 (1 + u_inv_uc^2 / eps) is not finite at u_inv_uc=1e+200, eps=0.1"),
+    (lambda: lambda_mu_policy(0.4, 0.01, eps=5e-324),
+     "the plateau bound 2 (1 + u_inv_uc^2 / eps) is not finite at u_inv_uc=0.4, eps=4.94066e-324"),
+])
+def test_constructors_name_a_param_that_is_not_finite(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

@@ -263,6 +263,13 @@ def test_shape_validation():
      "piecewise kind needs 'points'"),
     (lambda: power_function(math.inf), "power kind needs a finite exponent, got inf"),
     (lambda: power_function(math.nan), "power kind needs a finite exponent, got nan"),
+    (lambda: power_function(2.0, domain=(0.0, math.inf)),
+     "bounds, breakpoints and values must be finite, got inf"),
+    (lambda: piecewise_function([(0, 0), (1, math.nan)]),
+     "bounds, breakpoints and values must be finite, got nan"),
+    # an IndexError at rs[0]
+    pytest.param(lambda: piecewise_function([]), "need at least 2 sample points",
+                 id="empty-piecewise"),
 ])
 def test_construction_refusals(build, message):
     with pytest.raises(ValueError) as err:
