@@ -29,11 +29,10 @@ queue-length offset of the relabeled chain automatic.
 
 import bisect
 import math
-import numbers
 import sys
 from collections import namedtuple
 
-from .rate_functions import _is_number, evaluate, inverse
+from .rate_functions import RATE_TOL, _count, _finite, _is_number, evaluate, inverse
 
 # segments cover the recurrent window from q_lo in state order; q_max is the
 # last state before the geometric tail, whose ratio is its segment's
@@ -61,7 +60,7 @@ class Policy(object):
     horizon, which lies below the largest double; neighbouring runs of
     equal rate are merged.  Rate bounds default to the largest rates the
     policy uses; a declared bound below the largest rate of its side, by
-    more than 1e-12, is refused, so every Policy holds its bounds.  Every
+    more than RATE_TOL, is refused, so every Policy holds its bounds.  Every
     rate, tail and bound must be a finite int or float, and the horizon and
     every run start an int or an integral float; a bool, a string, a NaN
     or 2.7 is refused, not converted.
@@ -124,25 +123,10 @@ class Policy(object):
             self.horizon, self.lam_tail, self.mu_tail)
 
 
-def _finite(x, what):
-    if not (_is_number(x) and math.isfinite(x)):
-        raise ValueError("%s must be a finite number, got %r" % (what, x))
-    return float(x)
-
-
-def _count(x, what):
-    # an int, or a finite float with an integral value; anything else (a
-    # bool, a string, 2.7, inf) is refused by name, never truncated or converted
-    if not (_is_number(x) and (isinstance(x, (int, numbers.Integral))
-                               or _finite(x, what).is_integer())):
-        raise ValueError("%s must be an integer, got %r" % (what, x))
-    return int(x)
-
-
 def _bound(bound, what, top, side):
-    # a declared bound covers the side's largest rate, to 1e-12
+    # a declared bound covers the side's largest rate, to RATE_TOL
     bound = top if bound is None else _finite(bound, what)
-    if top > bound + 1e-12:
+    if top > bound + RATE_TOL:
         raise ValueError("%s rate %r exceeds the declared bound %s=%r" % (side, top, what, bound))
     return bound
 
@@ -164,15 +148,15 @@ def _checked_pieces(pieces):
         if not isinstance(piece, (list, tuple)) or len(piece) != 3:
             raise ValueError("a piece is [q_lo, q_hi, rate], got %r" % (piece,))
         q0, q1, rate = piece
-        # int first: it passes without the slower abstract-class check
-        if any(isinstance(b, bool) or not isinstance(b, (int, numbers.Integral))
-               for b in (q0, q1)):
-            raise ValueError("piece bounds must be integers, got %r" % (piece,))
+        try:
+            q0, q1 = _count(q0, "piece bound"), _count(q1, "piece bound")
+        except ValueError:
+            raise ValueError("piece bounds must be integers, got %r" % (piece,)) from None
         if q0 < 0 or q1 < q0:
             raise ValueError("bad piece range [%s, %s]" % (q0, q1))
         if not _is_number(rate):
             raise ValueError("piece rate must be a number, got %r" % (piece,))
-        out.append((int(q0), int(q1), float(rate)))
+        out.append((q0, q1, rate))
     return sorted(out)
 
 
@@ -196,9 +180,9 @@ def policy_from_pieces(lam_pieces, lam_tail, mu_pieces, mu_tail,
     """Build a Policy from inclusive [q_lo, q_hi, rate] pieces.
 
     States not covered by a piece take the tail value (mu(0) defaults to
-    0), and the horizon is the largest q_hi.  Bounds must be integers.
-    Overlapping pieces are an error rather than last-wins, so policy files
-    stay unambiguous.
+    0), and the horizon is the largest q_hi.  A bound is an int or an
+    integral float.  Overlapping pieces are an error rather than last-wins,
+    so policy files stay unambiguous.
     """
     lam_pieces = _checked_pieces(lam_pieces)
     mu_pieces = _checked_pieces(mu_pieces)
@@ -440,11 +424,11 @@ def feasibility(c, u, c_c, u_c):
 
     The pair (c_c, u_c) is servable iff the cheapest rate meeting the
     utility floor costs no more than the ceiling, i.e.
-    u^-1(u_c) <= c^-1(c_c); rates within 1e-12 are the boundary.
+    u^-1(u_c) <= c^-1(c_c); rates within RATE_TOL are the boundary.
     """
     rc = inverse(c, c_c)
     ru = inverse(u, u_c)
-    if abs(rc - ru) <= 1e-12:
+    if abs(rc - ru) <= RATE_TOL:
         return "boundary"
     return "feasible" if rc > ru else "infeasible"
 

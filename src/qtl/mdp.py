@@ -36,7 +36,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .birth_death import Policy, _count, exact_metrics, is_admissible, rate_value
+from .birth_death import Policy, exact_metrics, is_admissible, rate_value
+from .rate_functions import _count, _finite, _is_number
 
 MAX_ITERATIONS = 500
 TOL = 1e-9                # stop once the Bellman residual's span falls below this
@@ -68,14 +69,12 @@ class LagrangianProblem:
 
     def __init__(self, beta1, beta2, service_actions, arrival_actions,
                  cost_fn, utility_fn=None, state_cap=500):
-        _check_multipliers(beta1, beta2, utility_fn)
+        self.beta1, self.beta2 = _multipliers(beta1, beta2, utility_fn)
         service_actions = _rates(service_actions, "service")
         arrival_actions = _rates(arrival_actions, "arrival")
         self.state_cap = _count(state_cap, "state_cap")
         if self.state_cap < 10:
             raise ValueError("state_cap must be at least 10")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
         self.service_actions = service_actions
         self.arrival_actions = arrival_actions
         self.cost_fn = cost_fn
@@ -89,18 +88,19 @@ class LagrangianProblem:
     def with_multipliers(self, beta1, beta2):
         """This problem at other multipliers, sharing its checked action
         sets and their priced ``_Side``s."""
-        _check_multipliers(beta1, beta2, self.utility_fn)
         lp = copy.copy(self)
-        lp.beta1, lp.beta2 = float(beta1), float(beta2)
+        lp.beta1, lp.beta2 = _multipliers(beta1, beta2, self.utility_fn)
         return lp
 
 
-def _check_multipliers(beta1, beta2, utility_fn):
+def _multipliers(beta1, beta2, utility_fn):
+    # (beta1, beta2) as floats, each a finite, non-negative number
     for name, beta in (("beta1", beta1), ("beta2", beta2)):
-        if not (math.isfinite(beta) and beta >= 0):
+        if not (_is_number(beta) and 0 <= beta < math.inf):
             raise ValueError("multiplier %s must be finite and non-negative, "
                              "got %r" % (name, beta))
     _check_utility([beta2], utility_fn)
+    return _finite(beta1, "beta1"), _finite(beta2, "beta2")
 
 
 def _check_utility(beta2s, utility_fn):
@@ -110,8 +110,8 @@ def _check_utility(beta2s, utility_fn):
 
 def _rates(actions, name):
     # distinct, so that an unchanged policy is one with unchanged action indices
-    rates = sorted(set(float(a) for a in actions))
-    if not (rates and all(math.isfinite(a) and a >= 0 for a in rates)):
+    rates = sorted({_finite(a, "a rate among the %s actions" % name) for a in actions})
+    if not (rates and rates[0] >= 0):
         raise ValueError("%s actions must be a non-empty set of finite, "
                          "non-negative rates" % name)
     return rates
@@ -121,10 +121,15 @@ def uniform_actions(r_max, n=201):
     """Uniform discretization of the continuous action set [0, r_max]."""
     n = _count(n, "n")
     # r_max * i overflows for an r_max near the largest double
-    if not (n >= 2 and 0 < r_max * (n - 1) < math.inf):
+    if not (n >= 2 and _is_number(r_max) and 0 < r_max * (n - 1) < math.inf):
         raise ValueError("need n >= 2 and an r_max > 0 with a finite r_max * (n - 1), "
                          "got n=%d, r_max=%r" % (n, r_max))
-    return [r_max * i / (n - 1) for i in range(n)]
+    rates = [r_max * i / (n - 1) for i in range(n)]
+    # and r_max / (n - 1) underflows for an r_max near the smallest double
+    if any(a >= b for a, b in zip(rates, rates[1:])):
+        raise ValueError("the spacing r_max / (n - 1) underflows: the n=%d rates up to "
+                         "r_max=%r are not strictly increasing" % (n, r_max))
+    return rates
 
 
 def _poisson_matrix(lam, mu, r_u):
@@ -452,8 +457,10 @@ def trace_tradeoff(base, beta1_grid, beta2_grid):
     grid points whose solve raised.  A grid with a beta2 > 0 and a problem
     without a utility is refused before any point.
     """
-    b1 = [float(b) for b in beta1_grid]
-    b2 = [float(b) for b in beta2_grid]
+    b1, b2 = list(beta1_grid), list(beta2_grid)
+    if not all(map(_is_number, b1 + b2)):
+        raise ValueError("multipliers must be numbers")
+    b1, b2 = [float(b) for b in b1], [float(b) for b in b2]
     if not b1 or not b2:
         raise ValueError("multiplier grids must be non-empty")
     if any(b < 0 for b in b1 + b2):

@@ -32,17 +32,17 @@ ra_max and r_max, which may exceed them.
 
 import math
 
-from .birth_death import _count, check_admissible, is_stable, policy_from_pieces
-from .rate_functions import _check_tag
+from .birth_death import check_admissible, is_stable, policy_from_pieces
+from .rate_functions import RATE_TOL, _check_tag, _count, _is_number
 
 
 def _check_positive(**params):
     # each param given must be a positive finite number, else it is named
-    # (None is a default the constructor fills in); a non-number fails the
-    # comparison with a TypeError
+    # (None is a default the constructor fills in)
     for name, x in params.items():
-        if x is not None and not 0 < x < math.inf:
-            raise ValueError("%s must be a positive finite number, got %g" % (name, x))
+        if x is not None and not (_is_number(x) and 0 < x < math.inf):
+            raise ValueError("%s must be a positive finite number, got %s"
+                             % (name, "%g" % x if _is_number(x) else repr(x)))
 
 
 def _quotient(num, den, U):
@@ -79,10 +79,12 @@ def mc1_policy(lam, U, K=None, r_max=1.0):
     then lam + eps'_U with eps'_U = lam eps_U/(lam - eps_U) up to 2 q1, and
     lam + K beyond.  Needs eps_U < lam, lam + K <= r_max, and eps'_U <= K
     (otherwise the middle level would overshoot the tail and break service
-    monotonicity); the built policy's bound and monotonicity checks refuse
-    the last two.
+    monotonicity); lam >= r_max is refused first, and the built policy's
+    bound and monotonicity checks refuse the last two.
     """
     _check_positive(U=U, lam=lam, K=K, r_max=r_max)
+    if lam >= r_max:
+        raise ValueError("lam=%g must stay below r_max=%g" % (lam, r_max))
     eps_u = math.sqrt(U)
     if eps_u >= lam:
         raise ValueError("sqrt(U)=%g must stay below lam=%g" % (eps_u, lam))
@@ -138,7 +140,7 @@ def mc23_policy(lam, K, U, next_corner=None):
     if K <= 0:
         raise ValueError("K must be positive")
     _check_positive(U=U, lam=lam, K=K, next_corner=next_corner)
-    if next_corner is not None and lam + K > next_corner + 1e-12:
+    if next_corner is not None and lam + K > next_corner + RATE_TOL:
         raise ValueError(
             "lam + K = %g overshoots the next corner %g" % (lam + K, next_corner))
     q1 = int(math.ceil(_quotient(1.0, U, U)))
@@ -205,7 +207,7 @@ def lc_mirror_policy(mu, tag, U):
         lo, hi = tag.window
         if eps_u >= mu:
             raise ValueError("sqrt(U)=%g must stay below mu=%g" % (eps_u, mu))
-        if mu + eps_u > hi + 1e-12:
+        if mu + eps_u > hi + RATE_TOL:
             raise ValueError("mu + sqrt(U) leaves the utility domain")
         head, tail = mu + eps_u, mu - eps_u
         q1 = _threshold(eps_u / head, head / mu, U)

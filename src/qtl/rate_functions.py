@@ -22,6 +22,11 @@ asymptotic analysis:
 ``support_line`` builds the line l through the operating point that the
 lower-bound audits compare against, along with the adjacent-slope gap m_a
 and the curvature constant a1 where those are defined.
+
+The module also owns the input rules that every layer reads: what a
+number is (``_is_number``: an int or float, never a bool or a string), a
+finite number (``_finite``), a count (``_count``: an int or an integral
+float) and when two rates are equal (``RATE_TOL``).
 """
 
 import bisect
@@ -31,6 +36,9 @@ from collections import namedtuple
 
 CORNER_TOL = 1e-9
 CURVATURE_FLOOR = 1e-6  # below this the analytic kind has no usable curvature
+# two rates (or values) this close are equal, and a rate this far outside a
+# domain is inside it
+RATE_TOL = 1e-12
 
 
 CaseTag = namedtuple("CaseTag", ["family", "window", "regime", "anchor"])
@@ -46,6 +54,22 @@ def _is_number(x):
     return isinstance(x, (float, int, numbers.Real)) and not isinstance(x, bool)
 
 
+def _finite(x, what):
+    """x as a float; a bool, a string, inf or NaN is refused by name."""
+    if not (_is_number(x) and math.isfinite(x)):
+        raise ValueError("%s must be a finite number, got %r" % (what, x))
+    return float(x)
+
+
+def _count(x, what):
+    """x as an int: an int, or a finite float with an integral value; a
+    bool, a string, 2.7 or inf is refused by name, never truncated."""
+    if not (_is_number(x) and (isinstance(x, (int, numbers.Integral))
+                               or _finite(x, what).is_integer())):
+        raise ValueError("%s must be an integer, got %r" % (what, x))
+    return int(x)
+
+
 def _check_tag(tag, *fields):
     """Raise ValueError naming the first of ``fields`` the case tag lacks."""
     for name in fields:
@@ -57,8 +81,8 @@ class RateFunction(object):
     """Immutable cost or utility function over a closed rate interval.
 
     Build through ``power_function``, ``piecewise_function``,
-    ``discrete_function`` or ``function_from_spec``; the constructor only
-    stores fields and runs the shape checks.
+    ``discrete_function`` or ``function_from_spec``; the constructor reads
+    every number through ``_finite`` and runs the shape checks.
     """
 
     def __init__(self, kind, role, lo, hi, exponent=None, br=None, bv=None):
@@ -66,17 +90,13 @@ class RateFunction(object):
             raise ValueError("role must be 'cost' or 'utility'")
         self.kind = kind
         self.role = role
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.exponent = exponent
+        self.lo, self.hi = _finite(lo, "domain bound"), _finite(hi, "domain bound")
         # br/bv: breakpoints for 'piecewise', sample points for 'discrete'
-        self.br = None if br is None else [float(r) for r in br]
-        self.bv = None if bv is None else [float(v) for v in bv]
-        for x in [self.lo, self.hi] + (self.br or []) + (self.bv or []):
-            if not math.isfinite(x):
-                raise ValueError("bounds, breakpoints and values must be finite, got %r" % x)
-        if not (lo < hi):
-            raise ValueError("empty rate domain [%g, %g]" % (lo, hi))
+        self.br = None if br is None else [_finite(r, "rate") for r in br]
+        self.bv = None if bv is None else [_finite(v, "value") for v in bv]
+        self.exponent = None if exponent is None else _finite(exponent, "exponent")
+        if not (self.lo < self.hi):
+            raise ValueError("empty rate domain [%g, %g]" % (self.lo, self.hi))
         self._validate()
 
     def _validate(self):
@@ -84,8 +104,6 @@ class RateFunction(object):
             p = self.exponent
             if p is None or p <= 0:
                 raise ValueError("power kind needs a positive exponent")
-            if not math.isfinite(p):
-                raise ValueError("power kind needs a finite exponent, got %r" % p)
             if self.role == "cost" and p < 1:
                 raise ValueError("cost with exponent %g is concave" % p)
             if self.role == "utility" and p > 1:
@@ -106,7 +124,7 @@ class RateFunction(object):
         if rs[0] < 0:
             raise ValueError("rates are non-negative")
         # a function defined at rate 0 must vanish there
-        if abs(rs[0]) <= 1e-12 and abs(vs[0]) > 1e-12:
+        if abs(rs[0]) <= RATE_TOL and abs(vs[0]) > RATE_TOL:
             raise ValueError("value at rate 0 must be 0")
         if self.kind == "piecewise":
             slopes = _segment_slopes(self)[1]
@@ -127,7 +145,7 @@ class RateFunction(object):
 
 
 def power_function(exponent, domain=(0.0, 1.0), role="cost"):
-    return RateFunction("power", role, domain[0], domain[1], exponent=float(exponent))
+    return RateFunction("power", role, domain[0], domain[1], exponent=exponent)
 
 
 def _point_set(kind, points, role):
@@ -144,12 +162,13 @@ def piecewise_function(points, role="cost"):
 
 
 def discrete_function(points, role="cost"):
-    return _point_set("discrete", sorted((float(r), float(v)) for r, v in points), role)
+    return _point_set("discrete", sorted(
+        (_finite(r, "rate"), _finite(v, "value")) for r, v in points), role)
 
 
 def _in_domain(f, r):
-    """Whether ``evaluate`` takes rate r as inside f's domain, to 1e-12."""
-    return f.lo - 1e-12 <= r <= f.hi + 1e-12
+    """Whether ``evaluate`` takes rate r as inside f's domain, to RATE_TOL."""
+    return f.lo - RATE_TOL <= r <= f.hi + RATE_TOL
 
 
 def evaluate(f, r):
@@ -160,7 +179,7 @@ def evaluate(f, r):
     """
     if f.kind == "discrete":
         for rr, vv in zip(f.br, f.bv):
-            if abs(rr - r) <= 1e-12:
+            if abs(rr - r) <= RATE_TOL:
                 return vv
         raise ValueError("rate %g is not a sample of the discrete set" % r)
     if not _in_domain(f, r):
@@ -190,7 +209,7 @@ def inverse(f, v):
     if f.kind == "discrete":
         raise ValueError("discrete set has no inverse; take lower_convex_envelope first")
     v_lo, v_hi = evaluate(f, f.lo), evaluate(f, f.hi)
-    if not v_lo - 1e-12 <= v <= v_hi + 1e-12:
+    if not v_lo - RATE_TOL <= v <= v_hi + RATE_TOL:
         raise ValueError("value %g outside range [%g, %g]" % (v, v_lo, v_hi))
     lo, hi = f.lo, f.hi
     for _ in range(100):
@@ -223,14 +242,18 @@ def lower_hull(xs, ys):
 def lower_convex_envelope(f_or_points):
     """Lower convex envelope of a discrete point set.
 
-    Accepts a discrete RateFunction or a raw (rate, value) list and returns
-    the greatest convex minorant as a piecewise cost function.  Corners are
-    a subset of the input points (``lower_hull``).
+    Accepts a discrete cost RateFunction or a raw (rate, value) list and
+    returns the greatest convex minorant as a piecewise cost function.
+    Corners are a subset of the input points (``lower_hull``).  A utility
+    is refused: its envelope is the upper concave hull.
     """
     if isinstance(f_or_points, RateFunction):
+        if f_or_points.role != "cost":
+            raise ValueError("lower_convex_envelope takes a cost; a utility's envelope "
+                             "is its upper concave hull")
         pts = list(zip(f_or_points.br, f_or_points.bv))
     else:
-        pts = [(float(r), float(v)) for r, v in f_or_points]
+        pts = [(_finite(r, "rate"), _finite(v, "value")) for r, v in f_or_points]
     pts = sorted(set(pts))
     if len(pts) < 2:
         raise ValueError("need at least 2 distinct points")
@@ -311,7 +334,7 @@ def classify_case(f, rate):
     window = (br[i], br[i + 1])
     if f.role == "utility":
         return CaseTag("LC2-1", window, "log", rate)
-    if i == 0 and abs(br[0]) <= 1e-12:
+    if i == 0 and abs(br[0]) <= RATE_TOL:
         return CaseTag("MC2-1", window, "finite", rate)
     return CaseTag("MC2-2", window, "log", rate)
 
@@ -372,7 +395,7 @@ def support_line(f, tag):
     slope = (vb - va) / (b - a)
     rs, slopes = _segment_slopes(f)
     idx = next((i for i in range(len(rs) - 1)
-                if abs(rs[i] - a) <= 1e-12 and abs(rs[i + 1] - b) <= 1e-12), None)
+                if abs(rs[i] - a) <= RATE_TOL and abs(rs[i + 1] - b) <= RATE_TOL), None)
     gaps = []
     if idx is not None:
         # MC2-1's left corner sits at rate 0: an upper gap alone constrains

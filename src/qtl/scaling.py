@@ -39,7 +39,8 @@ import numpy as np
 
 from .birth_death import mass_below, metrics, pi_at, rate_value, stationary
 from .rate_functions import (
-    CURVATURE_FLOOR, _check_tag, _curvature, _in_domain, _left_slope, evaluate, support_line)
+    CURVATURE_FLOOR, RATE_TOL, _check_tag, _curvature, _in_domain, _left_slope, evaluate,
+    support_line)
 
 ScalingSample = namedtuple("ScalingSample", ["U", "V", "qbar", "ubar", "cbar"])
 SweepFailure = namedtuple("SweepFailure", ["U", "error"])
@@ -167,7 +168,7 @@ def _cost_gap(sr, c, c_ref):
 
 def _service_mass_outside(sr, low, high):
     return math.fsum(s.mass for s in sr.segments
-                     if s.mu < low - 1e-12 or s.mu > high + 1e-12)
+                     if s.mu < low - RATE_TOL or s.mu > high + RATE_TOL)
 
 
 def _first_service_at_least(p, threshold, strict=False):

@@ -24,6 +24,7 @@ from collections import namedtuple
 import numpy as np
 
 from .birth_death import is_stable, rate_value
+from .rate_functions import _count, _is_number
 
 # The largest block; 2**12 beat 2**14 by about 2x on criterion 8.  A later
 # block holds the remaining events expected at the rate so far, times MARGIN,
@@ -107,30 +108,32 @@ def simulate(p, cfg, c, u=None):
     The first warmup fraction of each replication's horizon is discarded.
     A single replication yields infinite half-widths (no spread estimate),
     which the structure reports rather than hiding.  An unstable policy
-    has no long-run averages to estimate and is refused.
+    has no long-run averages to estimate and is refused, and so is a
+    replication count or seed that is not an int or an integral float.
     """
-    if not 0 < cfg.horizon < math.inf:
+    if not (_is_number(cfg.horizon) and 0 < cfg.horizon < math.inf):
         raise ValueError("horizon must be positive and finite")
-    if cfg.replications < 1:
+    n = _count(cfg.replications, "replications")
+    if n < 1:
         raise ValueError("need at least one replication")
-    if not (0.0 <= cfg.warmup_fraction < 1.0):
+    if not (_is_number(cfg.warmup_fraction) and 0.0 <= cfg.warmup_fraction < 1.0):
         raise ValueError("warmup_fraction must be in [0, 1)")
 
     if not is_stable(p):
         raise ValueError("unstable policy: no stationary averages to estimate")
 
     runs = _runs(p, c, u)
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
+    streams = np.random.SeedSequence(_count(cfg.seed, "seed")).spawn(n)
     reps = np.array([_replicate(runs, cfg, s) for s in streams])
 
     means = reps.mean(axis=0)
-    if cfg.replications == 1:
+    if n == 1:
         halves = [math.inf, math.inf, math.inf]
     else:
         sd = reps.std(axis=0, ddof=1)
-        halves = 1.96 * sd / math.sqrt(cfg.replications)
+        halves = 1.96 * sd / math.sqrt(n)
     return SimEstimate(
         qbar=float(means[0]), qbar_halfwidth=float(halves[0]),
         cbar=float(means[1]), cbar_halfwidth=float(halves[1]),
         ubar=float(means[2]), ubar_halfwidth=float(halves[2]),
-        replications=cfg.replications)
+        replications=n)

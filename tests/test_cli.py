@@ -580,7 +580,7 @@ def test_power_exponent_must_be_finite(runner):
     cost = '{"kind": "power", "domain": [0, 1], "exponent": 1e400}'
     res = runner.invoke(main, ["eval", "--policy", MM1, "--cost", cost],
                         catch_exceptions=False)
-    assert error_of(res, 2) == "bad cost spec: power kind needs a finite exponent, got inf"
+    assert error_of(res, 2) == "bad cost spec: exponent must be a finite number, got inf"
 
 
 @pytest.mark.parametrize("flag", ["--beta1", "--beta2"])
@@ -639,7 +639,7 @@ def test_interrupt_inside_a_command_aborts(runner, monkeypatch):
 ])
 def test_non_finite_function_points_are_a_bad_spec(runner, args):
     assert error_of(runner.invoke(main, args, catch_exceptions=False), 2) == (
-        "bad cost spec: bounds, breakpoints and values must be finite, got inf")
+        "bad cost spec: domain bound must be a finite number, got inf")
 
 
 ENV_SPEC = json.dumps({"kind": "piecewise", "points": json.loads(POINTS)})

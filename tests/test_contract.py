@@ -5,6 +5,9 @@ Numeric arguments are drawn from signed zeros, the smallest subnormal,
 +-1e308, +-inf, NaN and a few ordinary values; point lists hold 0 to 3
 points.  Counts are drawn from small values, a non-integral float, NaN,
 inf and a bool only: a large count is costly input, not malformed input.
+The rate-function builders, ``uniform_actions``, ``LagrangianProblem``,
+``policy_from_pieces`` and ``simulate`` also draw True and "2" where a
+number goes, and must refuse either one, never convert it.
 """
 
 import math
@@ -14,6 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from qtl import (
     CaseTag,
+    LagrangianProblem,
+    SimConfig,
+    constant_policy,
     discrete_function,
     lambda_mu_policy,
     lc_mirror_policy,
@@ -22,25 +28,48 @@ from qtl import (
     mc22_policy,
     mc23_policy,
     piecewise_function,
+    policy_from_pieces,
     power_function,
+    simulate,
     uniform_actions,
 )
 
 NUMBER = st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf,
                           math.nan, 0.1, 0.4, 0.5, 2.0])
 COUNT = st.sampled_from([-1, 0, 1, 2, 2.5, 3, math.nan, math.inf, True])
-POINTS = st.lists(st.tuples(NUMBER, NUMBER), max_size=3)
+# a bool and a numeric string, which are not numbers
+NOT_NUMBER = [True, "2"]
+VALUE = NUMBER | st.sampled_from(NOT_NUMBER)
+POINTS = st.lists(st.tuples(VALUE, VALUE), max_size=3)
 ROLE = st.sampled_from(["cost", "utility"])
 TAG = st.builds(CaseTag, st.sampled_from(["LC1", "LC2-1", "LC2-2"]),
                 st.tuples(NUMBER, NUMBER), st.none(), st.none())
+CSQ = power_function(2.0)
+USQRT = power_function(0.5, role="utility")
+# a piece is [q_lo, q_hi, rate]: its bounds are counts, 2.0 among them
+BOUND = COUNT | st.sampled_from([2.0, "2"])
+PIECES = st.lists(st.tuples(BOUND, BOUND, VALUE), max_size=2)
+# simulate's horizon stays small: a large one is costly input
+SIM_CONFIG = st.builds(SimConfig, st.sampled_from([0.5, 1, 10]), COUNT | st.just("2"),
+                       COUNT | st.just("2"), st.just(0.1))
+
+
+def _simulate(cfg):
+    return simulate(constant_policy(0.4, 1.0), cfg, CSQ)
+
 
 # each builder with a strategy for its positional arguments; an optional
 # argument may also be None, its default
 BUILDERS = {
-    "power_function": (power_function, st.tuples(NUMBER, st.tuples(NUMBER, NUMBER), ROLE)),
+    "power_function": (power_function, st.tuples(VALUE, st.tuples(VALUE, VALUE), ROLE)),
     "piecewise_function": (piecewise_function, st.tuples(POINTS, ROLE)),
     "discrete_function": (discrete_function, st.tuples(POINTS, ROLE)),
-    "uniform_actions": (uniform_actions, st.tuples(NUMBER, COUNT)),
+    "uniform_actions": (uniform_actions, st.tuples(VALUE, COUNT)),
+    "LagrangianProblem": (LagrangianProblem, st.tuples(
+        VALUE, VALUE, st.lists(VALUE, max_size=3), st.lists(VALUE, max_size=3),
+        st.just(CSQ), st.none() | st.just(USQRT))),
+    "policy_from_pieces": (policy_from_pieces, st.tuples(PIECES, VALUE, PIECES, VALUE)),
+    "simulate": (_simulate, st.tuples(SIM_CONFIG)),
     "mc1_policy": (mc1_policy, st.tuples(NUMBER, NUMBER, st.none() | NUMBER, NUMBER)),
     "mc21_policy": (mc21_policy, st.tuples(NUMBER, NUMBER, NUMBER, st.none() | COUNT,
                                            st.none() | NUMBER)),
@@ -57,7 +86,16 @@ BUILDERS = {
 @given(data=st.data())
 def test_builders_build_or_raise_value_error(name, data):
     build, args = BUILDERS[name]
+    drawn = data.draw(args)
     try:
-        build(*data.draw(args))
+        build(*drawn)
     except ValueError:
-        pass
+        return
+    assert not _holds_a_non_number(drawn), "built from %r" % (drawn,)
+
+
+def _holds_a_non_number(x):
+    # True or "2" anywhere in the arguments; a role or tag family is no number
+    if isinstance(x, (tuple, list)):
+        return any(map(_holds_a_non_number, x))
+    return x is True or x == "2"

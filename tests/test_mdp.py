@@ -252,6 +252,18 @@ def test_uniform_actions_refusals_name_the_argument(r_max, n, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("r_max,n", [
+    # [0.0, 0.0, 0.0, 5e-324, 5e-324]: r_max / (n - 1) is below the smallest double
+    (5e-324, 5),
+    # [0.0, 5e-324, 1e-323, 1e-323, 1.5e-323]: two quotients round to one double
+    (1.5e-323, 5),
+])
+def test_uniform_actions_refuses_an_underflowing_spacing(r_max, n):
+    with pytest.raises(ValueError) as err:
+        uniform_actions(r_max, n)
+    assert "n=%d" % n in str(err.value) and "r_max=%r" % r_max in str(err.value)
+
+
 def test_zero_cost_weight_serves_at_max():
     r = solve(problem(0.0))
     assert r.monotone
@@ -408,6 +420,13 @@ def test_trace_nan_point_is_a_failure():
     # a NaN ahead of a negative multiplier does not hide it from the grid check
     with pytest.raises(ValueError, match="non-negative"):
         trace_tradeoff(problem(0.0, cap=200), [math.nan, -1.0], [0.0])
+
+
+@pytest.mark.parametrize("grid", [["1"], [0.0, True]])
+def test_trace_refuses_a_multiplier_that_is_not_a_number(grid):
+    # "1" and True were traced as beta1 = 1.0
+    with pytest.raises(ValueError, match="^multipliers must be numbers$"):
+        trace_tradeoff(problem(0.0, cap=200), grid, [0.0])
 
 
 def test_trace_huge_state_cap_is_a_failure():

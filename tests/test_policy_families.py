@@ -55,6 +55,32 @@ def test_mc1_errors():
         mc1_policy(0.5, -1.0)
 
 
+@pytest.mark.parametrize("lam,message", [
+    # lam / (lam - sqrt(U)) rounded to 1 and blamed U
+    (1e308, "lam=1e+308 must stay below r_max=1"),
+    # the default K = (r_max - lam) / 2 was 0 or negative
+    (1.0, "lam=1 must stay below r_max=1"),
+    (2.0, "lam=2 must stay below r_max=1"),
+])
+def test_mc1_refuses_lam_at_or_above_r_max(lam, message):
+    with pytest.raises(ValueError) as err:
+        mc1_policy(lam, 0.01)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("build,message", [
+    # mc22 built with "U": True in its meta; a string failed a comparison
+    (lambda: mc22_policy(0.39, 0.2, 0.4, True), "U must be a positive finite number, got True"),
+    (lambda: mc1_policy(0.5, "0.01"), "U must be a positive finite number, got '0.01'"),
+    (lambda: mc23_policy(0.4, 0.1, 0.01, next_corner="0.5"),
+     "next_corner must be a positive finite number, got '0.5'"),
+])
+def test_constructors_refuse_a_bool_or_a_string(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_mc1_default_k_is_half_the_headroom():
     p = mc1_policy(0.4, 2.0 ** -10)
     assert p.meta["K"] == 0.5 * (1.0 - 0.4)

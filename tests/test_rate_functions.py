@@ -86,6 +86,16 @@ def test_envelope_idempotent(env):
     assert again.bv == env.bv
 
 
+def test_envelope_refuses_a_utility():
+    # a sqrt utility's lower convex envelope is the chord (0, 0)-(1, 1), which
+    # came back as a cost, not the utility's upper concave hull
+    roots = [(r, r ** 0.5) for r, _ in SQUARES]
+    with pytest.raises(ValueError, match="upper concave hull"):
+        lower_convex_envelope(discrete_function(roots, role="utility"))
+    # raw points carry no role and are read as a cost, as before
+    assert lower_convex_envelope(roots).br == [0.0, 1.0]
+
+
 def test_envelope_needs_two_points():
     with pytest.raises(ValueError):
         lower_convex_envelope([(0.5, 0.25)])
@@ -261,12 +271,12 @@ def test_shape_validation():
      "duplicate rates in point set"),
     (lambda: function_from_spec({"kind": "piecewise"}, "cost"),
      "piecewise kind needs 'points'"),
-    (lambda: power_function(math.inf), "power kind needs a finite exponent, got inf"),
-    (lambda: power_function(math.nan), "power kind needs a finite exponent, got nan"),
+    (lambda: power_function(math.inf), "exponent must be a finite number, got inf"),
+    (lambda: power_function(math.nan), "exponent must be a finite number, got nan"),
     (lambda: power_function(2.0, domain=(0.0, math.inf)),
-     "bounds, breakpoints and values must be finite, got inf"),
+     "domain bound must be a finite number, got inf"),
     (lambda: piecewise_function([(0, 0), (1, math.nan)]),
-     "bounds, breakpoints and values must be finite, got nan"),
+     "value must be a finite number, got nan"),
     # an IndexError at rs[0]
     pytest.param(lambda: piecewise_function([]), "need at least 2 sample points",
                  id="empty-piecewise"),

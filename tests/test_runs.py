@@ -193,6 +193,16 @@ def test_non_integral_counts_refused_by_name(build, message):
     assert str(err.value) == message
 
 
+def test_piece_bounds_follow_the_count_rule():
+    # piece bounds read counts as run starts do: 2.0 was refused here while
+    # Policy took it as a run start
+    assert (policy_from_pieces([], 0.4, [[1, 2.0, 1.0]], 1.0)
+            == policy_from_pieces([], 0.4, [[1, 2, 1.0]], 1.0))
+    for bad in (2.5, True, "2", math.nan, math.inf):
+        with pytest.raises(ValueError, match="^piece bounds must be integers, got"):
+            policy_from_pieces([], 0.4, [[1, bad, 1.0]], 1.0)
+
+
 def test_declared_bounds_keep_their_slack():
     # 1e-12 above a bound still builds, and the policy keeps the bound
     p = policy_from_pieces([], 0.3 + 1e-12, [[1, 4, 0.5]], 0.9, ra_max=0.3)

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtl import (
     CaseTag,
+    LagrangianProblem,
     ScalingSample,
     audit_lower_bound,
     classify_case,
@@ -17,6 +19,8 @@ from qtl import (
     power_function,
     support_line,
     sweep,
+    trace_tradeoff,
+    uniform_actions,
 )
 from qtl.policy_families import (
     lambda_mu_policy,
@@ -105,6 +109,46 @@ def test_deep_cost_gap_matches_mpmath(name, rtol):
         ref = MpChain(runs, p.lam_tail, p.mu_tail).cost_gap(
             lambda r: evaluate(cost, float(r)), c_ref)
         assert s.V == pytest.approx(ref, rel=rtol, abs=0), s.U
+
+
+# The paper's second problem: arrivals controlled for utility at a constant
+# service rate mu, so c = r^2 over the service set [mu] and beta1 = 0.  One
+# beta2 trace per regime of the abstract, d) LC1, c) LC2-2 and b) LC2-1: its
+# verdict from classify_case and classify_regime as they are, with
+# V = u_env(mu) - ubar.  A discrete sqrt utility's concave envelope is the
+# piecewise function through its samples, which are concave already.  The
+# three traces take about 0.9 s, some 2 % of the tier-1 run (43 s on a
+# shared 2-vCPU host).
+ROOTS = [(s, s ** 0.5) for s in S]
+# case: (utility, its envelope, arrival rates, mu, state cap, log10 beta2
+# grid, case family, fitted model)
+UTILITY_REGIMES = {
+    "d": (USQRT, USQRT, uniform_actions(1.0, 201), 0.6, 2000, (1, 4.5, 15),
+          "LC1", "inv-sqrt"),
+    "c": (discrete_function(ROOTS, role="utility"), piecewise_function(ROOTS, role="utility"),
+          S, 0.40, 4000, (1, 5.5, 30), "LC2-2", "inv"),
+    "b": (discrete_function(ROOTS, role="utility"), piecewise_function(ROOTS, role="utility"),
+          S, 0.39, 4000, (1, 7.5, 30), "LC2-1", "log-inv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UTILITY_REGIMES))
+def test_utility_regimes_from_the_optimizer(case):
+    u, u_env, arrivals, mu, cap, (lo, hi, n), family, model = UTILITY_REGIMES[case]
+    base = LagrangianProblem(0.0, 0.0, [mu], arrivals, CSQ, u, state_cap=cap)
+    points, failures = trace_tradeoff(base, [0.0], np.logspace(lo, hi, n).tolist())
+    assert failures == [] and len(points) == n
+    target = evaluate(u_env, mu)
+    samples = [ScalingSample(1.0 / p.beta2, target - p.u_c, p.q_star, p.u_c, p.c_c)
+               for p in points]
+    assert all(s.V > 0 for s in samples)
+    tag = classify_case(u_env, mu)
+    fit = classify_regime(samples, tag)
+    assert (tag.family, fit.model, fit.verdict) == (family, model, "matches")
+    if family == "LC2-1":
+        # the log regime shows only once q* is well past the drift scale
+        # 1/ln(b/mu) of the segment's upper end b, about 40 states here
+        assert max(p.q_star for p in points) > 4.0 / math.log(tag.window[1] / mu)
 
 
 def growth_samples(model):

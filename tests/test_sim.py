@@ -67,6 +67,22 @@ def test_different_seeds_differ():
     assert a.qbar != b.qbar
 
 
+def test_counts_follow_the_count_rule():
+    # 2.5 or NaN replications and a 0.5 seed ended in a TypeError, and True
+    # ran one replication
+    p = constant_policy(0.4, 1.0)
+    assert (simulate(p, SimConfig(50.0, 2.0, 3.0, 0.1), CSQ)
+            == simulate(p, SimConfig(50.0, 2, 3, 0.1), CSQ))
+    for reps, seed, message in [(2.5, 1, "replications must be an integer, got 2.5"),
+                                (math.nan, 1, "replications must be a finite number, got nan"),
+                                (True, 1, "replications must be an integer, got True"),
+                                (2, 0.5, "seed must be an integer, got 0.5"),
+                                (2, "1", "seed must be an integer, got '1'")]:
+        with pytest.raises(ValueError) as err:
+            simulate(p, SimConfig(50.0, reps, seed, 0.1), CSQ)
+        assert str(err.value) == message
+
+
 def test_matches_exact_analytics():
     p = constant_policy(0.4, 1.0)
     m = exact_metrics(p, CSQ, IDENT)
