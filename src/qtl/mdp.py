@@ -19,7 +19,13 @@ Policy evaluation solves the (N+2)-unknown linear system
     h(0) = 0
 
 by sparse LU (``_evaluate_policy``); ``scipy.sparse`` is imported only then, so
-importing this module (and ``qtl`` or ``qtl.cli``) does not load it.
+importing this module (and ``qtl`` or ``qtl.cli``) does not load it.  Two
+one-entry slots serve it: ``_factor`` holds the last SuperLU factor, keyed
+by the chain and r_u, and ``_matrix`` the last CSC matrix built, keyed by
+its zero pattern (n, and which of lam(0..n-2) and mu(1..n-1) are positive).
+A chain of the slot's pattern has its values written into that matrix in
+place, so most factorizations build no matrix and SuperLU still sees the
+bytes ``_poisson_matrix`` would build.
 
 Policy iteration keeps one array of action indices per rule.  Each action
 set is a ``_Side``, built with the problem and priced at a multiplier
@@ -132,41 +138,75 @@ def uniform_actions(r_max, n=201):
     return rates
 
 
+def _pattern(lam, mu):
+    """The zero pattern of the chain's Poisson matrix: which of lam(0..n-2)
+    and which of mu(1..n-1) are positive.  Two chains with one pattern give
+    matrices that differ in their values only."""
+    if lam[-1] > 0.0 or mu[0] > 0.0:
+        raise ValueError("evaluation needs lambda(%d) = 0 and mu(0) = 0" % (lam.shape[0] - 1))
+    return lam[:-1] > 0.0, mu[1:] > 0.0
+
+
+def _build(pattern, lam, mu, r_u):
+    """(matrix, at): a new ``_poisson_matrix`` of the chain, whose zero
+    pattern is ``pattern``, and the positions in its ``data`` of the
+    diagonal, super- and sub-diagonal entries, which ``_fill`` writes."""
+    from scipy.sparse import csc_matrix
+
+    n = lam.shape[0]
+    up = np.append(False, pattern[0])       # column j holds row j-1
+    down = np.append(pattern[1], False)     # column j holds row j+1
+    counts = np.append(1 + up.astype(np.int32) + down, n)
+    counts[0] += 1
+    indptr = np.append(0, np.cumsum(counts)).astype(np.int32)
+    diag = indptr[:n] + up
+    at = diag, diag[up] - 1, diag[down] + 1
+    rows = np.arange(n, dtype=np.int32)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for pos, row in zip(at + (indptr[1] - 1, slice(indptr[n], None)),
+                        (rows, rows[up] - 1, rows[down] + 1, n, rows)):
+        indices[pos] = row
+    data = np.ones(indptr[-1])
+    _fill(data, at, pattern, lam, mu, r_u)
+    return csc_matrix((data, indices, indptr), shape=(n + 1, n + 1)), at
+
+
+def _fill(data, at, pattern, lam, mu, r_u):
+    # the values of a chain of this zero pattern, at their positions ``at``
+    data[at[0]] = (lam + mu) / r_u
+    data[at[1]] = -lam[:-1][pattern[0]] / r_u
+    data[at[2]] = -mu[1:][pattern[1]] / r_u
+
+
 def _poisson_matrix(lam, mu, r_u):
     """CSC matrix of the evaluation system: states 0..n-1, then the gain.
 
     Column j < n holds, in row order, -lam(j-1)/r_u if lam(j-1) > 0, the
     diagonal (lam(j) + mu(j))/r_u even when it is 0, -mu(j+1)/r_u if
     mu(j+1) > 0 and, in column 0 only, the row h(0) = 0; column n is 1 in
-    rows 0..n-1.
+    rows 0..n-1.  Each call returns a new matrix.
     """
-    from scipy.sparse import csc_matrix
-
-    n = lam.shape[0]
-    if lam[-1] > 0.0 or mu[0] > 0.0:
-        raise ValueError("evaluation needs lambda(%d) = 0 and mu(0) = 0" % (n - 1))
-    up = np.append(False, lam[:-1] > 0.0)      # column j holds row j-1
-    down = np.append(mu[1:] > 0.0, False)      # column j holds row j+1
-    counts = np.append(1 + up.astype(np.int32) + down, n)
-    counts[0] += 1
-    indptr = np.append(0, np.cumsum(counts)).astype(np.int32)
-    diag = indptr[:n] + up
-    rows = np.arange(n, dtype=np.int32)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    for at, row, val in ((diag, rows, (lam + mu) / r_u),
-                         (diag[up] - 1, rows[up] - 1, -lam[:-1][up[1:]] / r_u),
-                         (diag[down] + 1, rows[down] + 1, -mu[1:][down[:-1]] / r_u),
-                         (indptr[1] - 1, n, 1.0),
-                         (slice(indptr[n], None), rows, 1.0)):
-        indices[at] = row
-        data[at] = val
-    return csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))
+    return _build(_pattern(lam, mu), lam, mu, r_u)[0]
 
 
 _SINGULAR = ("policy evaluation is singular: the Poisson system of this "
              "single-class chain is numerically singular")
 _factor = None      # (key, SuperLU factor) of the last Poisson matrix factored
+_matrix = None      # (pattern, matrix, at) of the last Poisson matrix built
+
+
+def _refill(pattern, lam, mu, r_u):
+    """The chain's Poisson matrix, held in the ``_matrix`` slot: the slot's
+    matrix with its values overwritten when the chain keeps its zero
+    pattern, else a new one from ``_build``.  Its ``data``, ``indices`` and
+    ``indptr`` equal ``_poisson_matrix``'s bit for bit either way."""
+    global _matrix
+    if _matrix is not None and all(map(np.array_equal, pattern, _matrix[0])):
+        _fill(_matrix[1].data, _matrix[2], pattern, lam, mu, r_u)
+    else:
+        _matrix = None
+        _matrix = (pattern,) + _build(pattern, lam, mu, r_u)
+    return _matrix[1]
 
 
 def _evaluate_policy(lam, mu, stage, r_u):
@@ -178,6 +218,13 @@ def _evaluate_policy(lam, mu, stage, r_u):
     policy the previous solve ended on, and only its right-hand side
     differs.  The slot is emptied before the next factorization, so one
     factor at most is alive.  A policy already factored was already checked.
+
+    The last matrix built is kept too, keyed by its zero pattern (n and
+    which of lam(0..n-2) and mu(1..n-1) are positive): policy iteration's
+    next policy mostly keeps the pattern, and its matrix is then that
+    matrix with the diagonal, super- and sub-diagonal values overwritten
+    in place (``_refill``), so SuperLU sees the bytes ``_poisson_matrix``
+    would build.  SuperLU neither keeps nor changes the matrix.
     """
     global _factor
     key = (lam.tobytes(), mu.tobytes(), r_u)
@@ -185,7 +232,7 @@ def _evaluate_policy(lam, mu, stage, r_u):
         _factor = None
         from scipy.sparse.linalg import splu
 
-        a = _poisson_matrix(lam, mu, r_u)
+        pattern = _pattern(lam, mu)
         # the rule of birth_death.recurrent_window: one recurrent class needs
         # the first zero-arrival state at or above the last zero-service state
         # (rates are non-negative and lam(n-1) = mu(0) = 0, so argmin finds them)
@@ -197,7 +244,7 @@ def _evaluate_policy(lam, mu, stage, r_u):
                 "lies below the last zero-service state q=%d, so the chain under "
                 "this policy has more than one recurrent class" % (q_ru, q_rl))
         try:
-            _factor = key, splu(a)
+            _factor = key, splu(_refill(pattern, lam, mu, r_u))
         except RuntimeError:
             # SuperLU's "Factor is exactly singular"
             raise ValueError(_SINGULAR) from None
@@ -353,7 +400,11 @@ def solve(lp, *, start=None):
     factor of the previous evaluation when the policy and r_u are the same
     (the first evaluation of a solve started from the policy the previous
     solve returned); a multi-class policy, or a numerically singular
-    system, is a ValueError, not a warning.
+    system, is a ValueError, not a warning.  A policy that changes the
+    factor but keeps the zero pattern of the last matrix built (which
+    rates are 0) refills that matrix's values in place instead of
+    building one; the bytes SuperLU factors, and so every result, are
+    the same either way.
     """
     n = lp.state_cap + 1      # states 0..state_cap
     k, m = len(lp.service_actions), len(lp.arrival_actions)
@@ -455,8 +506,10 @@ def trace_tradeoff(base, beta1_grid, beta2_grid):
     Returns (points, failures): points sorted by achieved cost with
     dominated ones flagged, failures as (beta1, beta2, error) records for
     grid points whose solve raised.  A grid with a beta2 > 0 and a problem
-    without a utility is refused before any point.
+    without a utility is refused before any point.  A finished trace
+    empties the evaluation slots ``_factor`` and ``_matrix``.
     """
+    global _factor, _matrix
     b1, b2 = list(beta1_grid), list(beta2_grid)
     if not all(map(_is_number, b1 + b2)):
         raise ValueError("multipliers must be numbers")
@@ -485,5 +538,9 @@ def trace_tradeoff(base, beta1_grid, beta2_grid):
             points.append(TradeoffPoint(
                 beta1=beta1, beta2=beta2, c_c=m.cbar, u_c=m.ubar,
                 q_star=m.qbar, policy=res.policy, dominated=False))
+    # the factor and the matrix serve the next solve of this trace only;
+    # held past it, they keep the allocator from trimming the heap, and
+    # each page SuperLU has touched would stay resident
+    _factor = _matrix = None
     points.sort(key=lambda p: p.c_c)
     return _mark_dominated(points), failures

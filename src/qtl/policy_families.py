@@ -4,7 +4,8 @@ Each constructor builds an admissible, stable policy parameterized by a
 scale U, and refuses a U that is not a positive finite number (0,
 negatives, +-inf and NaN alike); mc21 reads U only when its threshold
 q_k is not given.  A rate param that is not a finite number is refused
-too, before any threshold is computed.  As U drops to 0 the achieved
+too, before any threshold is computed, and one that is not a number
+before any comparison reads it.  As U drops to 0 the achieved
 average cost approaches the relevant floor while the mean queue length
 grows at the case's asymptotic order:
 
@@ -43,6 +44,14 @@ def _check_positive(**params):
         if x is not None and not (_is_number(x) and 0 < x < math.inf):
             raise ValueError("%s must be a positive finite number, got %s"
                              % (name, "%g" % x if _is_number(x) else repr(x)))
+
+
+def _check_numbers(**params):
+    # each param must be a number before an ordering check compares it, else
+    # it is named (a string would end the comparison in a TypeError)
+    for name, x in params.items():
+        if not _is_number(x):
+            raise ValueError("%s must be a number, got %r" % (name, x))
 
 
 def _quotient(num, den, U):
@@ -110,6 +119,7 @@ def mc21_policy(lam, b_lam, r_max, q_k=None, U=None):
             raise ValueError("mc21 needs q_k or the scale U")
         _check_positive(U=U)
         q_k = max(1, round(-math.log2(U)))
+    _check_numbers(lam=lam, b_lam=b_lam, r_max=r_max)
     if not (0 < lam < b_lam < r_max < math.inf):
         raise ValueError("need 0 < lam < b_lam < r_max, all finite")
     q_k = _count(q_k, "q_k")
@@ -123,6 +133,7 @@ def mc22_policy(lam, a_lam, b_lam, U):
 
     q1 = ceil( log_{lam/a_lam} (1 + ((lam - a_lam)/lam) / U) ).
     """
+    _check_numbers(lam=lam, a_lam=a_lam, b_lam=b_lam)
     if not (0 < a_lam < lam < b_lam < math.inf):
         raise ValueError("need 0 < a_lam < lam < b_lam, all finite")
     _check_positive(U=U)
@@ -137,6 +148,7 @@ def mc23_policy(lam, K, U, next_corner=None):
     caps K (lam + K must not cross it, or the tail rate leaves the active
     pair of segments).
     """
+    _check_numbers(K=K)
     if K <= 0:
         raise ValueError("K must be positive")
     _check_positive(U=U, lam=lam, K=K, next_corner=next_corner)
@@ -201,6 +213,7 @@ def lc_mirror_policy(mu, tag, U):
         raise ValueError("not an arrival-side case tag: %r" % (fam,))
     _check_tag(tag, "window")
     _check_positive(U=U, mu=mu, window_hi=tag.window[1])
+    _check_numbers(window_lo=tag.window[0])
     # the arrival rate is `head` on states 0..q1-1 and `tail` beyond
     if fam == "LC1":
         eps_u = math.sqrt(U)

@@ -148,22 +148,41 @@ def power_function(exponent, domain=(0.0, 1.0), role="cost"):
     return RateFunction("power", role, domain[0], domain[1], exponent=exponent)
 
 
-def _point_set(kind, points, role):
-    # a piecewise or discrete function through its (rate, value) points
-    if len(points) < 2:
+def _pairs(points):
+    # the points as a list of (rate, value) pairs, their numbers unread
+    try:
+        points = list(points)
+    except TypeError:
+        raise ValueError("points must be a list of (rate, value) pairs, got %r"
+                         % (points,)) from None
+    pairs = []
+    for p in points:
+        try:
+            r, v = p
+        except (TypeError, ValueError):
+            raise ValueError("a point is a (rate, value) pair, got %r" % (p,)) from None
+        pairs.append((r, v))
+    return pairs
+
+
+def _finite_pairs(points):
+    return [(_finite(r, "rate"), _finite(v, "value")) for r, v in _pairs(points)]
+
+
+def _point_set(kind, pairs, role):
+    # a piecewise or discrete function through its (rate, value) pairs
+    if len(pairs) < 2:
         raise ValueError("need at least 2 sample points")
-    rs = [p[0] for p in points]
-    vs = [p[1] for p in points]
+    rs, vs = zip(*pairs)
     return RateFunction(kind, role, rs[0], rs[-1], br=rs, bv=vs)
 
 
 def piecewise_function(points, role="cost"):
-    return _point_set("piecewise", points, role)
+    return _point_set("piecewise", _pairs(points), role)
 
 
 def discrete_function(points, role="cost"):
-    return _point_set("discrete", sorted(
-        (_finite(r, "rate"), _finite(v, "value")) for r, v in points), role)
+    return _point_set("discrete", sorted(_finite_pairs(points)), role)
 
 
 def _in_domain(f, r):
@@ -242,18 +261,22 @@ def lower_hull(xs, ys):
 def lower_convex_envelope(f_or_points):
     """Lower convex envelope of a discrete point set.
 
-    Accepts a discrete cost RateFunction or a raw (rate, value) list and
-    returns the greatest convex minorant as a piecewise cost function.
-    Corners are a subset of the input points (``lower_hull``).  A utility
-    is refused: its envelope is the upper concave hull.
+    Accepts a discrete or piecewise cost RateFunction or a raw (rate,
+    value) list and returns the greatest convex minorant as a piecewise
+    cost function.  Corners are a subset of the input points
+    (``lower_hull``).  A utility is refused: its envelope is the upper
+    concave hull.  So is a power function, which has no points.
     """
     if isinstance(f_or_points, RateFunction):
         if f_or_points.role != "cost":
             raise ValueError("lower_convex_envelope takes a cost; a utility's envelope "
                              "is its upper concave hull")
+        if f_or_points.kind == "power":
+            raise ValueError("lower_convex_envelope takes a point set; a power cost is "
+                             "convex and is its own envelope")
         pts = list(zip(f_or_points.br, f_or_points.bv))
     else:
-        pts = [(_finite(r, "rate"), _finite(v, "value")) for r, v in f_or_points]
+        pts = _finite_pairs(f_or_points)
     pts = sorted(set(pts))
     if len(pts) < 2:
         raise ValueError("need at least 2 distinct points")

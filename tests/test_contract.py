@@ -7,7 +7,9 @@ points.  Counts are drawn from small values, a non-integral float, NaN,
 inf and a bool only: a large count is costly input, not malformed input.
 The rate-function builders, ``uniform_actions``, ``LagrangianProblem``,
 ``policy_from_pieces`` and ``simulate`` also draw True and "2" where a
-number goes, and must refuse either one, never convert it.
+number goes, and must refuse either one, never convert it.  The family
+constructors draw numbers only; a table checks that a string or a bool
+among their ordered params is refused by name.
 """
 
 import math
@@ -92,6 +94,23 @@ def test_builders_build_or_raise_value_error(name, data):
     except ValueError:
         return
     assert not _holds_a_non_number(drawn), "built from %r" % (drawn,)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: mc21_policy("0.1", 0.2, 1.0, 3), "lam must be a number, got '0.1'"),
+    (lambda: mc21_policy(0.1, 0.2, "1.0", 3), "r_max must be a number, got '1.0'"),
+    (lambda: mc22_policy("0.39", 0.2, 0.4, 0.01), "lam must be a number, got '0.39'"),
+    (lambda: mc22_policy(0.39, True, 0.4, 0.01), "a_lam must be a number, got True"),
+    (lambda: mc23_policy(0.4, "0.1", 0.01), "K must be a number, got '0.1'"),
+    (lambda: lc_mirror_policy(0.5, CaseTag("LC2-1", ("0.1", 0.9), "log", 0.5), 0.01),
+     "window_lo must be a number, got '0.1'"),
+])
+def test_families_name_a_param_that_is_not_a_number(build, message):
+    # each of these compared the string, or the bool, before any number
+    # check read it, and ended in a TypeError from < or <=
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def _holds_a_non_number(x):

@@ -166,6 +166,147 @@ def test_trace_factors_each_policy_once(monkeypatch):
     assert len(factored) == len(set(keys)) <= len(keys) - 11
 
 
+def same_pattern(rng, lam, mu):
+    # other rates, stage costs and r_u on the zero pattern of (lam, mu)
+    lam = np.where(lam > 0.0, rng.uniform(0.05, 3.0, len(lam)), 0.0)
+    mu = np.where(mu > 0.0, rng.uniform(0.05, 3.0, len(mu)), 0.0)
+    r_u = float(lam.max() + mu.max()) * rng.uniform(1.0, 2.0)
+    return lam, mu, rng.uniform(0.0, 5.0, len(lam)), r_u
+
+
+def slot_matrix():
+    # the Poisson matrix the last factorization was given
+    return mdp._matrix[1]
+
+
+def assert_built_bytes(a, lam, mu, r_u):
+    # a holds what _poisson_matrix builds for the chain, byte for byte
+    want = mdp._poisson_matrix(lam, mu, r_u)
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(a, attr).tobytes() == getattr(want, attr).tobytes()
+
+
+@pytest.fixture
+def empty_slots(monkeypatch):
+    monkeypatch.setattr(mdp, "_factor", None)
+    monkeypatch.setattr(mdp, "_matrix", None)
+
+
+@pytest.mark.parametrize("window", ["wide", "point", "last"])
+@pytest.mark.parametrize("seed", range(3))
+def test_refill_across_one_pattern_is_exact(empty_slots, seed, window):
+    # chains of one zero pattern at other rates and r_u: each factorization
+    # after the first refills the first matrix, and each solve is the
+    # oracle's bit for bit
+    rng = np.random.default_rng(seed)
+    lam, mu, stage, r_u = random_chain(rng, window)
+    assert_exact(lam, mu, stage, r_u)
+    a = slot_matrix()
+    for _ in range(4):
+        chain = same_pattern(rng, lam, mu)
+        assert_exact(*chain)
+        assert slot_matrix() is a
+        assert_built_bytes(a, chain[0], chain[1], chain[3])
+
+
+@pytest.mark.parametrize("bad,in_slot", [
+    ((np.array([0.5, 0.5, 0.0, 0.5, 0.0]), np.array([0.0, 0.5, 0.5, 0.0, 0.5]),
+      np.ones(5), 1.0), "previous"),
+    (singular_chain(), "failed"),
+])
+def test_refill_after_a_failed_evaluation_is_exact(empty_slots, bad, in_slot):
+    # a refused chain never reaches the matrix slot, a singular one leaves
+    # its own matrix there; either way the next chain of the slot's
+    # pattern refills it and is solved exactly
+    rng = np.random.default_rng(5)
+    lam, mu, stage, r_u = random_chain(rng, "wide")
+    assert_exact(lam, mu, stage, r_u)
+    with pytest.raises(ValueError, match="singular"):
+        mdp._evaluate_policy(*bad)
+    a = slot_matrix()
+    if in_slot == "failed":
+        lam, mu, _, r_u = bad
+    assert_built_bytes(a, lam, mu, r_u)
+    chain = same_pattern(rng, lam, mu)
+    assert_exact(*chain)
+    assert slot_matrix() is a
+
+
+def test_splu_leaves_the_refilled_matrix_untouched(empty_slots, monkeypatch):
+    # SuperLU reads the matrix it is given and keeps no part of it
+    splu, seen = scipy.sparse.linalg.splu, []
+
+    def checking_splu(a):
+        before = [getattr(a, attr).copy() for attr in ("data", "indices", "indptr")]
+        lu = splu(a)
+        assert all(np.array_equal(getattr(a, attr), b)
+                   for attr, b in zip(("data", "indices", "indptr"), before))
+        seen.append(a)
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", checking_splu)
+    rng = np.random.default_rng(2)
+    lam, mu, stage, r_u = random_chain(rng, "wide")
+    for chain in [(lam, mu, stage, r_u)] + [same_pattern(rng, lam, mu) for _ in range(3)]:
+        assert_exact(*chain)
+    assert len(seen) == 4 and all(a is seen[0] for a in seen)
+
+
+def test_a_pattern_change_rebuilds_the_matrix(empty_slots):
+    # a new pattern, or a new n, gets a new matrix, and the old one is
+    # left as it was
+    rng = np.random.default_rng(8)
+    lam, mu, stage, r_u = random_chain(rng, "wide")
+    assert_exact(lam, mu, stage, r_u)
+    first = slot_matrix()
+    flipped = mu.copy()
+    flipped[1] = 0.0 if mu[1] > 0.0 else 0.7
+    assert_exact(lam, flipped, stage, r_u)
+    second = slot_matrix()
+    assert second is not first
+    assert_built_bytes(first, lam, mu, r_u)
+    longer = np.append(lam[:-1], [0.3, 0.0]), np.append(mu, 0.4), np.append(stage, 1.0)
+    assert_exact(*longer, r_u)
+    assert slot_matrix() not in (first, second)
+    assert_built_bytes(second, lam, flipped, r_u)
+
+
+def test_poisson_matrix_returns_a_new_matrix(empty_slots):
+    # a matrix _poisson_matrix returned is the caller's: a later build or
+    # refill does not change it
+    rng = np.random.default_rng(4)
+    lam, mu, stage, r_u = random_chain(rng, "wide")
+    a, b = mdp._poisson_matrix(lam, mu, r_u), mdp._poisson_matrix(lam, mu, r_u)
+    assert a is not b
+    for attr in ("data", "indices", "indptr"):
+        assert not np.shares_memory(getattr(a, attr), getattr(b, attr))
+    kept = a.data.copy()
+    assert_exact(lam, mu, stage, r_u)
+    assert_exact(*same_pattern(rng, lam, mu))
+    assert slot_matrix() is not a and np.array_equal(a.data, kept)
+
+
+def test_trace_refills_most_matrices(empty_slots, monkeypatch):
+    # policy iteration mostly keeps the zero pattern, so most
+    # factorizations of a trace refill the matrix instead of building one
+    base = LagrangianProblem(0.0, 0.0, S, [0.4], CDISC, None, state_cap=300)
+    built, factored = [], []
+    build, splu = mdp._build, scipy.sparse.linalg.splu
+    monkeypatch.setattr(mdp, "_build", lambda *a: built.append(1) or build(*a))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a: factored.append(1) or splu(a))
+    pts, fails = trace_tradeoff(base, np.geomspace(10.0, 1.2e4, 12).tolist(), [0.0])
+    assert not fails and len(pts) == 12
+    assert 0 < 2 * len(built) < len(factored)
+
+
+def test_a_finished_trace_empties_the_slots():
+    # the factor and the matrix kept for the next solve are let go once
+    # the trace is done
+    pts, fails = trace_tradeoff(problem(0.0, cap=50), [1.0, 10.0], [0.0])
+    assert len(pts) == 2 and not fails
+    assert mdp._factor is None and mdp._matrix is None
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         LagrangianProblem(-1.0, 0.0, S, [0.4], CDISC, None)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,6 +95,41 @@ def test_envelope_refuses_a_utility():
         lower_convex_envelope(discrete_function(roots, role="utility"))
     # raw points carry no role and are read as a cost, as before
     assert lower_convex_envelope(roots).br == [0.0, 1.0]
+
+
+def test_envelope_refuses_a_power_function():
+    # a power function has no points to take the hull of; zipping its
+    # missing breakpoints ended in a TypeError
+    with pytest.raises(ValueError, match="^lower_convex_envelope takes a point set; "
+                                         "a power cost is convex and is its own envelope$"):
+        lower_convex_envelope(power_function(2.0))
+    with pytest.raises(ValueError, match="upper concave hull"):
+        lower_convex_envelope(power_function(0.5, role="utility"))
+
+
+@pytest.mark.parametrize("build", [piecewise_function, discrete_function,
+                                   lower_convex_envelope])
+@pytest.mark.parametrize("points,bad", [
+    ([1, 2], "1"), ([(0, 0), 1], "1"), ([(0, 0), (1, 1, 1)], "(1, 1, 1)"),
+    ([(0, 0), (0.5,)], "(0.5,)")])
+def test_a_point_must_be_a_pair(build, points, bad):
+    # a point that is not a pair ended in a TypeError from p[0] or unpacking
+    with pytest.raises(ValueError) as err:
+        build(points)
+    assert str(err.value) == "a point is a (rate, value) pair, got " + bad
+
+
+@pytest.mark.parametrize("build", [piecewise_function, discrete_function,
+                                   lower_convex_envelope])
+def test_points_must_be_a_list(build):
+    with pytest.raises(ValueError, match="^points must be a list of "
+                                         r"\(rate, value\) pairs, got 5$"):
+        build(5)
+
+
+def test_points_may_be_array_rows():
+    rows = np.array([[0.0, 0.0], [0.5, 0.25], [1.0, 1.0]])
+    assert piecewise_function(rows).br == discrete_function(rows).br == [0.0, 0.5, 1.0]
 
 
 def test_envelope_needs_two_points():
