@@ -18,14 +18,9 @@ Policy evaluation solves the (N+2)-unknown linear system
     (lam_q + mu_q)/r_u h(q) - lam_q/r_u h(q+1) - mu_q/r_u h(q-1) + g = cost(q)
     h(0) = 0
 
-by sparse LU (``_evaluate_policy``); ``scipy.sparse`` is imported only then, so
-importing this module (and ``qtl`` or ``qtl.cli``) does not load it.  Two
-one-entry slots serve it: ``_factor`` holds the last SuperLU factor, keyed
-by the chain and r_u, and ``_matrix`` the last CSC matrix built, keyed by
-its zero pattern (n, and which of lam(0..n-2) and mu(1..n-1) are positive).
-A chain of the slot's pattern has its values written into that matrix in
-place, so most factorizations build no matrix and SuperLU still sees the
-bytes ``_poisson_matrix`` would build.
+by sparse LU (``_evaluate_policy``, which also says what it keeps between
+calls); ``scipy.sparse`` is imported only then, so importing this module
+(and ``qtl`` or ``qtl.cli``) does not load it.
 
 Policy iteration keeps one array of action indices per rule.  Each action
 set is a ``_Side``, built with the problem and priced at a multiplier
@@ -141,16 +136,36 @@ def uniform_actions(r_max, n=201):
 def _pattern(lam, mu):
     """The zero pattern of the chain's Poisson matrix: which of lam(0..n-2)
     and which of mu(1..n-1) are positive.  Two chains with one pattern give
-    matrices that differ in their values only."""
+    matrices that differ in their values only.
+
+    This is where a chain that policy evaluation cannot solve is refused
+    before SuperLU sees it: one with lam(n-1) > 0 or mu(0) > 0, and one
+    with more than one recurrent class."""
     if lam[-1] > 0.0 or mu[0] > 0.0:
         raise ValueError("evaluation needs lambda(%d) = 0 and mu(0) = 0" % (lam.shape[0] - 1))
+    # the rule of birth_death.recurrent_window: one recurrent class needs
+    # the first zero-arrival state at or above the last zero-service state
+    # (rates are non-negative and lam(n-1) = mu(0) = 0, so argmin finds them)
+    q_ru = int(lam.argmin())
+    q_rl = len(mu) - 1 - int(mu[::-1].argmin())
+    if q_ru < q_rl:
+        raise ValueError(
+            "policy evaluation is singular: the first zero-arrival state q=%d "
+            "lies below the last zero-service state q=%d, so the chain under "
+            "this policy has more than one recurrent class" % (q_ru, q_rl))
     return lam[:-1] > 0.0, mu[1:] > 0.0
 
 
 def _build(pattern, lam, mu, r_u):
-    """(matrix, at): a new ``_poisson_matrix`` of the chain, whose zero
-    pattern is ``pattern``, and the positions in its ``data`` of the
-    diagonal, super- and sub-diagonal entries, which ``_fill`` writes."""
+    """(matrix, at): a new CSC matrix of the chain's evaluation system,
+    whose zero pattern is ``pattern``, and the positions in its ``data`` of
+    the diagonal, super- and sub-diagonal entries, which ``_fill`` writes.
+
+    Rows and columns are the states 0..n-1, then the gain.  Column j < n
+    holds, in row order, -lam(j-1)/r_u if lam(j-1) > 0, the diagonal
+    (lam(j) + mu(j))/r_u even when it is 0, -mu(j+1)/r_u if mu(j+1) > 0
+    and, in column 0 only, the row h(0) = 0; column n is 1 in rows 0..n-1.
+    """
     from scipy.sparse import csc_matrix
 
     n = lam.shape[0]
@@ -178,77 +193,51 @@ def _fill(data, at, pattern, lam, mu, r_u):
     data[at[2]] = -mu[1:][pattern[1]] / r_u
 
 
-def _poisson_matrix(lam, mu, r_u):
-    """CSC matrix of the evaluation system: states 0..n-1, then the gain.
-
-    Column j < n holds, in row order, -lam(j-1)/r_u if lam(j-1) > 0, the
-    diagonal (lam(j) + mu(j))/r_u even when it is 0, -mu(j+1)/r_u if
-    mu(j+1) > 0 and, in column 0 only, the row h(0) = 0; column n is 1 in
-    rows 0..n-1.  Each call returns a new matrix.
-    """
-    return _build(_pattern(lam, mu), lam, mu, r_u)[0]
-
-
 _SINGULAR = ("policy evaluation is singular: the Poisson system of this "
              "single-class chain is numerically singular")
-_factor = None      # (key, SuperLU factor) of the last Poisson matrix factored
-_matrix = None      # (pattern, matrix, at) of the last Poisson matrix built
-
-
-def _refill(pattern, lam, mu, r_u):
-    """The chain's Poisson matrix, held in the ``_matrix`` slot: the slot's
-    matrix with its values overwritten when the chain keeps its zero
-    pattern, else a new one from ``_build``.  Its ``data``, ``indices`` and
-    ``indptr`` equal ``_poisson_matrix``'s bit for bit either way."""
-    global _matrix
-    if _matrix is not None and all(map(np.array_equal, pattern, _matrix[0])):
-        _fill(_matrix[1].data, _matrix[2], pattern, lam, mu, r_u)
-    else:
-        _matrix = None
-        _matrix = (pattern,) + _build(pattern, lam, mu, r_u)
-    return _matrix[1]
+_EMPTY = (None,) * 5
+_last = _EMPTY      # (key, factor, pattern, matrix, at): see _evaluate_policy
 
 
 def _evaluate_policy(lam, mu, stage, r_u):
     """Relative values h (h(0) = 0) and gain g of the chain (lam, mu) at
     stage costs ``stage``, by SuperLU.
 
-    The last factor is kept, keyed by the matrix contents, like an
+    One slot, ``_last``, keeps what the last factorization used: its key
+    (the bytes of lam and mu, and r_u), its SuperLU factor, and the zero
+    pattern, matrix and value positions ``at`` from ``_build``.  The same
+    chain again is solved with the kept factor, like an
     ``lru_cache(maxsize=1)``: a warm-started solve first evaluates the
     policy the previous solve ended on, and only its right-hand side
-    differs.  The slot is emptied before the next factorization, so one
-    factor at most is alive.  A policy already factored was already checked.
+    differs.  A chain already factored was already checked.
 
-    The last matrix built is kept too, keyed by its zero pattern (n and
-    which of lam(0..n-2) and mu(1..n-1) are positive): policy iteration's
-    next policy mostly keeps the pattern, and its matrix is then that
-    matrix with the diagonal, super- and sub-diagonal values overwritten
-    in place (``_refill``), so SuperLU sees the bytes ``_poisson_matrix``
-    would build.  SuperLU neither keeps nor changes the matrix.
+    Any other chain first drops the kept factor, so one factor at most is
+    alive, and is then checked by ``_pattern``.  If it keeps the slot's
+    zero pattern, as policy iteration's next policy mostly does, its values
+    are written into the slot's matrix in place (``_fill``); else the slot
+    is emptied and ``_build`` makes a new matrix.  SuperLU sees the same
+    bytes either way, and neither keeps nor changes them.  A refused chain
+    leaves the slot's matrix and no factor, a singular one its own matrix
+    and no factor.  ``trace_tradeoff`` empties the slot when it is done.
     """
-    global _factor
+    global _last
     key = (lam.tobytes(), mu.tobytes(), r_u)
-    if _factor is None or _factor[0] != key:
-        _factor = None
+    if _last[0] != key:
         from scipy.sparse.linalg import splu
 
+        _last = (None, None) + _last[2:]       # the old factor goes first
         pattern = _pattern(lam, mu)
-        # the rule of birth_death.recurrent_window: one recurrent class needs
-        # the first zero-arrival state at or above the last zero-service state
-        # (rates are non-negative and lam(n-1) = mu(0) = 0, so argmin finds them)
-        q_ru = int(lam.argmin())
-        q_rl = len(mu) - 1 - int(mu[::-1].argmin())
-        if q_ru < q_rl:
-            raise ValueError(
-                "policy evaluation is singular: the first zero-arrival state q=%d "
-                "lies below the last zero-service state q=%d, so the chain under "
-                "this policy has more than one recurrent class" % (q_ru, q_rl))
+        if _last[2] is not None and all(map(np.array_equal, pattern, _last[2])):
+            _fill(_last[3].data, _last[4], pattern, lam, mu, r_u)
+        else:
+            _last = _EMPTY      # and the old matrix before the new one is built
+            _last = (None, None, pattern) + _build(pattern, lam, mu, r_u)
         try:
-            _factor = key, splu(_refill(pattern, lam, mu, r_u))
+            _last = (key, splu(_last[3])) + _last[2:]
         except RuntimeError:
             # SuperLU's "Factor is exactly singular"
             raise ValueError(_SINGULAR) from None
-    x = _factor[1].solve(np.append(stage, 0.0))
+    x = _last[1].solve(np.append(stage, 0.0))
     if not np.all(np.isfinite(x)):
         raise ValueError(_SINGULAR)
     return x[:-1], x[-1]
@@ -396,15 +385,10 @@ def solve(lp, *, start=None):
     bit the full table's.  The cap state, whose arrivals are off, picks
     among the positive service rates only.
 
-    Each evaluation solves the Poisson system with SuperLU, reusing the
-    factor of the previous evaluation when the policy and r_u are the same
-    (the first evaluation of a solve started from the policy the previous
-    solve returned); a multi-class policy, or a numerically singular
-    system, is a ValueError, not a warning.  A policy that changes the
-    factor but keeps the zero pattern of the last matrix built (which
-    rates are 0) refills that matrix's values in place instead of
-    building one; the bytes SuperLU factors, and so every result, are
-    the same either way.
+    Each evaluation solves the Poisson system with SuperLU, reusing what
+    the previous evaluation kept (see ``_evaluate_policy``); a multi-class
+    policy, or a numerically singular system, is a ValueError, not a
+    warning.
     """
     n = lp.state_cap + 1      # states 0..state_cap
     k, m = len(lp.service_actions), len(lp.arrival_actions)
@@ -507,9 +491,9 @@ def trace_tradeoff(base, beta1_grid, beta2_grid):
     dominated ones flagged, failures as (beta1, beta2, error) records for
     grid points whose solve raised.  A grid with a beta2 > 0 and a problem
     without a utility is refused before any point.  A finished trace
-    empties the evaluation slots ``_factor`` and ``_matrix``.
+    empties the evaluation slot (see ``_evaluate_policy``).
     """
-    global _factor, _matrix
+    global _last
     b1, b2 = list(beta1_grid), list(beta2_grid)
     if not all(map(_is_number, b1 + b2)):
         raise ValueError("multipliers must be numbers")
@@ -538,9 +522,9 @@ def trace_tradeoff(base, beta1_grid, beta2_grid):
             points.append(TradeoffPoint(
                 beta1=beta1, beta2=beta2, c_c=m.cbar, u_c=m.ubar,
                 q_star=m.qbar, policy=res.policy, dominated=False))
-    # the factor and the matrix serve the next solve of this trace only;
-    # held past it, they keep the allocator from trimming the heap, and
-    # each page SuperLU has touched would stay resident
-    _factor = _matrix = None
+    # the slot serves the next solve of this trace only; held past it, it
+    # keeps the allocator from trimming the heap, and each page SuperLU
+    # has touched would stay resident
+    _last = _EMPTY
     points.sort(key=lambda p: p.c_c)
     return _mark_dominated(points), failures

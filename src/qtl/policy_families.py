@@ -213,7 +213,6 @@ def lc_mirror_policy(mu, tag, U):
         raise ValueError("not an arrival-side case tag: %r" % (fam,))
     _check_tag(tag, "window")
     _check_positive(U=U, mu=mu, window_hi=tag.window[1])
-    _check_numbers(window_lo=tag.window[0])
     # the arrival rate is `head` on states 0..q1-1 and `tail` beyond
     if fam == "LC1":
         eps_u = math.sqrt(U)

@@ -71,10 +71,24 @@ def _count(x, what):
 
 
 def _check_tag(tag, *fields):
-    """Raise ValueError naming the first of ``fields`` the case tag lacks."""
+    """Raise ValueError naming the first of ``fields`` the case tag lacks,
+    or the first field of another shape: a window must be a pair of
+    numbers (window_lo, window_hi) and an anchor a number.  Every use of a
+    tag's window or anchor is checked here first."""
     for name in fields:
         if getattr(tag, name) is None:
             raise ValueError("case tag %s has no %r" % (tag.family, name))
+    named = []
+    if tag.window is not None:
+        if not (isinstance(tag.window, (tuple, list)) and len(tag.window) == 2):
+            raise ValueError("case tag %s: window must be a pair of numbers, got %r"
+                             % (tag.family, tag.window))
+        named += zip(("window_lo", "window_hi"), tag.window)
+    if tag.anchor is not None:
+        named.append(("anchor", tag.anchor))
+    for name, x in named:
+        if not _is_number(x):
+            raise ValueError("%s must be a number, got %r" % (name, x))
 
 
 class RateFunction(object):

@@ -9,10 +9,12 @@ The rate-function builders, ``uniform_actions``, ``LagrangianProblem``,
 ``policy_from_pieces`` and ``simulate`` also draw True and "2" where a
 number goes, and must refuse either one, never convert it.  The family
 constructors draw numbers only; a table checks that a string or a bool
-among their ordered params is refused by name.
+among their ordered params is refused by name, and another that a case
+tag whose window or anchor has another shape is refused by field.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,10 +23,12 @@ from qtl import (
     CaseTag,
     LagrangianProblem,
     SimConfig,
+    audit_lower_bound,
     constant_policy,
     discrete_function,
     lambda_mu_policy,
     lc_mirror_policy,
+    lower_convex_envelope,
     mc1_policy,
     mc21_policy,
     mc22_policy,
@@ -33,6 +37,7 @@ from qtl import (
     policy_from_pieces,
     power_function,
     simulate,
+    support_line,
     uniform_actions,
 )
 
@@ -118,3 +123,32 @@ def _holds_a_non_number(x):
     if isinstance(x, (tuple, list)):
         return any(map(_holds_a_non_number, x))
     return x is True or x == "2"
+
+
+ENV = lower_convex_envelope(discrete_function([(s, s * s) for s in (0, 0.2, 0.4, 0.6, 1)]))
+MC22 = CaseTag("MC2-2", (0.2, 0.4), "log", 0.39)
+# each use of a case tag, with a tag it accepts
+TAG_USES = {
+    "lc_mirror_policy": (CaseTag("LC2-1", (0.4, 0.6), "log", 0.5),
+                         lambda tag: lc_mirror_policy(0.5, tag, 0.01)),
+    "support_line": (MC22, lambda tag: support_line(ENV, tag)),
+    "audit_lower_bound": (MC22, lambda tag: audit_lower_bound(
+        mc22_policy(0.39, 0.2, 0.4, 0.01), tag, ENV, None, 0.154)),
+}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("window", 0.5, "window must be a pair of numbers, got 0.5"),
+    ("window", (0.4,), "window must be a pair of numbers, got (0.4,)"),
+    ("window", (0.4, 0.6, 0.7), "window must be a pair of numbers, got (0.4, 0.6, 0.7)"),
+    ("window", ("0.2", 0.4), "window_lo must be a number, got '0.2'"),
+    ("anchor", "0.5", "anchor must be a number, got '0.5'"),
+])
+@pytest.mark.parametrize("use", sorted(TAG_USES))
+def test_a_tag_of_another_shape_is_refused_by_field(use, field, value, message):
+    # each of these ended in a TypeError or an IndexError where the tag's
+    # window was unpacked or its anchor compared
+    tag, call = TAG_USES[use]
+    call(tag)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(tag._replace(**{field: value}))

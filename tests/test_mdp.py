@@ -60,6 +60,11 @@ def random_chain(rng, window):
     return lam, mu, stage, float(lam.max() + mu.max())
 
 
+def built(lam, mu, r_u):
+    # a new Poisson matrix of the chain, as _evaluate_policy builds one
+    return mdp._build(mdp._pattern(lam, mu), lam, mu, r_u)[0]
+
+
 def assert_exact(lam, mu, stage, r_u):
     # _evaluate_policy equals spsolve on the per-state COO build, bit for bit
     h, g = mdp._evaluate_policy(lam, mu, stage, r_u)
@@ -74,7 +79,7 @@ def test_poisson_matrix_matches_coo_build(seed, window):
     lam, mu, stage, r_u = random_chain(rng, window)
     assert np.any(lam > mu) and np.any(lam < mu)
     want = oracles.coo_poisson_matrix(lam, mu, r_u)
-    got = mdp._poisson_matrix(lam, mu, r_u)
+    got = built(lam, mu, r_u)
     assert got.format == "csc"
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, attr), getattr(want, attr))
@@ -83,11 +88,11 @@ def test_poisson_matrix_matches_coo_build(seed, window):
     # factor; the same chain at another r_u, and another chain, replace it;
     # every result is the fresh oracle solve's
     assert_exact(lam, mu, stage, r_u)
-    factor = mdp._factor[1]
+    factor = mdp._last[1]
     assert_exact(lam, mu, rng.uniform(0.0, 5.0, len(stage)), r_u)
-    assert mdp._factor[1] is factor
+    assert mdp._last[1] is factor
     assert_exact(lam, mu, stage, 1.5 * r_u)
-    assert mdp._factor[1] is not factor
+    assert mdp._last[1] is not factor
     assert_exact(*random_chain(rng, "wide"))
     assert_exact(lam, mu, stage, r_u)
 
@@ -129,7 +134,7 @@ def test_evaluation_after_a_failed_one_is_exact(bad):
     assert_exact(lam, mu, stage, r_u)
     with pytest.raises(ValueError, match="singular"):
         mdp._evaluate_policy(*bad)
-    assert mdp._factor is None
+    assert mdp._last[1] is None
     assert_exact(lam, mu, 2.0 * stage, r_u)
 
 
@@ -152,12 +157,12 @@ def test_trace_factors_each_policy_once(monkeypatch):
 
     def counting_splu(a):
         # the last factor is released before the next one is built
-        assert mdp._factor is None and all(f() is None for f in factored)
+        assert mdp._last[1] is None and all(f() is None for f in factored)
         lu = Factor(splu(a))
         factored.append(weakref.ref(lu))
         return lu
 
-    monkeypatch.setattr(mdp, "_factor", None)
+    monkeypatch.setattr(mdp, "_last", mdp._EMPTY)
     monkeypatch.setattr(mdp, "_evaluate_policy", recording_evaluate)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     pts, fails = trace_tradeoff(base, np.geomspace(10.0, 1.2e4, 12).tolist(), [0.0])
@@ -176,25 +181,24 @@ def same_pattern(rng, lam, mu):
 
 def slot_matrix():
     # the Poisson matrix the last factorization was given
-    return mdp._matrix[1]
+    return mdp._last[3]
 
 
 def assert_built_bytes(a, lam, mu, r_u):
-    # a holds what _poisson_matrix builds for the chain, byte for byte
-    want = mdp._poisson_matrix(lam, mu, r_u)
+    # a holds what _build builds for the chain, byte for byte
+    want = built(lam, mu, r_u)
     for attr in ("data", "indices", "indptr"):
         assert getattr(a, attr).tobytes() == getattr(want, attr).tobytes()
 
 
 @pytest.fixture
-def empty_slots(monkeypatch):
-    monkeypatch.setattr(mdp, "_factor", None)
-    monkeypatch.setattr(mdp, "_matrix", None)
+def empty_slot(monkeypatch):
+    monkeypatch.setattr(mdp, "_last", mdp._EMPTY)
 
 
 @pytest.mark.parametrize("window", ["wide", "point", "last"])
 @pytest.mark.parametrize("seed", range(3))
-def test_refill_across_one_pattern_is_exact(empty_slots, seed, window):
+def test_refill_across_one_pattern_is_exact(empty_slot, seed, window):
     # chains of one zero pattern at other rates and r_u: each factorization
     # after the first refills the first matrix, and each solve is the
     # oracle's bit for bit
@@ -214,7 +218,7 @@ def test_refill_across_one_pattern_is_exact(empty_slots, seed, window):
       np.ones(5), 1.0), "previous"),
     (singular_chain(), "failed"),
 ])
-def test_refill_after_a_failed_evaluation_is_exact(empty_slots, bad, in_slot):
+def test_refill_after_a_failed_evaluation_is_exact(empty_slot, bad, in_slot):
     # a refused chain never reaches the matrix slot, a singular one leaves
     # its own matrix there; either way the next chain of the slot's
     # pattern refills it and is solved exactly
@@ -232,7 +236,24 @@ def test_refill_after_a_failed_evaluation_is_exact(empty_slots, bad, in_slot):
     assert slot_matrix() is a
 
 
-def test_splu_leaves_the_refilled_matrix_untouched(empty_slots, monkeypatch):
+def test_a_chain_after_a_singular_one_of_its_pattern_is_factored_afresh(empty_slot):
+    # A, then the singular B of A's zero pattern, then A again: B leaves its
+    # matrix in the slot with no key and no factor, so the second A is not
+    # solved with A's old factor but factored again into B's matrix
+    lam_b, mu_b, stage, r_u = singular_chain()
+    lam_a = np.where(lam_b > 0.0, 0.2, 0.0)
+    assert_exact(lam_a, mu_b, stage, r_u)
+    with pytest.raises(ValueError, match="numerically singular"):
+        mdp._evaluate_policy(lam_b, mu_b, stage, r_u)
+    key, factor, _, a, _ = mdp._last
+    assert key is None and factor is None
+    assert_built_bytes(a, lam_b, mu_b, r_u)
+    assert_exact(lam_a, mu_b, np.linspace(0.0, 4.0, len(stage)), r_u)
+    assert slot_matrix() is a and mdp._last[1] is not None
+    assert_built_bytes(a, lam_a, mu_b, r_u)
+
+
+def test_splu_leaves_the_refilled_matrix_untouched(empty_slot, monkeypatch):
     # SuperLU reads the matrix it is given and keeps no part of it
     splu, seen = scipy.sparse.linalg.splu, []
 
@@ -252,7 +273,7 @@ def test_splu_leaves_the_refilled_matrix_untouched(empty_slots, monkeypatch):
     assert len(seen) == 4 and all(a is seen[0] for a in seen)
 
 
-def test_a_pattern_change_rebuilds_the_matrix(empty_slots):
+def test_a_pattern_change_rebuilds_the_matrix(empty_slot):
     # a new pattern, or a new n, gets a new matrix, and the old one is
     # left as it was
     rng = np.random.default_rng(8)
@@ -271,12 +292,12 @@ def test_a_pattern_change_rebuilds_the_matrix(empty_slots):
     assert_built_bytes(second, lam, flipped, r_u)
 
 
-def test_poisson_matrix_returns_a_new_matrix(empty_slots):
-    # a matrix _poisson_matrix returned is the caller's: a later build or
-    # refill does not change it
+def test_poisson_matrix_returns_a_new_matrix(empty_slot):
+    # a matrix _build returned is the caller's: a later build or refill
+    # does not change it
     rng = np.random.default_rng(4)
     lam, mu, stage, r_u = random_chain(rng, "wide")
-    a, b = mdp._poisson_matrix(lam, mu, r_u), mdp._poisson_matrix(lam, mu, r_u)
+    a, b = built(lam, mu, r_u), built(lam, mu, r_u)
     assert a is not b
     for attr in ("data", "indices", "indptr"):
         assert not np.shares_memory(getattr(a, attr), getattr(b, attr))
@@ -286,7 +307,7 @@ def test_poisson_matrix_returns_a_new_matrix(empty_slots):
     assert slot_matrix() is not a and np.array_equal(a.data, kept)
 
 
-def test_trace_refills_most_matrices(empty_slots, monkeypatch):
+def test_trace_refills_most_matrices(empty_slot, monkeypatch):
     # policy iteration mostly keeps the zero pattern, so most
     # factorizations of a trace refill the matrix instead of building one
     base = LagrangianProblem(0.0, 0.0, S, [0.4], CDISC, None, state_cap=300)
@@ -304,7 +325,7 @@ def test_a_finished_trace_empties_the_slots():
     # the trace is done
     pts, fails = trace_tradeoff(problem(0.0, cap=50), [1.0, 10.0], [0.0])
     assert len(pts) == 2 and not fails
-    assert mdp._factor is None and mdp._matrix is None
+    assert mdp._last[1] is None and mdp._last[3] is None
 
 
 def test_problem_validation():
