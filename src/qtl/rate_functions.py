@@ -44,6 +44,8 @@ RATE_TOL = 1e-12
 CaseTag = namedtuple("CaseTag", ["family", "window", "regime", "anchor"])
 # window is (a, b) of the active segment for segment-interior tags and the
 # pair of bracketing corners for corner tags (MC2-3 / LC2-2).
+# the families classify_case returns
+CASE_FAMILIES = ("MC1", "LC1", "MC2-1", "MC2-2", "MC2-3", "LC2-1", "LC2-2")
 
 SupportLine = namedtuple("SupportLine", ["slope", "intercept", "anchor", "m_a", "a1"])
 
@@ -397,9 +399,14 @@ def support_line(f, tag):
     m_a is the smallest gap between the line's slope and an adjacent
     segment slope; when the segment starts at rate 0 only the upper gap
     exists.  a1 is half the second derivative at the anchor, defined for
-    the analytic tags only.
+    the analytic tags only.  A tag that is no CaseTag, or whose family is
+    none of classify_case's, is refused.
     """
+    if not isinstance(tag, CaseTag):
+        raise ValueError("support_line needs a CaseTag, got %s" % type(tag).__name__)
     fam = tag.family
+    if fam not in CASE_FAMILIES:
+        raise ValueError("no support line for case family %r" % (fam,))
     if fam in ("MC1", "LC1"):
         _check_tag(tag, "anchor")
         if f.kind != "power":

@@ -10,14 +10,17 @@ send each jump up or down, and standard exponentials for the holding
 times.  The path is built in blocks of at most BLOCK events; after the
 first, each block is sized from the event rate so far to end just past the
 horizon, since the walk runs to the end of a block.  A Python loop walks the
-jump chain over the policy's runs of constant rate, which it enters and
-leaves one state at a time, so it never looks a rate up; numpy then draws
-the block's holding times and integrates q, c and u over them.  A state
-with no arrivals and no service holds the walk until the horizon.  Either
+jump chain with one list lookup per event: a per-state list of P(up), which
+the replications share and grow from the policy's runs as their walks
+climb, so its memory scales with the highest state visited.  numpy then
+finds each visited state's run, cuts the block at the first state with no
+arrivals and no service, draws the block's holding times and integrates q,
+c and u over them.  Such a state holds the walk until the horizon.  Either
 stream yields the same draws at any block size, so the block size moves
 only the rounding of the integrals.
 """
 
+import bisect
 import math
 from collections import namedtuple
 
@@ -43,54 +46,59 @@ SimEstimate = namedtuple(
 
 
 def _runs(p, c, u):
-    """Runs of both rules: the walk's (first, last, P(up), lambda + mu) per
-    run, the run starts, lambda + mu per run and (c(mu), u(lambda)) rows."""
-    starts, ends, lam, mu = zip(*p.joint_runs())
+    """Runs of both rules: the run starts, P(up) and lambda + mu per run and
+    (c(mu), u(lambda)) rows, and the per-state P(up) list that the walks of
+    every replication share and grow.  A run with no arrivals and no service
+    gets P(up) = 1, so a walk that steps past it stays in range."""
+    starts, _, lam, mu = zip(*p.joint_runs())
     total = [a + s for a, s in zip(lam, mu)]
-    walk = [(q, end - 1, a / r if r > 0.0 else 0.0, r)
-            for q, end, a, r in zip(starts, ends, lam, total)]
+    up = [a / r if r > 0.0 else 1.0 for a, r in zip(lam, total)]
     cu = np.array([[rate_value(c, s) for s in mu], [rate_value(u, a) for a in lam]])
-    return walk, np.array(starts), np.array(total), cu
+    return np.array(starts), up, [], np.array(total), cu
 
 
 def _replicate(runs, cfg, seq):
-    walk, starts, total, cu = runs
+    starts, up, ups, total, cu = runs
     jump, hold = (np.random.default_rng(s) for s in seq.spawn(2))
     warmup_end = cfg.warmup_fraction * cfg.horizon
-    q = i = events = 0
+    q = events = 0
     t = 0.0
     size = BLOCK
     acc = np.zeros(3)
-    first, last, up, rate = walk[0]
     while True:
+        # a block climbs at most size states above q
+        while len(ups) <= q + size:
+            j = bisect.bisect_right(starts, len(ups))
+            end = starts[j] if j < len(starts) else math.inf
+            ups += [up[j - 1]] * (min(end, q + size + 1) - len(ups))
         path = []
         visit = path.append
-        if rate > 0.0:
-            for x in jump.random(size).tolist():
-                visit(q)
-                if x < up:
-                    q += 1
-                    if q <= last:
-                        continue
-                    i += 1
-                else:
-                    q -= 1
-                    if q >= first:
-                        continue
-                    i -= 1
-                first, last, up, rate = walk[i]
-                if rate <= 0.0:
-                    break
-        states = np.fromiter(path, np.int64, len(path))
+        for x in memoryview(jump.random(size)):
+            visit(q)
+            q += 1 if x < ups[q] else -1
+        try:
+            # bytearray reads a list of ints below 256 about five times
+            # faster than fromiter, which reads any
+            states = np.frombuffer(bytearray(path), np.uint8).astype(np.int64)
+        except ValueError:
+            states = np.fromiter(path, np.int64, len(path))
         k = np.searchsorted(starts, states, side="right") - 1
+        rates = total[k]
+        # the walk ends on entering a state with no arrivals and no service
+        trap = np.flatnonzero(rates <= 0.0)
+        if trap.size:
+            n = trap[0]
+            q = int(states[n])
+            states, k, rates = states[:n], k[:n], rates[:n]
+        i = bisect.bisect_right(starts, q) - 1
         edges = np.cumsum(np.concatenate(
-            ([t], hold.standard_exponential(len(path)) / total[k])))
+            ([t], hold.standard_exponential(len(states)) / rates)))
         seg = np.minimum(edges[1:], cfg.horizon) - np.maximum(edges[:-1], warmup_end)
         np.maximum(seg, 0.0, out=seg)
         acc[0] += seg @ states
         acc[1:] += cu.take(k, axis=1) @ seg
         t = edges[-1]
-        if rate <= 0.0 and t < cfg.horizon:
+        if total[i] <= 0.0 and t < cfg.horizon:
             # no arrivals and no service: the walk stays in q to the horizon
             seg = cfg.horizon - max(t, warmup_end)
             acc[0] += q * seg
@@ -98,7 +106,7 @@ def _replicate(runs, cfg, seq):
             t = cfg.horizon
         if t >= cfg.horizon:
             return tuple(acc / (cfg.horizon - warmup_end))
-        events += len(path)
+        events += len(states)
         size = min(BLOCK, int(MARGIN * (cfg.horizon - t) * events / t) + SLACK)
 
 
@@ -109,7 +117,8 @@ def simulate(p, cfg, c, u=None):
     A single replication yields infinite half-widths (no spread estimate),
     which the structure reports rather than hiding.  An unstable policy
     has no long-run averages to estimate and is refused, and so is a
-    replication count or seed that is not an int or an integral float.
+    replication count or seed that is not an int or an integral float, and
+    a horizon that reaches 2**52 mean holding times at the fastest rate.
     """
     if not (_is_number(cfg.horizon) and 0 < cfg.horizon < math.inf):
         raise ValueError("horizon must be positive and finite")
@@ -123,6 +132,13 @@ def simulate(p, cfg, c, u=None):
         raise ValueError("unstable policy: no stationary averages to estimate")
 
     runs = _runs(p, c, u)
+    # runs[3] is lambda + mu per run; past this bound a mean holding time is
+    # below the spacing of doubles near the horizon, so the time axis cannot
+    # resolve events
+    bound = float(2.0 ** 52 / runs[3].max())
+    if cfg.horizon >= bound:
+        raise ValueError("horizon must be below 2**52 / max(lambda + mu) = %r, got %r"
+                         % (bound, cfg.horizon))
     streams = np.random.SeedSequence(_count(cfg.seed, "seed")).spawn(n)
     reps = np.array([_replicate(runs, cfg, s) for s in streams])
 

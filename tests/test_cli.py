@@ -435,6 +435,16 @@ def test_simulate_unstable_domain_error(runner):
         assert err["type"] == "domain" and "unstable" in err["message"]
 
 
+def test_simulate_horizon_past_the_resolution_of_doubles_domain_error(runner):
+    # a horizon of 1e308 ended in an OverflowError traceback
+    res = runner.invoke(main, ["simulate", "--policy", MM1, "--cost", CSQ,
+                               "--horizon", "1e308"])
+    assert res.exit_code == 1
+    err = json.loads(res.stderr)["error"]
+    assert err["type"] == "domain"
+    assert err["message"].startswith("horizon must be below 2**52 / max(lambda + mu) = ")
+
+
 def test_run_manifest(runner, tmp_path):
     out = tmp_path / "metrics.json"
     manifest = tmp_path / "manifest.json"

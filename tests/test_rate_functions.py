@@ -363,6 +363,20 @@ def test_support_line_names_missing_tag_field(env, tag, field):
         support_line(f, tag)
 
 
+@pytest.mark.parametrize("tag,message", [
+    (None, "support_line needs a CaseTag, got NoneType"),
+    (("MC2-2", (0.2, 0.4), "log", 0.3), "support_line needs a CaseTag, got tuple"),
+    (CaseTag("bogus", (0.2, 0.4), "log", 0.3), "no support line for case family 'bogus'"),
+    (CaseTag("LMU", None, "log", 0.4), "no support line for case family 'LMU'"),
+])
+def test_support_line_refuses_a_tag_classify_case_never_returns(env, tag, message):
+    # None ended in an AttributeError, and a misspelt family was taken for a
+    # segment-interior tag and returned a chord
+    with pytest.raises(ValueError) as err:
+        support_line(env, tag)
+    assert str(err.value) == message
+
+
 def test_piecewise_rates_are_non_negative():
     with pytest.raises(ValueError, match="^rates are non-negative$"):
         piecewise_function([(-0.1, 0), (1, 1)])

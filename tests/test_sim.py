@@ -35,7 +35,13 @@ ENV = lower_convex_envelope(
 BLOCKS = (1, 7, sim.BLOCK)
 
 # (policy, cost, utility, horizon, warmup fraction).  The first ten end
-# inside the first default block, the last two span two or three.
+# inside the first default block, the next two span two or three.  The
+# last three test the per-state P(up) list: walks that climb far above
+# their start, so the list grows over many blocks, one of them past state
+# 255, where a block's states no longer fit in bytes; and a trap run 3..5
+# with service above it, which the list walk steps through at P(up) = 1
+# and falls back onto from above, so a block must end at its first trap.
+CLIMB = policy_from_pieces([[0, 299, 0.9]], 0.3, [[1, 299, 0.5]], 1.0)
 ORACLE_CASES = [
     (constant_policy(0.25, 1.0), CSQ, None, 4.0, 0.0),
     (constant_policy(0.4, 1.0), CSQ, IDENT, 300.0, 0.1),
@@ -49,6 +55,9 @@ ORACLE_CASES = [
     (lambda_mu_policy(0.4, 2.0 ** -6, eps=0.05, K=10), CSQ, IDENT, 1000.0, 0.1),
     (mc1_policy(0.5, 2.0 ** -6, K=0.5), CSQ, USQRT, 10000.0, 0.0),
     (constant_policy(0.4, 1.0), CSQ, IDENT, 12000.0, 0.1),
+    (constant_policy(0.95, 1.0), CSQ, IDENT, 6000.0, 0.1),
+    (CLIMB, CSQ, IDENT, 2000.0, 0.1),
+    (policy_from_pieces([[3, 5, 0.0]], 0.9, [[3, 5, 0.0]], 1.0), CSQ, USQRT, 800.0, 0.0),
 ]
 
 
@@ -118,6 +127,18 @@ def test_unstable_policy_refused():
         simulate(never_serves, SimConfig(100.0, 2, 0, 0.1), CSQ)
 
 
+def test_horizon_past_the_resolution_of_doubles_refused():
+    # 1e308 ended in an OverflowError: at horizon * max(lambda + mu) >= 2**52 a
+    # mean holding time is below the spacing of doubles near the horizon
+    p = constant_policy(0.4, 1.0)
+    bound = 2.0 ** 52 / 1.4
+    for horizon in (1e308, bound):
+        with pytest.raises(ValueError) as err:
+            simulate(p, SimConfig(horizon, 2, 0, 0.1), CSQ)
+        assert str(err.value) == ("horizon must be below 2**52 / max(lambda + mu) = %r, got %r"
+                                  % (bound, horizon))
+
+
 def test_config_validation():
     p = constant_policy(0.4, 1.0)
     with pytest.raises(ValueError):
@@ -184,3 +205,36 @@ def test_policy_that_admits_nothing_simulates_to_zero():
     m = exact_metrics(p, CSQ, USQRT)
     assert (m.qbar, m.cbar, m.ubar) == (0.0, 0.0, 0.0)
     assert est == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3)
+
+
+# criterion-8 pairs (constant, mc22, mc1 with its geometric tail) at the
+# benchmark's seed-0 configs, a trap reached mid-path and a walk past state
+# 255, as the run-by-run walk estimated them: a faster walk must draw and
+# sum exactly the same.  OpenBLAS sums a dot product in another order on
+# AVX-512, AVX2 and older x86-64 cores, which moves the last bits of some
+# half-widths, so a case lists one estimate for each order that differs.
+PINNED = [
+    (constant_policy(0.4, 1.0), CSQ, IDENT, SimConfig(10000.0, 10, 1000, 0.1), [
+        (0.6832105118466428, 0.01379604007841163, 0.4044747962637942,
+         0.005311654204173411, 0.3999999999999999, 1.0697312354203919e-16, 10)]),
+    (mc22_policy(0.39, 0.2, 0.4, 2.0 ** -6), ENV, USQRT, SimConfig(10000.0, 10, 1008, 0.1), [
+        (40.281224701562444, hw, 0.15249499712193104,
+         0.0036903374974501728, 0.6244997998398396, 1.8492759632212005e-16, 10)
+        for hw in (15.960452623785677, 15.960452623785683, 15.96045262378568)]),
+    (mc1_policy(0.5, 2.0 ** -6, K=0.5), CSQ, USQRT, SimConfig(10000.0, 10, 1019, 0.1), [
+        (9.153079477822144, 0.16871848688945523, 0.2760569078643817,
+         0.007011763563066035, 0.7071067811865477, 1.5214979960476141e-16, 10)]),
+    (ONE_STATE_CASES[1][0], CSQ, USQRT, SimConfig(40.0, 4, 3, 0.5), [
+        (2.3567556029199768, 1.215952662897369, 0.08829396015561043,
+         0.14574593075780745, 0.1616933875435416, 0.2972209652658324, 4)]),
+    (CLIMB, CSQ, IDENT, SimConfig(2000.0, 3, 11, 0.1), [
+        (262.67615017795544, hw, 0.44496298914570237,
+         0.031954492560820905, 0.744029608683438, 0.02556359404865662, 3)
+        for hw in (11.357445999070826, 11.357445999070812)]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED)))
+def test_estimates_pinned_bit_for_bit(case):
+    p, c, u, cfg, want = PINNED[case]
+    assert tuple(simulate(p, cfg, c, u)) in want
