@@ -32,7 +32,8 @@ import math
 import sys
 from collections import namedtuple
 
-from .rate_functions import RATE_TOL, _count, _finite, _is_number, evaluate, inverse
+from .rate_functions import (
+    RATE_TOL, _check_roles, _count, _finite, _is_number, evaluate, inverse)
 
 # segments cover the recurrent window from q_lo in state order; q_max is the
 # last state before the geometric tail, whose ratio is its segment's
@@ -365,7 +366,8 @@ def _mean_offset(n, x):
 
 
 def pi_at(sr, q):
-    """pi(q), zero at transient and unreachable states."""
+    """pi(q), zero at transient and unreachable states; q is an integer."""
+    q = _count(q, "q")
     for s in sr.segments:
         if s.first <= q < s.first + s.length:
             return math.exp(s.log_pi + (q - s.first) * s.log_ratio)
@@ -373,7 +375,8 @@ def pi_at(sr, q):
 
 
 def mass_below(sr, q):
-    """Stationary mass of the states below q."""
+    """Stationary mass of the states below q, an integer."""
+    q = _count(q, "q")
     parts = []
     for s in sr.segments:
         if s.first >= q:
@@ -399,8 +402,9 @@ def metrics(sr, c, u):
     times its mean state to Qbar, so transient states and the geometric
     tail need no special case.  Rates must be evaluable under the
     respective function (for a discrete cost that means every service rate
-    used is a sample).
+    used is a sample).  c must be a cost and u None or a utility.
     """
+    _check_roles(c, u)
     segs = sr.segments
 
     def mean(values):

@@ -19,8 +19,11 @@ Policy evaluation solves the (N+2)-unknown linear system
     h(0) = 0
 
 by sparse LU (``_evaluate_policy``, which also says what it keeps between
-calls); ``scipy.sparse`` is imported only then, so importing this module
-(and ``qtl`` or ``qtl.cli``) does not load it.
+calls, in a slot its caller owns); ``scipy.sparse`` is imported only then,
+so importing this module (and ``qtl`` or ``qtl.cli``) does not load it.
+The module holds no mutable state: each ``solve`` evaluates in its own
+slot and each ``trace_tradeoff`` in one slot for all its solves, so both
+may run in threads.
 
 Policy iteration keeps one array of action indices per rule.  Each action
 set is a ``_Side``, built with the problem and priced at a multiplier
@@ -38,7 +41,7 @@ from collections import namedtuple
 import numpy as np
 
 from .birth_death import Policy, exact_metrics, is_admissible, rate_value
-from .rate_functions import _count, _finite, _is_number
+from .rate_functions import _check_roles, _count, _finite, _is_number
 
 MAX_ITERATIONS = 500
 TOL = 1e-9                # stop once the Bellman residual's span falls below this
@@ -65,11 +68,13 @@ class LagrangianProblem:
     cost_fn or utility_fn cannot evaluate is a ValueError, and so is a
     service set without a positive rate.  r_u is max
     arrival + max service, the smallest valid uniformization rate.
-    utility_fn may be None when beta2 == 0.
+    cost_fn must be a cost RateFunction and utility_fn a utility one, or
+    None when beta2 == 0.
     """
 
     def __init__(self, beta1, beta2, service_actions, arrival_actions,
                  cost_fn, utility_fn=None, state_cap=500):
+        _check_roles(cost_fn, utility_fn)
         self.beta1, self.beta2 = _multipliers(beta1, beta2, utility_fn)
         service_actions = _rates(service_actions, "service")
         arrival_actions = _rates(arrival_actions, "arrival")
@@ -196,48 +201,48 @@ def _fill(data, at, pattern, lam, mu, r_u):
 _SINGULAR = ("policy evaluation is singular: the Poisson system of this "
              "single-class chain is numerically singular")
 _EMPTY = (None,) * 5
-_last = _EMPTY      # (key, factor, pattern, matrix, at): see _evaluate_policy
 
 
-def _evaluate_policy(lam, mu, stage, r_u):
+def _evaluate_policy(lam, mu, stage, r_u, slot):
     """Relative values h (h(0) = 0) and gain g of the chain (lam, mu) at
     stage costs ``stage``, by SuperLU.
 
-    One slot, ``_last``, keeps what the last factorization used: its key
+    ``slot`` is the caller's one-element list; its tuple, ``_EMPTY`` at
+    first, keeps what the last factorization through it used: its key
     (the bytes of lam and mu, and r_u), its SuperLU factor, and the zero
     pattern, matrix and value positions ``at`` from ``_build``.  The same
     chain again is solved with the kept factor, like an
-    ``lru_cache(maxsize=1)``: a warm-started solve first evaluates the
-    policy the previous solve ended on, and only its right-hand side
-    differs.  A chain already factored was already checked.
+    ``lru_cache(maxsize=1)``: a warm-started solve of a trace first
+    evaluates the policy the previous solve ended on, and only its
+    right-hand side differs.  A chain already factored was already checked.
 
     Any other chain first drops the kept factor, so one factor at most is
-    alive, and is then checked by ``_pattern``.  If it keeps the slot's
-    zero pattern, as policy iteration's next policy mostly does, its values
-    are written into the slot's matrix in place (``_fill``); else the slot
-    is emptied and ``_build`` makes a new matrix.  SuperLU sees the same
-    bytes either way, and neither keeps nor changes them.  A refused chain
-    leaves the slot's matrix and no factor, a singular one its own matrix
-    and no factor.  ``trace_tradeoff`` empties the slot when it is done.
+    alive per slot, and is then checked by ``_pattern``.  If it keeps the
+    slot's zero pattern, as policy iteration's next policy mostly does, its
+    values are written into the slot's matrix in place (``_fill``); else
+    the slot is emptied and ``_build`` makes a new matrix.  SuperLU sees
+    the same bytes either way, and neither keeps nor changes them.  A
+    refused chain leaves the slot's matrix and no factor, a singular one
+    its own matrix and no factor.  Each step rebinds ``slot[0]`` to a new
+    tuple.
     """
-    global _last
     key = (lam.tobytes(), mu.tobytes(), r_u)
-    if _last[0] != key:
+    if slot[0][0] != key:
         from scipy.sparse.linalg import splu
 
-        _last = (None, None) + _last[2:]       # the old factor goes first
+        slot[0] = (None, None) + slot[0][2:]       # the old factor goes first
         pattern = _pattern(lam, mu)
-        if _last[2] is not None and all(map(np.array_equal, pattern, _last[2])):
-            _fill(_last[3].data, _last[4], pattern, lam, mu, r_u)
+        if slot[0][2] is not None and all(map(np.array_equal, pattern, slot[0][2])):
+            _fill(slot[0][3].data, slot[0][4], pattern, lam, mu, r_u)
         else:
-            _last = _EMPTY      # and the old matrix before the new one is built
-            _last = (None, None, pattern) + _build(pattern, lam, mu, r_u)
+            slot[0] = _EMPTY      # and the old matrix before the new one is built
+            slot[0] = (None, None, pattern) + _build(pattern, lam, mu, r_u)
         try:
-            _last = (key, splu(_last[3])) + _last[2:]
+            slot[0] = (key, splu(slot[0][3])) + slot[0][2:]
         except RuntimeError:
             # SuperLU's "Factor is exactly singular"
             raise ValueError(_SINGULAR) from None
-    x = _last[1].solve(np.append(stage, 0.0))
+    x = slot[0][1].solve(np.append(stage, 0.0))
     if not np.all(np.isfinite(x)):
         raise ValueError(_SINGULAR)
     return x[:-1], x[-1]
@@ -359,7 +364,7 @@ def _start_indices(lp, start):
     return np.append(k, at[0]), np.append(m - 1 - at[1], m)
 
 
-def solve(lp, *, start=None):
+def solve(lp, *, start=None, _slot=None):
     """Policy iteration for the relaxed problem.  Returns a SolveResult.
 
     Starts from the largest rates, or from the keyword-only ``start``, a
@@ -386,9 +391,10 @@ def solve(lp, *, start=None):
     among the positive service rates only.
 
     Each evaluation solves the Poisson system with SuperLU, reusing what
-    the previous evaluation kept (see ``_evaluate_policy``); a multi-class
-    policy, or a numerically singular system, is a ValueError, not a
-    warning.
+    the previous evaluation kept (see ``_evaluate_policy``) in the private
+    ``_slot``: a fresh one unless ``trace_tradeoff`` passes its own, and
+    shared by a warm run and its cold fallback.  A multi-class policy, or
+    a numerically singular system, is a ValueError, not a warning.
     """
     n = lp.state_cap + 1      # states 0..state_cap
     k, m = len(lp.service_actions), len(lp.arrival_actions)
@@ -406,6 +412,7 @@ def solve(lp, *, start=None):
     srv_cost = np.append(lp.beta1 * service.c, 0.0)
     arr_cost = np.append(lp.beta2 * arrival.c, 0.0)
 
+    slot = [_EMPTY] if _slot is None else _slot
     states = np.arange(n)
     steps = 0     # improvement steps of every run, an abandoned warm one included
 
@@ -419,7 +426,7 @@ def solve(lp, *, start=None):
                 raise ValueError(
                     "policy iteration did not converge in %d iterations" % MAX_ITERATIONS)
             stage = (states + srv_cost[mu_at] + arr_cost[lam_at]) / lp.r_u
-            h, g = _evaluate_policy(arr[lam_at], srv[mu_at], stage, lp.r_u)
+            h, g = _evaluate_policy(arr[lam_at], srv[mu_at], stage, lp.r_u, slot)
             gain_history.append(g)
             if span < TOL:
                 return mu_at, lam_at, g, gain_history
@@ -490,10 +497,12 @@ def trace_tradeoff(base, beta1_grid, beta2_grid):
     Returns (points, failures): points sorted by achieved cost with
     dominated ones flagged, failures as (beta1, beta2, error) records for
     grid points whose solve raised.  A grid with a beta2 > 0 and a problem
-    without a utility is refused before any point.  A finished trace
-    empties the evaluation slot (see ``_evaluate_policy``).
+    without a utility is refused before any point.  Every solve of the
+    trace evaluates in one slot of its own (see ``_evaluate_policy``),
+    which is let go when the trace returns: held past it, it would keep
+    the allocator from trimming the heap, and each page SuperLU has
+    touched would stay resident.
     """
-    global _last
     b1, b2 = list(beta1_grid), list(beta2_grid)
     if not all(map(_is_number, b1 + b2)):
         raise ValueError("multipliers must be numbers")
@@ -507,12 +516,13 @@ def trace_tradeoff(base, beta1_grid, beta2_grid):
     points = []
     failures = []
     start = None
+    slot = [_EMPTY]
     for beta1 in b1:
         if len(b2) > 1:
             start = None
         for beta2 in b2:
             try:
-                res = solve(base.with_multipliers(beta1, beta2), start=start)
+                res = solve(base.with_multipliers(beta1, beta2), start=start, _slot=slot)
                 m = exact_metrics(res.policy, base.cost_fn, base.utility_fn)
             except ValueError as exc:
                 failures.append(TraceFailure(beta1, beta2, str(exc)))
@@ -522,9 +532,5 @@ def trace_tradeoff(base, beta1_grid, beta2_grid):
             points.append(TradeoffPoint(
                 beta1=beta1, beta2=beta2, c_c=m.cbar, u_c=m.ubar,
                 q_star=m.qbar, policy=res.policy, dominated=False))
-    # the slot serves the next solve of this trace only; held past it, it
-    # keeps the allocator from trimming the heap, and each page SuperLU
-    # has touched would stay resident
-    _last = _EMPTY
     points.sort(key=lambda p: p.c_c)
     return _mark_dominated(points), failures

@@ -37,11 +37,11 @@ from .birth_death import check_admissible, is_stable, policy_from_pieces
 from .rate_functions import RATE_TOL, _check_tag, _count, _is_number
 
 
-def _check_positive(**params):
-    # each param given must be a positive finite number, else it is named
-    # (None is a default the constructor fills in)
+def _check_positive(*optional, **params):
+    # each param must be a positive finite number, else it is named; one
+    # named in ``optional`` may also be None, a default the constructor fills in
     for name, x in params.items():
-        if x is not None and not (_is_number(x) and 0 < x < math.inf):
+        if not (x is None and name in optional or _is_number(x) and 0 < x < math.inf):
             raise ValueError("%s must be a positive finite number, got %s"
                              % (name, "%g" % x if _is_number(x) else repr(x)))
 
@@ -91,7 +91,7 @@ def mc1_policy(lam, U, K=None, r_max=1.0):
     monotonicity); lam >= r_max is refused first, and the built policy's
     bound and monotonicity checks refuse the last two.
     """
-    _check_positive(U=U, lam=lam, K=K, r_max=r_max)
+    _check_positive("K", U=U, lam=lam, K=K, r_max=r_max)
     if lam >= r_max:
         raise ValueError("lam=%g must stay below r_max=%g" % (lam, r_max))
     eps_u = math.sqrt(U)
@@ -151,7 +151,7 @@ def mc23_policy(lam, K, U, next_corner=None):
     _check_numbers(K=K)
     if K <= 0:
         raise ValueError("K must be positive")
-    _check_positive(U=U, lam=lam, K=K, next_corner=next_corner)
+    _check_positive("next_corner", U=U, lam=lam, K=K, next_corner=next_corner)
     if next_corner is not None and lam + K > next_corner + RATE_TOL:
         raise ValueError(
             "lam + K = %g overshoots the next corner %g" % (lam + K, next_corner))
@@ -173,7 +173,7 @@ def lambda_mu_policy(u_inv_uc, U, eps=None, K=None, ra_max=1.0, r_max=1.0):
     2 (1 + u^-1(u_c)^2 / eps), which is what makes the average utility
     clear u_c for small U.
     """
-    _check_positive(U=U, u_inv_uc=u_inv_uc, eps=eps, ra_max=ra_max, r_max=r_max)
+    _check_positive("eps", U=U, u_inv_uc=u_inv_uc, eps=eps, ra_max=ra_max, r_max=r_max)
     if eps is None:
         eps = min(0.05, 0.5 * (ra_max - u_inv_uc))
     if eps <= 0:
@@ -208,10 +208,11 @@ def lc_mirror_policy(mu, tag, U):
     plumbing (the tight arrival-side constructions are not reproduced
     here) and the metadata says so.
     """
+    _check_tag("lc_mirror_policy", tag)
     fam = tag.family
     if fam not in ("LC1", "LC2-1", "LC2-2"):
         raise ValueError("not an arrival-side case tag: %r" % (fam,))
-    _check_tag(tag, "window")
+    _check_tag("lc_mirror_policy", tag, "window")
     _check_positive(U=U, mu=mu, window_hi=tag.window[1])
     # the arrival rate is `head` on states 0..q1-1 and `tail` beyond
     if fam == "LC1":

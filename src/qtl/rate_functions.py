@@ -26,7 +26,8 @@ and the curvature constant a1 where those are defined.
 The module also owns the input rules that every layer reads: what a
 number is (``_is_number``: an int or float, never a bool or a string), a
 finite number (``_finite``), a count (``_count``: an int or an integral
-float) and when two rates are equal (``RATE_TOL``).
+float), when two rates are equal (``RATE_TOL``), what a case tag is
+(``_check_tag``) and what a cost and a utility are (``_check_roles``).
 """
 
 import bisect
@@ -72,25 +73,27 @@ def _count(x, what):
     return int(x)
 
 
-def _check_tag(tag, *fields):
-    """Raise ValueError naming the first of ``fields`` the case tag lacks,
-    or the first field of another shape: a window must be a pair of
-    numbers (window_lo, window_hi) and an anchor a number.  Every use of a
-    tag's window or anchor is checked here first."""
+def _check_tag(use, tag, *fields):
+    """Raise ValueError, naming the function ``use``, for a tag that is no
+    CaseTag; else naming the first of ``fields`` the case tag lacks, or the
+    first field of another shape: a window must be a pair of numbers
+    (window_lo, window_hi) and an anchor a number.  Every use of a tag is
+    checked here before it reads any field."""
+    if not isinstance(tag, CaseTag):
+        raise ValueError("%s needs a CaseTag, got %s" % (use, type(tag).__name__))
     for name in fields:
         if getattr(tag, name) is None:
             raise ValueError("case tag %s has no %r" % (tag.family, name))
-    named = []
-    if tag.window is not None:
-        if not (isinstance(tag.window, (tuple, list)) and len(tag.window) == 2):
+    window, anchor = tag.window, tag.anchor
+    if window is not None:
+        if not (isinstance(window, (tuple, list)) and len(window) == 2):
             raise ValueError("case tag %s: window must be a pair of numbers, got %r"
-                             % (tag.family, tag.window))
-        named += zip(("window_lo", "window_hi"), tag.window)
-    if tag.anchor is not None:
-        named.append(("anchor", tag.anchor))
-    for name, x in named:
-        if not _is_number(x):
-            raise ValueError("%s must be a number, got %r" % (name, x))
+                             % (tag.family, window))
+        for name, x in zip(("window_lo", "window_hi"), window):
+            if not _is_number(x):
+                raise ValueError("%s must be a number, got %r" % (name, x))
+    if not (anchor is None or _is_number(anchor)):
+        raise ValueError("anchor must be a number, got %r" % (anchor,))
 
 
 class RateFunction(object):
@@ -104,6 +107,9 @@ class RateFunction(object):
     def __init__(self, kind, role, lo, hi, exponent=None, br=None, bv=None):
         if role not in ("cost", "utility"):
             raise ValueError("role must be 'cost' or 'utility'")
+        if kind not in ("power", "piecewise", "discrete"):
+            raise ValueError("kind must be 'power', 'piecewise' or 'discrete', got %r"
+                             % (kind,))
         self.kind = kind
         self.role = role
         self.lo, self.hi = _finite(lo, "domain bound"), _finite(hi, "domain bound")
@@ -160,6 +166,17 @@ class RateFunction(object):
         )
 
 
+def _check_roles(c, u):
+    """Refuse a cost c that is not a cost RateFunction, and a utility u that
+    is neither None nor a utility RateFunction: a missing or wrong-role
+    function would otherwise be priced as zero, or as the other role."""
+    if not (isinstance(c, RateFunction) and c.role == "cost"):
+        raise ValueError("the cost must be a cost RateFunction, got %r" % (c,))
+    if not (u is None or isinstance(u, RateFunction) and u.role == "utility"):
+        raise ValueError("the utility must be None or a utility RateFunction, got %r"
+                         % (u,))
+
+
 def power_function(exponent, domain=(0.0, 1.0), role="cost"):
     return RateFunction("power", role, domain[0], domain[1], exponent=exponent)
 
@@ -211,7 +228,11 @@ def evaluate(f, r):
 
     Discrete sets are evaluable only at their sample rates; anything else
     raises, which keeps the convexity semantics of a sampled cost honest.
+    A rate that is not a number is refused.
     """
+    # a float passes on its type alone: the internal callers pass floats
+    if type(r) is not float and not _is_number(r):
+        raise ValueError("rate must be a number, got %r" % (r,))
     if f.kind == "discrete":
         for rr, vv in zip(f.br, f.bv):
             if abs(rr - r) <= RATE_TOL:
@@ -239,8 +260,10 @@ def inverse(f, v):
 
     Bisection is used for every kind rather than per-kind closed forms; the
     functions are strictly increasing so 100 halvings of the domain pin the
-    root to full float precision.
+    root to full float precision.  A value that is not a number is refused.
     """
+    if not _is_number(v):
+        raise ValueError("value must be a number, got %r" % (v,))
     if f.kind == "discrete":
         raise ValueError("discrete set has no inverse; take lower_convex_envelope first")
     v_lo, v_hi = evaluate(f, f.lo), evaluate(f, f.hi)
@@ -343,11 +366,12 @@ def _left_slope(f, r):
 def classify_case(f, rate):
     """Place an operating rate in the case taxonomy.
 
-    Returns a CaseTag.  The rate must be strictly inside the domain; for
-    analytic kinds the curvature at the rate is checked (a vanishing second
-    derivative breaks the strict convexity/concavity the MC1/LC1 analysis
-    needs).
+    Returns a CaseTag.  The rate must be a finite number strictly inside
+    the domain; for analytic kinds the curvature at the rate is checked (a
+    vanishing second derivative breaks the strict convexity/concavity the
+    MC1/LC1 analysis needs).
     """
+    _finite(rate, "operating rate")
     if f.kind == "discrete":
         raise ValueError("classify on the lower_convex_envelope, not the raw samples")
     if rate <= f.lo + CORNER_TOL or rate >= f.hi - CORNER_TOL:
@@ -402,13 +426,12 @@ def support_line(f, tag):
     the analytic tags only.  A tag that is no CaseTag, or whose family is
     none of classify_case's, is refused.
     """
-    if not isinstance(tag, CaseTag):
-        raise ValueError("support_line needs a CaseTag, got %s" % type(tag).__name__)
+    _check_tag("support_line", tag)
     fam = tag.family
     if fam not in CASE_FAMILIES:
         raise ValueError("no support line for case family %r" % (fam,))
     if fam in ("MC1", "LC1"):
-        _check_tag(tag, "anchor")
+        _check_tag("support_line", tag, "anchor")
         if f.kind != "power":
             raise ValueError("%s needs a power function" % fam)
         d2 = _curvature(f, tag.anchor)
@@ -418,7 +441,7 @@ def support_line(f, tag):
         return SupportLine(slope, evaluate(f, tag.anchor) - slope * tag.anchor, tag.anchor,
                            None, 0.5 * d2)
     if fam in ("MC2-3", "LC2-2"):
-        _check_tag(tag, "window", "anchor")
+        _check_tag("support_line", tag, "window", "anchor")
         p0, p1 = tag.window
         if not p0 < tag.anchor < p1:
             raise ValueError("corner %g is not inside its window" % tag.anchor)
@@ -431,7 +454,7 @@ def support_line(f, tag):
             raise ValueError("no corner at rate %g: both slopes are %g" % (tag.anchor, slope))
         return SupportLine(slope, va - slope * tag.anchor, tag.anchor, m_a, None)
     # segment-interior chord
-    _check_tag(tag, "window")
+    _check_tag("support_line", tag, "window")
     a, b = tag.window
     if not a < b:
         raise ValueError("segment window needs a < b, got [%g, %g]" % (a, b))

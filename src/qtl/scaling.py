@@ -39,8 +39,8 @@ import numpy as np
 
 from .birth_death import mass_below, metrics, pi_at, rate_value, stationary
 from .rate_functions import (
-    CURVATURE_FLOOR, RATE_TOL, _check_tag, _curvature, _in_domain, _left_slope, evaluate,
-    support_line)
+    CASE_FAMILIES, CURVATURE_FLOOR, RATE_TOL, _check_tag, _curvature, _in_domain, _is_number,
+    _left_slope, evaluate, support_line)
 
 ScalingSample = namedtuple("ScalingSample", ["U", "V", "qbar", "ubar", "cbar"])
 SweepFailure = namedtuple("SweepFailure", ["U", "error"])
@@ -70,13 +70,20 @@ _REGIME_MODELS = {
 }
 
 
+def _check_c_ref(c_ref):
+    # a NaN or infinite c_ref is a number: its cost gap fails by value
+    if not _is_number(c_ref):
+        raise ValueError("c_ref must be a number, got %r" % (c_ref,))
+
+
 def sweep(build, U_grid, c, c_ref, u=None):
     """Run ``build(U)`` across the grid and collect exact scaling samples.
 
     Returns (samples, failures); a grid point fails (and the sweep
     continues) when construction raises or the achieved gap V is not a
-    positive finite number.
+    positive finite number.  A c_ref that is not a number is refused.
     """
+    _check_c_ref(c_ref)
     grid = list(U_grid)
     if not grid:
         raise ValueError("U grid must be non-empty")
@@ -103,8 +110,12 @@ def classify_regime(samples, tag=None):
     names the first sample that breaks this, or the largest |qbar| when
     the fit's residual scale overflows.  When a CaseTag is given the
     verdict says whether the selected model matches the regime the
-    taxonomy predicts.
+    taxonomy predicts; a tag whose regime has no models is refused.
     """
+    if tag is not None:
+        _check_tag("classify_regime", tag)
+        if tag.regime not in _REGIME_MODELS:
+            raise ValueError("no growth model for regime %r" % (tag.regime,))
     if len(samples) < 5:
         raise ValueError("need at least 5 samples, got %d" % len(samples))
     v = np.array([s.V for s in samples], dtype=float)
@@ -145,7 +156,7 @@ def classify_regime(samples, tag=None):
 
     verdict = None
     if tag is not None:
-        expected = _REGIME_MODELS.get(tag.regime, ())
+        expected = _REGIME_MODELS[tag.regime]
         verdict = "matches" if best in expected else "contradicts"
     return ScalingFit(best, best_coeffs, residuals[best], verdict, residuals)
 
@@ -194,14 +205,22 @@ def audit_lower_bound(p, tag, c, u, c_ref):
 
     ``tag`` is the operating point's CaseTag (family "LMU" selects the
     joint-choice checks, with the construction margin taken from the
-    policy metadata); ``c_ref`` anchors V = Cbar - c_ref, which must be
+    policy metadata), or None for the pi-zero check alone, which is all an
+    arrival-side family gets; a family that is neither classify_case's nor
+    "LMU" is refused.  ``c_ref`` anchors V = Cbar - c_ref, which must be
     positive and finite.  Returns a list of AuditCheck records.
     """
+    fam = None
+    if tag is not None:
+        _check_tag("audit_lower_bound", tag)
+        fam = tag.family
+        if fam not in CASE_FAMILIES + ("LMU",):
+            raise ValueError("no audit for case family %r" % (fam,))
+    _check_c_ref(c_ref)
     sr = stationary(p)
     m = metrics(sr, c, u)
     v = _cost_gap(sr, c, c_ref)
     checks = []
-    fam = tag.family if tag is not None else None
 
     if fam in ("MC1", "MC2-1", "MC2-2", "MC2-3"):
         # mass outside [lo - eps, hi + eps] is at most V/(k eps): the family
@@ -248,7 +267,7 @@ def audit_lower_bound(p, tag, c, u, c_ref):
             checks.append(_skip(
                 "low-rate-mass", "construction margin 'eps' missing from policy meta"))
         else:
-            _check_tag(tag, "anchor")
+            _check_tag("audit_lower_bound", tag, "anchor")
             d2 = _curvature(c, tag.anchor)
             if d2 < CURVATURE_FLOOR:
                 checks.append(_skip("low-rate-mass", "no curvature at the anchor"))

@@ -27,7 +27,7 @@ from collections import namedtuple
 import numpy as np
 
 from .birth_death import is_stable, rate_value
-from .rate_functions import _count, _is_number
+from .rate_functions import _check_roles, _count, _is_number
 
 # The largest block; 2**12 beat 2**14 by about 2x on criterion 8.  A later
 # block holds the remaining events expected at the rate so far, times MARGIN,
@@ -117,9 +117,11 @@ def simulate(p, cfg, c, u=None):
     A single replication yields infinite half-widths (no spread estimate),
     which the structure reports rather than hiding.  An unstable policy
     has no long-run averages to estimate and is refused, and so is a
-    replication count or seed that is not an int or an integral float, and
-    a horizon that reaches 2**52 mean holding times at the fastest rate.
+    replication count or seed that is not an int or an integral float, a
+    horizon that reaches 2**52 mean holding times at the fastest rate, and
+    a c that is not a cost or a u that is neither None nor a utility.
     """
+    _check_roles(c, u)
     if not (_is_number(cfg.horizon) and 0 < cfg.horizon < math.inf):
         raise ValueError("horizon must be positive and finite")
     n = _count(cfg.replications, "replications")

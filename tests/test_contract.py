@@ -11,6 +11,15 @@ number goes, and must refuse either one, never convert it.  The family
 constructors draw numbers only; a table checks that a string or a bool
 among their ordered params is refused by name, and another that a case
 tag whose window or anchor has another shape is refused by field.
+
+The numeric callables (``evaluate``, ``inverse``, ``classify_case``,
+``pi_at``, ``mass_below``, ``sweep`` and ``audit_lower_bound`` at their
+c_ref, and each family constructor but mc21 at its scale U, which mc21
+does not always need) draw one argument from all of the above and None,
+and may return only where it is a number (an integer for ``pi_at`` and
+``mass_below``).  Every use of a case tag
+refuses one that is no CaseTag, and every use of a cost and a utility
+refuses one that is missing or in the other role.
 """
 
 import math
@@ -22,22 +31,34 @@ from hypothesis import given, settings, strategies as st
 from qtl import (
     CaseTag,
     LagrangianProblem,
+    RateFunction,
+    ScalingSample,
     SimConfig,
     audit_lower_bound,
+    classify_case,
+    classify_regime,
     constant_policy,
     discrete_function,
+    evaluate,
+    exact_metrics,
+    inverse,
     lambda_mu_policy,
     lc_mirror_policy,
     lower_convex_envelope,
+    mass_below,
     mc1_policy,
     mc21_policy,
     mc22_policy,
     mc23_policy,
+    metrics,
+    pi_at,
     piecewise_function,
     policy_from_pieces,
     power_function,
     simulate,
+    stationary,
     support_line,
+    sweep,
     uniform_actions,
 )
 
@@ -125,15 +146,21 @@ def _holds_a_non_number(x):
     return x is True or x == "2"
 
 
-ENV = lower_convex_envelope(discrete_function([(s, s * s) for s in (0, 0.2, 0.4, 0.6, 1)]))
+MENU = discrete_function([(s, s * s) for s in (0, 0.2, 0.4, 0.6, 1)])
+ENV = lower_convex_envelope(MENU)
 MC22 = CaseTag("MC2-2", (0.2, 0.4), "log", 0.39)
+MC22_POLICY = mc22_policy(0.39, 0.2, 0.4, 0.01)
+LC21 = CaseTag("LC2-1", (0.4, 0.6), "log", 0.5)
+# five samples whose qbar grows like log(1/V) over four decades of V
+LOG_SAMPLES = [ScalingSample(0.0, v, math.log(1.0 / v), 0.0, 0.0)
+               for v in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)]
 # each use of a case tag, with a tag it accepts
 TAG_USES = {
-    "lc_mirror_policy": (CaseTag("LC2-1", (0.4, 0.6), "log", 0.5),
-                         lambda tag: lc_mirror_policy(0.5, tag, 0.01)),
+    "lc_mirror_policy": (LC21, lambda tag: lc_mirror_policy(0.5, tag, 0.01)),
     "support_line": (MC22, lambda tag: support_line(ENV, tag)),
     "audit_lower_bound": (MC22, lambda tag: audit_lower_bound(
-        mc22_policy(0.39, 0.2, 0.4, 0.01), tag, ENV, None, 0.154)),
+        MC22_POLICY, tag, ENV, None, 0.154)),
+    "classify_regime": (MC22, lambda tag: classify_regime(LOG_SAMPLES, tag)),
 }
 
 
@@ -152,3 +179,135 @@ def test_a_tag_of_another_shape_is_refused_by_field(use, field, value, message):
     call(tag)
     with pytest.raises(ValueError, match=re.escape(message)):
         call(tag._replace(**{field: value}))
+
+
+# None means "no tag" to an audit and a fit
+@pytest.mark.parametrize("use,bad", [("lc_mirror_policy", None)] + [
+    (use, bad) for use in ("audit_lower_bound", "classify_regime", "lc_mirror_policy")
+    for bad in (("MC2-2", (0.2, 0.4), "log", 0.39), "MC2-2")])
+def test_a_tag_that_is_no_case_tag_is_refused(use, bad):
+    # each of these read a field of the tag first, and ended in an
+    # AttributeError
+    with pytest.raises(ValueError) as err:
+        TAG_USES[use][1](bad)
+    assert str(err.value) == "%s needs a CaseTag, got %s" % (use, type(bad).__name__)
+
+
+@pytest.mark.parametrize("call,message", [
+    # a misspelt family ran the pi-zero check alone, and exited 0
+    (lambda: audit_lower_bound(MC22_POLICY, MC22._replace(family="MC22"), ENV, None, 0.154),
+     "no audit for case family 'MC22'"),
+    (lambda: audit_lower_bound(MC22_POLICY, MC22._replace(family=""), ENV, None, 0.154),
+     "no audit for case family ''"),
+    # an unknown regime, or none, read as a verdict of "contradicts"
+    (lambda: classify_regime(LOG_SAMPLES, CaseTag("X", None, "bogus", None)),
+     "no growth model for regime 'bogus'"),
+    (lambda: classify_regime(LOG_SAMPLES, MC22._replace(regime=None)),
+     "no growth model for regime None"),
+])
+def test_a_tag_that_names_no_case_is_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def _number(x):
+    return not isinstance(x, bool) and isinstance(x, (int, float))
+
+
+def _integer(x):
+    return _number(x) and float(x).is_integer()
+
+
+def _finite_number(x):
+    return _number(x) and math.isfinite(x)
+
+
+def _positive(x):
+    return _number(x) and 0 < x < math.inf
+
+
+SR = stationary(constant_policy(0.4, 1.0))
+# each numeric callable as a call of one argument x, with what x must be
+# for the call to return
+NUMERIC_CALLS = {
+    "evaluate": (lambda x: evaluate(CSQ, x), _number),
+    "evaluate_piecewise": (lambda x: evaluate(ENV, x), _number),
+    "evaluate_discrete": (lambda x: evaluate(MENU, x), _number),
+    "inverse": (lambda x: inverse(CSQ, x), _number),
+    "inverse_piecewise": (lambda x: inverse(ENV, x), _number),
+    "classify_case": (lambda x: classify_case(CSQ, x), _finite_number),
+    "classify_case_piecewise": (lambda x: classify_case(ENV, x), _finite_number),
+    "pi_at": (lambda x: pi_at(SR, x), _integer),
+    "mass_below": (lambda x: mass_below(SR, x), _integer),
+    "sweep": (lambda x: sweep(lambda U: MC22_POLICY, [0.01], ENV, x), _number),
+    "audit_lower_bound": (lambda x: audit_lower_bound(MC22_POLICY, MC22, ENV, None, x),
+                          _number),
+    "mc1_policy": (lambda x: mc1_policy(0.5, x), _positive),
+    "mc22_policy": (lambda x: mc22_policy(0.39, 0.2, 0.4, x), _positive),
+    "mc23_policy": (lambda x: mc23_policy(0.4, 0.1, x), _positive),
+    "lambda_mu_policy": (lambda x: lambda_mu_policy(0.4, x), _positive),
+    "lc_mirror_policy": (lambda x: lc_mirror_policy(0.5, LC21, x), _positive),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_CALLS))
+@given(x=VALUE | BOUND | st.none())
+def test_numeric_calls_return_only_on_a_number(name, x):
+    call, accepts = NUMERIC_CALLS[name]
+    try:
+        call(x)
+    except ValueError:
+        return
+    assert accepts(x), "returned on %r" % (x,)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: evaluate(CSQ, True), "rate must be a number, got True"),
+    (lambda: inverse(CSQ, "1"), "value must be a number, got '1'"),
+    (lambda: classify_case(CSQ, True), "operating rate must be a finite number, got True"),
+    (lambda: pi_at(SR, 1.5), "q must be an integer, got 1.5"),
+    (lambda: mass_below(SR, math.nan), "q must be a finite number, got nan"),
+    (lambda: sweep(lambda U: MC22_POLICY, [0.01], ENV, "1"), "c_ref must be a number, got '1'"),
+    (lambda: audit_lower_bound(MC22_POLICY, MC22, ENV, None, None),
+     "c_ref must be a number, got None"),
+    (lambda: mc22_policy(0.39, 0.2, 0.4, None), "U must be a positive finite number, got None"),
+    (lambda: mc1_policy(0.5, 0.01, r_max=None),
+     "r_max must be a positive finite number, got None"),
+    (lambda: RateFunction("bogus", "cost", 0, 1, br=[0, 1], bv=[0, 1]),
+     "kind must be 'power', 'piecewise' or 'discrete', got 'bogus'"),
+])
+def test_a_number_rule_refusal_names_the_argument(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+POLICY = constant_policy(0.4, 1.0)
+COST = "the cost must be a cost RateFunction, got %r"
+UTILITY = "the utility must be None or a utility RateFunction, got %r"
+# each use of a cost c and a utility u
+ROLE_USES = {
+    "LagrangianProblem": lambda c, u: LagrangianProblem(
+        50.0, 0.0, [0, 0.5, 1], [0.3], c, u, state_cap=20),
+    "exact_metrics": lambda c, u: exact_metrics(POLICY, c, u),
+    "metrics": lambda c, u: metrics(SR, c, u),
+    "simulate": lambda c, u: simulate(POLICY, SimConfig(10, 2, 0, 0.1), c, u),
+}
+
+
+@pytest.mark.parametrize("c,u,message", [
+    (None, None, COST % None),
+    (USQRT, None, COST % USQRT),
+    ("r^2", USQRT, COST % "r^2"),
+    (CSQ, CSQ, UTILITY % CSQ),
+    (CSQ, "sqrt", UTILITY % "sqrt"),
+])
+@pytest.mark.parametrize("use", sorted(ROLE_USES))
+def test_a_function_missing_or_in_the_wrong_role_is_refused(use, c, u, message):
+    # a missing cost was priced at zero, and a function was read in the
+    # role it was passed in, whatever its own
+    ROLE_USES[use](CSQ, USQRT)
+    with pytest.raises(ValueError) as err:
+        ROLE_USES[use](c, u)
+    assert str(err.value) == message

@@ -1,5 +1,6 @@
 import math
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -65,9 +66,15 @@ def built(lam, mu, r_u):
     return mdp._build(mdp._pattern(lam, mu), lam, mu, r_u)[0]
 
 
-def assert_exact(lam, mu, stage, r_u):
-    # _evaluate_policy equals spsolve on the per-state COO build, bit for bit
-    h, g = mdp._evaluate_policy(lam, mu, stage, r_u)
+def new_slot():
+    # an evaluation slot of one's own, as solve makes one
+    return [mdp._EMPTY]
+
+
+def assert_exact(slot, lam, mu, stage, r_u):
+    # _evaluate_policy, through ``slot``, equals spsolve on the per-state
+    # COO build, bit for bit
+    h, g = mdp._evaluate_policy(lam, mu, stage, r_u, slot)
     x = spsolve(oracles.coo_poisson_matrix(lam, mu, r_u), np.append(stage, 0.0))
     assert np.array_equal(h, x[:-1]) and g == x[-1]
 
@@ -87,14 +94,15 @@ def test_poisson_matrix_matches_coo_build(seed, window):
     # the factor memo: a second stage vector on the same chain reuses the
     # factor; the same chain at another r_u, and another chain, replace it;
     # every result is the fresh oracle solve's
-    assert_exact(lam, mu, stage, r_u)
-    factor = mdp._last[1]
-    assert_exact(lam, mu, rng.uniform(0.0, 5.0, len(stage)), r_u)
-    assert mdp._last[1] is factor
-    assert_exact(lam, mu, stage, 1.5 * r_u)
-    assert mdp._last[1] is not factor
-    assert_exact(*random_chain(rng, "wide"))
-    assert_exact(lam, mu, stage, r_u)
+    slot = new_slot()
+    assert_exact(slot, lam, mu, stage, r_u)
+    factor = slot[0][1]
+    assert_exact(slot, lam, mu, rng.uniform(0.0, 5.0, len(stage)), r_u)
+    assert slot[0][1] is factor
+    assert_exact(slot, lam, mu, stage, 1.5 * r_u)
+    assert slot[0][1] is not factor
+    assert_exact(slot, *random_chain(rng, "wide"))
+    assert_exact(slot, lam, mu, stage, r_u)
 
 
 def singular_chain():
@@ -114,12 +122,12 @@ def test_evaluate_policy_refusals():
     # refused before SuperLU sees the matrix
     with pytest.raises(ValueError, match="singular: the first zero-arrival state q=2 "
                                          "lies below the last zero-service state q=3"):
-        mdp._evaluate_policy(lam, mu, np.ones(5), 1.0)
+        mdp._evaluate_policy(lam, mu, np.ones(5), 1.0, new_slot())
     with pytest.raises(ValueError, match="single-class chain is numerically singular"):
-        mdp._evaluate_policy(*singular_chain())
+        mdp._evaluate_policy(*singular_chain(), new_slot())
     lam[-1] = 0.5
     with pytest.raises(ValueError):
-        mdp._evaluate_policy(lam, mu, np.ones(5), 1.0)
+        mdp._evaluate_policy(lam, mu, np.ones(5), 1.0, new_slot())
 
 
 @pytest.mark.parametrize("bad", [
@@ -131,11 +139,12 @@ def test_evaluation_after_a_failed_one_is_exact(bad):
     # a refused or singular evaluation leaves no factor behind, and the
     # next evaluation, of the chain factored before it, is exact
     lam, mu, stage, r_u = random_chain(np.random.default_rng(11), "wide")
-    assert_exact(lam, mu, stage, r_u)
+    slot = new_slot()
+    assert_exact(slot, lam, mu, stage, r_u)
     with pytest.raises(ValueError, match="singular"):
-        mdp._evaluate_policy(*bad)
-    assert mdp._last[1] is None
-    assert_exact(lam, mu, 2.0 * stage, r_u)
+        mdp._evaluate_policy(*bad, slot)
+    assert slot[0][1] is None
+    assert_exact(slot, lam, mu, 2.0 * stage, r_u)
 
 
 def test_trace_factors_each_policy_once(monkeypatch):
@@ -151,18 +160,17 @@ def test_trace_factors_each_policy_once(monkeypatch):
         def __init__(self, lu):
             self.solve = lu.solve
 
-    def recording_evaluate(lam, mu, stage, r_u):
+    def recording_evaluate(lam, mu, stage, r_u, slot):
         keys.append((lam.tobytes(), mu.tobytes()))
-        return evaluate(lam, mu, stage, r_u)
+        return evaluate(lam, mu, stage, r_u, slot)
 
     def counting_splu(a):
         # the last factor is released before the next one is built
-        assert mdp._last[1] is None and all(f() is None for f in factored)
+        assert all(f() is None for f in factored)
         lu = Factor(splu(a))
         factored.append(weakref.ref(lu))
         return lu
 
-    monkeypatch.setattr(mdp, "_last", mdp._EMPTY)
     monkeypatch.setattr(mdp, "_evaluate_policy", recording_evaluate)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     pts, fails = trace_tradeoff(base, np.geomspace(10.0, 1.2e4, 12).tolist(), [0.0])
@@ -179,9 +187,9 @@ def same_pattern(rng, lam, mu):
     return lam, mu, rng.uniform(0.0, 5.0, len(lam)), r_u
 
 
-def slot_matrix():
-    # the Poisson matrix the last factorization was given
-    return mdp._last[3]
+def slot_matrix(slot):
+    # the Poisson matrix the last factorization through ``slot`` was given
+    return slot[0][3]
 
 
 def assert_built_bytes(a, lam, mu, r_u):
@@ -191,25 +199,21 @@ def assert_built_bytes(a, lam, mu, r_u):
         assert getattr(a, attr).tobytes() == getattr(want, attr).tobytes()
 
 
-@pytest.fixture
-def empty_slot(monkeypatch):
-    monkeypatch.setattr(mdp, "_last", mdp._EMPTY)
-
-
 @pytest.mark.parametrize("window", ["wide", "point", "last"])
 @pytest.mark.parametrize("seed", range(3))
-def test_refill_across_one_pattern_is_exact(empty_slot, seed, window):
+def test_refill_across_one_pattern_is_exact(seed, window):
     # chains of one zero pattern at other rates and r_u: each factorization
     # after the first refills the first matrix, and each solve is the
     # oracle's bit for bit
     rng = np.random.default_rng(seed)
     lam, mu, stage, r_u = random_chain(rng, window)
-    assert_exact(lam, mu, stage, r_u)
-    a = slot_matrix()
+    slot = new_slot()
+    assert_exact(slot, lam, mu, stage, r_u)
+    a = slot_matrix(slot)
     for _ in range(4):
         chain = same_pattern(rng, lam, mu)
-        assert_exact(*chain)
-        assert slot_matrix() is a
+        assert_exact(slot, *chain)
+        assert slot_matrix(slot) is a
         assert_built_bytes(a, chain[0], chain[1], chain[3])
 
 
@@ -218,42 +222,44 @@ def test_refill_across_one_pattern_is_exact(empty_slot, seed, window):
       np.ones(5), 1.0), "previous"),
     (singular_chain(), "failed"),
 ])
-def test_refill_after_a_failed_evaluation_is_exact(empty_slot, bad, in_slot):
+def test_refill_after_a_failed_evaluation_is_exact(bad, in_slot):
     # a refused chain never reaches the matrix slot, a singular one leaves
     # its own matrix there; either way the next chain of the slot's
     # pattern refills it and is solved exactly
     rng = np.random.default_rng(5)
     lam, mu, stage, r_u = random_chain(rng, "wide")
-    assert_exact(lam, mu, stage, r_u)
+    slot = new_slot()
+    assert_exact(slot, lam, mu, stage, r_u)
     with pytest.raises(ValueError, match="singular"):
-        mdp._evaluate_policy(*bad)
-    a = slot_matrix()
+        mdp._evaluate_policy(*bad, slot)
+    a = slot_matrix(slot)
     if in_slot == "failed":
         lam, mu, _, r_u = bad
     assert_built_bytes(a, lam, mu, r_u)
     chain = same_pattern(rng, lam, mu)
-    assert_exact(*chain)
-    assert slot_matrix() is a
+    assert_exact(slot, *chain)
+    assert slot_matrix(slot) is a
 
 
-def test_a_chain_after_a_singular_one_of_its_pattern_is_factored_afresh(empty_slot):
+def test_a_chain_after_a_singular_one_of_its_pattern_is_factored_afresh():
     # A, then the singular B of A's zero pattern, then A again: B leaves its
     # matrix in the slot with no key and no factor, so the second A is not
     # solved with A's old factor but factored again into B's matrix
     lam_b, mu_b, stage, r_u = singular_chain()
     lam_a = np.where(lam_b > 0.0, 0.2, 0.0)
-    assert_exact(lam_a, mu_b, stage, r_u)
+    slot = new_slot()
+    assert_exact(slot, lam_a, mu_b, stage, r_u)
     with pytest.raises(ValueError, match="numerically singular"):
-        mdp._evaluate_policy(lam_b, mu_b, stage, r_u)
-    key, factor, _, a, _ = mdp._last
+        mdp._evaluate_policy(lam_b, mu_b, stage, r_u, slot)
+    key, factor, _, a, _ = slot[0]
     assert key is None and factor is None
     assert_built_bytes(a, lam_b, mu_b, r_u)
-    assert_exact(lam_a, mu_b, np.linspace(0.0, 4.0, len(stage)), r_u)
-    assert slot_matrix() is a and mdp._last[1] is not None
+    assert_exact(slot, lam_a, mu_b, np.linspace(0.0, 4.0, len(stage)), r_u)
+    assert slot_matrix(slot) is a and slot[0][1] is not None
     assert_built_bytes(a, lam_a, mu_b, r_u)
 
 
-def test_splu_leaves_the_refilled_matrix_untouched(empty_slot, monkeypatch):
+def test_splu_leaves_the_refilled_matrix_untouched(monkeypatch):
     # SuperLU reads the matrix it is given and keeps no part of it
     splu, seen = scipy.sparse.linalg.splu, []
 
@@ -268,31 +274,33 @@ def test_splu_leaves_the_refilled_matrix_untouched(empty_slot, monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", checking_splu)
     rng = np.random.default_rng(2)
     lam, mu, stage, r_u = random_chain(rng, "wide")
+    slot = new_slot()
     for chain in [(lam, mu, stage, r_u)] + [same_pattern(rng, lam, mu) for _ in range(3)]:
-        assert_exact(*chain)
+        assert_exact(slot, *chain)
     assert len(seen) == 4 and all(a is seen[0] for a in seen)
 
 
-def test_a_pattern_change_rebuilds_the_matrix(empty_slot):
+def test_a_pattern_change_rebuilds_the_matrix():
     # a new pattern, or a new n, gets a new matrix, and the old one is
     # left as it was
     rng = np.random.default_rng(8)
     lam, mu, stage, r_u = random_chain(rng, "wide")
-    assert_exact(lam, mu, stage, r_u)
-    first = slot_matrix()
+    slot = new_slot()
+    assert_exact(slot, lam, mu, stage, r_u)
+    first = slot_matrix(slot)
     flipped = mu.copy()
     flipped[1] = 0.0 if mu[1] > 0.0 else 0.7
-    assert_exact(lam, flipped, stage, r_u)
-    second = slot_matrix()
+    assert_exact(slot, lam, flipped, stage, r_u)
+    second = slot_matrix(slot)
     assert second is not first
     assert_built_bytes(first, lam, mu, r_u)
     longer = np.append(lam[:-1], [0.3, 0.0]), np.append(mu, 0.4), np.append(stage, 1.0)
-    assert_exact(*longer, r_u)
-    assert slot_matrix() not in (first, second)
+    assert_exact(slot, *longer, r_u)
+    assert slot_matrix(slot) not in (first, second)
     assert_built_bytes(second, lam, flipped, r_u)
 
 
-def test_poisson_matrix_returns_a_new_matrix(empty_slot):
+def test_poisson_matrix_returns_a_new_matrix():
     # a matrix _build returned is the caller's: a later build or refill
     # does not change it
     rng = np.random.default_rng(4)
@@ -302,12 +310,13 @@ def test_poisson_matrix_returns_a_new_matrix(empty_slot):
     for attr in ("data", "indices", "indptr"):
         assert not np.shares_memory(getattr(a, attr), getattr(b, attr))
     kept = a.data.copy()
-    assert_exact(lam, mu, stage, r_u)
-    assert_exact(*same_pattern(rng, lam, mu))
-    assert slot_matrix() is not a and np.array_equal(a.data, kept)
+    slot = new_slot()
+    assert_exact(slot, lam, mu, stage, r_u)
+    assert_exact(slot, *same_pattern(rng, lam, mu))
+    assert slot_matrix(slot) is not a and np.array_equal(a.data, kept)
 
 
-def test_trace_refills_most_matrices(empty_slot, monkeypatch):
+def test_trace_refills_most_matrices(monkeypatch):
     # policy iteration mostly keeps the zero pattern, so most
     # factorizations of a trace refill the matrix instead of building one
     base = LagrangianProblem(0.0, 0.0, S, [0.4], CDISC, None, state_cap=300)
@@ -320,12 +329,31 @@ def test_trace_refills_most_matrices(empty_slot, monkeypatch):
     assert 0 < 2 * len(built) < len(factored)
 
 
-def test_a_finished_trace_empties_the_slots():
+def test_a_finished_trace_empties_the_slots(monkeypatch):
     # the factor and the matrix kept for the next solve are let go once
     # the trace is done
+    build, splu, kept = mdp._build, scipy.sparse.linalg.splu, []
+
+    class Factor:
+        # SuperLU's factor, in an object a weak reference can watch
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    def watched_build(*args):
+        a, at = build(*args)
+        kept.append(weakref.ref(a))
+        return a, at
+
+    def watched_splu(a):
+        lu = Factor(splu(a))
+        kept.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(mdp, "_build", watched_build)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", watched_splu)
     pts, fails = trace_tradeoff(problem(0.0, cap=50), [1.0, 10.0], [0.0])
     assert len(pts) == 2 and not fails
-    assert mdp._last[1] is None and mdp._last[3] is None
+    assert len(kept) > 2 and all(ref() is None for ref in kept)
 
 
 def test_problem_validation():
@@ -836,9 +864,9 @@ def test_trace_warm_starts_change_nothing(monkeypatch):
     b1, b2 = [0.5, 5.0, 40.0], [0.0, 0.7, 3.0, 12.0]
     warm, solved = [], {}
 
-    def recording_solve(lp, start=None):
+    def recording_solve(lp, start=None, **kwargs):
         warm.append(start is not None)
-        res = solved[lp.beta1, lp.beta2] = solve(lp, start=start)
+        res = solved[lp.beta1, lp.beta2] = solve(lp, start=start, **kwargs)
         return res
 
     monkeypatch.setattr(mdp, "solve", recording_solve)
@@ -872,9 +900,9 @@ def test_trace_chains_beta1_with_one_beta2(monkeypatch, b2):
     b1 = np.geomspace(10.0, 1.2e4, 8).tolist()
     starts, solved = [], {}
 
-    def recording_solve(lp, start=None):
+    def recording_solve(lp, start=None, **kwargs):
         starts.append(start)
-        res = solved[lp.beta1, lp.beta2] = solve(lp, start=start)
+        res = solved[lp.beta1, lp.beta2] = solve(lp, start=start, **kwargs)
         return res
 
     monkeypatch.setattr(mdp, "solve", recording_solve)
@@ -891,6 +919,57 @@ def test_trace_chains_beta1_with_one_beta2(monkeypatch, b2):
         # a reused factor gives the float a fresh one gives
         assert solved[p.beta1, p.beta2].gain == cold.gain
         assert (p.c_c, p.u_c, p.q_star) == (m.cbar, m.ubar, m.qbar)
+
+
+def menu_problem(cap=60):
+    # the criterion-2 menu, c(r) = r^2 over 7 service rates, lambda = 0.4
+    return LagrangianProblem(0.0, 0.0, S, [0.4], CSQ, None, state_cap=cap)
+
+
+def admission_problem(cap=60):
+    # joint admission and service control over 41 x 41 actions
+    acts = uniform_actions(1.0, 41)
+    return LagrangianProblem(0.0, 0.0, acts, acts, CSQ, USQRT, state_cap=cap)
+
+
+def solved(lp):
+    # what a cold solve returns, or the message of the ValueError it raises
+    try:
+        res = solve(lp)
+    except ValueError as exc:
+        return str(exc)
+    return res.policy, res.gain, res.iterations, res.gain_history
+
+
+def in_two_threads(first, second):
+    # each list of calls run in order, the two lists at once in two threads
+    with ThreadPoolExecutor(2) as pool:
+        done = [pool.submit(lambda calls=calls: [call() for call in calls])
+                for calls in (first, second)]
+        return [d.result(timeout=120) for d in done]
+
+
+def test_solves_in_two_threads_equal_sequential_ones():
+    # each solve evaluates in a slot of its own, so a solve in another
+    # thread can neither drop its factor nor leave it another chain's
+    menu, admission = menu_problem(), admission_problem()
+    jobs = ([menu.with_multipliers(b, 0.0) for b in np.geomspace(10.0, 1.2e4, 100).tolist()],
+            [admission.with_multipliers(b1, b2) for b1 in np.geomspace(1.0, 1e3, 10).tolist()
+             for b2 in np.geomspace(10 ** 0.5, 10 ** 2.5, 10).tolist()])
+    want = [[solved(lp) for lp in lps] for lps in jobs]
+    assert all(isinstance(r, tuple) for r in want[0] + want[1])
+    assert in_two_threads(*([lambda lp=lp: solved(lp) for lp in lps] for lps in jobs)) == want
+
+
+def test_traces_in_two_threads_equal_sequential_ones():
+    # each trace chains its solves through a slot of its own
+    grids = ((menu_problem(), np.geomspace(10.0, 1.2e4, 12).tolist(), [0.0]),
+             (admission_problem(), [1.0, 10.0, 100.0], [3.0, 30.0]))
+    want = [trace_tradeoff(*grid) for grid in grids]
+    assert all(len(pts) == len(b1) * len(b2) and not fails
+               for (pts, fails), (_, b1, b2) in zip(want, grids))
+    got = in_two_threads(*([lambda grid=grid: trace_tradeoff(*grid)] * 6 for grid in grids))
+    assert got == [[w] * 6 for w in want]
 
 
 ACTION_RATES = st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 1.0]),
