@@ -428,8 +428,12 @@ def feasibility(c, u, c_c, u_c):
 
     The pair (c_c, u_c) is servable iff the cheapest rate meeting the
     utility floor costs no more than the ceiling, i.e.
-    u^-1(u_c) <= c^-1(c_c); rates within RATE_TOL are the boundary.
+    u^-1(u_c) <= c^-1(c_c); rates within RATE_TOL are the boundary.  c
+    must be a cost and u a utility.
     """
+    _check_roles(c, u)
+    if u is None:
+        raise ValueError("feasibility needs a utility RateFunction, got None")
     rc = inverse(c, c_c)
     ru = inverse(u, u_c)
     if abs(rc - ru) <= RATE_TOL:

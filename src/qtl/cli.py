@@ -33,7 +33,7 @@ from .policy_families import (
     lambda_mu_policy, lc_mirror_policy, mc1_policy, mc21_policy, mc22_policy,
     mc23_policy)
 from .rate_functions import (
-    CaseTag, _is_number, evaluate, function_from_spec, lower_convex_envelope)
+    CaseTag, _check_tag, _is_number, evaluate, function_from_spec, lower_convex_envelope)
 from .scaling import ScalingSample, audit_lower_bound, classify_regime, sweep
 from .sim import SimConfig, simulate as sim_run
 from . import birth_death
@@ -318,14 +318,12 @@ def _case_tag(obj):
     if not (isinstance(obj, dict) and isinstance(obj.get("family"), str)):
         raise SchemaError("a case tag is an object with a string 'family', got %.60s"
                           % json.dumps(obj))
-    window, anchor = obj.get("window"), obj.get("anchor")
-    if window is not None and not (isinstance(window, list) and len(window) == 2
-                                   and all(map(_is_number, window))):
-        raise SchemaError("case 'window' must be a list of two numbers")
-    if anchor is not None and not _is_number(anchor):
-        raise SchemaError("case 'anchor' must be a number")
-    return CaseTag(obj["family"], None if window is None else tuple(window),
-                   obj.get("regime"), anchor)
+    tag = CaseTag(obj["family"], obj.get("window"), obj.get("regime"), obj.get("anchor"))
+    try:
+        _check_tag("case", tag)
+    except ValueError as exc:
+        raise SchemaError("bad case: %s" % exc)
+    return tag if tag.window is None else tag._replace(window=tuple(tag.window))
 
 
 _FAMILIES = {

@@ -100,23 +100,39 @@ class RateFunction(object):
     """Immutable cost or utility function over a closed rate interval.
 
     Build through ``power_function``, ``piecewise_function``,
-    ``discrete_function`` or ``function_from_spec``; the constructor reads
-    every number through ``_finite`` and runs the shape checks.
+    ``discrete_function`` or ``function_from_spec``.  A power function
+    takes its ``domain`` (lo, hi) and its ``exponent``; a piecewise or
+    discrete one takes its ``points``, (rate, value) pairs read by
+    ``_pairs``, and its domain is their span.  A discrete set's points are
+    sorted.  Data of the other kind is refused, and every number is read
+    through ``_finite`` before the shape checks run.  ``br`` and ``bv``
+    hold the points' rates and values.
     """
 
-    def __init__(self, kind, role, lo, hi, exponent=None, br=None, bv=None):
+    def __init__(self, kind, role, *, domain=None, exponent=None, points=None):
         if role not in ("cost", "utility"):
             raise ValueError("role must be 'cost' or 'utility'")
         if kind not in ("power", "piecewise", "discrete"):
             raise ValueError("kind must be 'power', 'piecewise' or 'discrete', got %r"
                              % (kind,))
+        # the data of the other kind
+        other = ({"points": points} if kind == "power"
+                 else {"domain": domain, "exponent": exponent})
+        for name, x in other.items():
+            if x is not None:
+                raise ValueError("%s kind takes no %r, got %r" % (kind, name, x))
         self.kind = kind
         self.role = role
-        self.lo, self.hi = _finite(lo, "domain bound"), _finite(hi, "domain bound")
-        # br/bv: breakpoints for 'piecewise', sample points for 'discrete'
-        self.br = None if br is None else [_finite(r, "rate") for r in br]
-        self.bv = None if bv is None else [_finite(v, "value") for v in bv]
-        self.exponent = None if exponent is None else _finite(exponent, "exponent")
+        if kind == "power":
+            lo, hi = _pair(domain, "domain must be a (lo, hi) pair")
+            self.lo, self.hi = _finite(lo, "domain bound"), _finite(hi, "domain bound")
+            self.exponent, self.br, self.bv = _finite(exponent, "exponent"), None, None
+        else:
+            pairs = _pairs(points)
+            if len(pairs) < 2:
+                raise ValueError("need at least 2 sample points")
+            self.br, self.bv = map(list, zip(*(sorted(pairs) if kind == "discrete" else pairs)))
+            self.lo, self.hi, self.exponent = self.br[0], self.br[-1], None
         if not (self.lo < self.hi):
             raise ValueError("empty rate domain [%g, %g]" % (self.lo, self.hi))
         self._validate()
@@ -124,7 +140,7 @@ class RateFunction(object):
     def _validate(self):
         if self.kind == "power":
             p = self.exponent
-            if p is None or p <= 0:
+            if p <= 0:
                 raise ValueError("power kind needs a positive exponent")
             if self.role == "cost" and p < 1:
                 raise ValueError("cost with exponent %g is concave" % p)
@@ -134,10 +150,6 @@ class RateFunction(object):
                 raise ValueError("rates are non-negative")
             return
         rs, vs = self.br, self.bv
-        if rs is None or len(rs) < 2 and self.kind == "piecewise":
-            raise ValueError("piecewise kind needs at least 2 breakpoints")
-        if len(rs) != len(vs):
-            raise ValueError("rate/value length mismatch")
         for i in range(1, len(rs)):
             if rs[i] <= rs[i - 1]:
                 raise ValueError("rates must be strictly increasing")
@@ -178,44 +190,37 @@ def _check_roles(c, u):
 
 
 def power_function(exponent, domain=(0.0, 1.0), role="cost"):
-    return RateFunction("power", role, domain[0], domain[1], exponent=exponent)
+    return RateFunction("power", role, domain=domain, exponent=exponent)
+
+
+def _pair(x, what):
+    # x unpacked as a pair, refused with "<what>, got x" otherwise
+    try:
+        a, b = x
+    except (TypeError, ValueError):
+        raise ValueError("%s, got %r" % (what, x)) from None
+    return a, b
 
 
 def _pairs(points):
-    # the points as a list of (rate, value) pairs, their numbers unread
+    """The points as a list of (rate, value) pairs of floats: the list of
+    pairs is read first, then each number through ``_finite``.  Every point
+    list, of a constructor or of ``lower_convex_envelope``, is read here."""
     try:
         points = list(points)
     except TypeError:
         raise ValueError("points must be a list of (rate, value) pairs, got %r"
                          % (points,)) from None
-    pairs = []
-    for p in points:
-        try:
-            r, v = p
-        except (TypeError, ValueError):
-            raise ValueError("a point is a (rate, value) pair, got %r" % (p,)) from None
-        pairs.append((r, v))
-    return pairs
-
-
-def _finite_pairs(points):
-    return [(_finite(r, "rate"), _finite(v, "value")) for r, v in _pairs(points)]
-
-
-def _point_set(kind, pairs, role):
-    # a piecewise or discrete function through its (rate, value) pairs
-    if len(pairs) < 2:
-        raise ValueError("need at least 2 sample points")
-    rs, vs = zip(*pairs)
-    return RateFunction(kind, role, rs[0], rs[-1], br=rs, bv=vs)
+    pairs = [_pair(p, "a point is a (rate, value) pair") for p in points]
+    return [(_finite(r, "rate"), _finite(v, "value")) for r, v in pairs]
 
 
 def piecewise_function(points, role="cost"):
-    return _point_set("piecewise", _pairs(points), role)
+    return RateFunction("piecewise", role, points=points)
 
 
 def discrete_function(points, role="cost"):
-    return _point_set("discrete", sorted(_finite_pairs(points)), role)
+    return RateFunction("discrete", role, points=points)
 
 
 def _in_domain(f, r):
@@ -315,7 +320,7 @@ def lower_convex_envelope(f_or_points):
                              "convex and is its own envelope")
         pts = list(zip(f_or_points.br, f_or_points.bv))
     else:
-        pts = _finite_pairs(f_or_points)
+        pts = _pairs(f_or_points)
     pts = sorted(set(pts))
     if len(pts) < 2:
         raise ValueError("need at least 2 distinct points")
@@ -477,35 +482,23 @@ def support_line(f, tag):
 def function_from_spec(spec, role):
     """Build a RateFunction from its JSON spec dict.
 
-    Schema: {"kind": "power"|"piecewise"|"discrete", "domain": [lo, hi],
-    "exponent": p, "points": [[r, v], ...]}.  ``exponent`` is for the power
-    kind, ``points`` for the other two; ``domain`` is required for power
-    and derived from the points otherwise.
+    Schema: {"kind": "power", "domain": [lo, hi], "exponent": p} or
+    {"kind": "piecewise"|"discrete", "points": [[r, v], ...]}.  A power
+    spec's domain defaults to [0, 1]; a point kind's domain is the span of
+    its points, and a point spec that gives a domain or an exponent is
+    refused.  The constructor reads and checks every field.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("function spec must be an object with a 'kind'")
     kind = spec["kind"]
-    if kind == "power":
-        if not _is_number(spec.get("exponent")):
-            raise ValueError("power kind needs a numeric 'exponent'")
-        dom = spec.get("domain", [0.0, 1.0])
-        if not (isinstance(dom, list) and len(dom) == 2 and all(map(_is_number, dom))):
-            raise ValueError("power 'domain' must be a list of two numbers")
-        return power_function(spec["exponent"], (dom[0], dom[1]), role)
-    if kind not in ("piecewise", "discrete"):
-        raise ValueError("unknown function kind %r" % (kind,))
-    pts = spec.get("points")
-    if not pts:
+    if kind in ("piecewise", "discrete") and "points" not in spec:
         raise ValueError("%s kind needs 'points'" % kind)
-    if not (isinstance(pts, list) and all(
-            isinstance(pt, list) and len(pt) == 2 and all(map(_is_number, pt)) for pt in pts)):
-        raise ValueError("'points' must be a list of [rate, value] pairs")
-    if kind == "piecewise":
-        return piecewise_function(pts, role)
-    return discrete_function(pts, role)
+    domain = spec.get("domain", [0.0, 1.0] if kind == "power" else None)
+    return RateFunction(kind, role, domain=domain, exponent=spec.get("exponent"),
+                        points=spec.get("points"))
 
 
 def function_to_spec(f):
     if f.kind == "power":
         return {"kind": "power", "domain": [f.lo, f.hi], "exponent": f.exponent}
-    return {"kind": f.kind, "domain": [f.lo, f.hi], "points": [[r, v] for r, v in zip(f.br, f.bv)]}
+    return {"kind": f.kind, "points": [[r, v] for r, v in zip(f.br, f.bv)]}

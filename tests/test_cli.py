@@ -396,7 +396,25 @@ def test_audit(runner):
 def test_audit_case_anchor_must_be_a_number(runner):
     res = runner.invoke(main, ["audit", "--policy", MM1, "--cost", CSQ, "--c-ref", "0.1",
                                "--case", '{"family": "MC1", "anchor": "0.5"}'])
-    assert error_of(res, 2) == "case 'anchor' must be a number"
+    assert error_of(res, 2) == "bad case: anchor must be a number, got '0.5'"
+
+
+@pytest.mark.parametrize("case,message", [
+    ({"family": "MC1", "window": [0.2, "0.4"]}, "window_hi must be a number, got '0.4'"),
+    ({"family": "LC2-1", "window": [0.2]},
+     "case tag LC2-1: window must be a pair of numbers, got [0.2]"),
+    ({"family": "MC1", "anchor": True}, "anchor must be a number, got True"),
+])
+def test_a_malformed_case_tag_is_one_schema_error_on_both_paths(runner, case, message):
+    # the tag's shape is read by the library's own rule, in --case and in
+    # the lc family's params alike
+    audit = ["audit", "--policy", MM1, "--cost", CSQ, "--c-ref", "0.1",
+             "--case", json.dumps(case)]
+    lc = ["construct", "--family", "lc",
+          "--params", json.dumps({"mu": 0.5, "U": 0.01, "case": case})]
+    for args in (audit, lc):
+        res = runner.invoke(main, args, catch_exceptions=False)
+        assert error_of(res, 2) == "bad case: " + message
 
 
 @pytest.mark.parametrize("tail", ["1.0000000005", "1.000000005"])
@@ -648,8 +666,10 @@ def test_interrupt_inside_a_command_aborts(runner, monkeypatch):
      "--utility", USQRT, "--cc", "0.16", "--uc", "0.9"],
 ])
 def test_non_finite_function_points_are_a_bad_spec(runner, args):
+    # a point set's domain is its points' span, so its inf is a rate
+    field = {"eval": "rate", "feasibility": "domain bound"}[args[0]]
     assert error_of(runner.invoke(main, args, catch_exceptions=False), 2) == (
-        "bad cost spec: domain bound must be a finite number, got inf")
+        "bad cost spec: %s must be a finite number, got inf" % field)
 
 
 ENV_SPEC = json.dumps({"kind": "piecewise", "points": json.loads(POINTS)})

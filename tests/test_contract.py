@@ -5,6 +5,9 @@ Numeric arguments are drawn from signed zeros, the smallest subnormal,
 +-1e308, +-inf, NaN and a few ordinary values; point lists hold 0 to 3
 points.  Counts are drawn from small values, a non-integral float, NaN,
 inf and a bool only: a large count is costly input, not malformed input.
+``RateFunction`` draws each kind's data for every kind, ``power_function``
+a domain of any shape, and ``function_from_spec`` spec objects of any of
+its four fields.
 The rate-function builders, ``uniform_actions``, ``LagrangianProblem``,
 ``policy_from_pieces`` and ``simulate`` also draw True and "2" where a
 number goes, and must refuse either one, never convert it.  The family
@@ -17,9 +20,9 @@ The numeric callables (``evaluate``, ``inverse``, ``classify_case``,
 c_ref, and each family constructor but mc21 at its scale U, which mc21
 does not always need) draw one argument from all of the above and None,
 and may return only where it is a number (an integer for ``pi_at`` and
-``mass_below``).  Every use of a case tag
-refuses one that is no CaseTag, and every use of a cost and a utility
-refuses one that is missing or in the other role.
+``mass_below``), as may ``feasibility`` at each of its two levels.  Every
+use of a case tag refuses one that is no CaseTag, and every use of a cost
+and a utility refuses one that is missing or in the other role.
 """
 
 import math
@@ -41,6 +44,8 @@ from qtl import (
     discrete_function,
     evaluate,
     exact_metrics,
+    feasibility,
+    function_from_spec,
     inverse,
     lambda_mu_policy,
     lc_mirror_policy,
@@ -70,6 +75,12 @@ NOT_NUMBER = [True, "2"]
 VALUE = NUMBER | st.sampled_from(NOT_NUMBER)
 POINTS = st.lists(st.tuples(VALUE, VALUE), max_size=3)
 ROLE = st.sampled_from(["cost", "utility"])
+KIND = st.sampled_from(["power", "piecewise", "discrete"])
+# a domain: a pair, or None, a number or a list of another length
+DOMAIN = st.tuples(VALUE, VALUE) | st.none() | VALUE | st.lists(VALUE, max_size=3)
+# a function spec: any of its four fields, each of either kind's shape
+SPEC = st.dictionaries(st.sampled_from(["kind", "domain", "exponent", "points"]),
+                       KIND | st.none() | VALUE | st.lists(VALUE, max_size=3) | POINTS)
 TAG = st.builds(CaseTag, st.sampled_from(["LC1", "LC2-1", "LC2-2"]),
                 st.tuples(NUMBER, NUMBER), st.none(), st.none())
 CSQ = power_function(2.0)
@@ -86,10 +97,17 @@ def _simulate(cfg):
     return simulate(constant_policy(0.4, 1.0), cfg, CSQ)
 
 
+def _rate_function(kind, role, domain, exponent, points):
+    return RateFunction(kind, role, domain=domain, exponent=exponent, points=points)
+
+
 # each builder with a strategy for its positional arguments; an optional
 # argument may also be None, its default
 BUILDERS = {
-    "power_function": (power_function, st.tuples(VALUE, st.tuples(VALUE, VALUE), ROLE)),
+    "power_function": (power_function, st.tuples(VALUE, DOMAIN, ROLE)),
+    "RateFunction": (_rate_function, st.tuples(
+        KIND, ROLE, st.none() | DOMAIN, st.none() | VALUE, st.none() | POINTS)),
+    "function_from_spec": (function_from_spec, st.tuples(SPEC, ROLE)),
     "piecewise_function": (piecewise_function, st.tuples(POINTS, ROLE)),
     "discrete_function": (discrete_function, st.tuples(POINTS, ROLE)),
     "uniform_actions": (uniform_actions, st.tuples(VALUE, COUNT)),
@@ -141,6 +159,8 @@ def test_families_name_a_param_that_is_not_a_number(build, message):
 
 def _holds_a_non_number(x):
     # True or "2" anywhere in the arguments; a role or tag family is no number
+    if isinstance(x, dict):
+        return _holds_a_non_number(list(x.values()))
     if isinstance(x, (tuple, list)):
         return any(map(_holds_a_non_number, x))
     return x is True or x == "2"
@@ -232,6 +252,8 @@ SR = stationary(constant_policy(0.4, 1.0))
 # for the call to return
 NUMERIC_CALLS = {
     "evaluate": (lambda x: evaluate(CSQ, x), _number),
+    "feasibility_cost": (lambda x: feasibility(CSQ, USQRT, x, 0.6), _number),
+    "feasibility_utility": (lambda x: feasibility(CSQ, USQRT, 0.16, x), _number),
     "evaluate_piecewise": (lambda x: evaluate(ENV, x), _number),
     "evaluate_discrete": (lambda x: evaluate(MENU, x), _number),
     "inverse": (lambda x: inverse(CSQ, x), _number),
@@ -274,7 +296,7 @@ def test_numeric_calls_return_only_on_a_number(name, x):
     (lambda: mc22_policy(0.39, 0.2, 0.4, None), "U must be a positive finite number, got None"),
     (lambda: mc1_policy(0.5, 0.01, r_max=None),
      "r_max must be a positive finite number, got None"),
-    (lambda: RateFunction("bogus", "cost", 0, 1, br=[0, 1], bv=[0, 1]),
+    (lambda: RateFunction("bogus", "cost", points=[(0, 0), (1, 1)]),
      "kind must be 'power', 'piecewise' or 'discrete', got 'bogus'"),
 ])
 def test_a_number_rule_refusal_names_the_argument(call, message):
@@ -291,6 +313,7 @@ ROLE_USES = {
     "LagrangianProblem": lambda c, u: LagrangianProblem(
         50.0, 0.0, [0, 0.5, 1], [0.3], c, u, state_cap=20),
     "exact_metrics": lambda c, u: exact_metrics(POLICY, c, u),
+    "feasibility": lambda c, u: feasibility(c, u, 0.16, 0.6),
     "metrics": lambda c, u: metrics(SR, c, u),
     "simulate": lambda c, u: simulate(POLICY, SimConfig(10, 2, 0, 0.1), c, u),
 }
@@ -311,3 +334,10 @@ def test_a_function_missing_or_in_the_wrong_role_is_refused(use, c, u, message):
     with pytest.raises(ValueError) as err:
         ROLE_USES[use](c, u)
     assert str(err.value) == message
+
+
+def test_feasibility_needs_a_utility():
+    # a missing utility ended in an AttributeError inside inverse
+    with pytest.raises(ValueError) as err:
+        feasibility(CSQ, None, 0.16, 0.6)
+    assert str(err.value) == "feasibility needs a utility RateFunction, got None"

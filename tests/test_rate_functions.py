@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from qtl import (
     CaseTag,
+    RateFunction,
     classify_case,
     discrete_function,
     evaluate,
@@ -390,3 +392,63 @@ def test_left_slope_needs_a_segment_below_the_rate():
     for r in (0.0, -0.1):
         with pytest.raises(ValueError, match="^rate %g at or below the utility domain$" % r):
             _left_slope(u, r)
+
+
+@pytest.mark.parametrize("build,message", [
+    # rates without values, and no points at all, ended in a TypeError and in
+    # a refusal that named the piecewise kind
+    pytest.param(lambda: RateFunction("discrete", "cost", points=[0, 1]),
+                 "a point is a (rate, value) pair, got 0", id="rates-without-values"),
+    pytest.param(lambda: RateFunction("discrete", "cost"),
+                 "points must be a list of (rate, value) pairs, got None", id="no-points"),
+    # a domain apart from the points was evaluated past the last point, and
+    # a spec that gave one lost it on the way back
+    pytest.param(lambda: RateFunction("piecewise", "cost", domain=(0, 5), points=[(0, 0), (1, 1)]),
+                 "piecewise kind takes no 'domain', got (0, 5)", id="domain-with-points"),
+    pytest.param(lambda: function_from_spec(
+        {"kind": "piecewise", "domain": [0.0, 5.0], "points": [[0, 0], [1, 1]]}, "cost"),
+                 "piecewise kind takes no 'domain', got [0.0, 5.0]", id="spec-domain-with-points"),
+    pytest.param(lambda: RateFunction("discrete", "cost", points=[(0.5, 0.25)]),
+                 "need at least 2 sample points", id="one-sample"),
+    pytest.param(lambda: power_function(2.0, None),
+                 "domain must be a (lo, hi) pair, got None", id="power-domain-none"),
+    pytest.param(lambda: power_function(2.0, "1"),
+                 "domain must be a (lo, hi) pair, got '1'", id="power-domain-string"),
+    pytest.param(lambda: RateFunction("discrete", "cost", exponent=2.0, points=SQUARES),
+                 "discrete kind takes no 'exponent', got 2.0", id="exponent-with-points"),
+    pytest.param(lambda: RateFunction("power", "cost", domain=(0, 1), exponent=2.0,
+                                      points=SQUARES),
+                 "power kind takes no 'points', got %r" % (SQUARES,), id="points-with-power"),
+    pytest.param(lambda: function_from_spec({"kind": "power", "exponent": None}, "cost"),
+                 "exponent must be a finite number, got None", id="power-exponent-none"),
+])
+def test_a_reader_refusal_names_the_argument(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@given(points=st.lists(st.tuples(st.floats(0, 4), st.floats(0, 16)), max_size=5),
+       kind=st.sampled_from(["piecewise", "discrete"]))
+def test_a_point_set_spans_its_points(points, kind):
+    try:
+        f = RateFunction(kind, "cost", points=points)
+    except ValueError:
+        return
+    want = sorted(points) if kind == "discrete" else points
+    assert list(zip(f.br, f.bv)) == want
+    assert (f.lo, f.hi) == (want[0][0], want[-1][0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RateFunction("power", "cost", domain=(0.0, 2.0), exponent=3.0),
+    lambda: RateFunction("power", "utility", domain=(0.5, 4.0), exponent=0.5),
+    lambda: RateFunction("piecewise", "utility", points=[(0, 0), (0.4, 0.36), (1, 0.6)]),
+    lambda: RateFunction("discrete", "cost", points=SQUARES[::-1]),
+], ids=["power-cost", "power-utility", "piecewise", "discrete"])
+def test_spec_round_trip_keeps_every_field(build):
+    # through the spec's JSON text, as a spec file is read back
+    f = build()
+    back = function_from_spec(json.loads(json.dumps(function_to_spec(f))), f.role)
+    assert (back.kind, back.role, back.lo, back.hi, back.exponent, back.br, back.bv) == (
+        f.kind, f.role, f.lo, f.hi, f.exponent, f.br, f.bv)
