@@ -21,6 +21,10 @@ Policy evaluation solves the (N+2)-unknown linear system
 by sparse LU (``_evaluate_policy``, which also says what it keeps between
 calls, in a slot its caller owns); ``scipy.sparse`` is imported only then,
 so importing this module (and ``qtl`` or ``qtl.cli``) does not load it.
+The slot keeps the last zero pattern's matrix, to refill in place, and
+whether SuperLU's column order for that pattern is the identity: COLAMD
+reads the structure only, so a refill of such a pattern skips it
+(``permc_spec="NATURAL"``) and gets the same factor bit for bit.
 The module holds no mutable state: each ``solve`` evaluates in its own
 slot and each ``trace_tradeoff`` in one slot for all its solves, so both
 may run in threads.
@@ -200,7 +204,7 @@ def _fill(data, at, pattern, lam, mu, r_u):
 
 _SINGULAR = ("policy evaluation is singular: the Poisson system of this "
              "single-class chain is numerically singular")
-_EMPTY = (None,) * 5
+_EMPTY = (None,) * 6
 
 
 def _evaluate_policy(lam, mu, stage, r_u, slot):
@@ -209,8 +213,10 @@ def _evaluate_policy(lam, mu, stage, r_u, slot):
 
     ``slot`` is the caller's one-element list; its tuple, ``_EMPTY`` at
     first, keeps what the last factorization through it used: its key
-    (the bytes of lam and mu, and r_u), its SuperLU factor, and the zero
-    pattern, matrix and value positions ``at`` from ``_build``.  The same
+    (the bytes of lam and mu, and r_u), its SuperLU factor, the zero
+    pattern, matrix and value positions ``at`` from ``_build``, and
+    ``natural``: None until a factorization of that matrix succeeds, then
+    whether its factor's column order ``perm_c`` is the identity.  The same
     chain again is solved with the kept factor, like an
     ``lru_cache(maxsize=1)``: a warm-started solve of a trace first
     evaluates the policy the previous solve ended on, and only its
@@ -225,6 +231,20 @@ def _evaluate_policy(lam, mu, stage, r_u, slot):
     refused chain leaves the slot's matrix and no factor, a singular one
     its own matrix and no factor.  Each step rebinds ``slot[0]`` to a new
     tuple.
+
+    A matrix is factored with the COLAMD column order, as ``splu`` does
+    by default, unless ``natural`` is True; then it is factored in the
+    natural order.  That gives the same factor: COLAMD, and SuperLU's
+    post-order of its elimination tree, read only the zero structure,
+    which ``_build`` stores in full (zero diagonals included), so a
+    pattern that once ordered as the identity always does, and the same
+    columns are eliminated in the same order against the same pivot rows.
+    (NATURAL also sets SuperLU's SymmetricMode, which changes how the
+    elimination tree is post-ordered; ``tests/test_mdp.py`` pins that the
+    factors stay equal.)  From state_cap 100 up, with every rate positive,
+    COLAMD treats the gain column as dense and orders it last, and the
+    order is the identity; smaller chains, and chains whose arrivals stop
+    below the cap, keep COLAMD.
     """
     key = (lam.tobytes(), mu.tobytes(), r_u)
     if slot[0][0] != key:
@@ -236,12 +256,15 @@ def _evaluate_policy(lam, mu, stage, r_u, slot):
             _fill(slot[0][3].data, slot[0][4], pattern, lam, mu, r_u)
         else:
             slot[0] = _EMPTY      # and the old matrix before the new one is built
-            slot[0] = (None, None, pattern) + _build(pattern, lam, mu, r_u)
+            slot[0] = (None, None, pattern) + _build(pattern, lam, mu, r_u) + (None,)
+        natural = slot[0][5]
         try:
-            slot[0] = (key, splu(slot[0][3])) + slot[0][2:]
+            lu = splu(slot[0][3], permc_spec="NATURAL" if natural else "COLAMD")
         except RuntimeError:
             # SuperLU's "Factor is exactly singular"
             raise ValueError(_SINGULAR) from None
+        natural = np.array_equal(lu.perm_c, np.arange(len(lu.perm_c)))
+        slot[0] = (key, lu) + slot[0][2:5] + (natural,)
     x = slot[0][1].solve(np.append(stage, 0.0))
     if not np.all(np.isfinite(x)):
         raise ValueError(_SINGULAR)
@@ -496,14 +519,22 @@ def trace_tradeoff(base, beta1_grid, beta2_grid):
     distribution (the DP's internal gain is not trusted for reporting).
     Returns (points, failures): points sorted by achieved cost with
     dominated ones flagged, failures as (beta1, beta2, error) records for
-    grid points whose solve raised.  A grid with a beta2 > 0 and a problem
-    without a utility is refused before any point.  Every solve of the
-    trace evaluates in one slot of its own (see ``_evaluate_policy``),
-    which is let go when the trace returns: held past it, it would keep
-    the allocator from trimming the heap, and each page SuperLU has
-    touched would stay resident.
+    grid points whose solve raised.  A grid that is no list of numbers,
+    and a grid with a beta2 > 0 and a problem without a utility, are
+    refused before any point.  Every solve of the trace evaluates in one
+    slot of its own (see ``_evaluate_policy``), which is let go when the
+    trace returns: held past it, it would keep the allocator from
+    trimming the heap, and each page SuperLU has touched would stay
+    resident.
     """
-    b1, b2 = list(beta1_grid), list(beta2_grid)
+    grids = []
+    for name, grid in (("beta1_grid", beta1_grid), ("beta2_grid", beta2_grid)):
+        try:
+            grids.append(list(grid))
+        except TypeError:       # None or a bare number
+            raise ValueError("%s must be a list of multipliers, got %r"
+                             % (name, grid)) from None
+    b1, b2 = grids
     if not all(map(_is_number, b1 + b2)):
         raise ValueError("multipliers must be numbers")
     b1, b2 = [float(b) for b in b1], [float(b) for b in b2]

@@ -14,6 +14,9 @@ number goes, and must refuse either one, never convert it.  The family
 constructors draw numbers only; a table checks that a string or a bool
 among their ordered params is refused by name, and another that a case
 tag whose window or anchor has another shape is refused by field.
+``trace_tradeoff`` draws each grid from None, numbers, strings and lists
+of values, and ``solve`` its ``start`` from those and from Policies of
+any horizon and rates, both on problems at state_cap 10-12.
 
 The numeric callables (``evaluate``, ``inverse``, ``classify_case``,
 ``pi_at``, ``mass_below``, ``sweep`` and ``audit_lower_bound`` at their
@@ -34,6 +37,7 @@ from hypothesis import given, settings, strategies as st
 from qtl import (
     CaseTag,
     LagrangianProblem,
+    Policy,
     RateFunction,
     ScalingSample,
     SimConfig,
@@ -61,9 +65,11 @@ from qtl import (
     policy_from_pieces,
     power_function,
     simulate,
+    solve,
     stationary,
     support_line,
     sweep,
+    trace_tradeoff,
     uniform_actions,
 )
 
@@ -138,6 +144,67 @@ def test_builders_build_or_raise_value_error(name, data):
     except ValueError:
         return
     assert not _holds_a_non_number(drawn), "built from %r" % (drawn,)
+
+
+# a multiplier grid: None, a scalar, a string or a list of values, or, as
+# often as those together, a list of non-negative numbers, whose inf and
+# NaN are failed points, not refusals
+GRID = st.booleans().flatmap(lambda listed: st.lists(
+    st.sampled_from([0.0, -0.0, 5e-324, 0.5, 2.0, 1e308, math.inf, math.nan]),
+    min_size=1, max_size=3) if listed else st.none() | VALUE | st.sampled_from(["", "0.5"])
+    | st.lists(VALUE, max_size=3))
+# a problem of 3 service and 2 arrival rates at a small state_cap; its
+# utility is None or USQRT, so a beta2 > 0 is sometimes refused
+PROBLEM = st.builds(lambda cap, utility: LagrangianProblem(
+    0.0, 0.0, [0, 0.5, 1], [0, 0.3], CSQ, utility, state_cap=cap),
+    st.integers(10, 12), st.none() | st.just(USQRT))
+
+
+def _start(lam, k, mu, horizon):
+    # a Policy on states 0..horizon, with arrivals at lam below k and none
+    # from k on, and service mu above state 0
+    return Policy([(0, lam), (k, 0.0)], [(0, 0.0), (1, mu)], 0.0, mu, horizon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lp=PROBLEM, b1=GRID, b2=GRID)
+def test_trace_traces_or_raises_value_error(lp, b1, b2):
+    # trace_tradeoff returns only on two lists of numbers
+    try:
+        trace_tradeoff(lp, b1, b2)
+    except ValueError:
+        return
+    for grid in (b1, b2):
+        assert isinstance(grid, list) and not _holds_a_non_number(grid), \
+            "traced %r x %r" % (b1, b2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lp=PROBLEM, beta1=st.sampled_from([0.0, 0.5, 50.0, 1e308]),
+       beta2=st.sampled_from([0.0, 0.5]), data=st.data())
+def test_solve_solves_or_raises_value_error(lp, beta1, beta2, data):
+    # solve's start is None, no policy at all, or, as often as those
+    # together, a Policy on states 0..horizon whose rates may lie outside
+    # the action sets; solve returns only on None or a Policy on states
+    # 0..state_cap
+    cap = lp.state_cap
+    try:
+        lp = lp.with_multipliers(beta1, beta2)
+        if data.draw(st.booleans()):
+            start = data.draw(st.none() | GRID)
+        else:
+            start = _start(*data.draw(st.tuples(
+                st.sampled_from([0.0, 0.3]) | NUMBER, st.sampled_from([1, 5, cap]),
+                st.sampled_from([0.5, 1.0]) | NUMBER,
+                st.sampled_from([cap - 1, cap, cap, cap + 1]))))
+    except ValueError:
+        return
+    try:
+        solve(lp, start=start)
+    except ValueError:
+        return
+    assert start is None or isinstance(start, Policy) and start.horizon == cap, \
+        "solved from %r" % (start,)
 
 
 @pytest.mark.parametrize("build,message", [

@@ -158,16 +158,16 @@ def test_trace_factors_each_policy_once(monkeypatch):
     class Factor:
         # SuperLU's factor, in an object a weak reference can watch
         def __init__(self, lu):
-            self.solve = lu.solve
+            self.solve, self.perm_c = lu.solve, lu.perm_c
 
     def recording_evaluate(lam, mu, stage, r_u, slot):
         keys.append((lam.tobytes(), mu.tobytes()))
         return evaluate(lam, mu, stage, r_u, slot)
 
-    def counting_splu(a):
+    def counting_splu(a, permc_spec):
         # the last factor is released before the next one is built
         assert all(f() is None for f in factored)
-        lu = Factor(splu(a))
+        lu = Factor(splu(a, permc_spec=permc_spec))
         factored.append(weakref.ref(lu))
         return lu
 
@@ -251,7 +251,7 @@ def test_a_chain_after_a_singular_one_of_its_pattern_is_factored_afresh():
     assert_exact(slot, lam_a, mu_b, stage, r_u)
     with pytest.raises(ValueError, match="numerically singular"):
         mdp._evaluate_policy(lam_b, mu_b, stage, r_u, slot)
-    key, factor, _, a, _ = slot[0]
+    key, factor, _, a, _, _ = slot[0]
     assert key is None and factor is None
     assert_built_bytes(a, lam_b, mu_b, r_u)
     assert_exact(slot, lam_a, mu_b, np.linspace(0.0, 4.0, len(stage)), r_u)
@@ -263,9 +263,9 @@ def test_splu_leaves_the_refilled_matrix_untouched(monkeypatch):
     # SuperLU reads the matrix it is given and keeps no part of it
     splu, seen = scipy.sparse.linalg.splu, []
 
-    def checking_splu(a):
+    def checking_splu(a, permc_spec):
         before = [getattr(a, attr).copy() for attr in ("data", "indices", "indptr")]
-        lu = splu(a)
+        lu = splu(a, permc_spec=permc_spec)
         assert all(np.array_equal(getattr(a, attr), b)
                    for attr, b in zip(("data", "indices", "indptr"), before))
         seen.append(a)
@@ -323,7 +323,8 @@ def test_trace_refills_most_matrices(monkeypatch):
     built, factored = [], []
     build, splu = mdp._build, scipy.sparse.linalg.splu
     monkeypatch.setattr(mdp, "_build", lambda *a: built.append(1) or build(*a))
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a: factored.append(1) or splu(a))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda a, permc_spec: factored.append(1) or splu(a, permc_spec=permc_spec))
     pts, fails = trace_tradeoff(base, np.geomspace(10.0, 1.2e4, 12).tolist(), [0.0])
     assert not fails and len(pts) == 12
     assert 0 < 2 * len(built) < len(factored)
@@ -337,15 +338,15 @@ def test_a_finished_trace_empties_the_slots(monkeypatch):
     class Factor:
         # SuperLU's factor, in an object a weak reference can watch
         def __init__(self, lu):
-            self.solve = lu.solve
+            self.solve, self.perm_c = lu.solve, lu.perm_c
 
     def watched_build(*args):
         a, at = build(*args)
         kept.append(weakref.ref(a))
         return a, at
 
-    def watched_splu(a):
-        lu = Factor(splu(a))
+    def watched_splu(a, permc_spec):
+        lu = Factor(splu(a, permc_spec=permc_spec))
         kept.append(weakref.ref(lu))
         return lu
 
@@ -354,6 +355,144 @@ def test_a_finished_trace_empties_the_slots(monkeypatch):
     pts, fails = trace_tradeoff(problem(0.0, cap=50), [1.0, 10.0], [0.0])
     assert len(pts) == 2 and not fails
     assert len(kept) > 2 and all(ref() is None for ref in kept)
+
+
+# The column order of a factorization.  From state_cap 100 (n = 101) up,
+# SuperLU's COLAMD orders a chain with every rate positive as the identity,
+# so these tests draw chains of at least that size: below it, no
+# factorization takes the natural order.
+
+
+def spy_splu(monkeypatch):
+    # the permc_spec of each factorization, in order
+    splu, specs = scipy.sparse.linalg.splu, []
+
+    def spying_splu(a, permc_spec):
+        specs.append(permc_spec)
+        return splu(a, permc_spec=permc_spec)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spying_splu)
+    return specs
+
+
+def positive_chain(rng, n):
+    # rates on 0..n-1, all positive but lam(n-1) and mu(0)
+    lam = rng.uniform(0.05, 1.0, n) * rng.choice([0.3, 1.0, 3.0], n)
+    mu = rng.uniform(0.05, 1.0, n) * rng.choice([0.3, 1.0, 3.0], n)
+    lam[-1] = mu[0] = 0.0
+    return lam, mu, rng.uniform(0.0, 5.0, n), float(lam.max() + mu.max())
+
+
+def is_identity(perm):
+    return np.array_equal(perm, np.arange(len(perm)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_refills_of_an_identity_ordered_pattern_take_the_natural_order(monkeypatch, seed):
+    # the first factorization of a pattern orders by COLAMD and learns
+    # that the order is the identity; each refill then skips COLAMD, and
+    # each solve is still the oracle's, which orders by COLAMD, bit for bit
+    specs = spy_splu(monkeypatch)
+    rng = np.random.default_rng(seed)
+    lam, mu, stage, r_u = positive_chain(rng, int(rng.integers(101, 400)))
+    slot = new_slot()
+    assert_exact(slot, lam, mu, stage, r_u)
+    assert specs == ["COLAMD"] and slot[0][5] is True
+    a = slot_matrix(slot)
+    for _ in range(3):
+        assert_exact(slot, *same_pattern(rng, lam, mu))
+    assert specs == ["COLAMD"] + ["NATURAL"] * 3 and slot_matrix(slot) is a
+    # a new pattern starts again from COLAMD
+    flipped = mu.copy()
+    flipped[1] = 0.0
+    assert_exact(slot, lam, flipped, stage, r_u)
+    assert specs[-1] == "COLAMD" and slot_matrix(slot) is not a
+
+
+def test_a_pattern_not_ordered_as_the_identity_keeps_colamd(monkeypatch):
+    # with arrivals off above K, COLAMD reorders the chain, and every
+    # refill of its pattern orders by COLAMD again
+    specs = spy_splu(monkeypatch)
+    rng = np.random.default_rng(9)
+    lam, mu, stage, r_u = positive_chain(rng, 300)
+    lam[200:] = 0.0
+    slot = new_slot()
+    assert_exact(slot, lam, mu, stage, r_u)
+    assert slot[0][5] is False
+    for _ in range(3):
+        assert_exact(slot, *same_pattern(rng, lam, mu))
+    assert specs == ["COLAMD"] * 4
+
+
+def test_a_singular_first_factorization_learns_no_order(monkeypatch):
+    # a chain whose Poisson matrix SuperLU finds exactly singular, on a
+    # pattern that orders as the identity: nothing is learned from it, so
+    # the next chain of its pattern orders by COLAMD, and learns the order
+    specs = spy_splu(monkeypatch)
+    n = 125
+    lam = np.append(np.full(n - 1, 0.05), 0.0)
+    mu = np.full(n, 0.25)
+    mu[0] = 0.0
+    mu[n - 13:n - 1] = 1e-100
+    slot = new_slot()
+    with pytest.raises(ValueError, match="numerically singular"):
+        mdp._evaluate_policy(lam, mu, np.ones(n), 0.3, slot)
+    assert slot[0][1] is None and slot[0][5] is None and specs == ["COLAMD"]
+    a = slot_matrix(slot)
+    lam_a, mu_a = np.where(lam > 0.0, 0.2, 0.0), np.where(mu > 0.0, 0.3, 0.0)
+    stage = np.linspace(0.0, 4.0, n)
+    assert_exact(slot, lam_a, mu_a, stage, 0.5)
+    assert specs == ["COLAMD"] * 2 and slot[0][5] is True
+    assert_exact(slot, lam_a, mu_a, stage, 0.6)
+    assert specs[-1] == "NATURAL" and slot_matrix(slot) is a
+
+
+def test_natural_and_colamd_factors_are_equal_where_colamd_orders_as_the_identity():
+    # the argument that the two orders give one factor leaves out
+    # SymmetricMode, which scipy sets with NATURAL and which changes how
+    # SuperLU post-orders the elimination tree; this pins that L, U and
+    # the row order still agree, on random patterns with zero-service
+    # states low in the chain and zero-arrival states high in it, each
+    # at three sets of rates
+    rng = np.random.default_rng(17)
+    identity = 0
+    for _ in range(60):
+        lam, mu, _, _ = positive_chain(rng, int(rng.integers(101, 400)))
+        n = len(lam)
+        mu[:n // 3] *= rng.random(n // 3) < rng.choice([0.0, 0.9, 1.0])
+        lam[2 * n // 3:] *= rng.random(n - 2 * n // 3) < rng.choice([0.9, 1.0])
+        try:
+            pattern = mdp._pattern(lam, mu)
+        except ValueError:
+            continue
+        for chain in [same_pattern(rng, lam, mu) for _ in range(3)]:
+            a = mdp._build(pattern, chain[0], chain[1], chain[3])[0]
+            colamd = scipy.sparse.linalg.splu(a)
+            if not is_identity(colamd.perm_c):
+                break
+            identity += 1
+            natural = scipy.sparse.linalg.splu(a, permc_spec="NATURAL")
+            assert is_identity(natural.perm_c)
+            assert np.array_equal(colamd.perm_r, natural.perm_r)
+            for m in ("L", "U"):
+                for attr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(getattr(colamd, m), attr),
+                                          getattr(getattr(natural, m), attr))
+    assert identity >= 60
+
+
+def test_a_trace_factors_a_new_pattern_by_colamd_and_mostly_refills_in_natural_order(
+        monkeypatch):
+    # each factorization after a build orders by COLAMD, and most of a
+    # cap-300 trace's factorizations refill an identity-ordered pattern
+    base = LagrangianProblem(0.0, 0.0, S, [0.4], CDISC, None, state_cap=300)
+    specs = spy_splu(monkeypatch)
+    build = mdp._build
+    monkeypatch.setattr(mdp, "_build", lambda *a: specs.append("build") or build(*a))
+    pts, fails = trace_tradeoff(base, np.geomspace(10.0, 1.2e4, 12).tolist(), [0.0])
+    assert not fails and len(pts) == 12
+    assert all(spec == "COLAMD" for last, spec in zip(specs, specs[1:]) if last == "build")
+    assert 2 * specs.count("NATURAL") > len(specs)
 
 
 def test_problem_validation():
@@ -617,6 +756,21 @@ def test_trace_refuses_a_multiplier_that_is_not_a_number(grid):
     # "1" and True were traced as beta1 = 1.0
     with pytest.raises(ValueError, match="^multipliers must be numbers$"):
         trace_tradeoff(problem(0.0, cap=200), grid, [0.0])
+
+
+@pytest.mark.parametrize("beta1_grid,beta2_grid,name", [
+    (None, [0.0], "beta1_grid"),
+    (1.0, [0.0], "beta1_grid"),
+    ([1.0], 0.0, "beta2_grid"),
+    ([1.0], None, "beta2_grid"),
+])
+def test_trace_refuses_a_grid_that_is_no_list(monkeypatch, beta1_grid, beta2_grid, name):
+    # each ended in "TypeError: ... object is not iterable"
+    monkeypatch.setattr(mdp, "solve", None)      # and no point is solved
+    with pytest.raises(ValueError) as err:
+        trace_tradeoff(problem(0.0, cap=200), beta1_grid, beta2_grid)
+    bad = beta1_grid if name == "beta1_grid" else beta2_grid
+    assert str(err.value) == "%s must be a list of multipliers, got %r" % (name, bad)
 
 
 def test_trace_huge_state_cap_is_a_failure():
