@@ -29,11 +29,10 @@ queue-length offset of the relabeled chain automatic.
 
 import bisect
 import math
-import sys
 from collections import namedtuple
 
 from .rate_functions import (
-    RATE_TOL, _check_roles, _count, _finite, _is_number, evaluate, inverse)
+    RATE_TOL, _MAX_DOUBLE, _check_roles, _count, _finite, _list, _pair, evaluate, inverse)
 
 # segments cover the recurrent window from q_lo in state order; q_max is the
 # last state before the geometric tail, whose ratio is its segment's
@@ -49,15 +48,14 @@ Metrics = namedtuple(
     "Metrics", ["qbar", "cbar", "ubar", "dbar", "mean_arrival", "mean_service"]
 )
 
-_MAX_DOUBLE = int(sys.float_info.max)
-
 
 class Policy(object):
     """Arrival/service rate rules stored as runs of constant rate.
 
     ``lam`` and ``mu`` list (start, rate) runs: a run holds its rate up to
     the next start, the last one up to the horizon q_h, and beyond it the
-    rule takes its tail value.  Starts begin at 0 and increase within the
+    rule takes its tail value.  A rule that is no list, or a run that is no
+    pair, is refused by name.  Starts begin at 0 and increase within the
     horizon, which lies below the largest double; neighbouring runs of
     equal rate are merged.  Rate bounds default to the largest rates the
     policy uses; a declared bound below the largest rate of its side, by
@@ -69,15 +67,11 @@ class Policy(object):
 
     def __init__(self, lam, mu, lam_tail, mu_tail, horizon, ra_max=None,
                  r_max=None, meta=None):
-        self.horizon = _count(horizon, "horizon")
-        if self.horizon >= _MAX_DOUBLE:
-            # stationary() and the simulator count states in doubles
-            raise ValueError("the horizon must lie below the largest double, "
-                             "about 1.8e308")
+        self.horizon = _below_max_double(_count(horizon, "horizon"), "the horizon")
         self.lam_tail = _finite(lam_tail, "arrival tail")
         self.mu_tail = _finite(mu_tail, "service tail")
-        self._runs = {"lam": _merged_runs(lam, self.horizon, self.lam_tail),
-                      "mu": _merged_runs(mu, self.horizon, self.mu_tail)}
+        self._runs = {"lam": _merged_runs(lam, "lam", self.horizon, self.lam_tail),
+                      "mu": _merged_runs(mu, "mu", self.horizon, self.mu_tail)}
         lam_rates, mu_rates = self._runs["lam"][1], self._runs["mu"][1]
         if mu_rates[0] != 0.0:
             raise ValueError("mu(0) must be 0")
@@ -132,7 +126,16 @@ def _bound(bound, what, top, side):
     return bound
 
 
-def _merged_runs(runs, horizon, tail):
+def _below_max_double(n, what):
+    # stationary() and the simulator count states in doubles
+    if n >= _MAX_DOUBLE:
+        raise ValueError("%s must lie below the largest double, about 1.8e308" % what)
+    return n
+
+
+def _merged_runs(runs, name, horizon, tail):
+    what = "a %s run is a (start, rate) pair" % name
+    runs = [_pair(x, what) for x in _list(runs, "%s must be a list of (start, rate) runs" % name)]
     runs = [(_count(s, "run start"), _finite(r, "rate")) for s, r in runs]
     starts = [s for s, _ in runs]
     if starts[:1] != [0] or starts != sorted(set(starts)) or starts[-1] > horizon:
@@ -155,9 +158,7 @@ def _checked_pieces(pieces):
             raise ValueError("piece bounds must be integers, got %r" % (piece,)) from None
         if q0 < 0 or q1 < q0:
             raise ValueError("bad piece range [%s, %s]" % (q0, q1))
-        if not _is_number(rate):
-            raise ValueError("piece rate must be a number, got %r" % (piece,))
-        out.append((q0, q1, rate))
+        out.append((q0, q1, _finite(rate, "piece rate")))
     return sorted(out)
 
 
@@ -366,8 +367,9 @@ def _mean_offset(n, x):
 
 
 def pi_at(sr, q):
-    """pi(q), zero at transient and unreachable states; q is an integer."""
-    q = _count(q, "q")
+    """pi(q), zero at transient and unreachable states; q is an integer
+    below the largest double."""
+    q = _below_max_double(_count(q, "q"), "q")
     for s in sr.segments:
         if s.first <= q < s.first + s.length:
             return math.exp(s.log_pi + (q - s.first) * s.log_ratio)
@@ -375,8 +377,9 @@ def pi_at(sr, q):
 
 
 def mass_below(sr, q):
-    """Stationary mass of the states below q, an integer."""
-    q = _count(q, "q")
+    """Stationary mass of the states below q, an integer below the largest
+    double."""
+    q = _below_max_double(_count(q, "q"), "q")
     parts = []
     for s in sr.segments:
         if s.first >= q:

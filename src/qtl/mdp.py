@@ -45,7 +45,7 @@ from collections import namedtuple
 import numpy as np
 
 from .birth_death import Policy, exact_metrics, is_admissible, rate_value
-from .rate_functions import _check_roles, _count, _finite, _is_number
+from .rate_functions import _check_roles, _count, _finite, _is_number, _list
 
 MAX_ITERATIONS = 500
 TOL = 1e-9                # stop once the Bellman residual's span falls below this
@@ -120,7 +120,8 @@ def _check_utility(beta2s, utility_fn):
 
 def _rates(actions, name):
     # distinct, so that an unchanged policy is one with unchanged action indices
-    rates = sorted({_finite(a, "a rate among the %s actions" % name) for a in actions})
+    rates = sorted({_finite(a, "a rate among the %s actions" % name)
+                    for a in _list(actions, "%s actions must be a list of rates" % name)})
     if not (rates and rates[0] >= 0):
         raise ValueError("%s actions must be a non-empty set of finite, "
                          "non-negative rates" % name)
@@ -527,14 +528,8 @@ def trace_tradeoff(base, beta1_grid, beta2_grid):
     trimming the heap, and each page SuperLU has touched would stay
     resident.
     """
-    grids = []
-    for name, grid in (("beta1_grid", beta1_grid), ("beta2_grid", beta2_grid)):
-        try:
-            grids.append(list(grid))
-        except TypeError:       # None or a bare number
-            raise ValueError("%s must be a list of multipliers, got %r"
-                             % (name, grid)) from None
-    b1, b2 = grids
+    b1, b2 = (_list(grid, "%s must be a list of multipliers" % name)
+              for name, grid in (("beta1_grid", beta1_grid), ("beta2_grid", beta2_grid)))
     if not all(map(_is_number, b1 + b2)):
         raise ValueError("multipliers must be numbers")
     b1, b2 = [float(b) for b in b1], [float(b) for b in b2]

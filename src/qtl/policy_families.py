@@ -34,7 +34,7 @@ ra_max and r_max, which may exceed them.
 import math
 
 from .birth_death import check_admissible, is_stable, policy_from_pieces
-from .rate_functions import RATE_TOL, _check_tag, _count, _is_number
+from .rate_functions import RATE_TOL, _check_tag, _count, _is_number, _numeric
 
 
 def _check_positive(*optional, **params):
@@ -44,14 +44,6 @@ def _check_positive(*optional, **params):
         if not (x is None and name in optional or _is_number(x) and 0 < x < math.inf):
             raise ValueError("%s must be a positive finite number, got %s"
                              % (name, "%g" % x if _is_number(x) else repr(x)))
-
-
-def _check_numbers(**params):
-    # each param must be a number before an ordering check compares it, else
-    # it is named (a string would end the comparison in a TypeError)
-    for name, x in params.items():
-        if not _is_number(x):
-            raise ValueError("%s must be a number, got %r" % (name, x))
 
 
 def _quotient(num, den, U):
@@ -119,7 +111,7 @@ def mc21_policy(lam, b_lam, r_max, q_k=None, U=None):
             raise ValueError("mc21 needs q_k or the scale U")
         _check_positive(U=U)
         q_k = max(1, round(-math.log2(U)))
-    _check_numbers(lam=lam, b_lam=b_lam, r_max=r_max)
+    _numeric(lam=lam, b_lam=b_lam, r_max=r_max)
     if not (0 < lam < b_lam < r_max < math.inf):
         raise ValueError("need 0 < lam < b_lam < r_max, all finite")
     q_k = _count(q_k, "q_k")
@@ -133,7 +125,7 @@ def mc22_policy(lam, a_lam, b_lam, U):
 
     q1 = ceil( log_{lam/a_lam} (1 + ((lam - a_lam)/lam) / U) ).
     """
-    _check_numbers(lam=lam, a_lam=a_lam, b_lam=b_lam)
+    _numeric(lam=lam, a_lam=a_lam, b_lam=b_lam)
     if not (0 < a_lam < lam < b_lam < math.inf):
         raise ValueError("need 0 < a_lam < lam < b_lam, all finite")
     _check_positive(U=U)
@@ -148,7 +140,7 @@ def mc23_policy(lam, K, U, next_corner=None):
     caps K (lam + K must not cross it, or the tail rate leaves the active
     pair of segments).
     """
-    _check_numbers(K=K)
+    _numeric(K=K)
     if K <= 0:
         raise ValueError("K must be positive")
     _check_positive("next_corner", U=U, lam=lam, K=K, next_corner=next_corner)

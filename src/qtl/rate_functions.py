@@ -24,15 +24,19 @@ lower-bound audits compare against, along with the adjacent-slope gap m_a
 and the curvature constant a1 where those are defined.
 
 The module also owns the input rules that every layer reads: what a
-number is (``_is_number``: an int or float, never a bool or a string), a
+number is (``_is_number``: an int or float, never a bool or a string;
+``_numeric`` refuses by name the first named argument that is not one), a
 finite number (``_finite``), a count (``_count``: an int or an integral
-float), when two rates are equal (``RATE_TOL``), what a case tag is
-(``_check_tag``) and what a cost and a utility are (``_check_roles``).
+float), a list (``_list``: whatever ``list()`` reads; grids, action sets,
+points, runs and samples alike), a pair (``_pair``), when two rates are
+equal (``RATE_TOL``), what a case tag is (``_check_tag``) and what a cost
+and a utility are (``_check_roles``).
 """
 
 import bisect
 import math
 import numbers
+import sys
 from collections import namedtuple
 
 CORNER_TOL = 1e-9
@@ -40,6 +44,9 @@ CURVATURE_FLOOR = 1e-6  # below this the analytic kind has no usable curvature
 # two rates (or values) this close are equal, and a rate this far outside a
 # domain is inside it
 RATE_TOL = 1e-12
+# the largest double, as an int: a larger int has no float, and a count
+# beyond it has no state in the stationary analytics and the simulator
+_MAX_DOUBLE = int(sys.float_info.max)
 
 
 CaseTag = namedtuple("CaseTag", ["family", "window", "regime", "anchor"])
@@ -57,9 +64,21 @@ def _is_number(x):
     return isinstance(x, (float, int, numbers.Real)) and not isinstance(x, bool)
 
 
+def _numeric(**named):
+    """Refuse, by name, the first argument that is not a number (a NaN or an
+    infinite one is a number), before any comparison reads it: a string
+    would end the comparison in a TypeError."""
+    for name, x in named.items():
+        if not _is_number(x):
+            raise ValueError("%s must be a number, got %r" % (name, x))
+
+
 def _finite(x, what):
-    """x as a float; a bool, a string, inf or NaN is refused by name."""
-    if not (_is_number(x) and math.isfinite(x)):
+    """x as a float; a bool, a string, inf, NaN or an int beyond the largest
+    double is refused by name."""
+    # an int is compared exactly: math.isfinite would convert it and overflow
+    if not (_is_number(x) and (abs(x) <= _MAX_DOUBLE if isinstance(x, int)
+                               else math.isfinite(x))):
         raise ValueError("%s must be a finite number, got %r" % (what, x))
     return float(x)
 
@@ -89,11 +108,9 @@ def _check_tag(use, tag, *fields):
         if not (isinstance(window, (tuple, list)) and len(window) == 2):
             raise ValueError("case tag %s: window must be a pair of numbers, got %r"
                              % (tag.family, window))
-        for name, x in zip(("window_lo", "window_hi"), window):
-            if not _is_number(x):
-                raise ValueError("%s must be a number, got %r" % (name, x))
-    if not (anchor is None or _is_number(anchor)):
-        raise ValueError("anchor must be a number, got %r" % (anchor,))
+        _numeric(window_lo=window[0], window_hi=window[1])
+    if anchor is not None:
+        _numeric(anchor=anchor)
 
 
 class RateFunction(object):
@@ -193,6 +210,14 @@ def power_function(exponent, domain=(0.0, 1.0), role="cost"):
     return RateFunction("power", role, domain=domain, exponent=exponent)
 
 
+def _list(x, what):
+    # list(x), refused with "<what>, got x" when list() cannot read x
+    try:
+        return list(x)
+    except TypeError:
+        raise ValueError("%s, got %r" % (what, x)) from None
+
+
 def _pair(x, what):
     # x unpacked as a pair, refused with "<what>, got x" otherwise
     try:
@@ -206,12 +231,8 @@ def _pairs(points):
     """The points as a list of (rate, value) pairs of floats: the list of
     pairs is read first, then each number through ``_finite``.  Every point
     list, of a constructor or of ``lower_convex_envelope``, is read here."""
-    try:
-        points = list(points)
-    except TypeError:
-        raise ValueError("points must be a list of (rate, value) pairs, got %r"
-                         % (points,)) from None
-    pairs = [_pair(p, "a point is a (rate, value) pair") for p in points]
+    pairs = [_pair(p, "a point is a (rate, value) pair")
+             for p in _list(points, "points must be a list of (rate, value) pairs")]
     return [(_finite(r, "rate"), _finite(v, "value")) for r, v in pairs]
 
 
@@ -236,8 +257,8 @@ def evaluate(f, r):
     A rate that is not a number is refused.
     """
     # a float passes on its type alone: the internal callers pass floats
-    if type(r) is not float and not _is_number(r):
-        raise ValueError("rate must be a number, got %r" % (r,))
+    if type(r) is not float:
+        _numeric(rate=r)
     if f.kind == "discrete":
         for rr, vv in zip(f.br, f.bv):
             if abs(rr - r) <= RATE_TOL:
@@ -267,8 +288,7 @@ def inverse(f, v):
     functions are strictly increasing so 100 halvings of the domain pin the
     root to full float precision.  A value that is not a number is refused.
     """
-    if not _is_number(v):
-        raise ValueError("value must be a number, got %r" % (v,))
+    _numeric(value=v)
     if f.kind == "discrete":
         raise ValueError("discrete set has no inverse; take lower_convex_envelope first")
     v_lo, v_hi = evaluate(f, f.lo), evaluate(f, f.hi)

@@ -40,7 +40,7 @@ import numpy as np
 from .birth_death import mass_below, metrics, pi_at, rate_value, stationary
 from .rate_functions import (
     CASE_FAMILIES, CURVATURE_FLOOR, RATE_TOL, _check_tag, _curvature, _in_domain, _is_number,
-    _left_slope, evaluate, support_line)
+    _left_slope, _list, _numeric, evaluate, support_line)
 
 ScalingSample = namedtuple("ScalingSample", ["U", "V", "qbar", "ubar", "cbar"])
 SweepFailure = namedtuple("SweepFailure", ["U", "error"])
@@ -70,21 +70,19 @@ _REGIME_MODELS = {
 }
 
 
-def _check_c_ref(c_ref):
-    # a NaN or infinite c_ref is a number: its cost gap fails by value
-    if not _is_number(c_ref):
-        raise ValueError("c_ref must be a number, got %r" % (c_ref,))
-
-
 def sweep(build, U_grid, c, c_ref, u=None):
     """Run ``build(U)`` across the grid and collect exact scaling samples.
 
     Returns (samples, failures); a grid point fails (and the sweep
     continues) when construction raises or the achieved gap V is not a
-    positive finite number.  A c_ref that is not a number is refused.
+    positive finite number.  A c_ref that is not a number, a build that is
+    not callable and a grid that is no list are refused by name.
     """
-    _check_c_ref(c_ref)
-    grid = list(U_grid)
+    # a NaN or infinite c_ref is a number: its cost gap fails by value
+    _numeric(c_ref=c_ref)
+    if not callable(build):
+        raise ValueError("build must be callable, got %r" % (build,))
+    grid = _list(U_grid, "U grid must be a list of scales")
     if not grid:
         raise ValueError("U grid must be non-empty")
     samples = []
@@ -105,19 +103,24 @@ def sweep(build, U_grid, c, c_ref, u=None):
 def classify_regime(samples, tag=None):
     """Fit the candidate growth models and pick the best.
 
-    Needs at least 5 samples whose V values span two decades, each with a
-    finite V > 0 whose 1/V is finite and a finite qbar; the ValueError
-    names the first sample that breaks this, or the largest |qbar| when
-    the fit's residual scale overflows.  When a CaseTag is given the
-    verdict says whether the selected model matches the regime the
-    taxonomy predicts; a tag whose regime has no models is refused.
+    Needs a list of at least 5 samples whose V values span two decades,
+    each with a number V and qbar, a finite V > 0 whose 1/V is finite and a
+    finite qbar; the ValueError names the first sample that breaks this,
+    or the largest |qbar| when the fit's residual scale overflows.  When a
+    CaseTag is given the verdict says whether the selected model matches
+    the regime the taxonomy predicts; a tag whose regime has no models is
+    refused.
     """
     if tag is not None:
         _check_tag("classify_regime", tag)
         if tag.regime not in _REGIME_MODELS:
             raise ValueError("no growth model for regime %r" % (tag.regime,))
+    samples = _list(samples, "samples must be a list of ScalingSamples")
     if len(samples) < 5:
         raise ValueError("need at least 5 samples, got %d" % len(samples))
+    for i, s in enumerate(samples):
+        if not (_is_number(getattr(s, "V", None)) and _is_number(getattr(s, "qbar", None))):
+            raise ValueError("sample %d needs a number V and qbar, got %r" % (i, s))
     v = np.array([s.V for s in samples], dtype=float)
     q = np.array([s.qbar for s in samples], dtype=float)
     vs = v.tolist()
@@ -216,7 +219,7 @@ def audit_lower_bound(p, tag, c, u, c_ref):
         fam = tag.family
         if fam not in CASE_FAMILIES + ("LMU",):
             raise ValueError("no audit for case family %r" % (fam,))
-    _check_c_ref(c_ref)
+    _numeric(c_ref=c_ref)
     sr = stationary(p)
     m = metrics(sr, c, u)
     v = _cost_gap(sr, c, c_ref)

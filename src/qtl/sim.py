@@ -116,12 +116,15 @@ def simulate(p, cfg, c, u=None):
     The first warmup fraction of each replication's horizon is discarded.
     A single replication yields infinite half-widths (no spread estimate),
     which the structure reports rather than hiding.  An unstable policy
-    has no long-run averages to estimate and is refused, and so is a
-    replication count or seed that is not an int or an integral float, a
-    horizon that reaches 2**52 mean holding times at the fastest rate, and
-    a c that is not a cost or a u that is neither None nor a utility.
+    has no long-run averages to estimate and is refused, and so is a cfg
+    that is no SimConfig, a replication count or seed that is not an int
+    or an integral float, a horizon that reaches 2**52 mean holding times
+    at the fastest rate, and a c that is not a cost or a u that is neither
+    None nor a utility.
     """
     _check_roles(c, u)
+    if not isinstance(cfg, SimConfig):
+        raise ValueError("cfg must be a SimConfig, got %r" % (cfg,))
     if not (_is_number(cfg.horizon) and 0 < cfg.horizon < math.inf):
         raise ValueError("horizon must be positive and finite")
     n = _count(cfg.replications, "replications")

@@ -16,7 +16,13 @@ among their ordered params is refused by name, and another that a case
 tag whose window or anchor has another shape is refused by field.
 ``trace_tradeoff`` draws each grid from None, numbers, strings and lists
 of values, and ``solve`` its ``start`` from those and from Policies of
-any horizon and rates, both on problems at state_cap 10-12.
+any horizon and rates, both on problems at state_cap 10-12.  Where a list
+goes (``LagrangianProblem``'s two action sets, ``Policy``'s lam and mu
+runs, ``sweep``'s U grid and ``classify_regime``'s samples), junk is
+drawn too: None, numbers, strings, dicts and lists of these; ``sweep``
+also draws its build from junk, and ``classify_regime`` samples whose V
+and qbar are junk.  A table checks that each list rule's refusal names
+the argument.
 
 The numeric callables (``evaluate``, ``inverse``, ``classify_case``,
 ``pi_at``, ``mass_below``, ``sweep`` and ``audit_lower_bound`` at their
@@ -31,6 +37,7 @@ and a utility refuses one that is missing or in the other role.
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -94,6 +101,14 @@ USQRT = power_function(0.5, role="utility")
 # a piece is [q_lo, q_hi, rate]: its bounds are counts, 2.0 among them
 BOUND = COUNT | st.sampled_from([2.0, "2"])
 PIECES = st.lists(st.tuples(BOUND, BOUND, VALUE), max_size=2)
+# junk where a list goes: None, numbers, strings, dicts with string keys,
+# and lists of these
+ATOM = (st.none() | VALUE | st.sampled_from(["", "ab"])
+        | st.dictionaries(st.sampled_from(["V", "qbar"]), VALUE, max_size=2))
+JUNK = ATOM | st.lists(ATOM | st.lists(ATOM, max_size=3), max_size=3)
+# a rule's runs: junk, (start, rate) pairs, or one run from state 0
+RUNS = (JUNK | st.lists(st.tuples(st.sampled_from([0, 1, 2.0]), VALUE), min_size=1, max_size=3)
+        | st.builds(lambda rate: [(0, rate)], NUMBER))
 # simulate's horizon stays small: a large one is costly input
 SIM_CONFIG = st.builds(SimConfig, st.sampled_from([0.5, 1, 10]), COUNT | st.just("2"),
                        COUNT | st.just("2"), st.just(0.1))
@@ -118,8 +133,10 @@ BUILDERS = {
     "discrete_function": (discrete_function, st.tuples(POINTS, ROLE)),
     "uniform_actions": (uniform_actions, st.tuples(VALUE, COUNT)),
     "LagrangianProblem": (LagrangianProblem, st.tuples(
-        VALUE, VALUE, st.lists(VALUE, max_size=3), st.lists(VALUE, max_size=3),
+        VALUE, VALUE, st.lists(VALUE, max_size=3) | JUNK, st.lists(VALUE, max_size=3) | JUNK,
         st.just(CSQ), st.none() | st.just(USQRT))),
+    "Policy": (Policy, st.tuples(RUNS, st.just([(0, 0.0)]) | RUNS, st.just(0.3) | NUMBER,
+                                 st.just(1.0) | NUMBER, st.sampled_from([2, 3]))),
     "policy_from_pieces": (policy_from_pieces, st.tuples(PIECES, VALUE, PIECES, VALUE)),
     "simulate": (_simulate, st.tuples(SIM_CONFIG)),
     "mc1_policy": (mc1_policy, st.tuples(NUMBER, NUMBER, st.none() | NUMBER, NUMBER)),
@@ -205,6 +222,16 @@ def test_solve_solves_or_raises_value_error(lp, beta1, beta2, data):
         return
     assert start is None or isinstance(start, Policy) and start.horizon == cap, \
         "solved from %r" % (start,)
+
+
+def test_numpy_scalars_are_numbers():
+    # an action set, a run and a tail of numpy scalars read as their floats,
+    # with no warning (the suite turns warnings into errors)
+    lp = LagrangianProblem(0.0, 0.0, np.array([0, 0.5, 1], dtype=np.float32),
+                           np.float16([0.25]), CSQ, state_cap=20)
+    assert lp.service_actions == [0.0, 0.5, 1.0] and lp.arrival_actions == [0.25]
+    p = Policy([(np.int64(0), np.float32(0.25))], [(0, 0.0)], np.float32(0.25), 1.0, 0)
+    assert p == constant_policy(0.25, 1.0)
 
 
 @pytest.mark.parametrize("build,message", [
@@ -298,6 +325,63 @@ def test_a_tag_that_names_no_case_is_refused(call, message):
     assert str(err.value) == message
 
 
+# a builder that sweep draws: a family constructor, or junk
+BUILD = st.just(lambda U: mc22_policy(0.39, 0.2, 0.4, U)) | JUNK
+
+
+@settings(max_examples=200)
+@given(build=BUILD, grid=JUNK | st.lists(NUMBER, min_size=1, max_size=3))
+def test_sweep_sweeps_or_raises_value_error(build, grid):
+    # sweep returns only with a callable build, and a grid point that is no
+    # positive number is a failure record, not a sample
+    try:
+        samples, _ = sweep(build, grid, ENV, 0.154)
+    except ValueError:
+        return
+    assert callable(build) and all(_positive(s.U) for s in samples), \
+        "swept %r over %r" % (build, grid)
+
+
+# a sample whose V and qbar are junk
+SAMPLE = st.builds(ScalingSample, st.just(1.0), ATOM, ATOM, st.just(0.0), st.just(0.0))
+
+
+@settings(max_examples=200)
+@given(samples=JUNK | st.lists(SAMPLE | ATOM, min_size=5, max_size=6)
+       | st.just(LOG_SAMPLES))
+def test_classify_fits_or_raises_value_error(samples):
+    # classify_regime returns only on samples whose V and qbar are numbers
+    try:
+        classify_regime(samples)
+    except ValueError:
+        return
+    assert all(_number(s.V) and _number(s.qbar) for s in samples), \
+        "fitted %r" % (samples,)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: LagrangianProblem(1, 0, None, [0.4], CSQ),
+     "service actions must be a list of rates, got None"),
+    (lambda: LagrangianProblem(1, 0, [0, 1], 0.4, CSQ),
+     "arrival actions must be a list of rates, got 0.4"),
+    (lambda: sweep(lambda U: MC22_POLICY, None, ENV, 0.154),
+     "U grid must be a list of scales, got None"),
+    (lambda: classify_regime(None), "samples must be a list of ScalingSamples, got None"),
+    (lambda: Policy(None, [(0, 0.0)], 0.1, 1.0, 0),
+     "lam must be a list of (start, rate) runs, got None"),
+    (lambda: Policy([(0, 0.1)], 5, 0.1, 1.0, 0), "mu must be a list of (start, rate) runs, got 5"),
+    (lambda: Policy([(0, 0.1, 3)], [(0, 0.0)], 0.1, 1.0, 0),
+     "a lam run is a (start, rate) pair, got (0, 0.1, 3)"),
+    (lambda: Policy([(0, 0.1)], [0], 0.1, 1.0, 0), "a mu run is a (start, rate) pair, got 0"),
+])
+def test_a_list_rule_refusal_names_the_argument(call, message):
+    # each ended in a TypeError ("... is not iterable", "... has no len()")
+    # or in Policy's unnamed "too many values to unpack"
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def _number(x):
     return not isinstance(x, bool) and isinstance(x, (int, float))
 
@@ -365,11 +449,28 @@ def test_numeric_calls_return_only_on_a_number(name, x):
      "r_max must be a positive finite number, got None"),
     (lambda: RateFunction("bogus", "cost", points=[(0, 0), (1, 1)]),
      "kind must be 'power', 'piecewise' or 'discrete', got 'bogus'"),
+    # each converted q to a float, and ended in "OverflowError: int too large
+    # to convert to float"
+    (lambda: pi_at(SR, 10 ** 400), "q must lie below the largest double, about 1.8e308"),
+    (lambda: mass_below(SR, 10 ** 400), "q must lie below the largest double, about 1.8e308"),
 ])
 def test_a_number_rule_refusal_names_the_argument(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("call,what", [
+    (lambda x: Policy([(0, 0.1)], [(0, 0.0)], x, 1.0, 0), "arrival tail"),
+    (lambda x: piecewise_function([(0, 0), (1, x)]), "value"),
+    (lambda x: policy_from_pieces([[0, 1, x]], 0.1, [], 1.0), "piece rate"),
+])
+def test_an_int_beyond_the_largest_double_is_no_finite_number(call, what):
+    # math.isfinite converted the int, and ended in "OverflowError: int too
+    # large to convert to float"
+    with pytest.raises(ValueError) as err:
+        call(10 ** 400)
+    assert str(err.value) == "%s must be a finite number, got %d" % (what, 10 ** 400)
 
 
 POLICY = constant_policy(0.4, 1.0)

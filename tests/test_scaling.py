@@ -73,6 +73,13 @@ def test_sweep_records_nonpositive_gap():
     assert "non-positive cost gap" in failures[0].error
 
 
+def test_sweep_refuses_a_build_that_is_not_callable():
+    # ended in "TypeError: 'NoneType' object is not callable"
+    with pytest.raises(ValueError) as err:
+        sweep(None, [0.01], CSQ, 0.1)
+    assert str(err.value) == "build must be callable, got None"
+
+
 def test_sweep_empty_grid():
     with pytest.raises(ValueError):
         sweep(lambda u: constant_policy(0.4, 1.0), [], CSQ, 0.1)
@@ -194,8 +201,14 @@ def sample_table(row=None, V=None, qbar=None):
     (sample_table(1, V=1e-320), "sample 1 has V = 9.99989e-321; need a finite V > 0"),
     (sample_table(4, V=math.inf), "sample 4 has V = inf; need a finite V > 0"),
     (sample_table(0, V=math.nan), "sample 0 has V = nan; need a finite V > 0"),
+    # an int ended in "AttributeError: 'int' object has no attribute 'V'",
+    # and a numeric string V was read as its number
+    ([1, 2, 3, 4, 5], "sample 0 needs a number V and qbar, got 1"),
+    (sample_table()[:4] + [(1.0, 1e-4, 5.0, 0.0, 0.0)],
+     "sample 4 needs a number V and qbar, got (1.0, 0.0001, 5.0, 0.0, 0.0)"),
+    (sample_table(2, V="0.01"), "sample 2 needs a number V and qbar, got ScalingSample("),
 ], ids=["qbar-inf", "qbar-nan", "qbar-huge", "V-0", "V-negative", "V-subnormal", "V-inf",
-        "V-nan"])
+        "V-nan", "ints", "tuple", "V-string"])
 def test_classify_refuses_samples_it_cannot_fit(samples, message):
     with pytest.raises(ValueError) as err:
         classify_regime(samples)

@@ -147,6 +147,11 @@ def test_config_validation():
         simulate(p, SimConfig(100.0, 0, 0, 0.1), CSQ)
     with pytest.raises(ValueError):
         simulate(p, SimConfig(100.0, 2, 0, 1.0), CSQ)
+    # a plain tuple ended in "AttributeError: 'tuple' object has no attribute
+    # 'horizon'"
+    with pytest.raises(ValueError) as err:
+        simulate(p, (10000.0, 10, 0, 0.1), CSQ)
+    assert str(err.value) == "cfg must be a SimConfig, got (10000.0, 10, 0, 0.1)"
 
 
 def test_interval_shrinks_with_replications():
