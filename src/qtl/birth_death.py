@@ -32,7 +32,8 @@ import math
 from collections import namedtuple
 
 from .rate_functions import (
-    RATE_TOL, _MAX_DOUBLE, _check_roles, _count, _finite, _list, _pair, evaluate, inverse)
+    RATE_TOL, _MAX_DOUBLE, _check_roles, _count, _finite, _instance, _list, _pair, evaluate,
+    inverse)
 
 # segments cover the recurrent window from q_lo in state order; q_max is the
 # last state before the geometric tail, whose ratio is its segment's
@@ -62,7 +63,7 @@ class Policy(object):
     more than RATE_TOL, is refused, so every Policy holds its bounds.  Every
     rate, tail and bound must be a finite int or float, and the horizon and
     every run start an int or an integral float; a bool, a string, a NaN
-    or 2.7 is refused, not converted.
+    or 2.7 is refused, not converted.  ``meta`` is a dict or None.
     """
 
     def __init__(self, lam, mu, lam_tail, mu_tail, horizon, ra_max=None,
@@ -79,7 +80,7 @@ class Policy(object):
             raise ValueError("rates are non-negative")
         self.ra_max = _bound(ra_max, "ra_max", max(lam_rates), "arrival")
         self.r_max = _bound(r_max, "r_max", max(mu_rates), "service")
-        self.meta = dict(meta) if meta else {}
+        self.meta = dict(_instance(meta, dict, "Policy meta")) if meta is not None else {}
 
     def runs(self, rule):
         """(starts, rates) of the "lam" or "mu" rule, read-only, with the
@@ -202,6 +203,8 @@ def constant_policy(lam, mu):
 
 
 def policy_to_json(p):
+    _instance(p, Policy, "policy_to_json")
+
     def pieces_of(rule):
         starts, rates = p.runs(rule)
         return {"pieces": [[a, b - 1, r] for a, b, r in zip(starts, starts[1:], rates)],
@@ -239,7 +242,7 @@ def check_admissible(p):
 
     Rates change only where a run starts, so only run starts are checked.
     """
-    mu_starts, mu = p.runs("mu")
+    mu_starts, mu = _instance(p, Policy, "check_admissible").runs("mu")
     lam_starts, lam = p.runs("lam")
     bad = [(q, 0, "service rates decrease at q=%d")
            for q, a, b in zip(mu_starts[1:], mu, mu[1:]) if b < a]
@@ -251,6 +254,9 @@ def check_admissible(p):
 
 
 def is_admissible(p):
+    """Whether p is admissible; a p that is no Policy is refused, not
+    answered."""
+    _instance(p, Policy, "is_admissible")
     try:
         check_admissible(p)
         return True
@@ -264,7 +270,7 @@ def recurrent_window(p):
     q_ru is math.inf when arrivals never shut off; q_rl is math.inf in the
     degenerate no-service case.
     """
-    mu_starts, mu = p.runs("mu")
+    mu_starts, mu = _instance(p, Policy, "recurrent_window").runs("mu")
     lam_starts, lam = p.runs("lam")
     last = max(i for i, r in enumerate(mu) if r == 0.0)
     q_rl = math.inf if last == len(mu) - 1 else mu_starts[last + 1] - 1
@@ -289,7 +295,9 @@ def _stable_window(p):
 
 
 def is_stable(p):
-    """Whether p has a stationary distribution, by ``stationary``'s rule."""
+    """Whether p has a stationary distribution, by ``stationary``'s rule; a
+    p that is no Policy is refused, not answered."""
+    _instance(p, Policy, "is_stable")
     try:
         _stable_window(p)
     except ValueError:
@@ -307,7 +315,7 @@ def stationary(p):
     and memory scale with the number of runs, not of states, and nothing is
     truncated.
     """
-    q_rl, q_ru = _stable_window(p)
+    q_rl, q_ru = _stable_window(_instance(p, Policy, "stationary"))
 
     # unnormalized log pi at each segment's first state, from log pi(q_rl) = 0
     # by detailed balance; a one-state segment (mu = 0 at q_rl, lambda = 0
@@ -370,7 +378,7 @@ def pi_at(sr, q):
     """pi(q), zero at transient and unreachable states; q is an integer
     below the largest double."""
     q = _below_max_double(_count(q, "q"), "q")
-    for s in sr.segments:
+    for s in _instance(sr, StationaryResult, "pi_at").segments:
         if s.first <= q < s.first + s.length:
             return math.exp(s.log_pi + (q - s.first) * s.log_ratio)
     return 0.0
@@ -381,7 +389,7 @@ def mass_below(sr, q):
     double."""
     q = _below_max_double(_count(q, "q"), "q")
     parts = []
-    for s in sr.segments:
+    for s in _instance(sr, StationaryResult, "mass_below").segments:
         if s.first >= q:
             break
         n = q - s.first
@@ -408,7 +416,7 @@ def metrics(sr, c, u):
     used is a sample).  c must be a cost and u None or a utility.
     """
     _check_roles(c, u)
-    segs = sr.segments
+    segs = _instance(sr, StationaryResult, "metrics").segments
 
     def mean(values):
         return math.fsum(s.mass * v for s, v in zip(segs, values))
@@ -456,7 +464,7 @@ def qlength_upper_bound(p):
     each run is tried.
     """
     best = math.inf
-    for first, end, lam, mu in p.joint_runs():
+    for first, end, lam, mu in _instance(p, Policy, "qlength_upper_bound").joint_runs():
         q, eps = max(first, 1), mu - lam
         if q < end and eps > 0:
             val = q * (eps + p.ra_max) / eps + (p.r_max + p.ra_max) / (2.0 * eps)

@@ -33,7 +33,7 @@ from .policy_families import (
     lambda_mu_policy, lc_mirror_policy, mc1_policy, mc21_policy, mc22_policy,
     mc23_policy)
 from .rate_functions import (
-    CaseTag, _check_tag, _is_number, evaluate, function_from_spec, lower_convex_envelope)
+    CaseTag, _is_number, evaluate, function_from_spec, lower_convex_envelope)
 from .scaling import ScalingSample, audit_lower_bound, classify_regime, sweep
 from .sim import SimConfig, simulate as sim_run
 from . import birth_death
@@ -275,8 +275,9 @@ def _log_grid(lo, hi, n):
 
 
 def _dyadic_grid(k0, k1):
-    if not 0 <= k0 <= k1:
-        raise SchemaError("dyadic range needs 0 <= k0 <= k1")
+    # past k = 1074, 2^-k is 0: no scale
+    if not 0 <= k0 <= k1 <= 1074:
+        raise SchemaError("dyadic range needs 0 <= k0 <= k1 <= 1074")
     return [2.0 ** -k for k in range(k0, k1 + 1)]
 
 
@@ -318,12 +319,10 @@ def _case_tag(obj):
     if not (isinstance(obj, dict) and isinstance(obj.get("family"), str)):
         raise SchemaError("a case tag is an object with a string 'family', got %.60s"
                           % json.dumps(obj))
-    tag = CaseTag(obj["family"], obj.get("window"), obj.get("regime"), obj.get("anchor"))
     try:
-        _check_tag("case", tag)
+        return CaseTag(obj["family"], obj.get("window"), obj.get("regime"), obj.get("anchor"))
     except ValueError as exc:
         raise SchemaError("bad case: %s" % exc)
-    return tag if tag.window is None else tag._replace(window=tuple(tag.window))
 
 
 _FAMILIES = {

@@ -44,8 +44,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .birth_death import Policy, exact_metrics, is_admissible, rate_value
-from .rate_functions import _check_roles, _count, _finite, _is_number, _list
+from .birth_death import Policy, _below_max_double, exact_metrics, is_admissible, rate_value
+from .rate_functions import _check_roles, _count, _finite, _instance, _is_number, _list
 
 MAX_ITERATIONS = 500
 TOL = 1e-9                # stop once the Bellman residual's span falls below this
@@ -129,8 +129,9 @@ def _rates(actions, name):
 
 
 def uniform_actions(r_max, n=201):
-    """Uniform discretization of the continuous action set [0, r_max]."""
-    n = _count(n, "n")
+    """Uniform discretization of the continuous action set [0, r_max]; n
+    must lie below the largest double."""
+    n = _below_max_double(_count(n, "n"), "n")
     # r_max * i overflows for an r_max near the largest double
     if not (n >= 2 and _is_number(r_max) and 0 < r_max * (n - 1) < math.inf):
         raise ValueError("need n >= 2 and an r_max > 0 with a finite r_max * (n - 1), "
@@ -370,7 +371,7 @@ class _Side:
 
 def _start_indices(lp, start):
     """Service and arrival column indices of ``start``'s rates, per state."""
-    if not isinstance(start, Policy) or start.horizon != lp.state_cap:
+    if _instance(start, Policy, "start").horizon != lp.state_cap:
         raise ValueError("start must be a Policy on states 0..state_cap = %d"
                          % lp.state_cap)
     mu, lam = (np.repeat(rates[:-1], np.diff(starts))
@@ -420,7 +421,7 @@ def solve(lp, *, start=None, _slot=None):
     shared by a warm run and its cold fallback.  A multi-class policy, or
     a numerically singular system, is a ValueError, not a warning.
     """
-    n = lp.state_cap + 1      # states 0..state_cap
+    n = _instance(lp, LagrangianProblem, "solve").state_cap + 1  # states 0..state_cap
     k, m = len(lp.service_actions), len(lp.arrival_actions)
     service, arrival = lp._service, lp._arrival
     srv, arr = service.rates, arrival.rates
@@ -537,7 +538,7 @@ def trace_tradeoff(base, beta1_grid, beta2_grid):
         raise ValueError("multiplier grids must be non-empty")
     if any(b < 0 for b in b1 + b2):
         raise ValueError("multipliers must be non-negative")
-    _check_utility(b2, base.utility_fn)
+    _check_utility(b2, _instance(base, LagrangianProblem, "trace_tradeoff").utility_fn)
 
     points = []
     failures = []

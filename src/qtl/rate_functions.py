@@ -24,13 +24,17 @@ lower-bound audits compare against, along with the adjacent-slope gap m_a
 and the curvature constant a1 where those are defined.
 
 The module also owns the input rules that every layer reads: what a
-number is (``_is_number``: an int or float, never a bool or a string;
-``_numeric`` refuses by name the first named argument that is not one), a
-finite number (``_finite``), a count (``_count``: an int or an integral
-float), a list (``_list``: whatever ``list()`` reads; grids, action sets,
-points, runs and samples alike), a pair (``_pair``), when two rates are
-equal (``RATE_TOL``), what a case tag is (``_check_tag``) and what a cost
-and a utility are (``_check_roles``).
+number is (``_is_number``: an int or float that has a double, never a
+bool, a string or an int past the largest double; ``_numeric`` refuses by
+name the first named argument that is not one), a finite number
+(``_finite``), a count (``_count``: an int of any size, whose callers bound
+it, or an integral float), a list (``_list``: whatever ``list()`` reads;
+grids, action sets, points, runs and samples alike), a pair (``_pair``),
+an object of a given type (``_instance``: every exported function checks
+the Policy, stationary result, RateFunction or problem it reads), when two
+rates are equal (``RATE_TOL``), what a case tag is (``_check_tag``; a
+CaseTag checks its window and anchor when it is built) and what a cost and
+a utility are (``_check_roles``).
 """
 
 import bisect
@@ -49,9 +53,32 @@ RATE_TOL = 1e-12
 _MAX_DOUBLE = int(sys.float_info.max)
 
 
-CaseTag = namedtuple("CaseTag", ["family", "window", "regime", "anchor"])
-# window is (a, b) of the active segment for segment-interior tags and the
-# pair of bracketing corners for corner tags (MC2-3 / LC2-2).
+class CaseTag(namedtuple("CaseTag", ["family", "window", "regime", "anchor"])):
+    """A case of the taxonomy.  window is (a, b) of the active segment for
+    segment-interior tags and the pair of bracketing corners for corner
+    tags (MC2-3 / LC2-2).  A window that is no pair of numbers, or an
+    anchor that is no number, is refused by field when the tag is built,
+    ``_replace`` included; the window is stored as a tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, family, window, regime, anchor):
+        if window is not None:
+            if not (isinstance(window, (tuple, list)) and len(window) == 2):
+                raise ValueError("case tag %s: window must be a pair of numbers, got %r"
+                                 % (family, window))
+            _numeric(window_lo=window[0], window_hi=window[1])
+            window = tuple(window)
+        if anchor is not None:
+            _numeric(anchor=anchor)
+        return super().__new__(cls, family, window, regime, anchor)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and so _replace, would skip __new__
+        return cls(*iterable)
+
+
 # the families classify_case returns
 CASE_FAMILIES = ("MC1", "LC1", "MC2-1", "MC2-2", "MC2-3", "LC2-1", "LC2-2")
 
@@ -59,9 +86,14 @@ SupportLine = namedtuple("SupportLine", ["slope", "intercept", "anchor", "m_a", 
 
 
 def _is_number(x):
-    """True for an int or float, but not for a bool."""
+    """True for an int or float that has a double: never for a bool, or for
+    an int past the largest double."""
     # float and int first: they pass without the slower abstract-class check
-    return isinstance(x, (float, int, numbers.Real)) and not isinstance(x, bool)
+    if isinstance(x, float):
+        return True
+    if isinstance(x, int):
+        return not isinstance(x, bool) and abs(x) <= _MAX_DOUBLE
+    return isinstance(x, numbers.Real)
 
 
 def _numeric(**named):
@@ -76,41 +108,37 @@ def _numeric(**named):
 def _finite(x, what):
     """x as a float; a bool, a string, inf, NaN or an int beyond the largest
     double is refused by name."""
-    # an int is compared exactly: math.isfinite would convert it and overflow
-    if not (_is_number(x) and (abs(x) <= _MAX_DOUBLE if isinstance(x, int)
-                               else math.isfinite(x))):
+    if not (_is_number(x) and math.isfinite(x)):
         raise ValueError("%s must be a finite number, got %r" % (what, x))
     return float(x)
 
 
 def _count(x, what):
-    """x as an int: an int, or a finite float with an integral value; a
-    bool, a string, 2.7 or inf is refused by name, never truncated."""
-    if not (_is_number(x) and (isinstance(x, (int, numbers.Integral))
-                               or _finite(x, what).is_integer())):
+    """x as an int: an int of any size, or a finite float with an integral
+    value; a bool, a string, 2.7 or inf is refused by name, never
+    truncated.  Each caller bounds the count itself."""
+    if not (type(x) is int or _is_number(x) and (isinstance(x, numbers.Integral)
+                                                 or _finite(x, what).is_integer())):
         raise ValueError("%s must be an integer, got %r" % (what, x))
     return int(x)
 
 
+def _instance(x, cls, what):
+    """x, refused with "<what> needs a <cls>" unless it is a cls."""
+    if not isinstance(x, cls):
+        raise ValueError("%s needs a %s, got %s" % (what, cls.__name__, type(x).__name__))
+    return x
+
+
 def _check_tag(use, tag, *fields):
     """Raise ValueError, naming the function ``use``, for a tag that is no
-    CaseTag; else naming the first of ``fields`` the case tag lacks, or the
-    first field of another shape: a window must be a pair of numbers
-    (window_lo, window_hi) and an anchor a number.  Every use of a tag is
-    checked here before it reads any field."""
-    if not isinstance(tag, CaseTag):
-        raise ValueError("%s needs a CaseTag, got %s" % (use, type(tag).__name__))
+    CaseTag; else naming the first of ``fields`` the case tag lacks.  Every
+    use of a tag is checked here before it reads any field; its window and
+    anchor were checked when it was built."""
+    _instance(tag, CaseTag, use)
     for name in fields:
         if getattr(tag, name) is None:
             raise ValueError("case tag %s has no %r" % (tag.family, name))
-    window, anchor = tag.window, tag.anchor
-    if window is not None:
-        if not (isinstance(window, (tuple, list)) and len(window) == 2):
-            raise ValueError("case tag %s: window must be a pair of numbers, got %r"
-                             % (tag.family, window))
-        _numeric(window_lo=window[0], window_hi=window[1])
-    if anchor is not None:
-        _numeric(anchor=anchor)
 
 
 class RateFunction(object):
@@ -259,7 +287,7 @@ def evaluate(f, r):
     # a float passes on its type alone: the internal callers pass floats
     if type(r) is not float:
         _numeric(rate=r)
-    if f.kind == "discrete":
+    if _instance(f, RateFunction, "evaluate").kind == "discrete":
         for rr, vv in zip(f.br, f.bv):
             if abs(rr - r) <= RATE_TOL:
                 return vv
@@ -289,7 +317,7 @@ def inverse(f, v):
     root to full float precision.  A value that is not a number is refused.
     """
     _numeric(value=v)
-    if f.kind == "discrete":
+    if _instance(f, RateFunction, "inverse").kind == "discrete":
         raise ValueError("discrete set has no inverse; take lower_convex_envelope first")
     v_lo, v_hi = evaluate(f, f.lo), evaluate(f, f.hi)
     if not v_lo - RATE_TOL <= v <= v_hi + RATE_TOL:
@@ -397,7 +425,7 @@ def classify_case(f, rate):
     MC1/LC1 analysis needs).
     """
     _finite(rate, "operating rate")
-    if f.kind == "discrete":
+    if _instance(f, RateFunction, "classify_case").kind == "discrete":
         raise ValueError("classify on the lower_convex_envelope, not the raw samples")
     if rate <= f.lo + CORNER_TOL or rate >= f.hi - CORNER_TOL:
         raise ValueError("operating rate %g is at the domain boundary" % rate)
@@ -451,6 +479,7 @@ def support_line(f, tag):
     the analytic tags only.  A tag that is no CaseTag, or whose family is
     none of classify_case's, is refused.
     """
+    _instance(f, RateFunction, "support_line")
     _check_tag("support_line", tag)
     fam = tag.family
     if fam not in CASE_FAMILIES:
@@ -519,6 +548,6 @@ def function_from_spec(spec, role):
 
 
 def function_to_spec(f):
-    if f.kind == "power":
+    if _instance(f, RateFunction, "function_to_spec").kind == "power":
         return {"kind": "power", "domain": [f.lo, f.hi], "exponent": f.exponent}
     return {"kind": f.kind, "points": [[r, v] for r, v in zip(f.br, f.bv)]}

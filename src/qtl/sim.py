@@ -116,9 +116,10 @@ def simulate(p, cfg, c, u=None):
     The first warmup fraction of each replication's horizon is discarded.
     A single replication yields infinite half-widths (no spread estimate),
     which the structure reports rather than hiding.  An unstable policy
-    has no long-run averages to estimate and is refused, and so is a cfg
-    that is no SimConfig, a replication count or seed that is not an int
-    or an integral float, a horizon that reaches 2**52 mean holding times
+    has no long-run averages to estimate and is refused, and so is a p
+    that is no Policy, a cfg that is no SimConfig, a replication count or
+    seed that is not an int or an integral float, more replications than
+    numpy can spawn streams for, a horizon that reaches 2**52 mean holding times
     at the fastest rate, and a c that is not a cost or a u that is neither
     None nor a utility.
     """
@@ -130,6 +131,8 @@ def simulate(p, cfg, c, u=None):
     n = _count(cfg.replications, "replications")
     if n < 1:
         raise ValueError("need at least one replication")
+    if n > np.iinfo(np.intp).max:  # numpy counts the spawned streams in an ssize_t
+        raise ValueError("replications must be at most %d, got %d" % (np.iinfo(np.intp).max, n))
     if not (_is_number(cfg.warmup_fraction) and 0.0 <= cfg.warmup_fraction < 1.0):
         raise ValueError("warmup_fraction must be in [0, 1)")
 

@@ -1026,3 +1026,36 @@ def test_classify_refuses_samples_it_cannot_fit(tmp_path):
     for (code, out, err), (_, message) in zip(json.loads(proc.stdout), cases):
         assert (code, out, len(err.splitlines())) == (1, "", 1), err
         assert json.loads(err) == {"error": {"type": "domain", "message": message}}
+
+
+# a 401-digit integer: valid JSON, but no double
+BIG = "1" + "0" * 400
+BIG_INT_CASES = {
+    "construct-params-U": ["construct", "--family", "mc22", "--params",
+                           '{"lam": 0.39, "a_lam": 0.2, "b_lam": 0.4, "U": %s}' % BIG],
+    "construct-params-lam": ["construct", "--family", "mc22", "--params",
+                             '{"lam": %s, "a_lam": 0.2, "b_lam": 0.4, "U": 0.01}' % BIG],
+    "construct-params-lc-window": [
+        "construct", "--family", "lc", "--params",
+        '{"mu": 0.5, "U": 0.01, "case": {"family": "LC2-1", "window": [0.4, %s]}}' % BIG],
+    "trace-beta1-grid": TRACE + ["--beta1-grid", "[%s]" % BIG],
+    "trace-service-actions": ["trace", "--cost", CSQ, "--service-actions", "[0.5, %s]" % BIG,
+                              "--arrival-actions", "[0.4]", "--beta1-grid", "[1]"],
+    "solve-arrival-actions": ["solve", "--cost", CSQ, "--service-actions", "[0.5, 1]",
+                              "--arrival-actions", "[%s]" % BIG],
+    "sweep-u-grid": SWEEP + ["--u-grid", "[0.01, %s]" % BIG],
+    "classify-samples": ["classify", "--samples", "[[1, %s, 1, 0, 0]]" % BIG],
+    "audit-case-anchor": ["audit", "--policy", AUDIT_POLICY, "--cost", CSQ, "--c-ref", "0.1",
+                          "--case", '{"family": "MC1", "anchor": %s}' % BIG],
+    "envelope-points": ["envelope", "--points", "[[0, 0], [1, %s]]" % BIG],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BIG_INT_CASES))
+def test_an_int_with_no_double_is_malformed_input(runner, case):
+    # each but lam ended in a traceback, an OverflowError where the int was
+    # converted to a float or formatted with %g; lam was compared as a number
+    # and refused as a domain error
+    res = runner.invoke(main, BIG_INT_CASES[case], catch_exceptions=False)
+    assert res.stdout == "" and len(res.stderr.splitlines()) == 1
+    error_of(res, 2)

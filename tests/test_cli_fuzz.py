@@ -7,10 +7,11 @@ object, the error or a failure record, is strict JSON.  Each case starts
 from a small valid manifest of one subcommand and replaces one of its
 values with arbitrary JSON.  Numbers are drawn from small ranges only: a
 large but valid rate, cap or horizon is costly input, not malformed
-input.  Strings that overflow to +-inf or underflow to 0 as numbers reach
-the options parsed as floats or JSON lists, 1e-300 can become an anchor
-or a rate next to 0, and one string is a sample table with an infinite
-qbar.
+input; a 401-digit integer, which has no double, is malformed input and is
+drawn too.  Strings that overflow to +-inf or underflow to 0 as numbers
+reach the options parsed as floats or JSON lists, 1e-300 can become an
+anchor or a rate next to 0, and one string is a sample table with an
+infinite qbar.
 """
 
 import json
@@ -60,7 +61,7 @@ KEYS = st.sampled_from(["kind", "domain", "exponent", "points", "lambda", "mu",
                         "anchor", "lam", "a_lam", "b_lam", "U", "K", "q_k",
                         "case"]) | st.text("abkmpqU_", max_size=4)
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 30)
-           | st.sampled_from([-1.5, -0.0, 0.0, 1e-300, 0.1, 0.25, 0.5, 1.0, 2.5])
+           | st.sampled_from([-1.5, -0.0, 0.0, 1e-300, 0.1, 0.25, 0.5, 1.0, 2.5, 10 ** 400])
            | st.sampled_from(["", "mc1", "lc", "MC1", "MC2-3", "LC1", "power",
                               "piecewise", "discrete", "log", "[", "{}", "x,y",
                               "1e400", "-1e400", "1e-400", "[1e400]",

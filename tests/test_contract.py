@@ -32,8 +32,15 @@ and may return only where it is a number (an integer for ``pi_at`` and
 ``mass_below``), as may ``feasibility`` at each of its two levels.  Every
 use of a case tag refuses one that is no CaseTag, and every use of a cost
 and a utility refuses one that is missing or in the other role.
+
+One table, ``API``, holds a valid call of each exported function, with
+every public parameter by name; each argument in turn is replaced by None,
+a string, ``object()``, +-10**400, [1], {} and [10**400], and the call
+must return or raise ValueError.  A meta-test fails when an exported
+function or parameter has no row.
 """
 
+import inspect
 import math
 import re
 
@@ -41,6 +48,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qtl
 from qtl import (
     CaseTag,
     LagrangianProblem,
@@ -58,6 +66,8 @@ from qtl import (
     feasibility,
     function_from_spec,
     inverse,
+    is_admissible,
+    is_stable,
     lambda_mu_policy,
     lc_mirror_policy,
     lower_convex_envelope,
@@ -509,3 +519,106 @@ def test_feasibility_needs_a_utility():
     with pytest.raises(ValueError) as err:
         feasibility(CSQ, None, 0.16, 0.6)
     assert str(err.value) == "feasibility needs a utility RateFunction, got None"
+
+
+# junk that replaces each argument of each exported function in turn: the
+# call must return or raise ValueError
+JUNK_ARGS = [None, "x", object(), 10 ** 400, -10 ** 400, [1], {}, [10 ** 400]]
+LP = LagrangianProblem(5.0, 0.0, [0, 0.5, 1], [0, 0.3], CSQ, state_cap=10)
+# one valid call of each exported function, every public parameter by name
+API = {
+    "audit_lower_bound": {"p": MC22_POLICY, "tag": MC22, "c": ENV, "u": None,
+                          "c_ref": 0.154},
+    "check_admissible": {"p": POLICY},
+    "classify_case": {"f": CSQ, "rate": 0.5},
+    "classify_regime": {"samples": LOG_SAMPLES, "tag": MC22},
+    "constant_policy": {"lam": 0.4, "mu": 1.0},
+    "discrete_function": {"points": [(0, 0), (0.5, 0.25), (1, 1)], "role": "cost"},
+    "evaluate": {"f": CSQ, "r": 0.5},
+    "exact_metrics": {"p": POLICY, "c": CSQ, "u": USQRT},
+    "feasibility": {"c": CSQ, "u": USQRT, "c_c": 0.16, "u_c": 0.6},
+    "function_from_spec": {"spec": {"kind": "power", "exponent": 2}, "role": "cost"},
+    "function_to_spec": {"f": ENV},
+    "inverse": {"f": CSQ, "v": 0.25},
+    "is_admissible": {"p": POLICY},
+    "is_stable": {"p": POLICY},
+    "lambda_mu_policy": {"u_inv_uc": 0.4, "U": 0.01, "eps": 0.05, "K": 10, "ra_max": 1.0,
+                         "r_max": 1.0},
+    "lc_mirror_policy": {"mu": 0.5, "tag": LC21, "U": 0.01},
+    "lower_convex_envelope": {"f_or_points": MENU},
+    "mass_below": {"sr": SR, "q": 3},
+    "mc1_policy": {"lam": 0.5, "U": 0.01, "K": 0.4, "r_max": 1.0},
+    "mc21_policy": {"lam": 0.3, "b_lam": 0.5, "r_max": 1.0, "q_k": None, "U": 0.01},
+    "mc22_policy": {"lam": 0.39, "a_lam": 0.2, "b_lam": 0.4, "U": 0.01},
+    "mc23_policy": {"lam": 0.4, "K": 0.1, "U": 0.01, "next_corner": 0.6},
+    "metrics": {"sr": SR, "c": CSQ, "u": USQRT},
+    "pi_at": {"sr": SR, "q": 3},
+    "piecewise_function": {"points": [(0, 0), (0.5, 0.25), (1, 1)], "role": "cost"},
+    "policy_from_json": {"d": {"lambda": {"tail": 0.4}, "mu": {"tail": 1.0}}},
+    "policy_from_pieces": {"lam_pieces": [[0, 2, 0.4]], "lam_tail": 0.3,
+                           "mu_pieces": [[1, 2, 1.0]], "mu_tail": 1.0, "ra_max": 0.5,
+                           "r_max": 1.0, "meta": {"source": "table"}},
+    "policy_to_json": {"p": POLICY},
+    "power_function": {"exponent": 2.0, "domain": (0.0, 1.0), "role": "cost"},
+    "qlength_upper_bound": {"p": POLICY},
+    "recurrent_window": {"p": POLICY},
+    "simulate": {"p": POLICY, "cfg": SimConfig(10, 2, 0, 0.1), "c": CSQ, "u": USQRT},
+    "solve": {"lp": LP, "start": solve(LP).policy},
+    "stationary": {"p": POLICY},
+    "support_line": {"f": ENV, "tag": MC22},
+    "sweep": {"build": lambda U: mc22_policy(0.39, 0.2, 0.4, U), "U_grid": [0.01],
+              "c": ENV, "c_ref": 0.154, "u": None},
+    "trace_tradeoff": {"base": LP, "beta1_grid": [5.0], "beta2_grid": [0.0]},
+    "uniform_actions": {"r_max": 1.0, "n": 11},
+}
+BIG_V = ScalingSample(0.0, 10 ** 400, 1.0, 0.0, 0.0)
+ARGS = [(name, param) for name, args in sorted(API.items()) for param in args]
+
+
+def test_every_exported_function_and_parameter_has_a_row():
+    # a new exported function, or a new public parameter, goes into API
+    exported = {name for name, x in vars(qtl).items() if inspect.isfunction(x)}
+    assert sorted(exported) == sorted(API)
+    for name, args in API.items():
+        params = inspect.signature(getattr(qtl, name)).parameters
+        assert sorted(args) == sorted(p for p in params if not p.startswith("_")), name
+
+
+@pytest.mark.parametrize("name", sorted(API))
+def test_each_row_is_a_valid_call(name):
+    getattr(qtl, name)(**API[name])
+
+
+@pytest.mark.parametrize("name,param", ARGS)
+def test_junk_in_any_argument_returns_or_raises_value_error(name, param):
+    # each of these ended in an AttributeError for an object of another
+    # type, or an OverflowError for an int that has no double
+    for junk in JUNK_ARGS:
+        try:
+            getattr(qtl, name)(**dict(API[name], **{param: junk}))
+        except ValueError:
+            pass
+        except Exception as exc:
+            pytest.fail("%s(%s=%.40r) raised %r" % (name, param, junk, exc))
+
+
+@pytest.mark.parametrize("call,message", [
+    # each caught the ValueError of an object of another type, and answered
+    # False; simulate then called the policy unstable
+    (lambda: is_admissible(None), "is_admissible needs a Policy, got NoneType"),
+    (lambda: is_stable("x"), "is_stable needs a Policy, got str"),
+    (lambda: simulate(None, SimConfig(10, 2, 0, 0.1), CSQ),
+     "is_stable needs a Policy, got NoneType"),
+    # an AttributeError
+    (lambda: stationary(None), "stationary needs a Policy, got NoneType"),
+    (lambda: support_line(None, MC22), "support_line needs a RateFunction, got NoneType"),
+    # an OverflowError
+    (lambda: classify_regime(LOG_SAMPLES[:4] + [BIG_V]),
+     "sample 4 needs a number V and qbar, got %r" % (BIG_V,)),
+    (lambda: uniform_actions(1.0, 10 ** 400),
+     "n must lie below the largest double, about 1.8e308"),
+])
+def test_an_object_of_another_type_is_refused_by_name(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
