@@ -18,16 +18,16 @@ Policy evaluation solves the (N+2)-unknown linear system
     (lam_q + mu_q)/r_u h(q) - lam_q/r_u h(q+1) - mu_q/r_u h(q-1) + g = cost(q)
     h(0) = 0
 
-by sparse LU (``_evaluate_policy``, which also says what it keeps between
-calls, in a slot its caller owns); ``scipy.sparse`` is imported only then,
-so importing this module (and ``qtl`` or ``qtl.cli``) does not load it.
-The slot keeps the last zero pattern's matrix, to refill in place, and
-whether SuperLU's column order for that pattern is the identity: COLAMD
-reads the structure only, so a refill of such a pattern skips it
-(``permc_spec="NATURAL"``) and gets the same factor bit for bit.
-The module holds no mutable state: each ``solve`` evaluates in its own
-slot and each ``trace_tradeoff`` in one slot for all its solves, so both
-may run in threads.
+by sparse LU, in an ``_Evaluator``: bound to one problem's r_u, it keeps
+the last chain's factor, to solve that chain again, and the last zero
+pattern's matrix, to refill in place, and whether SuperLU's column order
+for that pattern is the identity: COLAMD reads the structure only, so a
+refill of such a pattern skips it (``permc_spec="NATURAL"``) and gets the
+same factor bit for bit.  ``scipy.sparse`` is imported only when a chain
+is factored, so importing this module (and ``qtl`` or ``qtl.cli``) does
+not load it.  The module holds no mutable state: each ``solve`` evaluates
+with an evaluator of its own and each ``trace_tradeoff`` with one for all
+its solves, so both may run in threads.
 
 Policy iteration keeps one array of action indices per rule.  Each action
 set is a ``_Side``, built with the problem and priced at a multiplier
@@ -149,11 +149,9 @@ def _pattern(lam, mu):
     and which of mu(1..n-1) are positive.  Two chains with one pattern give
     matrices that differ in their values only.
 
-    This is where a chain that policy evaluation cannot solve is refused
-    before SuperLU sees it: one with lam(n-1) > 0 or mu(0) > 0, and one
-    with more than one recurrent class."""
-    if lam[-1] > 0.0 or mu[0] > 0.0:
-        raise ValueError("evaluation needs lambda(%d) = 0 and mu(0) = 0" % (lam.shape[0] - 1))
+    This is where a chain with more than one recurrent class is refused
+    before SuperLU sees it.  ``solve`` puts the zero-rate column at both
+    ends of every chain, so lam(n-1) = mu(0) = 0."""
     # the rule of birth_death.recurrent_window: one recurrent class needs
     # the first zero-arrival state at or above the last zero-service state
     # (rates are non-negative and lam(n-1) = mu(0) = 0, so argmin finds them)
@@ -167,10 +165,11 @@ def _pattern(lam, mu):
     return lam[:-1] > 0.0, mu[1:] > 0.0
 
 
-def _build(pattern, lam, mu, r_u):
-    """(matrix, at): a new CSC matrix of the chain's evaluation system,
-    whose zero pattern is ``pattern``, and the positions in its ``data`` of
-    the diagonal, super- and sub-diagonal entries, which ``_fill`` writes.
+def _build(pattern):
+    """(matrix, at): a new CSC matrix of the evaluation system of the
+    chains whose zero pattern is ``pattern``, and the positions in its
+    ``data`` of the diagonal, super- and sub-diagonal entries, which
+    ``_fill`` writes with a chain's values; every other entry is 1.
 
     Rows and columns are the states 0..n-1, then the gain.  Column j < n
     holds, in row order, -lam(j-1)/r_u if lam(j-1) > 0, the diagonal
@@ -179,7 +178,7 @@ def _build(pattern, lam, mu, r_u):
     """
     from scipy.sparse import csc_matrix
 
-    n = lam.shape[0]
+    n = len(pattern[0]) + 1
     up = np.append(False, pattern[0])       # column j holds row j-1
     down = np.append(pattern[1], False)     # column j holds row j+1
     counts = np.append(1 + up.astype(np.int32) + down, n)
@@ -192,9 +191,7 @@ def _build(pattern, lam, mu, r_u):
     for pos, row in zip(at + (indptr[1] - 1, slice(indptr[n], None)),
                         (rows, rows[up] - 1, rows[down] + 1, n, rows)):
         indices[pos] = row
-    data = np.ones(indptr[-1])
-    _fill(data, at, pattern, lam, mu, r_u)
-    return csc_matrix((data, indices, indptr), shape=(n + 1, n + 1)), at
+    return csc_matrix((np.ones(indptr[-1]), indices, indptr), shape=(n + 1, n + 1)), at
 
 
 def _fill(data, at, pattern, lam, mu, r_u):
@@ -206,33 +203,30 @@ def _fill(data, at, pattern, lam, mu, r_u):
 
 _SINGULAR = ("policy evaluation is singular: the Poisson system of this "
              "single-class chain is numerically singular")
-_EMPTY = (None,) * 6
 
 
-def _evaluate_policy(lam, mu, stage, r_u, slot):
-    """Relative values h (h(0) = 0) and gain g of the chain (lam, mu) at
-    stage costs ``stage``, by SuperLU.
+class _Evaluator:
+    """Relative values h (h(0) = 0) and gain g of chains (lam, mu) at
+    stage costs, by SuperLU, all at the one uniformization rate ``r_u``.
 
-    ``slot`` is the caller's one-element list; its tuple, ``_EMPTY`` at
-    first, keeps what the last factorization through it used: its key
-    (the bytes of lam and mu, and r_u), its SuperLU factor, the zero
-    pattern, matrix and value positions ``at`` from ``_build``, and
-    ``natural``: None until a factorization of that matrix succeeds, then
-    whether its factor's column order ``perm_c`` is the identity.  The same
-    chain again is solved with the kept factor, like an
-    ``lru_cache(maxsize=1)``: a warm-started solve of a trace first
-    evaluates the policy the previous solve ended on, and only its
+    It keeps what its last factorization used: ``key``, the bytes of that
+    chain's lam and mu, and ``factor``, its SuperLU factor; ``pattern``,
+    the last zero pattern, with ``matrix`` and the value positions ``at``
+    from ``_build``; and ``natural``: None until a factorization of that
+    matrix succeeds, then whether its factor's column order ``perm_c`` is
+    the identity.  The same chain again is solved with the kept factor,
+    like an ``lru_cache(maxsize=1)``: a warm-started solve of a trace
+    first evaluates the policy the previous solve ended on, and only its
     right-hand side differs.  A chain already factored was already checked.
 
     Any other chain first drops the kept factor, so one factor at most is
-    alive per slot, and is then checked by ``_pattern``.  If it keeps the
-    slot's zero pattern, as policy iteration's next policy mostly does, its
-    values are written into the slot's matrix in place (``_fill``); else
-    the slot is emptied and ``_build`` makes a new matrix.  SuperLU sees
-    the same bytes either way, and neither keeps nor changes them.  A
-    refused chain leaves the slot's matrix and no factor, a singular one
-    its own matrix and no factor.  Each step rebinds ``slot[0]`` to a new
-    tuple.
+    alive per evaluator, and is then checked by ``_pattern``.  Unless it
+    keeps the evaluator's zero pattern, as policy iteration's next policy
+    mostly does, the old matrix is let go before ``_build`` makes a new
+    one; either way ``_fill`` then writes the chain's values into the
+    matrix in place, so SuperLU sees the same bytes, and neither keeps nor
+    changes them.  A refused chain leaves the kept matrix and no factor, a
+    singular one its own matrix and no factor.
 
     A matrix is factored with the COLAMD column order, as ``splu`` does
     by default, unless ``natural`` is True; then it is factored in the
@@ -248,29 +242,35 @@ def _evaluate_policy(lam, mu, stage, r_u, slot):
     order is the identity; smaller chains, and chains whose arrivals stop
     below the cap, keep COLAMD.
     """
-    key = (lam.tobytes(), mu.tobytes(), r_u)
-    if slot[0][0] != key:
-        from scipy.sparse.linalg import splu
 
-        slot[0] = (None, None) + slot[0][2:]       # the old factor goes first
-        pattern = _pattern(lam, mu)
-        if slot[0][2] is not None and all(map(np.array_equal, pattern, slot[0][2])):
-            _fill(slot[0][3].data, slot[0][4], pattern, lam, mu, r_u)
-        else:
-            slot[0] = _EMPTY      # and the old matrix before the new one is built
-            slot[0] = (None, None, pattern) + _build(pattern, lam, mu, r_u) + (None,)
-        natural = slot[0][5]
-        try:
-            lu = splu(slot[0][3], permc_spec="NATURAL" if natural else "COLAMD")
-        except RuntimeError:
-            # SuperLU's "Factor is exactly singular"
-            raise ValueError(_SINGULAR) from None
-        natural = np.array_equal(lu.perm_c, np.arange(len(lu.perm_c)))
-        slot[0] = (key, lu) + slot[0][2:5] + (natural,)
-    x = slot[0][1].solve(np.append(stage, 0.0))
-    if not np.all(np.isfinite(x)):
-        raise ValueError(_SINGULAR)
-    return x[:-1], x[-1]
+    def __init__(self, r_u):
+        self.r_u = r_u
+        self.key = self.factor = self.pattern = self.matrix = self.at = self.natural = None
+
+    def evaluate(self, lam, mu, stage):
+        key = (lam.tobytes(), mu.tobytes())
+        if self.key != key:
+            from scipy.sparse.linalg import splu
+
+            self.key = self.factor = None        # the old factor goes first
+            pattern = _pattern(lam, mu)
+            if self.pattern is None or not all(map(np.array_equal, pattern, self.pattern)):
+                # and the old matrix before the new one is built
+                self.pattern = self.matrix = self.at = self.natural = None
+                self.matrix, self.at = _build(pattern)
+                self.pattern = pattern
+            _fill(self.matrix.data, self.at, pattern, lam, mu, self.r_u)
+            try:
+                lu = splu(self.matrix, permc_spec="NATURAL" if self.natural else "COLAMD")
+            except RuntimeError:
+                # SuperLU's "Factor is exactly singular"
+                raise ValueError(_SINGULAR) from None
+            self.key, self.factor = key, lu
+            self.natural = np.array_equal(lu.perm_c, np.arange(len(lu.perm_c)))
+        x = self.factor.solve(np.append(stage, 0.0))
+        if not np.all(np.isfinite(x)):
+            raise ValueError(_SINGULAR)
+        return x[:-1], x[-1]
 
 
 def _best(values):
@@ -389,7 +389,7 @@ def _start_indices(lp, start):
     return np.append(k, at[0]), np.append(m - 1 - at[1], m)
 
 
-def solve(lp, *, start=None, _slot=None):
+def solve(lp, *, start=None, _evaluator=None):
     """Policy iteration for the relaxed problem.  Returns a SolveResult.
 
     Starts from the largest rates, or from the keyword-only ``start``, a
@@ -416,10 +416,12 @@ def solve(lp, *, start=None, _slot=None):
     among the positive service rates only.
 
     Each evaluation solves the Poisson system with SuperLU, reusing what
-    the previous evaluation kept (see ``_evaluate_policy``) in the private
-    ``_slot``: a fresh one unless ``trace_tradeoff`` passes its own, and
-    shared by a warm run and its cold fallback.  A multi-class policy, or
-    a numerically singular system, is a ValueError, not a warning.
+    the previous evaluation kept, through the private ``_evaluator`` (an
+    ``_Evaluator`` at ``lp.r_u``): a fresh one unless ``trace_tradeoff``
+    passes its own, and shared by a warm run and its cold fallback.  A
+    multi-class policy, or a numerically singular system, is a ValueError,
+    not a warning.  So is a state_cap whose arrays numpy cannot index or
+    memory cannot hold.
     """
     n = _instance(lp, LagrangianProblem, "solve").state_cap + 1  # states 0..state_cap
     k, m = len(lp.service_actions), len(lp.arrival_actions)
@@ -427,17 +429,18 @@ def solve(lp, *, start=None, _slot=None):
     srv, arr = service.rates, arrival.rates
 
     try:
-        warm = _start_indices(lp, start) if start is not None else None
         # serve and admit at the largest rates
         cold = np.append(k, np.full(n - 1, k - 1)), np.append(np.zeros(n - 1, dtype=int), m)
-    except MemoryError:
+    except (MemoryError, ValueError):
+        # numpy's ValueError: a length past what it can index
         raise ValueError("state_cap %d is too large: its arrays do not fit in memory"
                          % lp.state_cap) from None
+    warm = _start_indices(lp, start) if start is not None else None
     # the weighted column costs, the zero-rate column's 0 last
     srv_cost = np.append(lp.beta1 * service.c, 0.0)
     arr_cost = np.append(lp.beta2 * arrival.c, 0.0)
 
-    slot = [_EMPTY] if _slot is None else _slot
+    evaluator = _Evaluator(lp.r_u) if _evaluator is None else _evaluator
     states = np.arange(n)
     steps = 0     # improvement steps of every run, an abandoned warm one included
 
@@ -451,7 +454,7 @@ def solve(lp, *, start=None, _slot=None):
                 raise ValueError(
                     "policy iteration did not converge in %d iterations" % MAX_ITERATIONS)
             stage = (states + srv_cost[mu_at] + arr_cost[lam_at]) / lp.r_u
-            h, g = _evaluate_policy(arr[lam_at], srv[mu_at], stage, lp.r_u, slot)
+            h, g = evaluator.evaluate(arr[lam_at], srv[mu_at], stage)
             gain_history.append(g)
             if span < TOL:
                 return mu_at, lam_at, g, gain_history
@@ -523,11 +526,11 @@ def trace_tradeoff(base, beta1_grid, beta2_grid):
     dominated ones flagged, failures as (beta1, beta2, error) records for
     grid points whose solve raised.  A grid that is no list of numbers,
     and a grid with a beta2 > 0 and a problem without a utility, are
-    refused before any point.  Every solve of the trace evaluates in one
-    slot of its own (see ``_evaluate_policy``), which is let go when the
-    trace returns: held past it, it would keep the allocator from
-    trimming the heap, and each page SuperLU has touched would stay
-    resident.
+    refused before any point.  Every solve of the trace evaluates with one
+    ``_Evaluator`` of its own, bound to base's r_u, which is let go when
+    the trace returns: held past it, its factor and matrix would keep the
+    allocator from trimming the heap, and each page SuperLU has touched
+    would stay resident.
     """
     b1, b2 = (_list(grid, "%s must be a list of multipliers" % name)
               for name, grid in (("beta1_grid", beta1_grid), ("beta2_grid", beta2_grid)))
@@ -543,13 +546,13 @@ def trace_tradeoff(base, beta1_grid, beta2_grid):
     points = []
     failures = []
     start = None
-    slot = [_EMPTY]
+    evaluator = _Evaluator(base.r_u)
     for beta1 in b1:
         if len(b2) > 1:
             start = None
         for beta2 in b2:
             try:
-                res = solve(base.with_multipliers(beta1, beta2), start=start, _slot=slot)
+                res = solve(base.with_multipliers(beta1, beta2), start=start, _evaluator=evaluator)
                 m = exact_metrics(res.policy, base.cost_fn, base.utility_fn)
             except ValueError as exc:
                 failures.append(TraceFailure(beta1, beta2, str(exc)))

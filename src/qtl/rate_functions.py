@@ -24,17 +24,18 @@ lower-bound audits compare against, along with the adjacent-slope gap m_a
 and the curvature constant a1 where those are defined.
 
 The module also owns the input rules that every layer reads: what a
-number is (``_is_number``: an int or float that has a double, never a
-bool, a string or an int past the largest double; ``_numeric`` refuses by
-name the first named argument that is not one), a finite number
-(``_finite``), a count (``_count``: an int of any size, whose callers bound
-it, or an integral float), a list (``_list``: whatever ``list()`` reads;
-grids, action sets, points, runs and samples alike), a pair (``_pair``),
-an object of a given type (``_instance``: every exported function checks
-the Policy, stationary result, RateFunction or problem it reads), when two
-rates are equal (``RATE_TOL``), what a case tag is (``_check_tag``; a
-CaseTag checks its window and anchor when it is built) and what a cost and
-a utility are (``_check_roles``).
+number is (``_is_number``: a real number that has a double, never a
+bool, a string, an int past the largest double or another Real that
+float() cannot take; ``_numeric`` refuses by name the first named
+argument that is not one), a finite number (``_finite``), a count
+(``_count``: an int of any size, whose callers bound it, or an integral
+float), a list (``_list``: whatever ``list()`` reads; grids, action
+sets, points, runs and samples alike), a pair (``_pair``), an object of a
+given type (``_instance``: every exported function checks the Policy,
+stationary result, RateFunction or problem it reads), when two rates are
+equal (``RATE_TOL``), what a case tag is (``_check_tag``; a CaseTag checks
+its window and anchor when it is built) and what a cost and a utility are
+(``_check_roles``).
 """
 
 import bisect
@@ -86,14 +87,21 @@ SupportLine = namedtuple("SupportLine", ["slope", "intercept", "anchor", "m_a", 
 
 
 def _is_number(x):
-    """True for an int or float that has a double: never for a bool, or for
-    an int past the largest double."""
+    """True for a real number that has a double: never for a bool, for an
+    int past the largest double, or for another Real (a Fraction, say) that
+    float() cannot take."""
     # float and int first: they pass without the slower abstract-class check
     if isinstance(x, float):
         return True
     if isinstance(x, int):
         return not isinstance(x, bool) and abs(x) <= _MAX_DOUBLE
-    return isinstance(x, numbers.Real)
+    if not isinstance(x, numbers.Real):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 def _numeric(**named):

@@ -88,9 +88,8 @@ def _replicate(runs, cfg, seq):
         trap = np.flatnonzero(rates <= 0.0)
         if trap.size:
             n = trap[0]
-            q = int(states[n])
+            q, i = int(states[n]), k[n]
             states, k, rates = states[:n], k[:n], rates[:n]
-        i = bisect.bisect_right(starts, q) - 1
         edges = np.cumsum(np.concatenate(
             ([t], hold.standard_exponential(len(states)) / rates)))
         seg = np.minimum(edges[1:], cfg.horizon) - np.maximum(edges[:-1], warmup_end)
@@ -98,8 +97,8 @@ def _replicate(runs, cfg, seq):
         acc[0] += seg @ states
         acc[1:] += cu.take(k, axis=1) @ seg
         t = edges[-1]
-        if total[i] <= 0.0 and t < cfg.horizon:
-            # no arrivals and no service: the walk stays in q to the horizon
+        if trap.size and t < cfg.horizon:
+            # no arrivals and no service in run i: the walk stays in q to the horizon
             seg = cfg.horizon - max(t, warmup_end)
             acc[0] += q * seg
             acc[1:] += cu[:, i] * seg

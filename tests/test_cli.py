@@ -237,6 +237,15 @@ def test_trace_without_positive_service_domain_error(runner):
     assert error_of(res, 1) == "service actions must include a positive rate"
 
 
+@pytest.mark.parametrize("cap", [10 ** 20, 10 ** 400], ids=["1e20", "401-digits"])
+def test_solve_names_a_state_cap_numpy_cannot_index(runner, cap):
+    # numpy's "Maximum allowed dimension exceeded" named no option
+    res = runner.invoke(main, ["solve", "--cost", CSQ, "--service-actions", "[0.5, 1.0]",
+                               "--arrival-actions", "[0.4]", "--state-cap", str(cap)])
+    assert res.stdout == "" and len(res.stderr.splitlines()) == 1
+    assert error_of(res, 1) == "state_cap %d is too large: its arrays do not fit in memory" % cap
+
+
 def test_trace_beta2_without_utility_fails_once(runner, tmp_path):
     # one domain error and no CSV, not a header-only CSV with one identical
     # failure record per grid point and exit 0

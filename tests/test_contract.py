@@ -33,16 +33,19 @@ and may return only where it is a number (an integer for ``pi_at`` and
 use of a case tag refuses one that is no CaseTag, and every use of a cost
 and a utility refuses one that is missing or in the other role.
 
-One table, ``API``, holds a valid call of each exported function, with
-every public parameter by name; each argument in turn is replaced by None,
-a string, ``object()``, +-10**400, [1], {} and [10**400], and the call
+One table, ``API``, holds a valid call of each exported function and of
+each exported class that takes input, with every public parameter by
+name; each argument in turn is replaced by None, a string, ``object()``,
++-10**400, ``Fraction(10**400)``, [1], {} and [10**400], and the call
 must return or raise ValueError.  A meta-test fails when an exported
-function or parameter has no row.
+function, class or parameter has no row, unless the class is listed as a
+result namedtuple.
 """
 
 import inspect
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -483,6 +486,22 @@ def test_an_int_beyond_the_largest_double_is_no_finite_number(call, what):
     assert str(err.value) == "%s must be a finite number, got %d" % (what, 10 ** 400)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda x: power_function(x), "exponent must be a finite number, got %r"),
+    (lambda x: evaluate(power_function(2.0), x), "rate must be a number, got %r"),
+    (lambda x: uniform_actions(1.0, x), "n must be an integer, got %r"),
+], ids=["power_function", "evaluate", "uniform_actions"])
+def test_a_real_with_no_double_is_no_number(call, message):
+    # each converted the Fraction to a float, and ended in "OverflowError:
+    # integer division result too large for a float"; a Fraction that has
+    # a double is still a number
+    big = Fraction(10 ** 400)
+    with pytest.raises(ValueError) as err:
+        call(big)
+    assert str(err.value) == message % (big,)
+    assert evaluate(power_function(2.0), Fraction(1, 2)) == 0.25
+
+
 POLICY = constant_policy(0.4, 1.0)
 COST = "the cost must be a cost RateFunction, got %r"
 UTILITY = "the utility must be None or a utility RateFunction, got %r"
@@ -523,10 +542,22 @@ def test_feasibility_needs_a_utility():
 
 # junk that replaces each argument of each exported function in turn: the
 # call must return or raise ValueError
-JUNK_ARGS = [None, "x", object(), 10 ** 400, -10 ** 400, [1], {}, [10 ** 400]]
+JUNK_ARGS = [None, "x", object(), 10 ** 400, -10 ** 400, Fraction(10 ** 400), [1], {},
+             [10 ** 400]]
 LP = LagrangianProblem(5.0, 0.0, [0, 0.5, 1], [0, 0.3], CSQ, state_cap=10)
-# one valid call of each exported function, every public parameter by name
+# one valid call of each exported function, and of each exported class that
+# takes input, every public parameter by name
 API = {
+    "CaseTag": {"family": "MC2-2", "window": (0.2, 0.4), "regime": "log", "anchor": 0.39},
+    "LagrangianProblem": {"beta1": 5.0, "beta2": 0.0, "service_actions": [0, 0.5, 1],
+                          "arrival_actions": [0, 0.3], "cost_fn": CSQ, "utility_fn": None,
+                          "state_cap": 10},
+    "Policy": {"lam": [(0, 0.4)], "mu": [(0, 0.0), (1, 1.0)], "lam_tail": 0.4,
+               "mu_tail": 1.0, "horizon": 1, "ra_max": 0.5, "r_max": 1.0,
+               "meta": {"source": "table"}},
+    "RateFunction": {"kind": "power", "role": "cost", "domain": (0.0, 1.0), "exponent": 2.0,
+                     "points": None},
+    "SimConfig": {"horizon": 10, "replications": 2, "seed": 0, "warmup_fraction": 0.1},
     "audit_lower_bound": {"p": MC22_POLICY, "tag": MC22, "c": ENV, "u": None,
                           "c_ref": 0.154},
     "check_admissible": {"p": POLICY},
@@ -571,14 +602,20 @@ API = {
     "trace_tradeoff": {"base": LP, "beta1_grid": [5.0], "beta2_grid": [0.0]},
     "uniform_actions": {"r_max": 1.0, "n": 11},
 }
+# the exported namedtuples that carry results out, and need no row
+RESULTS = ["AuditCheck", "Metrics", "ScalingFit", "ScalingSample", "SimEstimate", "SolveResult",
+           "StationaryResult", "SupportLine", "TradeoffPoint"]
 BIG_V = ScalingSample(0.0, 10 ** 400, 1.0, 0.0, 0.0)
 ARGS = [(name, param) for name, args in sorted(API.items()) for param in args]
 
 
 def test_every_exported_function_and_parameter_has_a_row():
-    # a new exported function, or a new public parameter, goes into API
-    exported = {name for name, x in vars(qtl).items() if inspect.isfunction(x)}
-    assert sorted(exported) == sorted(API)
+    # a new exported function or class, or a new public parameter, goes into
+    # API; a new result namedtuple goes into RESULTS
+    exported = {name for name, x in vars(qtl).items()
+                if inspect.isfunction(x) or inspect.isclass(x)}
+    assert sorted(exported) == sorted(list(API) + RESULTS)
+    assert all(issubclass(getattr(qtl, name), tuple) for name in RESULTS)
     for name, args in API.items():
         params = inspect.signature(getattr(qtl, name)).parameters
         assert sorted(args) == sorted(p for p in params if not p.startswith("_")), name

@@ -62,20 +62,18 @@ def random_chain(rng, window):
 
 
 def built(lam, mu, r_u):
-    # a new Poisson matrix of the chain, as _evaluate_policy builds one
-    return mdp._build(mdp._pattern(lam, mu), lam, mu, r_u)[0]
+    # a new Poisson matrix of the chain, as an _Evaluator builds and fills one
+    pattern = mdp._pattern(lam, mu)
+    a, at = mdp._build(pattern)
+    mdp._fill(a.data, at, pattern, lam, mu, r_u)
+    return a
 
 
-def new_slot():
-    # an evaluation slot of one's own, as solve makes one
-    return [mdp._EMPTY]
-
-
-def assert_exact(slot, lam, mu, stage, r_u):
-    # _evaluate_policy, through ``slot``, equals spsolve on the per-state
-    # COO build, bit for bit
-    h, g = mdp._evaluate_policy(lam, mu, stage, r_u, slot)
-    x = spsolve(oracles.coo_poisson_matrix(lam, mu, r_u), np.append(stage, 0.0))
+def assert_exact(evaluator, lam, mu, stage):
+    # the evaluator's solve equals spsolve on the per-state COO build at
+    # its r_u, bit for bit
+    h, g = evaluator.evaluate(lam, mu, stage)
+    x = spsolve(oracles.coo_poisson_matrix(lam, mu, evaluator.r_u), np.append(stage, 0.0))
     assert np.array_equal(h, x[:-1]) and g == x[-1]
 
 
@@ -92,17 +90,16 @@ def test_poisson_matrix_matches_coo_build(seed, window):
         assert np.array_equal(getattr(got, attr), getattr(want, attr))
     assert got.indices.dtype == want.indices.dtype
     # the factor memo: a second stage vector on the same chain reuses the
-    # factor; the same chain at another r_u, and another chain, replace it;
-    # every result is the fresh oracle solve's
-    slot = new_slot()
-    assert_exact(slot, lam, mu, stage, r_u)
-    factor = slot[0][1]
-    assert_exact(slot, lam, mu, rng.uniform(0.0, 5.0, len(stage)), r_u)
-    assert slot[0][1] is factor
-    assert_exact(slot, lam, mu, stage, 1.5 * r_u)
-    assert slot[0][1] is not factor
-    assert_exact(slot, *random_chain(rng, "wide"))
-    assert_exact(slot, lam, mu, stage, r_u)
+    # factor; another chain replaces it; every result is the fresh oracle
+    # solve's
+    evaluator = mdp._Evaluator(r_u)
+    assert_exact(evaluator, lam, mu, stage)
+    factor = evaluator.factor
+    assert_exact(evaluator, lam, mu, rng.uniform(0.0, 5.0, len(stage)))
+    assert evaluator.factor is factor
+    assert_exact(evaluator, *random_chain(rng, "wide")[:3])
+    assert evaluator.factor is not factor
+    assert_exact(evaluator, lam, mu, stage)
 
 
 def singular_chain():
@@ -112,39 +109,34 @@ def singular_chain():
     mu = np.full(33, 0.25)
     mu[0] = 0.0
     mu[26:32] = 0.0
-    return lam, mu, np.ones(33), 1.0
+    return lam, mu, np.ones(33)
+
+
+# lam(2) = 0 and mu(3) = 0 split the chain into two closed classes
+TWO_CLASSES = (np.array([0.5, 0.5, 0.0, 0.5, 0.0]), np.array([0.0, 0.5, 0.5, 0.0, 0.5]),
+               np.ones(5))
 
 
 def test_evaluate_policy_refusals():
-    lam = np.array([0.5, 0.5, 0.0, 0.5, 0.0])
-    mu = np.array([0.0, 0.5, 0.5, 0.0, 0.5])
-    # lam(2) = 0 and mu(3) = 0 split the chain into two closed classes,
-    # refused before SuperLU sees the matrix
+    # the two-class chain is refused before SuperLU sees the matrix
     with pytest.raises(ValueError, match="singular: the first zero-arrival state q=2 "
                                          "lies below the last zero-service state q=3"):
-        mdp._evaluate_policy(lam, mu, np.ones(5), 1.0, new_slot())
+        mdp._Evaluator(1.0).evaluate(*TWO_CLASSES)
     with pytest.raises(ValueError, match="single-class chain is numerically singular"):
-        mdp._evaluate_policy(*singular_chain(), new_slot())
-    lam[-1] = 0.5
-    with pytest.raises(ValueError):
-        mdp._evaluate_policy(lam, mu, np.ones(5), 1.0, new_slot())
+        mdp._Evaluator(1.0).evaluate(*singular_chain())
 
 
-@pytest.mark.parametrize("bad", [
-    (np.array([0.5, 0.5, 0.0, 0.5, 0.0]), np.array([0.0, 0.5, 0.5, 0.0, 0.5]),
-     np.ones(5), 1.0),
-    singular_chain(),
-])
+@pytest.mark.parametrize("bad", [TWO_CLASSES, singular_chain()])
 def test_evaluation_after_a_failed_one_is_exact(bad):
     # a refused or singular evaluation leaves no factor behind, and the
     # next evaluation, of the chain factored before it, is exact
     lam, mu, stage, r_u = random_chain(np.random.default_rng(11), "wide")
-    slot = new_slot()
-    assert_exact(slot, lam, mu, stage, r_u)
+    evaluator = mdp._Evaluator(r_u)
+    assert_exact(evaluator, lam, mu, stage)
     with pytest.raises(ValueError, match="singular"):
-        mdp._evaluate_policy(*bad, slot)
-    assert slot[0][1] is None
-    assert_exact(slot, lam, mu, 2.0 * stage, r_u)
+        evaluator.evaluate(*bad)
+    assert evaluator.factor is None
+    assert_exact(evaluator, lam, mu, 2.0 * stage)
 
 
 def test_trace_factors_each_policy_once(monkeypatch):
@@ -153,16 +145,16 @@ def test_trace_factors_each_policy_once(monkeypatch):
     # SuperLU runs once per policy evaluated
     base = LagrangianProblem(0.0, 0.0, S, [0.4], CDISC, None, state_cap=300)
     keys, factored = [], []
-    evaluate, splu = mdp._evaluate_policy, scipy.sparse.linalg.splu
+    evaluate, splu = mdp._Evaluator.evaluate, scipy.sparse.linalg.splu
 
     class Factor:
         # SuperLU's factor, in an object a weak reference can watch
         def __init__(self, lu):
             self.solve, self.perm_c = lu.solve, lu.perm_c
 
-    def recording_evaluate(lam, mu, stage, r_u, slot):
+    def recording_evaluate(self, lam, mu, stage):
         keys.append((lam.tobytes(), mu.tobytes()))
-        return evaluate(lam, mu, stage, r_u, slot)
+        return evaluate(self, lam, mu, stage)
 
     def counting_splu(a, permc_spec):
         # the last factor is released before the next one is built
@@ -171,7 +163,7 @@ def test_trace_factors_each_policy_once(monkeypatch):
         factored.append(weakref.ref(lu))
         return lu
 
-    monkeypatch.setattr(mdp, "_evaluate_policy", recording_evaluate)
+    monkeypatch.setattr(mdp._Evaluator, "evaluate", recording_evaluate)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     pts, fails = trace_tradeoff(base, np.geomspace(10.0, 1.2e4, 12).tolist(), [0.0])
     assert not fails and len(pts) == 12
@@ -179,21 +171,16 @@ def test_trace_factors_each_policy_once(monkeypatch):
     assert len(factored) == len(set(keys)) <= len(keys) - 11
 
 
-def same_pattern(rng, lam, mu):
-    # other rates, stage costs and r_u on the zero pattern of (lam, mu)
-    lam = np.where(lam > 0.0, rng.uniform(0.05, 3.0, len(lam)), 0.0)
-    mu = np.where(mu > 0.0, rng.uniform(0.05, 3.0, len(mu)), 0.0)
-    r_u = float(lam.max() + mu.max()) * rng.uniform(1.0, 2.0)
-    return lam, mu, rng.uniform(0.0, 5.0, len(lam)), r_u
-
-
-def slot_matrix(slot):
-    # the Poisson matrix the last factorization through ``slot`` was given
-    return slot[0][3]
+def same_pattern(rng, lam, mu, r_u):
+    # other rates and stage costs on the zero pattern of (lam, mu), each
+    # rate at most r_u / 2, so that r_u uniformizes the chain
+    lam = np.where(lam > 0.0, rng.uniform(0.025, 0.5, len(lam)) * r_u, 0.0)
+    mu = np.where(mu > 0.0, rng.uniform(0.025, 0.5, len(mu)) * r_u, 0.0)
+    return lam, mu, rng.uniform(0.0, 5.0, len(lam))
 
 
 def assert_built_bytes(a, lam, mu, r_u):
-    # a holds what _build builds for the chain, byte for byte
+    # a holds what _build and _fill make of the chain, byte for byte
     want = built(lam, mu, r_u)
     for attr in ("data", "indices", "indptr"):
         assert getattr(a, attr).tobytes() == getattr(want, attr).tobytes()
@@ -202,61 +189,57 @@ def assert_built_bytes(a, lam, mu, r_u):
 @pytest.mark.parametrize("window", ["wide", "point", "last"])
 @pytest.mark.parametrize("seed", range(3))
 def test_refill_across_one_pattern_is_exact(seed, window):
-    # chains of one zero pattern at other rates and r_u: each factorization
-    # after the first refills the first matrix, and each solve is the
-    # oracle's bit for bit
+    # chains of one zero pattern at other rates: each factorization after
+    # the first refills the first matrix, and each solve is the oracle's
+    # bit for bit
     rng = np.random.default_rng(seed)
     lam, mu, stage, r_u = random_chain(rng, window)
-    slot = new_slot()
-    assert_exact(slot, lam, mu, stage, r_u)
-    a = slot_matrix(slot)
+    evaluator = mdp._Evaluator(r_u)
+    assert_exact(evaluator, lam, mu, stage)
+    a = evaluator.matrix
     for _ in range(4):
-        chain = same_pattern(rng, lam, mu)
-        assert_exact(slot, *chain)
-        assert slot_matrix(slot) is a
-        assert_built_bytes(a, chain[0], chain[1], chain[3])
+        chain = same_pattern(rng, lam, mu, r_u)
+        assert_exact(evaluator, *chain)
+        assert evaluator.matrix is a
+        assert_built_bytes(a, chain[0], chain[1], r_u)
 
 
-@pytest.mark.parametrize("bad,in_slot", [
-    ((np.array([0.5, 0.5, 0.0, 0.5, 0.0]), np.array([0.0, 0.5, 0.5, 0.0, 0.5]),
-      np.ones(5), 1.0), "previous"),
-    (singular_chain(), "failed"),
-])
-def test_refill_after_a_failed_evaluation_is_exact(bad, in_slot):
-    # a refused chain never reaches the matrix slot, a singular one leaves
-    # its own matrix there; either way the next chain of the slot's
+@pytest.mark.parametrize("bad,kept", [(TWO_CLASSES, "previous"), (singular_chain(), "failed")])
+def test_refill_after_a_failed_evaluation_is_exact(bad, kept):
+    # a refused chain never reaches the evaluator's matrix, a singular one
+    # leaves its own matrix there; either way the next chain of the kept
     # pattern refills it and is solved exactly
     rng = np.random.default_rng(5)
     lam, mu, stage, r_u = random_chain(rng, "wide")
-    slot = new_slot()
-    assert_exact(slot, lam, mu, stage, r_u)
+    evaluator = mdp._Evaluator(r_u)
+    assert_exact(evaluator, lam, mu, stage)
     with pytest.raises(ValueError, match="singular"):
-        mdp._evaluate_policy(*bad, slot)
-    a = slot_matrix(slot)
-    if in_slot == "failed":
-        lam, mu, _, r_u = bad
+        evaluator.evaluate(*bad)
+    a = evaluator.matrix
+    if kept == "failed":
+        lam, mu, _ = bad
     assert_built_bytes(a, lam, mu, r_u)
-    chain = same_pattern(rng, lam, mu)
-    assert_exact(slot, *chain)
-    assert slot_matrix(slot) is a
+    chain = same_pattern(rng, lam, mu, r_u)
+    assert_exact(evaluator, *chain)
+    assert evaluator.matrix is a
 
 
 def test_a_chain_after_a_singular_one_of_its_pattern_is_factored_afresh():
     # A, then the singular B of A's zero pattern, then A again: B leaves its
-    # matrix in the slot with no key and no factor, so the second A is not
-    # solved with A's old factor but factored again into B's matrix
-    lam_b, mu_b, stage, r_u = singular_chain()
+    # matrix in the evaluator with no key and no factor, so the second A is
+    # not solved with A's old factor but factored again into B's matrix
+    lam_b, mu_b, stage = singular_chain()
     lam_a = np.where(lam_b > 0.0, 0.2, 0.0)
-    slot = new_slot()
-    assert_exact(slot, lam_a, mu_b, stage, r_u)
+    evaluator = mdp._Evaluator(1.0)
+    assert_exact(evaluator, lam_a, mu_b, stage)
     with pytest.raises(ValueError, match="numerically singular"):
-        mdp._evaluate_policy(lam_b, mu_b, stage, r_u, slot)
-    key, factor, _, a, _, _ = slot[0]
-    assert key is None and factor is None
-    assert_built_bytes(a, lam_b, mu_b, r_u)
-    assert_exact(slot, lam_a, mu_b, np.linspace(0.0, 4.0, len(stage)), r_u)
-    assert slot_matrix(slot) is a and slot[0][1] is not None
-    assert_built_bytes(a, lam_a, mu_b, r_u)
+        evaluator.evaluate(lam_b, mu_b, stage)
+    a = evaluator.matrix
+    assert evaluator.key is None and evaluator.factor is None
+    assert_built_bytes(a, lam_b, mu_b, 1.0)
+    assert_exact(evaluator, lam_a, mu_b, np.linspace(0.0, 4.0, len(stage)))
+    assert evaluator.matrix is a and evaluator.factor is not None
+    assert_built_bytes(a, lam_a, mu_b, 1.0)
 
 
 def test_splu_leaves_the_refilled_matrix_untouched(monkeypatch):
@@ -274,9 +257,9 @@ def test_splu_leaves_the_refilled_matrix_untouched(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", checking_splu)
     rng = np.random.default_rng(2)
     lam, mu, stage, r_u = random_chain(rng, "wide")
-    slot = new_slot()
-    for chain in [(lam, mu, stage, r_u)] + [same_pattern(rng, lam, mu) for _ in range(3)]:
-        assert_exact(slot, *chain)
+    evaluator = mdp._Evaluator(r_u)
+    for chain in [(lam, mu, stage)] + [same_pattern(rng, lam, mu, r_u) for _ in range(3)]:
+        assert_exact(evaluator, *chain)
     assert len(seen) == 4 and all(a is seen[0] for a in seen)
 
 
@@ -285,18 +268,18 @@ def test_a_pattern_change_rebuilds_the_matrix():
     # left as it was
     rng = np.random.default_rng(8)
     lam, mu, stage, r_u = random_chain(rng, "wide")
-    slot = new_slot()
-    assert_exact(slot, lam, mu, stage, r_u)
-    first = slot_matrix(slot)
+    evaluator = mdp._Evaluator(r_u)
+    assert_exact(evaluator, lam, mu, stage)
+    first = evaluator.matrix
     flipped = mu.copy()
     flipped[1] = 0.0 if mu[1] > 0.0 else 0.7
-    assert_exact(slot, lam, flipped, stage, r_u)
-    second = slot_matrix(slot)
+    assert_exact(evaluator, lam, flipped, stage)
+    second = evaluator.matrix
     assert second is not first
     assert_built_bytes(first, lam, mu, r_u)
     longer = np.append(lam[:-1], [0.3, 0.0]), np.append(mu, 0.4), np.append(stage, 1.0)
-    assert_exact(slot, *longer, r_u)
-    assert slot_matrix(slot) not in (first, second)
+    assert_exact(evaluator, *longer)
+    assert evaluator.matrix not in (first, second)
     assert_built_bytes(second, lam, flipped, r_u)
 
 
@@ -310,10 +293,10 @@ def test_poisson_matrix_returns_a_new_matrix():
     for attr in ("data", "indices", "indptr"):
         assert not np.shares_memory(getattr(a, attr), getattr(b, attr))
     kept = a.data.copy()
-    slot = new_slot()
-    assert_exact(slot, lam, mu, stage, r_u)
-    assert_exact(slot, *same_pattern(rng, lam, mu))
-    assert slot_matrix(slot) is not a and np.array_equal(a.data, kept)
+    evaluator = mdp._Evaluator(r_u)
+    assert_exact(evaluator, lam, mu, stage)
+    assert_exact(evaluator, *same_pattern(rng, lam, mu, r_u))
+    assert evaluator.matrix is not a and np.array_equal(a.data, kept)
 
 
 def test_trace_refills_most_matrices(monkeypatch):
@@ -331,8 +314,8 @@ def test_trace_refills_most_matrices(monkeypatch):
 
 
 def test_a_finished_trace_empties_the_slots(monkeypatch):
-    # the factor and the matrix kept for the next solve are let go once
-    # the trace is done
+    # the factor and the matrix that the trace's evaluator kept for the
+    # next solve are let go once the trace is done
     build, splu, kept = mdp._build, scipy.sparse.linalg.splu, []
 
     class Factor:
@@ -395,18 +378,18 @@ def test_refills_of_an_identity_ordered_pattern_take_the_natural_order(monkeypat
     specs = spy_splu(monkeypatch)
     rng = np.random.default_rng(seed)
     lam, mu, stage, r_u = positive_chain(rng, int(rng.integers(101, 400)))
-    slot = new_slot()
-    assert_exact(slot, lam, mu, stage, r_u)
-    assert specs == ["COLAMD"] and slot[0][5] is True
-    a = slot_matrix(slot)
+    evaluator = mdp._Evaluator(r_u)
+    assert_exact(evaluator, lam, mu, stage)
+    assert specs == ["COLAMD"] and evaluator.natural is True
+    a = evaluator.matrix
     for _ in range(3):
-        assert_exact(slot, *same_pattern(rng, lam, mu))
-    assert specs == ["COLAMD"] + ["NATURAL"] * 3 and slot_matrix(slot) is a
+        assert_exact(evaluator, *same_pattern(rng, lam, mu, r_u))
+    assert specs == ["COLAMD"] + ["NATURAL"] * 3 and evaluator.matrix is a
     # a new pattern starts again from COLAMD
     flipped = mu.copy()
     flipped[1] = 0.0
-    assert_exact(slot, lam, flipped, stage, r_u)
-    assert specs[-1] == "COLAMD" and slot_matrix(slot) is not a
+    assert_exact(evaluator, lam, flipped, stage)
+    assert specs[-1] == "COLAMD" and evaluator.matrix is not a
 
 
 def test_a_pattern_not_ordered_as_the_identity_keeps_colamd(monkeypatch):
@@ -416,11 +399,11 @@ def test_a_pattern_not_ordered_as_the_identity_keeps_colamd(monkeypatch):
     rng = np.random.default_rng(9)
     lam, mu, stage, r_u = positive_chain(rng, 300)
     lam[200:] = 0.0
-    slot = new_slot()
-    assert_exact(slot, lam, mu, stage, r_u)
-    assert slot[0][5] is False
+    evaluator = mdp._Evaluator(r_u)
+    assert_exact(evaluator, lam, mu, stage)
+    assert evaluator.natural is False
     for _ in range(3):
-        assert_exact(slot, *same_pattern(rng, lam, mu))
+        assert_exact(evaluator, *same_pattern(rng, lam, mu, r_u))
     assert specs == ["COLAMD"] * 4
 
 
@@ -434,17 +417,16 @@ def test_a_singular_first_factorization_learns_no_order(monkeypatch):
     mu = np.full(n, 0.25)
     mu[0] = 0.0
     mu[n - 13:n - 1] = 1e-100
-    slot = new_slot()
+    evaluator = mdp._Evaluator(0.3)
     with pytest.raises(ValueError, match="numerically singular"):
-        mdp._evaluate_policy(lam, mu, np.ones(n), 0.3, slot)
-    assert slot[0][1] is None and slot[0][5] is None and specs == ["COLAMD"]
-    a = slot_matrix(slot)
-    lam_a, mu_a = np.where(lam > 0.0, 0.2, 0.0), np.where(mu > 0.0, 0.3, 0.0)
+        evaluator.evaluate(lam, mu, np.ones(n))
+    assert evaluator.factor is None and evaluator.natural is None and specs == ["COLAMD"]
+    a = evaluator.matrix
     stage = np.linspace(0.0, 4.0, n)
-    assert_exact(slot, lam_a, mu_a, stage, 0.5)
-    assert specs == ["COLAMD"] * 2 and slot[0][5] is True
-    assert_exact(slot, lam_a, mu_a, stage, 0.6)
-    assert specs[-1] == "NATURAL" and slot_matrix(slot) is a
+    assert_exact(evaluator, np.where(lam > 0.0, 0.1, 0.0), np.where(mu > 0.0, 0.15, 0.0), stage)
+    assert specs == ["COLAMD"] * 2 and evaluator.natural is True
+    assert_exact(evaluator, np.where(lam > 0.0, 0.12, 0.0), np.where(mu > 0.0, 0.18, 0.0), stage)
+    assert specs[-1] == "NATURAL" and evaluator.matrix is a
 
 
 def test_natural_and_colamd_factors_are_equal_where_colamd_orders_as_the_identity():
@@ -457,16 +439,16 @@ def test_natural_and_colamd_factors_are_equal_where_colamd_orders_as_the_identit
     rng = np.random.default_rng(17)
     identity = 0
     for _ in range(60):
-        lam, mu, _, _ = positive_chain(rng, int(rng.integers(101, 400)))
+        lam, mu, _, r_u = positive_chain(rng, int(rng.integers(101, 400)))
         n = len(lam)
         mu[:n // 3] *= rng.random(n // 3) < rng.choice([0.0, 0.9, 1.0])
         lam[2 * n // 3:] *= rng.random(n - 2 * n // 3) < rng.choice([0.9, 1.0])
         try:
-            pattern = mdp._pattern(lam, mu)
+            mdp._pattern(lam, mu)
         except ValueError:
             continue
-        for chain in [same_pattern(rng, lam, mu) for _ in range(3)]:
-            a = mdp._build(pattern, chain[0], chain[1], chain[3])[0]
+        for chain in [same_pattern(rng, lam, mu, r_u) for _ in range(3)]:
+            a = built(chain[0], chain[1], r_u)
             colamd = scipy.sparse.linalg.splu(a)
             if not is_identity(colamd.perm_c):
                 break
@@ -513,6 +495,19 @@ def test_state_cap_must_be_finite(cap):
     # int() would raise OverflowError, or a ValueError that names nothing
     with pytest.raises(ValueError, match="^state_cap must be a finite number, got"):
         LagrangianProblem(0.0, 0.0, S, [0.4], CDISC, None, state_cap=cap)
+
+
+@pytest.mark.parametrize("cap", [10 ** 20, 10 ** 400], ids=["1e20", "401-digits"])
+def test_a_state_cap_numpy_cannot_index_is_named(cap):
+    # numpy's "Maximum allowed dimension exceeded" named no argument; a
+    # trace records the refusal at each point
+    lp = problem(5.0, cap=cap)
+    message = "state_cap %d is too large: its arrays do not fit in memory" % cap
+    with pytest.raises(ValueError) as err:
+        solve(lp)
+    assert str(err.value) == message
+    assert trace_tradeoff(lp, [1.0, 10.0], [0.0]) == (
+        [], [mdp.TraceFailure(1.0, 0.0, message), mdp.TraceFailure(10.0, 0.0, message)])
 
 
 def test_trace_without_utility_refuses_beta2_once():
@@ -1104,7 +1099,7 @@ def in_two_threads(first, second):
 
 
 def test_solves_in_two_threads_equal_sequential_ones():
-    # each solve evaluates in a slot of its own, so a solve in another
+    # each solve evaluates with an evaluator of its own, so a solve in another
     # thread can neither drop its factor nor leave it another chain's
     menu, admission = menu_problem(), admission_problem()
     jobs = ([menu.with_multipliers(b, 0.0) for b in np.geomspace(10.0, 1.2e4, 100).tolist()],
@@ -1116,7 +1111,7 @@ def test_solves_in_two_threads_equal_sequential_ones():
 
 
 def test_traces_in_two_threads_equal_sequential_ones():
-    # each trace chains its solves through a slot of its own
+    # each trace chains its solves through an evaluator of its own
     grids = ((menu_problem(), np.geomspace(10.0, 1.2e4, 12).tolist(), [0.0]),
              (admission_problem(), [1.0, 10.0, 100.0], [3.0, 30.0]))
     want = [trace_tradeoff(*grid) for grid in grids]
