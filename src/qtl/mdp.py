@@ -34,8 +34,12 @@ set is a ``_Side``, built with the problem and priced at a multiplier
 when a solve applies it: its columns, service rates ascending and arrival
 rates descending, end in a zero-rate, zero-cost column for state 0's
 service and the cap's arrival.  Every pick of the improvement step is
-made by ``_best``, which takes each row's first exact minimizer, so every
-tie goes to the smallest service rate and the largest arrival rate.
+made by ``_best``, which sweeps a side's columns one at a time, keeping
+each row's first exact minimizer, so every tie goes to the smallest
+service rate and the largest arrival rate; no step builds an (n, k)
+table.  ``trace_tradeoff`` hands each warm solve its start as the action
+indices the previous solve ended on, through its evaluator, instead of
+rebuilding them from the start Policy.
 """
 
 import copy
@@ -49,7 +53,7 @@ from .rate_functions import _check_roles, _count, _finite, _instance, _is_number
 
 MAX_ITERATIONS = 500
 TOL = 1e-9                # stop once the Bellman residual's span falls below this
-WINDOW_MIN_RATES = 17     # a smaller action set keeps the full improvement table
+WINDOW_MIN_RATES = 17     # a smaller action set sweeps every column for every row
 _U = 2.0 ** -53           # unit roundoff of a double
 _TINY = 2.0 ** -1022      # smallest normal double: covers underflow in the bound
 
@@ -228,6 +232,12 @@ class _Evaluator:
     changes them.  A refused chain leaves the kept matrix and no factor, a
     singular one its own matrix and no factor.
 
+    ``handover`` is not the evaluation's: ``solve`` leaves there the
+    Policy it returns and its action indices (mu_at, lam_at), and the next
+    solve with this evaluator takes it over, leaving None, and starts from
+    those indices when its ``start`` is that very Policy.  In a trace, the
+    only place an evaluator outlives a solve, that is every warm start.
+
     A matrix is factored with the COLAMD column order, as ``splu`` does
     by default, unless ``natural`` is True; then it is factored in the
     natural order.  That gives the same factor: COLAMD, and SuperLU's
@@ -246,6 +256,7 @@ class _Evaluator:
     def __init__(self, r_u):
         self.r_u = r_u
         self.key = self.factor = self.pattern = self.matrix = self.at = self.natural = None
+        self.handover = None
 
     def evaluate(self, lam, mu, stage):
         key = (lam.tobytes(), mu.tobytes())
@@ -273,12 +284,33 @@ class _Evaluator:
         return x[:-1], x[-1]
 
 
-def _best(values):
+def _refuse_overflow(x, what, name, at):
+    # a ValueError naming ``what`` and name=at[i] for the first i where x is
+    # not finite: computed from finite numbers, x overflowed there
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValueError("%s overflows: it is not finite at %s=%s"
+                         % (what, name, at[finite.argmin()]))
+
+
+def _best(columns):
     """Each row's pick, the first column holding its minimum, and that
-    minimum.  Every pick of the improvement step is made here, so this is
-    where a tie is broken."""
-    pick = np.argmin(values, axis=1)
-    return pick, values[np.arange(values.shape[0]), pick]
+    minimum, from the columns' value arrays, given one at a time.  Every
+    pick of the improvement step is made here, so this is where a tie is
+    broken: a column replaces the running pick only where it is strictly
+    lower, so the first minimizer wins, as with ``np.argmin`` on the
+    table of the columns (the two differ only on a NaN, which ``solve``
+    never lets in).  The minimum is copied from the picked column, bit for
+    bit, not carried by ``np.minimum``, which may return either zero of
+    0.0 and -0.0."""
+    columns = iter(columns)
+    low = np.array(next(columns))
+    pick = np.zeros(len(low), dtype=np.intp)
+    for j, values in enumerate(columns, 1):
+        lower = values < low
+        np.copyto(pick, j, where=lower)
+        np.copyto(low, values, where=lower)
+    return pick, low
 
 
 def _convex(x, c):
@@ -308,8 +340,10 @@ class _Side:
     has at least WINDOW_MIN_RATES rates and its points (x, c) are convex in
     exact arithmetic, as a convex cost and a concave utility make them; it
     then keeps what ``window`` needs: the slopes between consecutive
-    columns and the largest |x| and |c|.  Any other side fills the full
-    table.
+    columns and the largest |x| and |c|.  Any other side sweeps all its
+    columns (``full``).  Each column is priced for all rows at once, in the
+    float operations of the (n, k) table d[:, None]*w + beta*c, and handed
+    to ``_best``; no table is built.
     """
 
     def __init__(self, rates, fn, sign):
@@ -325,48 +359,59 @@ class _Side:
 
     def best(self, d, beta):
         """Each row's pick and minimum of d*w + beta*c for the row slopes d,
-        bit for bit those of ``_best`` on the full table."""
+        bit for bit those of ``np.argmin`` on the full table."""
         return self.window(d, beta)[:2] if self.wide else self.full(d, beta)
 
     def full(self, d, beta, first=0):
         """Each row's pick among the rate columns first.. and its minimum,
-        from a table of those columns."""
-        pick, low = _best(np.multiply.outer(d, self.w[first:]) + beta * self.c[first:])
+        swept over those columns, d*w[j] + (beta*c)[j] for each j."""
+        pick, low = _best(d * w + bc for w, bc in zip(self.w[first:].tolist(),
+                                                    (beta * self.c)[first:].tolist()))
         return pick + first, low
 
     def window(self, d, beta):
         """(pick, low, full): each row's pick and minimum, found among three
-        columns, and the rows evaluated in full instead.
+        columns, and the rows that three columns left open.
 
         Row slope d selects column t = searchsorted(beta*slopes, d), where
         the row stops falling; the window holds columns t-1..t+1, shifted
-        to fit, priced as the full table prices them.  Each float value
-        f_j lies within E/2 of its exact value g_j = beta c_j - d x_j, with
-        E = 4u (|d| max|x| + 2 beta max|c|) plus the smallest normal double
-        against underflow (up to terms of order u^2, which the factor 2
-        below covers along with the test's own rounding).  An edge with
-        f_edge - f_min > 2E therefore has g_edge above the window
-        minimizer's g by more than E; g is convex in x, as the side's
-        points are and beta >= 0, so every column beyond that edge has g
-        above g_edge and f above f_min.  When each edge with columns beyond it passes, the
-        window's first minimizer is the table's; a row that fails is
-        evaluated in full.
+        to fit, priced as the full table prices them and swept as three
+        columns, the first and last of which also serve the edge test.
+        Each float value f_j lies within E/2 of its exact value
+        g_j = beta c_j - d x_j, with E = 4u (|d| max|x| + 2 beta max|c|)
+        plus the smallest normal double against underflow (up to terms of
+        order u^2, which the factor 2 below covers along with the test's own
+        rounding).  An edge with f_edge - f_min > 2E therefore has g_edge
+        above the window minimizer's g by more than E; g is convex in x, as
+        the side's points are and beta >= 0, so every column beyond that
+        edge has g above g_edge and f above f_min.  When each edge with
+        columns beyond it passes, the window's first minimizer is the
+        table's.  The proof holds for any width: a row that fails, as one
+        whose minimum ties a window edge at a kink of the side does, is
+        swept again over the five columns t-2..t+2, and a row that fails
+        there too over every column.
         """
+        pick, low, full = self._window(d, beta, 3)
+        if full.size:
+            pick[full], low[full], rest = self._window(d[full], beta, 5)
+            rows = full[rest]
+            if rows.size:
+                pick[rows], low[rows] = self.full(d[rows], beta)
+        return pick, low, full
+
+    def _window(self, d, beta, width):
+        # each row's first minimizer among ``width`` columns around the one
+        # its slope selects, its value, and the rows whose edge test fails
         k = len(self.w)
-        lo = np.clip(np.searchsorted(beta * self.slopes, d) - 1, 0, k - 3)
-        cols = lo[:, None] + np.arange(3)       # row r: lo[r] .. lo[r] + 2
-        values = self.w[cols]
-        values *= d[:, None]
-        values += (beta * self.c)[cols]
+        lo = np.clip(np.searchsorted(beta * self.slopes, d) - width // 2, 0, k - width)
+        bc = beta * self.c
+        # column i of row r is the table's column lo[r] + i
+        values = [self.w[lo + i] * d + bc[lo + i] for i in range(width)]
         at, low = _best(values)
         two_e = np.abs(d) * (8 * _U * self.x_max) + (16 * _U * beta * self.c_max + 2 * _TINY)
-        ok = (((lo == 0) | (values[:, 0] - low > two_e))
-              & ((lo == k - 3) | (values[:, 2] - low > two_e)))
-        pick = lo + at
-        full = np.flatnonzero(~ok)
-        if full.size:
-            pick[full], low[full] = self.full(d[full], beta)
-        return pick, low, full
+        ok = (((lo == 0) | (values[0] - low > two_e))
+              & ((lo == k - width) | (values[-1] - low > two_e)))
+        return lo + at, low, np.flatnonzero(~ok)
 
 
 def _start_indices(lp, start):
@@ -405,23 +450,29 @@ def solve(lp, *, start=None, _evaluator=None):
     cheap.
 
     Each improvement step picks, per state, the first minimizing column of
-    each side, always through ``_best``, with the side's columns priced at
-    its multiplier.  A windowed side (``_Side``) evaluates each row's three
-    columns around the one its slope selects, keeps their first minimizer
-    when the window edges prove every column beyond them worse, and
-    evaluates in full the rows where that proof fails (see
-    ``_Side.window``); any other side evaluates every row in full
-    (``_Side.full``).  Either way the picks and minima are bit for
-    bit the full table's.  The cap state, whose arrivals are off, picks
-    among the positive service rates only.
+    each side, always through ``_best``, which sweeps the side's columns,
+    priced at its multiplier, one at a time.  A windowed side (``_Side``)
+    sweeps each row's three columns around the one its slope selects,
+    keeps their first minimizer when the window edges prove every column
+    beyond them worse, and sweeps five columns, then every column, for the
+    rows where that proof fails (see ``_Side.window``); any other side
+    sweeps every column for every row (``_Side.full``).  Either way the
+    picks and minima are bit for bit those of ``np.argmin`` on the full
+    (n, k) table, which is never built.  The cap state, whose arrivals are
+    off, picks among the positive service rates only.
 
     Each evaluation solves the Poisson system with SuperLU, reusing what
     the previous evaluation kept, through the private ``_evaluator`` (an
     ``_Evaluator`` at ``lp.r_u``): a fresh one unless ``trace_tradeoff``
-    passes its own, and shared by a warm run and its cold fallback.  A
-    multi-class policy, or a numerically singular system, is a ValueError,
-    not a warning.  So is a state_cap whose arrays numpy cannot index or
-    memory cannot hold.
+    passes its own, and shared by a warm run and its cold fallback.  When
+    ``start`` is the very Policy that the evaluator's last solve returned,
+    its action indices are taken from the evaluator's ``handover``; any
+    other start is checked and turned into indices by ``_start_indices``.
+    A multi-class policy, or a numerically singular system, is a
+    ValueError, not a warning.  So is a state_cap whose arrays numpy cannot
+    index or memory cannot hold, and an overflow: a weighted column cost
+    beta1 c(mu) or beta2 u(lambda), a stage cost or a relative-value step
+    h(q+1) - h(q) that is not finite.  No numpy warning escapes.
     """
     n = _instance(lp, LagrangianProblem, "solve").state_cap + 1  # states 0..state_cap
     k, m = len(lp.service_actions), len(lp.arrival_actions)
@@ -435,13 +486,17 @@ def solve(lp, *, start=None, _evaluator=None):
         # numpy's ValueError: a length past what it can index
         raise ValueError("state_cap %d is too large: its arrays do not fit in memory"
                          % lp.state_cap) from None
-    warm = _start_indices(lp, start) if start is not None else None
-    # the weighted column costs, the zero-rate column's 0 last
-    srv_cost = np.append(lp.beta1 * service.c, 0.0)
-    arr_cost = np.append(lp.beta2 * arrival.c, 0.0)
-
     evaluator = _Evaluator(lp.r_u) if _evaluator is None else _evaluator
-    states = np.arange(n)
+    # the last solve's policy and action indices, taken over, so that
+    # iterate may write them in place and a solve that raises leaves none
+    handover, evaluator.handover = evaluator.handover, None
+    if start is None:
+        warm = None
+    elif handover is not None and start is handover[0]:
+        warm = handover[1]
+    else:
+        warm = _start_indices(lp, start)
+    states = np.arange(n, dtype=float)
     steps = 0     # improvement steps of every run, an abandoned warm one included
 
     def iterate(mu_at, lam_at):
@@ -454,6 +509,7 @@ def solve(lp, *, start=None, _evaluator=None):
                 raise ValueError(
                     "policy iteration did not converge in %d iterations" % MAX_ITERATIONS)
             stage = (states + srv_cost[mu_at] + arr_cost[lam_at]) / lp.r_u
+            _refuse_overflow(stage, "the stage cost", "q", range(n))
             h, g = evaluator.evaluate(arr[lam_at], srv[mu_at], stage)
             gain_history.append(g)
             if span < TOL:
@@ -461,6 +517,7 @@ def solve(lp, *, start=None, _evaluator=None):
             iterations += 1
             steps += 1
             d = np.diff(h)        # d[q] = h(q+1) - h(q), q = 0..n-2
+            _refuse_overflow(d, "the relative-value step h(q+1) - h(q)", "q", range(n))
             # service at q = 1..n-1 minimizes beta1 c(a) - a d(q-1), arrival
             # at q = 0..n-2 minimizes -beta2 u(a) + a d(q)
             srv_pick, srv_min = service.best(d, lp.beta1)
@@ -472,20 +529,33 @@ def solve(lp, *, start=None, _evaluator=None):
                 # counterpart for; the cap picks again among columns
                 # 1..k-1, the positive rates (rates are distinct)
                 srv_pick[-1:], srv_min[-1:] = service.full(d[-1:], lp.beta1, 1)
-            residual = (states + np.append(0.0, srv_min) + np.append(arr_min, 0.0)) / lp.r_u - g
+            residual = states.copy()
+            residual[1:] += srv_min
+            residual[:-1] += arr_min
+            residual /= lp.r_u
+            residual -= g
             span = float(np.max(residual) - np.min(residual))
             if np.array_equal(srv_pick, mu_at[1:]) and np.array_equal(arr_pick, lam_at[:-1]):
                 return mu_at, lam_at, g, gain_history
             mu_at[1:], lam_at[:-1] = srv_pick, arr_pick
 
-    try:
-        mu_at, lam_at, g, gain_history = iterate(*(warm or cold))
-    except ValueError:
-        if warm is None:
-            raise
-        # a start can lead policy iteration into a multi-class policy, or a
-        # cycle, that the largest rates avoid
-        mu_at, lam_at, g, gain_history = iterate(*cold)
+    # no overflow warns: a non-finite priced column, stage cost or row
+    # slope is refused by name, and a value that overflows inside a pick is
+    # an infinity that compares as one
+    with np.errstate(all="ignore"):
+        # the weighted column costs, the zero-rate column's 0 last
+        srv_cost = np.append(lp.beta1 * service.c, 0.0)
+        arr_cost = np.append(lp.beta2 * arrival.c, 0.0)
+        _refuse_overflow(srv_cost, "the weighted cost beta1 c(mu)", "mu", srv)
+        _refuse_overflow(arr_cost, "the weighted utility beta2 u(lambda)", "lambda", arr)
+        try:
+            mu_at, lam_at, g, gain_history = iterate(*(warm or cold))
+        except ValueError:
+            if warm is None:
+                raise
+            # a start can lead policy iteration into a multi-class policy, or a
+            # cycle, that the largest rates avoid
+            mu_at, lam_at, g, gain_history = iterate(*cold)
     mu, lam = srv[mu_at], arr[lam_at]
 
     # the states where an action changes start the policy's runs
@@ -496,6 +566,7 @@ def solve(lp, *, start=None, _evaluator=None):
         ra_max=lp.arrival_actions[-1], r_max=lp.service_actions[-1],
         meta={"source": "policy-iteration", "beta1": lp.beta1,
               "beta2": lp.beta2, "state_cap": lp.state_cap})
+    evaluator.handover = policy, (mu_at, lam_at)
     return SolveResult(
         policy=policy, gain=float(g), iterations=steps,
         monotone=is_admissible(policy), gain_history=gain_history)
@@ -530,7 +601,10 @@ def trace_tradeoff(base, beta1_grid, beta2_grid):
     ``_Evaluator`` of its own, bound to base's r_u, which is let go when
     the trace returns: held past it, its factor and matrix would keep the
     allocator from trimming the heap, and each page SuperLU has touched
-    would stay resident.
+    would stay resident.  It also carries each solve's returned policy and
+    action indices to the next solve (``_Evaluator.handover``), so a warm
+    start is not rebuilt from its Policy.  Each solve is called through
+    the module attribute ``solve``, which a tracer may rebind.
     """
     b1, b2 = (_list(grid, "%s must be a list of multipliers" % name)
               for name, grid in (("beta1_grid", beta1_grid), ("beta2_grid", beta2_grid)))

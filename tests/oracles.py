@@ -13,8 +13,9 @@ service(q), its horizon, tails and rate bounds.  The simulator's
 reference walks its path one event at a time and must agree with the
 block-drawn simulator up to the rounding of its sums.  Policy iteration
 is redone in exact rational arithmetic under the solver's rules, so a
-float solve can be held to the exact policy.  Nothing in this module
-imports the package.
+float solve can be held to the exact policy, and its improvement step's
+float pick is kept as the 2-D table argmin that the solver's column
+sweep must reproduce.  Nothing in this module imports the package.
 """
 
 import math
@@ -490,6 +491,15 @@ def _solve_exact(rows):
                 f = rows[r][col] / top[col]
                 rows[r] = [a - f * b if b else a for a, b in zip(rows[r], top)]
     return [rows[i][-1] / rows[i][i] for i in range(n)]
+
+
+def table_pick(d, w, c, beta):
+    """Each row's first minimizing column of the float table
+    d[r] * w[j] + beta * c[j], and that entry: the improvement step's pick
+    as one (n, k) table and ``np.argmin``."""
+    table = np.multiply.outer(d, w) + beta * c
+    pick = np.argmin(table, axis=1)
+    return pick, table[np.arange(len(d)), pick]
 
 
 def exact_policy_iteration(srv, srv_cost, arr, arr_cost, n, tol, max_iterations=500):

@@ -1,4 +1,6 @@
+import copy
 import math
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -933,7 +935,8 @@ def test_window_matches_full_table():
 
 def test_best_tie_rule():
     # exact float ties go to the first column: the smallest service rate,
-    # and in the arrival columns' descending layout the largest arrival rate
+    # and in the arrival columns' descending layout the largest arrival rate;
+    # each table's columns are passed one at a time, as the sides sweep them
     lp = LagrangianProblem(1.0, 1.0, [0.0, 0.5, 1.0], [0.2, 0.4, 0.6], CSQ, USQRT,
                            state_cap=10)
     srv, arr = lp._service.rates, lp._arrival.rates
@@ -941,16 +944,89 @@ def test_best_tie_rule():
     service = np.array([[0.3, -0.1, -0.1],
                         [-0.2, -0.2, 0.4],
                         [np.inf, 0.7, 0.7]])   # the cap row, zero rate at +inf
-    pick, low = mdp._best(service)
+    pick, low = mdp._best(list(service.T))
     assert srv[pick].tolist() == [0.5, 0.0, 0.5]
     assert low.tolist() == [-0.1, -0.2, 0.7]
     arrival = np.array([[0.25, 0.25, 0.25], [0.9, -0.5, -0.5], [0.1, 0.3, 0.1]])
-    pick, low = mdp._best(arrival)
+    pick, low = mdp._best(list(arrival.T))
     assert arr[pick].tolist() == [0.6, 0.4, 0.6]
     assert low.tolist() == [0.25, -0.5, 0.1]
     # +inf is never picked, however large the finite entries
-    pick, _ = mdp._best(np.array([[np.inf, 1e308, 1e308], [np.inf, np.inf, -0.0]]))
+    pick, _ = mdp._best(list(np.array([[np.inf, 1e308, 1e308], [np.inf, np.inf, -0.0]]).T))
     assert pick.tolist() == [1, 2]
+    # 0.0 and -0.0 tie: the first is picked, and its own zero returned
+    pick, low = mdp._best([np.array([0.0, -0.0]), np.array([-0.0, 0.0])])
+    assert pick.tolist() == [0, 0] and np.signbit(low).tolist() == [False, True]
+    # and the columns are left as they were
+    assert service[:, 0].tolist() == [0.3, -0.2, np.inf]
+
+
+def _narrow_menu(data, role):
+    # 1-7 rates, 0 among them or not, under a power function or a discrete
+    # one with random increments, convex or not
+    rates = sorted(data.draw(st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 3.0]),
+                                      min_size=1, max_size=7, unique=True)))
+    if rates[-1] == 0.0:
+        rates.append(1.0)
+    if len(rates) == 1 or data.draw(st.booleans()):
+        return rates, power_function(2.0 if role == "cost" else 0.5, (0.0, 3.0), role)
+    steps = data.draw(st.lists(st.sampled_from([0.125, 0.5, 1.0, 3.0]),
+                               min_size=len(rates), max_size=len(rates)))
+    values = np.cumsum(steps) - (steps[0] if rates[0] == 0.0 else 0.0)   # 0 at rate 0
+    return rates, discrete_function(zip(rates, values.tolist()), role)
+
+
+def test_sweeps_equal_the_table_pick():
+    # every side, narrow or wide, picks as np.argmin over the (n, k) table
+    # does, and returns the picked entry byte for byte: on rows at the
+    # columns' tie slopes and one ulp either side, at +-0.0, +-inf and
+    # +-1e308 (whose products overflow), and at random slopes
+    seen = {"tie": 0, "window": 0, "narrow": 0}
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        menus = []
+        for role in ("cost", "utility"):
+            kind = data.draw(st.sampled_from(["narrow", "convex", "collinear", "discrete"]))
+            menus.append(_narrow_menu(data, role) if kind == "narrow"
+                         else _wide_menu(data, role, kind))
+        (service, cost), (arrival, utility) = menus
+        lp = LagrangianProblem(1.0, 1.0, service, arrival, cost, utility, state_cap=10)
+        for side in (lp._service, lp._arrival):
+            beta = data.draw(st.sampled_from([0.0, 0.01, 1.0, 30.0, 1e4]))
+            w, bc = side.w, beta * side.c
+            i, j = np.triu_indices(len(w), 1)
+            ties = (bc[j] - bc[i]) / (w[i] - w[j])
+            ties = ties[data.draw(st.lists(st.integers(0, max(len(ties) - 1, 0)),
+                                           max_size=10 if len(ties) else 0))]
+            d = np.concatenate([
+                ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+                [0.0, -0.0, np.inf, -np.inf, 1e308, -1e308],
+                data.draw(st.lists(st.floats(-1e4, 1e4), max_size=20))])
+            if 0.0 in w:
+                # inf * 0 is NaN, on which argmin and the sweep differ;
+                # solve refuses an infinite d before any pick
+                d = d[np.isfinite(d)]
+            with np.errstate(all="ignore"):
+                want = oracles.table_pick(d, w, side.c, beta)
+                cap = oracles.table_pick(d, w[1:], side.c[1:], beta) if len(w) > 1 else None
+                got = [side.full(d, beta), side.best(d, beta)]
+                if side.wide:
+                    got.append(side.window(d, beta)[:2])
+                if cap is not None:
+                    pick, low = side.full(d, beta, 1)
+                    assert pick.tolist() == (cap[0] + 1).tolist()
+                    assert low.tobytes() == cap[1].tobytes()
+                table = np.multiply.outer(d, w) + bc
+            for pick, low in got:
+                assert pick.tolist() == want[0].tolist()
+                assert low.tobytes() == want[1].tobytes()
+            seen["tie"] += int(np.sum(np.sum(table == want[1][:, None], axis=1) > 1))
+            seen["window" if side.wide else "narrow"] += 1
+
+    check()
+    assert all(seen.values()), seen
 
 
 class _ServedAtZero(Policy):
@@ -1005,6 +1081,46 @@ def test_single_class_numerically_singular():
     assert "recurrent class" not in str(info.value)
 
 
+def test_a_stage_cost_overflow_is_named():
+    # q / r_u overflows at r_u = 1.5e-323: solve names the overflow, warns
+    # nothing, and does not call the chain singular
+    lp = LagrangianProblem(1.0, 0.0, [0, 5e-324, 1e-323], [4e-324], power_function(1.0),
+                           None, state_cap=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="stage cost overflows") as info:
+            solve(lp)
+    assert "singular" not in str(info.value)
+
+
+@pytest.mark.parametrize("beta1, beta2, where", [
+    (1e300, 0.0, r"cost beta1 c\(mu\) overflows: .* at mu=10000000000\.0"),
+    (1.0, 1e305, r"utility beta2 u\(lambda\) overflows: .* at lambda=10000000000\.0")])
+def test_a_priced_column_that_overflows_is_named(beta1, beta2, where):
+    # a column whose weighted cost overflows is refused before any pick,
+    # so that no sweep meets inf - inf
+    lp = LagrangianProblem(beta1, beta2, [0.0, 1.0, 1e10], [0.5, 1e10],
+                           power_function(2.0, (0.0, 1e10)),
+                           power_function(0.5, (0.0, 1e10), "utility"), state_cap=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=where):
+            solve(lp)
+
+
+def test_a_relative_value_step_that_overflows_is_named(monkeypatch):
+    # finite relative values whose differences overflow leave no row slope
+    # for the improvement step to price
+    def evaluate(self, lam, mu, stage):
+        return np.where(np.arange(len(stage)) % 2, 1e308, -1e308), 1.0
+
+    monkeypatch.setattr(mdp._Evaluator, "evaluate", evaluate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"h\(q\+1\) - h\(q\) overflows: .* at q=0"):
+            solve(problem(5.0, cap=20))
+
+
 def test_trace_warm_starts_change_nothing(monkeypatch):
     # along each beta1 row a point starts from the previous point's policy;
     # every point must equal a cold solve's, policy included
@@ -1037,6 +1153,83 @@ def test_trace_warm_starts_change_nothing(monkeypatch):
         if p.policy == cold.policy:
             # a reused factor gives the float a fresh one gives
             assert solved[p.beta1, p.beta2].gain == cold.gain
+
+
+@pytest.mark.parametrize("grid", ["one beta2", "one beta2, a point failing", "two-dimensional"])
+def test_trace_hands_over_the_last_policy_as_action_indices(monkeypatch, grid):
+    # at each warm point the evaluator holds the start policy and its action
+    # indices, as _start_indices would rebuild them, so no start is rebuilt;
+    # a failed point leaves no handover, and the trace goes on cold
+    if grid == "two-dimensional":
+        base, b1, b2 = admission_problem(), [1.0, 10.0, 100.0], [3.0, 10.0, 30.0]
+    else:
+        base, b1, b2 = menu_problem(300), np.geomspace(10.0, 1.2e4, 12).tolist(), [0.0]
+    failing = b1[4] if grid == "one beta2, a point failing" else None
+    start_indices, rebuilt, handed = mdp._start_indices, [], []
+
+    def recording_solve(lp, start=None, **kwargs):
+        if lp.beta1 == failing:
+            # a start _start_indices refuses: the solve raises
+            return solve(lp, start="not a policy", **kwargs)
+        if start is not None:
+            policy, at = kwargs["_evaluator"].handover
+            assert policy is start
+            want = start_indices(lp, start)
+            assert all(map(np.array_equal, at, want))
+            handed.append(start)
+        return solve(lp, start=start, **kwargs)
+
+    def counting_start_indices(lp, start):
+        rebuilt.append(start)
+        return start_indices(lp, start)
+
+    monkeypatch.setattr(mdp, "solve", recording_solve)
+    monkeypatch.setattr(mdp, "_start_indices", counting_start_indices)
+    pts, fails = trace_tradeoff(base, b1, b2)
+    if failing is None:
+        assert not fails and len(pts) == len(b1) * len(b2) and not rebuilt
+        warm = len(b1) - 1 if len(b2) == 1 else len(b1) * (len(b2) - 1)
+    else:
+        assert [f.beta1 for f in fails] == [failing] and len(pts) == len(b1) - 1
+        assert rebuilt == ["not a policy"]
+        warm = len(b1) - 3          # the first point, the failed one and the next are cold
+    assert len(handed) == warm
+
+
+def test_only_the_handed_over_policy_itself_skips_start_indices(monkeypatch):
+    # an equal policy that is another object, and any start after a solve
+    # that raised, is checked and rebuilt by _start_indices; either way a
+    # solve returns what it returns with an evaluator of its own
+    lp = problem(5.0, cap=40)
+    start_indices, rebuilt = mdp._start_indices, []
+
+    def counting_start_indices(lp, start):
+        rebuilt.append(start)
+        return start_indices(lp, start)
+
+    monkeypatch.setattr(mdp, "_start_indices", counting_start_indices)
+    evaluator = mdp._Evaluator(lp.r_u)
+
+    def shared(beta1, start):
+        res = solve(lp.with_multipliers(beta1, 0.0), start=start, _evaluator=evaluator)
+        alone = solve(lp.with_multipliers(beta1, 0.0), start=start)
+        assert (res.policy, res.gain, res.iterations, res.gain_history) == (
+            alone.policy, alone.gain, alone.iterations, alone.gain_history)
+        assert evaluator.handover[0] is res.policy
+        return res.policy
+
+    first = shared(5.0, None)
+    second = shared(6.0, first)
+    assert rebuilt == [first]               # the solve without the evaluator only
+    twin = copy.copy(second)
+    assert twin == second and twin is not second
+    third = shared(4.0, twin)
+    assert rebuilt[1:] == [twin, twin]
+    with pytest.raises(ValueError, match="start"):
+        solve(lp, start="not a policy", _evaluator=evaluator)
+    assert evaluator.handover is None
+    shared(5.0, third)
+    assert rebuilt[3:] == ["not a policy", third, third]
 
 
 @pytest.mark.parametrize("b2", [[0.0], [0.0, 1.0]])
